@@ -13,7 +13,7 @@ import json
 import sys
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
-from .fields import GF, QQ
+from .fields import GF, QQ, FieldError
 from .linalg import LinMap
 from .structures import verify_algebra, verify_coalgebra
 from .entwining import (counit_morphism, unit_morphism, EntwiningMorphism,
@@ -43,6 +43,8 @@ def _load(path: str) -> schema.InputDocument:
             text = fh.read()
     except OSError as exc:
         raise schema.SchemaError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise schema.SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
     return schema.parse_document(text)
 
 
@@ -484,7 +486,7 @@ def main(argv=None) -> int:
     except schema.SchemaError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return MALFORMED
-    except InputError as exc:
+    except (InputError, FieldError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return MALFORMED
     except EntwineError as exc:

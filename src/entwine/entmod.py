@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, QuotientModule, Subspace, TensorShape, SCALAR,
-                     compose_all, corestrict, descend, kernel_image, kron,
+                     compose_all, corestrict, descend, image, kernel, kron,
                      kron_all, quotient_by)
 from .structures import Algebra, CheckReport, law
 
@@ -179,8 +179,8 @@ def cotensor(x: RightComodule, y: LeftComodule) -> Subspace:
     idx = LinMap.identity(f, (x.dim,))
     idy = LinMap.identity(f, (y.dim,))
     eq = kron(x.coaction, idy).sub(kron(idx, y.coaction))
-    kernel, _ = kernel_image(eq)
-    return Subspace(f, TensorShape((x.dim, y.dim)), kernel.basis, kernel.pivots)
+    ker = kernel(eq)
+    return Subspace(f, TensorShape((x.dim, y.dim)), ker.basis, ker.pivots)
 
 
 def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
@@ -193,7 +193,7 @@ def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
     idm = LinMap.identity(f, (m.dim,))
     idn = LinMap.identity(f, (n.dim,))
     eq = kron(m.action, idn).sub(kron(idm, n.action))
-    _, relations = kernel_image(eq)
+    relations = image(eq)
     relations = Subspace(f, TensorShape((m.dim, n.dim)), relations.basis,
                          relations.pivots)
     return quotient_by(relations)
@@ -382,8 +382,7 @@ def fixed_part(m: EntwinedModule, rho_a: LinMap) -> Subspace:
     if not rows:
         return Subspace.full(f, (m.dim,))
     cond = LinMap.from_rows(f, (m.dim,), (len(rows),), rows)
-    kernel, _ = kernel_image(cond)
-    return kernel
+    return kernel(cond)
 
 
 def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
@@ -408,8 +407,8 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
                             LinMap.identity(f, (n.dim, dc)))
     rows = list(lin_lhs.sub(lin_rhs).entries) + list(col_lhs.sub(col_rhs).entries)
     cond = LinMap.from_rows(f, (n.dim * m.dim,), (len(rows),), rows)
-    kernel, _ = kernel_image(cond)
-    return Subspace(f, TensorShape((n.dim, m.dim)), kernel.basis, kernel.pivots)
+    ker = kernel(cond)
+    return Subspace(f, TensorShape((n.dim, m.dim)), ker.basis, ker.pivots)
 
 
 def hom_vector_as_map(field, vec, m_dim: int, n_dim: int) -> LinMap:

@@ -16,14 +16,37 @@ class FieldError(ValueError):
     pass
 
 
+# shared rational constants: Fractions are immutable, and one zero object
+# lets dense rows be scanned for nonzeros by identity first (linalg)
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+
+
+# Miller-Rabin with these bases decides primality exactly below 2**64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MAX_MODULUS = 2 ** 64
+
+
 def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < 2**64."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -39,7 +62,11 @@ class Field:
             if self.p is not None:
                 raise FieldError("rational field takes no modulus")
         elif self.kind == "Fp":
-            if self.p is None or not _is_prime(self.p):
+            if not isinstance(self.p, int) or isinstance(self.p, bool):
+                raise FieldError(f"modulus must be an integer, got {self.p!r}")
+            if self.p >= MAX_MODULUS:
+                raise FieldError(f"modulus must be below 2**64, got {self.p!r}")
+            if not _is_prime(self.p):
                 raise FieldError(f"modulus must be prime, got {self.p!r}")
         else:
             raise FieldError(f"unknown field kind {self.kind!r}")
@@ -48,11 +75,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "Q" else 0
+        return _Q_ZERO if self.kind == "Q" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "Q" else 1
+        return _Q_ONE if self.kind == "Q" else 1
 
     def of_int(self, n: int):
         return Fraction(n) if self.kind == "Q" else n % self.p

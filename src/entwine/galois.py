@@ -19,7 +19,7 @@ from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
                      RightModule, cotensor, tensor_over_A,
                      verify_entwined_module)
 from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
-                     corestrict, descend, invert, kernel_image, kron,
+                     corestrict, descend, image, invert, kernel, kron,
                      kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, law,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
@@ -77,7 +77,7 @@ def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
         rhs = kron(alg.mult, LinMap.identity(f, (dc,))).compose(kron(ida, ins_rho))
         rows.extend(lhs.sub(rhs).entries)
     cond = LinMap.from_rows(f, (d,), (len(rows),), rows)
-    space, _ = kernel_image(cond)
+    space = kernel(cond)
     if not space.contains(alg.unit):
         raise InconsistencyError("fixed subspace misses the unit")
     incl = space.inclusion()
@@ -174,11 +174,11 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     if square.dim != da * dc:
         raise GaloisError("balanced square and A (x) C have different dimensions",
                           expected_dim=da * dc, actual_dim=square.dim)
-    _, image = kernel_image(can)
-    if image.dim != da * dc:
+    can_image = image(can)
+    if can_image.dim != da * dc:
         raise GaloisError("canonical map is not bijective",
                           expected_dim=da * dc, actual_dim=square.dim,
-                          rank=image.dim)
+                          rank=can_image.dim)
     can = can.reshaped(codomain=(da, dc))
     can_inv = invert(can)
     # psi(c (x) a) = can(can_inv(1 (x) c) . a)
@@ -292,11 +292,11 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
     if cosquare.dim != dc * da:
         raise GaloisError("cotensor square and C (x) A have different dimensions",
                           expected_dim=dc * da, actual_dim=cosquare.dim)
-    _, image = kernel_image(cocan)
-    if image.dim != dc * da:
+    cocan_image = image(cocan)
+    if cocan_image.dim != dc * da:
         raise GaloisError("canonical map of the coextension is not bijective",
                           expected_dim=dc * da, actual_dim=cosquare.dim,
-                          rank=image.dim)
+                          rank=cocan_image.dim)
     cocan_inv = invert(cocan)
     # psi = (eps (x) A (x) C) . (cocan_inv (x) C) . (C (x) Delta) . cocan
     idc = coalg.identity()

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, InconsistencyError
 from .linalg import (LinMap, QuotientModule, Subspace, TensorShape, SCALAR,
-                     descend, kernel_image, kron, kron_all, op_in_unknown,
+                     descend, image, kernel, kron, kron_all, op_in_unknown,
                      quotient_by)
 from .structures import Algebra, CheckReport, law
 
@@ -93,7 +93,7 @@ def _balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
         right = LinMap.identity(f, tuple([d] * right_len)) if right_len else \
             LinMap.identity(f, SCALAR)
         block = kron_all(left, move, right)
-        _, img = kernel_image(block)
+        img = image(block)
         relations = relations.sum(Subspace(f, relations.ambient, img.basis,
                                            img.pivots))
     return quotient_by(relations)
@@ -134,9 +134,8 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
                         xcod, (bdim,), m.right.compose(kron(idm, incl)))
     rows.extend(lhs.sub(rhs).entries)
     cond = LinMap.from_rows(f, (m.dim * dom_dim,), (len(rows),), rows)
-    kernel, _ = kernel_image(cond)
-    return Subspace(f, TensorShape((m.dim, dom_dim)), kernel.basis,
-                    kernel.pivots)
+    ker = kernel(cond)
+    return Subspace(f, TensorShape((m.dim, dom_dim)), ker.basis, ker.pivots)
 
 
 def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
@@ -151,8 +150,7 @@ def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
     if not rows:
         return Subspace.full(f, (m.dim,))
     cond = LinMap.from_rows(f, (m.dim,), (len(rows),), rows)
-    kernel, _ = kernel_image(cond)
-    return kernel
+    return kernel(cond)
 
 
 def _as_map(f, vec, dom_dim, cod_dim) -> LinMap:
@@ -248,18 +246,18 @@ def cohomology_dim(complex_: RelativeComplex, n: int):
     if n < 0 or n > complex_.max_degree:
         raise InputError(f"degree {n} exceeds the computed complex")
     f = complex_.alg.field
-    kernel, _ = kernel_image(complex_.boundaries[n])
+    cycles = kernel(complex_.boundaries[n])
     if n == 0:
-        image = Subspace.from_vectors(f, kernel.ambient, [])
+        boundaries = Subspace.zero(f, cycles.ambient)
     else:
-        _, image = kernel_image(complex_.boundaries[n - 1])
-    dim = kernel.dim - image.dim
+        boundaries = image(complex_.boundaries[n - 1])
+    dim = cycles.dim - boundaries.dim
     reps = []
-    span = image
-    for v in kernel.basis:
+    span = boundaries
+    for v in cycles.basis:
         if not span.contains(v):
             reps.append(v)
-            span = span.sum(Subspace.from_vectors(f, kernel.ambient, [v]))
+            span = span.sum(Subspace.from_vectors(f, cycles.ambient, [v]))
     if len(reps) != dim:
         raise InconsistencyError("representative count mismatch")  # unreachable
     return dim, Subspace.from_vectors(f, TensorShape((complex_.spaces[n].dim,)),

@@ -1,10 +1,17 @@
-"""Dense exact linear algebra on tensor-shaped spaces.
+"""Exact linear algebra on tensor-shaped spaces.
 
 Everything here is immutable and pure.  Vectors are tuples of scalars, maps
 are dense row-major matrices carrying explicit tensor factorizations of
 their domain and codomain, and index flattening is row-major throughout
 (leftmost factor most significant).  There is no floating point anywhere;
 no tolerances, ever.
+
+Storage is dense, but the work is sparse: elimination and the products
+(composition, tensor product, difference, the operator builder) visit only
+nonzero entries and choose their scalar arithmetic once per call.  Every
+elimination goes through one sparse Gauss-Jordan routine, `rref`, whose
+result is the unique reduced row echelon form, so every subspace, kernel,
+image and solution set is canonical however it was computed.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import prod
+from operator import is_not
 
 from .errors import InputError, InconsistencyError
 from .fields import Field
@@ -75,6 +83,16 @@ def shape(*factors) -> TensorShape:
 SCALAR = TensorShape(())
 
 
+def _nonzeros(row, zero):
+    """(column, value) pairs of the nonzero entries of a dense row.
+
+    Entries that are the field's shared zero object are skipped by an
+    identity test at C speed; only the rest are tested for zero."""
+    candidates = itertools.compress(range(len(row)),
+                                    map(is_not, row, itertools.repeat(zero)))
+    return [(j, row[j]) for j in candidates if row[j]]
+
+
 # ---------------------------------------------------------------------------
 # linear maps
 
@@ -96,10 +114,10 @@ class LinMap:
         if len(self.entries) != self.codomain.total:
             raise InputError(
                 f"{len(self.entries)} rows for codomain of total {self.codomain.total}")
-        for row in self.entries:
-            if len(row) != self.domain.total:
-                raise InputError(
-                    f"row of length {len(row)} for domain of total {self.domain.total}")
+        n = self.domain.total
+        for length in set(map(len, self.entries)):
+            if length != n:
+                raise InputError(f"row of length {length} for domain of total {n}")
 
     # -- constructors -------------------------------------------------------
 
@@ -179,13 +197,15 @@ class LinMap:
         if len(vec) != self.cols:
             raise InputError(f"vector of length {len(vec)} for domain {self.cols}")
         f = self.field
+        p, zero = f.p, f.zero
         out = []
         for row in self.entries:
-            acc = f.zero
-            for a, x in zip(row, vec):
-                if a != 0 and x != 0:
-                    acc = f.add(acc, f.mul(a, x))
-            out.append(acc)
+            acc = zero
+            for j, a in _nonzeros(row, zero):
+                x = vec[j]
+                if x:
+                    acc += a * x
+            out.append(acc if p is None else acc % p)
         return tuple(out)
 
     def column(self, c: int):
@@ -199,23 +219,24 @@ class LinMap:
             raise InputError(
                 f"composition shape mismatch: {self.domain} vs {other.codomain}")
         f = self.field
-        zero = f.zero
-        n_out, n_mid, n_in = self.rows, self.cols, other.cols
-        out = [[zero] * n_in for _ in range(n_out)]
-        oe = other.entries
-        for i in range(n_out):
-            row = self.entries[i]
-            acc = out[i]
-            for k in range(n_mid):
-                a = row[k]
-                if a == 0:
-                    continue
-                orow = oe[k]
-                for j in range(n_in):
-                    b = orow[j]
-                    if b != 0:
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return LinMap(f, other.domain, self.codomain, tuple(tuple(r) for r in out))
+        p, zero, n_in = f.p, f.zero, other.cols
+        other_nz = [_nonzeros(r, zero) for r in other.entries]
+        out = []
+        for row in self.entries:
+            acc = {}
+            for k, a in _nonzeros(row, zero):
+                for j, b in other_nz[k]:
+                    x = acc.get(j)
+                    acc[j] = a * b if x is None else x + a * b
+            dense = [zero] * n_in
+            if p is None:
+                for j, x in acc.items():
+                    dense[j] = x
+            else:
+                for j, x in acc.items():
+                    dense[j] = x % p
+            out.append(tuple(dense))
+        return LinMap(f, other.domain, self.codomain, tuple(out))
 
     def add(self, other: "LinMap") -> "LinMap":
         self._require_parallel(other)
@@ -227,9 +248,21 @@ class LinMap:
     def sub(self, other: "LinMap") -> "LinMap":
         self._require_parallel(other)
         f = self.field
-        rows = tuple(tuple(f.sub(a, b) for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.entries, other.entries))
-        return LinMap(f, self.domain, self.codomain, rows)
+        p, zero = f.p, f.zero
+        rows = []
+        for r1, r2 in zip(self.entries, other.entries):
+            nz = _nonzeros(r2, zero)
+            if nz:
+                row = list(r1)
+                if p is None:
+                    for j, b in nz:
+                        row[j] -= b
+                else:
+                    for j, b in nz:
+                        row[j] = (row[j] - b) % p
+                r1 = tuple(row)
+            rows.append(r1)
+        return LinMap(f, self.domain, self.codomain, tuple(rows))
 
     def scale(self, scalar) -> "LinMap":
         f = self.field
@@ -259,6 +292,8 @@ class LinMap:
         """First (column, row) where the matrices differ, scanning columns
         lexicographically; None if equal."""
         self._require_parallel(other)
+        if self.entries == other.entries:
+            return None
         for c in range(self.cols):
             for r in range(self.rows):
                 if self.entries[r][c] != other.entries[r][c]:
@@ -273,27 +308,26 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     """Tensor product of maps; shapes concatenate, flattening is row-major."""
     if f.field != g.field:
         raise InputError("field mismatch in tensor product")
-    fe, ge = f.entries, g.entries
-    fr, fc, gr, gc = f.rows, f.cols, g.rows, g.cols
-    zero = f.field.zero
-    mul = f.field.mul
-    out = [[zero] * (fc * gc) for _ in range(fr * gr)]
-    for i1 in range(fr):
-        frow = fe[i1]
-        for j1 in range(fc):
-            a = frow[j1]
-            if a == 0:
-                continue
-            for i2 in range(gr):
-                grow = ge[i2]
-                orow = out[i1 * gr + i2]
-                base = j1 * gc
-                for j2 in range(gc):
-                    b = grow[j2]
-                    if b != 0:
-                        orow[base + j2] = mul(a, b)
+    p, zero = f.field.p, f.field.zero
+    gc = g.cols
+    width = f.cols * gc
+    g_nz = [_nonzeros(r, zero) for r in g.entries]
+    out = []
+    for frow in f.entries:
+        f_nz = [(j1 * gc, a) for j1, a in _nonzeros(frow, zero)]
+        for grow in g_nz:
+            row = [zero] * width
+            if p is None:
+                for base, a in f_nz:
+                    for j2, b in grow:
+                        row[base + j2] = a * b
+            else:
+                for base, a in f_nz:
+                    for j2, b in grow:
+                        row[base + j2] = a * b % p
+            out.append(tuple(row))
     return LinMap(f.field, f.domain.concat(g.domain), f.codomain.concat(g.codomain),
-                  tuple(tuple(r) for r in out))
+                  tuple(out))
 
 
 def kron_all(*maps) -> LinMap:
@@ -315,48 +349,93 @@ def compose_all(*maps) -> LinMap:
 # row reduction
 
 
+def _row_ops(field):
+    """(axpy, scale) on sparse rows {column: nonzero value}, with the
+    field's arithmetic chosen once: axpy(row, a, other) adds a * other to
+    row in place, scale(row, a) returns a * row."""
+    p = field.p
+    if p is None:
+        def axpy(row, a, other):
+            for j, v in other.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = a * v
+                else:
+                    x += a * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+
+        def scale(row, a):
+            return {j: a * x for j, x in row.items()}
+    else:
+        def axpy(row, a, other):
+            for j, v in other.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = a * v % p
+                else:
+                    x = (x + a * v) % p
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+
+        def scale(row, a):
+            return {j: a * x % p for j, x in row.items()}
+    return axpy, scale
+
+
 def rref(field, rows):
     """Reduced row echelon form over an exact field.
 
     Returns (rows, pivot_columns); zero rows are dropped and every pivot is
     normalized to 1 with zeros above and below.
+
+    Sparse Gauss-Jordan: each input row, held as its nonzero entries, is
+    reduced by the pivot rows found so far; its leftmost remaining entry
+    becomes a new pivot, and that column is cleared from the earlier pivot
+    rows, so the pivot rows stay fully reduced throughout.  The reduced row
+    echelon form of a row space is unique, so the result does not depend on
+    the order of the input rows.
     """
-    m = [list(r) for r in rows]
-    if not m:
+    rows = list(rows)
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = m[r][c]
-        if piv != field.one:
-            inv = field.inv(piv)
-            m[r] = [field.mul(inv, x) for x in m[r]]
-        prow = m[r]
-        for i in range(len(m)):
-            if i == r:
-                continue
-            fac = m[i][c]
-            if fac == 0:
-                continue
-            mrow = m[i]
-            m[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(mrow, prow)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
+    ncols = len(rows[0])
+    axpy, scale = _row_ops(field)
+    neg, zero = field.neg, field.zero
+    reduced = {}                     # pivot column -> sparse row, pivot 1
+    for dense in rows:
+        if len(reduced) == ncols:
             break
-    return [tuple(row) for row in m[:r]], pivots
+        row = dict(_nonzeros(dense, zero))
+        for c in row.keys() & reduced.keys():
+            axpy(row, neg(row[c]), reduced[c])
+        if not row:
+            continue
+        c = min(row)
+        if row[c] != 1:
+            row = scale(row, field.inv(row[c]))
+        for other in reduced.values():
+            x = other.get(c)
+            if x:
+                axpy(other, neg(x), row)
+        reduced[c] = row
+    pivots = sorted(reduced)
+    out = []
+    for c in pivots:
+        dense = [zero] * ncols
+        for j, x in reduced[c].items():
+            dense[j] = x
+        out.append(tuple(dense))
+    return out, pivots
 
 
 def _kernel_from_rref(field, reduced, pivots, ncols):
+    """Kernel basis of a reduced matrix: one vector per free column, set to
+    1 there; reads only the first ncols entries of each row."""
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
@@ -364,7 +443,7 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
         v = [field.zero] * ncols
         v[fc] = field.one
         for row, pc in zip(reduced, pivots):
-            if row[fc] != 0:
+            if row[fc]:
                 v[pc] = field.neg(row[fc])
         basis.append(tuple(v))
     return basis
@@ -414,15 +493,21 @@ class Subspace:
     def reduce(self, vec):
         """Remainder of vec after subtracting its span component."""
         f = self.field
+        p, zero = f.p, f.zero
         v = list(vec)
-        for b, p in zip(self.basis, self.pivots):
-            c = v[p]
-            if c != 0:
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, b)]
+        for b, pc in zip(self.basis, self.pivots):
+            c = v[pc]
+            if c:
+                if p is None:
+                    for j, y in _nonzeros(b, zero):
+                        v[j] -= c * y
+                else:
+                    for j, y in _nonzeros(b, zero):
+                        v[j] = (v[j] - c * y) % p
         return tuple(v)
 
     def contains(self, vec) -> bool:
-        return all(x == 0 for x in self.reduce(vec))
+        return not any(self.reduce(vec))
 
     def coords(self, vec):
         """Coordinates of vec in the echelon basis; None if not a member."""
@@ -492,15 +577,19 @@ def quotient_by(relations: Subspace) -> QuotientModule:
     complement = [c for c in range(n) if c not in pivot_set]
     q = len(complement)
     qshape = TensorShape((q,))
-    # projection: reduce modulo the relations, then read the complement coords
-    proj_rows = [[f.zero] * n for _ in range(q)]
-    for j in range(n):
-        e = [f.zero] * n
-        e[j] = f.one
-        rem = relations.reduce(e)
-        for t, c in enumerate(complement):
-            if rem[c] != 0:
-                proj_rows[t][j] = rem[c]
+    # projection: reduce modulo the relations, then read the complement
+    # coords; a complement basis vector reduces to itself, and the pivot-p
+    # vector of the echelon basis b reduces to e_p - b
+    zero = f.zero
+    position = {c: t for t, c in enumerate(complement)}
+    proj_rows = [[zero] * n for _ in range(q)]
+    for t, c in enumerate(complement):
+        proj_rows[t][c] = f.one
+    for b, pc in zip(relations.basis, relations.pivots):
+        for c, x in _nonzeros(b, zero):
+            t = position.get(c)
+            if t is not None:
+                proj_rows[t][pc] = f.neg(x)
     projection = LinMap(f, ambient, qshape, tuple(tuple(r) for r in proj_rows))
     sec_rows = [[f.zero] * q for _ in range(n)]
     for t, c in enumerate(complement):
@@ -594,32 +683,41 @@ def solve_affine(m: LinMap, b) -> AffineSolutionSet:
     aug = [row + (bi,) for row, bi in zip(m.entries, b)]
     reduced, pivots = rref(f, aug)
     ncols = m.cols
-    if ncols in pivots:
+    if pivots and pivots[-1] == ncols:
+        # the last pivot sits in the rhs column: 0 = 1 is implied
         particular = None
+        reduced, pivots = reduced[:-1], pivots[:-1]
     else:
         part = [f.zero] * ncols
         for row, p in zip(reduced, pivots):
             part[p] = row[ncols]
         particular = tuple(part)
-    # kernel comes from the coefficient block of the same reduction
-    coeff_rows = [row[:ncols] for row in reduced]
-    coeff_reduced, coeff_pivots = rref(f, coeff_rows)
-    kernel = _kernel_from_rref(f, coeff_reduced, coeff_pivots, ncols)
+    # the remaining rows' coefficient blocks are the reduced form of m
+    basis = _kernel_from_rref(f, reduced, pivots, ncols)
     return AffineSolutionSet(particular,
-                             Subspace.from_vectors(f, m.domain, kernel))
+                             Subspace.from_vectors(f, m.domain, basis))
+
+
+def kernel(m: LinMap) -> Subspace:
+    """The kernel of a map, as a canonical subspace of its domain."""
+    f = m.field
+    reduced, pivots = rref(f, m.entries)
+    return Subspace.from_vectors(f, m.domain,
+                                 _kernel_from_rref(f, reduced, pivots, m.cols))
+
+
+def image(m: LinMap) -> Subspace:
+    """The image of a map, as a canonical subspace of its codomain: the
+    reduced span of its columns."""
+    return Subspace.from_vectors(m.field, m.codomain, zip(*m.entries))
 
 
 def kernel_image(m: LinMap):
-    """(kernel, image) of a map, both canonical; rank-nullity is guaranteed."""
-    f = m.field
-    reduced, pivots = rref(f, m.entries)
-    kernel = Subspace.from_vectors(f, m.domain,
-                                   _kernel_from_rref(f, reduced, pivots, m.cols))
-    image = Subspace.from_vectors(f, m.codomain,
-                                  [m.column(p) for p in pivots])
-    if kernel.dim + image.dim != m.cols:
-        raise InconsistencyError("rank-nullity violated")  # unreachable
-    return kernel, image
+    """(kernel, image) of a map, both canonical; rank-nullity is checked."""
+    ker, im = kernel(m), image(m)
+    if ker.dim + im.dim != m.cols:
+        raise InconsistencyError("rank-nullity violated")
+    return ker, im
 
 
 def invert(m: LinMap) -> LinMap:
@@ -661,57 +759,41 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
         raise InputError("pre does not land in L (x) Xdom (x) R")
     if post.cols != lt * xc * rt:
         raise InputError("post does not start from L (x) Xcod (x) R")
-    zero = f.zero
-    # a1[(e,r)][(l,rho)] = post[e][(l,r,rho)]
-    a1 = [[zero] * (lt * rt) for _ in range(ee * xc)]
-    for e in range(ee):
-        prow = post.entries[e]
-        for l in range(lt):
-            for r in range(xc):
-                base = (l * xc + r) * rt
-                for rho in range(rt):
-                    v = prow[base + rho]
-                    if v != 0:
-                        a1[e * xc + r][l * rt + rho] = v
-    # a2[(l,rho)][(s,d)] = pre[(l,s,rho)][d]
-    a2 = [[zero] * (xd * dd) for _ in range(lt * rt)]
+    p, zero = f.p, f.zero
+    # pre's nonzeros grouped by the surrounding factors:
+    # by_lr[l * rt + rho] = [(s, d, pre[(l,s,rho)][d]), ...]
+    by_lr = {}
     for l in range(lt):
         for s in range(xd):
             base = (l * xd + s) * rt
             for rho in range(rt):
-                prow = pre.entries[base + rho]
-                arow = a2[l * rt + rho]
-                for d in range(dd):
-                    v = prow[d]
-                    if v != 0:
-                        arow[s * dd + d] = v
-    # p = a1 . a2, then reshuffle to rows (e,d), cols (r,s)
-    mulf, addf = f.mul, f.add
-    p = [[zero] * (xd * dd) for _ in range(ee * xc)]
-    for i in range(ee * xc):
-        arow = a1[i]
-        prow = p[i]
-        for k in range(lt * rt):
-            a = arow[k]
-            if a == 0:
-                continue
-            brow = a2[k]
-            for j in range(xd * dd):
-                b = brow[j]
-                if b != 0:
-                    prow[j] = addf(prow[j], mulf(a, b))
-    big = [[zero] * (xc * xd) for _ in range(ee * dd)]
-    for e in range(ee):
-        for r in range(xc):
-            prow = p[e * xc + r]
-            for s in range(xd):
-                base = s * dd
-                for d in range(dd):
-                    v = prow[base + d]
-                    if v != 0:
-                        big[e * dd + d][r * xd + s] = v
-    return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)),
-                  tuple(tuple(r) for r in big))
+                nz = _nonzeros(pre.entries[base + rho], zero)
+                if nz:
+                    by_lr.setdefault(l * rt + rho, []).extend(
+                        (s, d, w) for d, w in nz)
+    # big[(e,d)][(r,s)] = sum over (l,rho) of post[e][(l,r,rho)] * pre[(l,s,rho)][d]
+    width = xc * xd
+    big = []
+    for prow in post.entries:
+        acc = [{} for _ in range(dd)]
+        for col, v in _nonzeros(prow, zero):
+            lr, rho = divmod(col, rt)
+            l, r = divmod(lr, xc)
+            for s, d, w in by_lr.get(l * rt + rho, ()):
+                cell = acc[d]
+                k = r * xd + s
+                x = cell.get(k)
+                cell[k] = v * w if x is None else x + v * w
+        for cell in acc:
+            dense = [zero] * width
+            if p is None:
+                for k, x in cell.items():
+                    dense[k] = x
+            else:
+                for k, x in cell.items():
+                    dense[k] = x % p
+            big.append(tuple(dense))
+    return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)), tuple(big))
 
 
 @dataclass
@@ -756,13 +838,15 @@ class LinearConstraints:
     def assembled(self):
         rows, rhs = [], []
         seen = set()
+        zero = self.field.zero
         for blk in self.blocks:
             for r, t in zip(blk.matrix.entries, blk.rhs):
-                key = (r, t)
+                nz = tuple(_nonzeros(r, zero))
+                key = (nz, t)
                 if key in seen:
                     continue
                 seen.add(key)
-                if all(x == 0 for x in r) and t == 0:
+                if not nz and not t:
                     continue
                 rows.append(r)
                 rhs.append(t)

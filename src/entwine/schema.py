@@ -29,6 +29,15 @@ def _need(obj, key, where):
     return obj[key]
 
 
+def _need_int(obj, key, where):
+    """A required JSON integer; strings, floats and booleans are rejected
+    rather than coerced."""
+    value = _need(obj, key, where)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SchemaError(f"{key} in {where} must be an integer, got {value!r}")
+    return value
+
+
 def _strict(obj, allowed, where):
     if not isinstance(obj, dict):
         raise SchemaError(f"{where} must be an object")
@@ -46,7 +55,7 @@ def parse_field(obj) -> Field:
                 raise SchemaError("field Q takes no modulus")
             return QQ
         if kind == "Fp":
-            return GF(int(_need(obj, "p", "field")))
+            return GF(_need_int(obj, "p", "field"))
     except FieldError as exc:
         raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown field kind {kind!r}")
@@ -153,7 +162,7 @@ def parse_document(text) -> InputDocument:
 
 def _parse_algebra(f, obj) -> Algebra:
     _strict(obj, {"dim", "mult", "unit"}, "algebra")
-    dim = int(_need(obj, "dim", "algebra"))
+    dim = _need_int(obj, "dim", "algebra")
     if dim < 1:
         raise SchemaError("algebra dimension must be positive")
     mult = parse_matrix(f, _need(obj, "mult", "algebra"), (dim, dim), (dim,),
@@ -164,7 +173,7 @@ def _parse_algebra(f, obj) -> Algebra:
 
 def _parse_coalgebra(f, obj) -> Coalgebra:
     _strict(obj, {"dim", "comult", "counit"}, "coalgebra")
-    dim = int(_need(obj, "dim", "coalgebra"))
+    dim = _need_int(obj, "dim", "coalgebra")
     if dim < 1:
         raise SchemaError("coalgebra dimension must be positive")
     comult = parse_matrix(f, _need(obj, "comult", "coalgebra"), (dim,),
@@ -177,7 +186,7 @@ def _parse_module(f, obj, doc: InputDocument):
     _strict(obj, {"dim", "action", "coaction"}, "module")
     if doc.algebra is None or doc.coalgebra is None:
         raise SchemaError("module needs both an algebra and a coalgebra")
-    dim = int(_need(obj, "dim", "module"))
+    dim = _need_int(obj, "dim", "module")
     if dim < 1:
         raise SchemaError("module dimension must be positive")
     da, dc = doc.algebra.dim, doc.coalgebra.dim

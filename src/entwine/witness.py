@@ -317,13 +317,6 @@ def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
     act_ac = compose_all(kron(mult_f, idc), kron(ida2, src.psi))
     q = _balanced_quotient(mor, (dc,),
                            act_ac.reshaped((da2 * dc, da), (da2 * dc,)))
-    # action on A~ (x) C (x) C entwines through both coalgebra legs
-    act_acc = compose_all(kron_all(mult_f, idc, idc),
-                          kron_all(ida2, src.psi, idc),
-                          kron_all(ida2, idc, src.psi))
-    q2 = _balanced_quotient(mor, (dc, dc),
-                            act_acc.reshaped((da2 * dc * dc, da),
-                                             (da2 * dc * dc,)))
     # action on A~ (x) C~ (x) C entwines through psi then psi~ after f
     act_a2c = compose_all(kron_all(dst.alg.mult, idc2, idc),
                           kron_all(ida2, dst.psi, idc),

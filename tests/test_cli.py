@@ -277,3 +277,60 @@ def test_json_flag_emits_pure_json(c2_q_file, capsys):
 def test_hochschild_degree_two(c2_f2_file, capsys):
     assert main(["hochschild", "--n", "2", c2_f2_file]) == 0
     assert "H^2 dimension: 2" in capsys.readouterr().out
+
+
+# -- the input contract: malformed values exit 2 with one line ---------------
+
+def _assert_input_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ")
+    assert err.count("\n") == 1
+
+
+def _write_doc(tmp_path, c2_q_file, edit):
+    doc = json.load(open(c2_q_file))
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_string_dim_is_input_error(tmp_path, c2_q_file, capsys):
+    path = _write_doc(tmp_path, c2_q_file,
+                      lambda d: d["algebra"].__setitem__("dim", "x"))
+    _assert_input_error(["check", path], capsys)
+
+
+def test_string_modulus_is_input_error(tmp_path, c2_f2_file, capsys):
+    path = _write_doc(tmp_path, c2_f2_file,
+                      lambda d: d["field"].__setitem__("p", "abc"))
+    _assert_input_error(["check", path], capsys)
+
+
+def test_non_utf8_file_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "entwine/1", "field": {"kind": "Q\xe9"}}')
+    _assert_input_error(["check", str(path)], capsys)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0])
+def test_float_dim_is_input_error(tmp_path, c2_q_file, capsys, value):
+    # int() would truncate these to the true dimension, 2, and accept them
+    path = _write_doc(tmp_path, c2_q_file,
+                      lambda d: d["coalgebra"].__setitem__("dim", value))
+    _assert_input_error(["check", path], capsys)
+
+
+@pytest.mark.parametrize("value", [True, 1.5])
+def test_boolean_or_float_dim_one_is_input_error(tmp_path, capsys, value):
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({
+        "schema": "entwine/1", "field": {"kind": "Q"},
+        "algebra": {"dim": value, "mult": [["1"]], "unit": ["1"]}}))
+    _assert_input_error(["check", str(path)], capsys)
+
+
+def test_catalog_modulus_out_of_range_is_input_error(capsys):
+    _assert_input_error(["catalog", "--name", "hopf_self_galois", "--n", "2",
+                         "--field", "Fp", "--p", str(2 ** 64 + 13)], capsys)

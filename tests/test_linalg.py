@@ -181,3 +181,133 @@ def test_scalar_text_encoding():
     assert f5.fmt(f5.parse(3)) == 3
     with pytest.raises(Exception):
         f5.parse(7)
+
+
+# -- differential checks against the dense oracle -----------------------------
+
+FIELDS = {None: QQ, 2: GF(2), 3: GF(3), 10007: GF(10007)}
+
+
+def _dot(row, vec, p):
+    """Plain dot product, reduced into the field (Fraction when p is None)."""
+    total = sum(a * b for a, b in zip(row, vec))
+    return Fraction(total) if p is None else total % p
+
+
+@st.composite
+def sparse_systems(draw):
+    """(p, rows, rhs): a random sparse matrix with 5-40 % nonzeros, some
+    duplicated rows and some zero rows, in shuffled order."""
+    p = draw(st.sampled_from(sorted(FIELDS, key=str)))
+    field = FIELDS[p]
+    n_rows, n_cols = draw(st.integers(1, 10)), draw(st.integers(1, 14))
+    density = draw(st.integers(5, 40))
+    if p is None:
+        nonzero = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    else:
+        nonzero = st.integers(1, p - 1)
+    cells = st.tuples(st.integers(0, 99), nonzero)
+    rows = [[v if u < density else field.zero
+             for u, v in draw(st.lists(cells, min_size=n_cols,
+                                       max_size=n_cols))]
+            for _ in range(n_rows)]
+    rows += [list(rows[i]) for i in draw(st.lists(
+        st.integers(0, n_rows - 1), max_size=3))]
+    rows += [[field.zero] * n_cols for _ in range(draw(st.integers(0, 2)))]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        # a consistent right-hand side, rows . x for a random x
+        x = draw(st.lists(st.integers(0, 2), min_size=n_cols,
+                          max_size=n_cols))
+        rhs = [_dot(row, x, p) for row in rows]
+    else:
+        rhs = [field.of_int(v) for v in draw(st.lists(
+            st.integers(0, 3), min_size=len(rows), max_size=len(rows)))]
+    return p, rows, rhs
+
+
+def _is_reduced_echelon(reduced, pivots):
+    for i, (row, c) in enumerate(zip(reduced, pivots)):
+        if row[c] != 1 or any(row[:c]):
+            return False
+        if any(other[c] for j, other in enumerate(reduced) if j != i):
+            return False
+    return list(pivots) == sorted(set(pivots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_elimination_matches_oracle(system, rnd):
+    from entwine.linalg import rref
+    p, rows, rhs = system
+    field = FIELDS[p]
+    n_cols = len(rows[0])
+    reduced, pivots = rref(field, rows)
+    _, oracle_pivots = oracle.echelon(rows, p)
+    assert list(pivots) == oracle_pivots
+    assert len(reduced) == oracle.rank(rows, p)
+    assert _is_reduced_echelon(reduced, pivots)
+
+    m = LinMap.from_rows(field, (n_cols,), (len(rows),), rows)
+    sol = solve_affine(m, rhs)
+    oracle_particular, _ = oracle.solve(rows, rhs, p)
+    if oracle_particular is None:
+        assert sol.particular is None
+    else:
+        assert sol.particular == tuple(oracle_particular)
+    for v in sol.homogeneous.basis:
+        assert all(_dot(row, v, p) == 0 for row in rows)
+    assert sol.homogeneous.dim == n_cols - len(pivots)
+
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    a = Subspace.from_vectors(field, (n_cols,), rows)
+    b = Subspace.from_vectors(field, (n_cols,), shuffled)
+    assert (a.basis, a.pivots) == (b.basis, b.pivots)
+
+
+def _naive_product(field, a, b):
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            acc = field.zero
+            for k in range(len(b)):
+                acc = field.add(acc, field.mul(a[i][k], b[k][j]))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _naive_kron(field, a, b):
+    return tuple(tuple(field.mul(a[i1][j1], b[i2][j2])
+                       for j1 in range(len(a[0])) for j2 in range(len(b[0])))
+                 for i1 in range(len(a)) for i2 in range(len(b)))
+
+
+@st.composite
+def zero_heavy(draw, p, n_rows, n_cols):
+    field = FIELDS[p]
+    values = st.integers(-3, 3) if p is None else st.integers(0, p - 1)
+    cells = st.tuples(st.integers(0, 9), values)
+    return [[field.of_int(v) if u < 2 else field.zero
+             for u, v in draw(st.lists(cells, min_size=n_cols,
+                                       max_size=n_cols))]
+            for _ in range(n_rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, 2, 3, 10007]), st.integers(1, 5),
+       st.integers(1, 5), st.integers(1, 5), st.data())
+def test_products_match_naive_loops(p, n, k, m, data):
+    field = FIELDS[p]
+    a = data.draw(zero_heavy(p, n, k))
+    b = data.draw(zero_heavy(p, k, m))
+    c = data.draw(zero_heavy(p, n, k))
+    fa = LinMap.from_rows(field, (k,), (n,), a)
+    fb = LinMap.from_rows(field, (m,), (k,), b)
+    fc = LinMap.from_rows(field, (k,), (n,), c)
+    assert fa.compose(fb).entries == _naive_product(field, a, b)
+    assert kron(fa, fb).entries == _naive_kron(field, a, b)
+    assert fa.sub(fc).entries == tuple(
+        tuple(field.sub(x, y) for x, y in zip(r, s)) for r, s in zip(a, c))
