@@ -93,6 +93,18 @@ def _nonzeros(row, zero):
     return [(j, row[j]) for j in candidates if row[j]]
 
 
+def _dense(entries, width, zero, p):
+    """A dense row from {column: value}, reduced mod p unless p is None."""
+    row = [zero] * width
+    if p is None:
+        for j, x in entries.items():
+            row[j] = x
+    else:
+        for j, x in entries.items():
+            row[j] = x % p
+    return tuple(row)
+
+
 # ---------------------------------------------------------------------------
 # linear maps
 
@@ -228,14 +240,7 @@ class LinMap:
                 for j, b in other_nz[k]:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
-            dense = [zero] * n_in
-            if p is None:
-                for j, x in acc.items():
-                    dense[j] = x
-            else:
-                for j, x in acc.items():
-                    dense[j] = x % p
-            out.append(tuple(dense))
+            out.append(_dense(acc, n_in, zero, p))
         return LinMap(f, other.domain, self.codomain, tuple(out))
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -424,13 +429,7 @@ def rref(field, rows):
                 axpy(other, neg(x), row)
         reduced[c] = row
     pivots = sorted(reduced)
-    out = []
-    for c in pivots:
-        dense = [zero] * ncols
-        for j, x in reduced[c].items():
-            dense[j] = x
-        out.append(tuple(dense))
-    return out, pivots
+    return [_dense(reduced[c], ncols, zero, None) for c in pivots], pivots
 
 
 def _kernel_from_rref(field, reduced, pivots, ncols):
@@ -784,15 +783,7 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
                 k = r * xd + s
                 x = cell.get(k)
                 cell[k] = v * w if x is None else x + v * w
-        for cell in acc:
-            dense = [zero] * width
-            if p is None:
-                for k, x in cell.items():
-                    dense[k] = x
-            else:
-                for k, x in cell.items():
-                    dense[k] = x % p
-            big.append(tuple(dense))
+        big.extend(_dense(cell, width, zero, p) for cell in acc)
     return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)), tuple(big))
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from entwine import GF, QQ, LinMap, Subspace, TensorShape, kernel_image, \
     kron, solve_affine
-from entwine.linalg import invert, quotient_by
+from entwine.linalg import invert, quotient_by, rref
 
 import oracle
 
@@ -198,7 +198,7 @@ def _dot(row, vec, p):
 def sparse_systems(draw):
     """(p, rows, rhs): a random sparse matrix with 5-40 % nonzeros, some
     duplicated rows and some zero rows, in shuffled order."""
-    p = draw(st.sampled_from(sorted(FIELDS, key=str)))
+    p = draw(st.sampled_from(list(FIELDS)))
     field = FIELDS[p]
     n_rows, n_cols = draw(st.integers(1, 10)), draw(st.integers(1, 14))
     density = draw(st.integers(5, 40))
@@ -238,7 +238,6 @@ def _is_reduced_echelon(reduced, pivots):
 @settings(max_examples=150, deadline=None)
 @given(sparse_systems(), st.randoms(use_true_random=False))
 def test_elimination_matches_oracle(system, rnd):
-    from entwine.linalg import rref
     p, rows, rhs = system
     field = FIELDS[p]
     n_cols = len(rows[0])
@@ -297,7 +296,7 @@ def zero_heavy(draw, p, n_rows, n_cols):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([None, 2, 3, 10007]), st.integers(1, 5),
+@given(st.sampled_from(list(FIELDS)), st.integers(1, 5),
        st.integers(1, 5), st.integers(1, 5), st.data())
 def test_products_match_naive_loops(p, n, k, m, data):
     field = FIELDS[p]
