@@ -14,8 +14,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import InputError
 from .fields import Field
-from .linalg import (LinMap, Subspace, compose_all, kron, kron_all,
-                     quotient_by, solve_affine)
+from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
+                     kron, kron_all, op_in_unknown, quotient_by)
 from .structures import (Algebra, Coalgebra, dual_swap, quotient_coalgebra,
                          verify_algebra, verify_coalgebra)
 from .entwining import (Entwining, ground_coalgebra, make_entwining,
@@ -58,8 +58,6 @@ def _verify_hopf(h: HopfData) -> None:
     mult2 = compose_all(kron(a.mult, a.mult), kron_all(ida, tw, ida))
     if not c.comult.compose(a.mult).equals(mult2.compose(kron(c.comult, c.comult))):
         raise InputError("comultiplication is not an algebra map")
-    if c.comult.apply(a.unit) != tuple(x for u in a.unit for x in a.unit):
-        pass  # unit group-likeness is subsumed by the check below
     eps = c.counit_map()
     if not eps.compose(a.mult).equals(kron(eps, eps)):
         raise InputError("counit is not an algebra map")
@@ -271,18 +269,19 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
                                     h.coalg.comult))
     if not ext.ent.psi.equals(expected_psi):
         raise InputError("canonical entwining mismatch for the quotient datum")
-    # invariant of the quotient coalgebra, when the characteristic allows it
-    rows = []
-    dq = quot_coalg.dim
-    for j in range(n):
-        a = tuple(one if t == j else zero for t in range(n))
-        act = rho_c.compose(kron(LinMap.identity(f, (dq,)),
-                                 LinMap.element(f, (n,), a)))
-        rows.extend(act.sub(LinMap.identity(f, (dq,))).entries)
-    cond = LinMap.from_rows(f, (dq,), (len(rows),), rows)
-    stacked = LinMap.from_rows(f, (dq,), (len(rows) + 1,),
-                               list(cond.entries) + [tuple(quot_coalg.counit)])
-    sol = solve_affine(stacked, tuple([zero] * len(rows) + [one]))
+    # invariant of the quotient coalgebra, when the characteristic allows it:
+    # x . s^j = x for every group element s^j, and eps(x) = 1
+    qshape = (quot_coalg.dim,)
+    sys = LinearConstraints(f, SCALAR, qshape)
+    acted = op_in_unknown(h.alg.identity(), SCALAR, SCALAR, qshape, (n,), rho_c)
+    kept = op_in_unknown(LinMap.functional(f, (n,), (one,) * n), SCALAR, SCALAR,
+                         qshape, SCALAR, LinMap.identity(f, qshape))
+    sys.require("invariance", acted, kept)
+    sys.require("normalisation",
+                op_in_unknown(LinMap.identity(f, SCALAR), SCALAR, SCALAR, qshape,
+                              SCALAR, quot_coalg.counit_map()),
+                target=LinMap.identity(f, SCALAR))
+    sol = sys.solve()
     extras = {"hopf": h, "projection": proj, "action": rho_c,
               "invariant": sol.particular if sol.feasible else None,
               "warnings": [] if sol.feasible else

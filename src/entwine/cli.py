@@ -20,15 +20,15 @@ from .entwining import (counit_morphism, unit_morphism, EntwiningMorphism,
                         make_entwining, verify_entwining, verify_morphism)
 from .entmod import EntwinedModule, verify_entwined_module
 from .galois import (build_coextension, build_galois, copointed_grouplike,
-                     cotranslation_map, pointed_kappa, verify_action,
-                     verify_coaction)
+                     cotranslation_map, fixed_subalgebra, pointed_kappa,
+                     verify_action, verify_coaction)
 from .hochschild import (Bimodule, cohomology_dim, regular_bimodule,
                          relative_complex, verify_bimodule)
 from .linalg import Subspace
 from .separability import (check_coseparable, check_separable, check_split,
                            check_strongly_separable)
 from .witness import (WitnessKind, solve_witness, integrability_system,
-                      cointegrability_system)
+                      cointegrability_system, witness_shapes)
 from . import schema
 from .catalog import make_example
 from .galois import Coextension, GaloisExtension
@@ -37,15 +37,18 @@ from .entwining import Entwining
 OK, FAIL, MALFORMED = 0, 1, 2
 
 
-def _load(path: str) -> schema.InputDocument:
+def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise schema.SchemaError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise schema.SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
-    return schema.parse_document(text)
+
+
+def _load(path: str) -> schema.InputDocument:
+    return schema.parse_document(_read(path))
 
 
 def _emit(doc: dict, out: str | None, as_json: bool):
@@ -138,6 +141,8 @@ def cmd_solve(args) -> int:
     try:
         ent = doc.entwining()
     except schema.SchemaError:
+        # SchemaError is an InputError: a document without a full entwining
+        # is malformed input (exit 2), not a failed axiom
         raise
     except InputError as exc:
         # shapes were already validated by the parser, so this is a failed
@@ -149,30 +154,21 @@ def cmd_solve(args) -> int:
     if args.kind in _KIND_MAP:
         kind = _KIND_MAP[args.kind]
         sol = solve_witness(kind, ent, normalized=normalized)
-        from .witness import witness_shapes
         dom, cod = witness_shapes(kind, ent)
         label = kind.value
     else:
         mor = _morphism_from(doc, ent, args.morphism)
-        if args.kind == "lambda":
-            sys_, ctx = integrability_system(mor, total=True)
-            sol = sys_.solve()
-            dom = ctx.carrier.inclusion().domain
-            cod = LinMap.identity(f, (mor.src.alg.dim,)).domain
-        else:
-            sys_, ctx = cointegrability_system(mor, total=True)
-            sol = sys_.solve()
-            dom = LinMap.identity(f, (mor.dst.coalg.dim,)).domain
-            cod = ctx.carrier.section.domain
+        build = {"lambda": integrability_system,
+                 "frakz": cointegrability_system}[args.kind]
+        sys_, _ = build(mor, total=True)
+        sol = sys_.solve()
+        dom, cod = sys_.x_dom, sys_.x_cod
         label = args.kind
         normalized = True  # the functor-level systems are always total
     if not sol.feasible:
         print(f"{label}: infeasible")
         return FAIL
-    w = dom.total
-    rows = [tuple(sol.particular[r * w + j] for j in range(w))
-            for r in range(cod.total)]
-    matrix = LinMap.from_rows(f, dom, cod, rows)
+    matrix = LinMap.from_flat(f, dom, cod, sol.particular)
     if not args.json:
         print(f"{label}: found; solution family dimension "
               f"{sol.homogeneous.dim}")
@@ -185,10 +181,6 @@ def cmd_solve(args) -> int:
 
 # ---------------------------------------------------------------------------
 # extension / coextension reports
-
-
-def _fmt_scalar(f, x):
-    return f.fmt(x)
 
 
 def extension_report(ext: GaloisExtension, strategy: str) -> dict:
@@ -211,7 +203,7 @@ def extension_report(ext: GaloisExtension, strategy: str) -> dict:
             "found": strong.found,
             "strategy": strategy,
             "inconclusive": strong.inconclusive,
-            "tau": _fmt_scalar(f, strong.certificate.tau) if strong.found else None,
+            "tau": f.fmt(strong.certificate.tau) if strong.found else None,
             "note": strong.note,
         },
         "certificates": {},
@@ -311,9 +303,8 @@ def cmd_coextension(args) -> int:
 
 def _parse_bimodule_file(path, alg):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        obj = json.loads(_read(path))
+    except json.JSONDecodeError as exc:
         raise schema.SchemaError(f"cannot read bimodule file: {exc}") from exc
     schema._strict(obj, {"schema", "field", "bimodule"}, "bimodule document")
     if obj.get("schema") != schema.SCHEMA:
@@ -323,12 +314,13 @@ def _parse_bimodule_file(path, alg):
         raise schema.SchemaError("bimodule field does not match the algebra")
     sect = obj.get("bimodule")
     schema._strict(sect, {"dim", "left", "right"}, "bimodule")
-    dim = int(sect.get("dim", 0))
+    dim = schema._need_int(sect, "dim", "bimodule")
     if dim < 1:
         raise schema.SchemaError("bimodule dimension must be positive")
-    left = schema.parse_matrix(f, sect["left"], (alg.dim, dim), (dim,), "left")
-    right = schema.parse_matrix(f, sect["right"], (dim, alg.dim), (dim,),
-                                "right")
+    left = schema.parse_matrix(f, schema._need(sect, "left", "bimodule"),
+                               (alg.dim, dim), (dim,), "left")
+    right = schema.parse_matrix(f, schema._need(sect, "right", "bimodule"),
+                                (dim, alg.dim), (dim,), "right")
     return Bimodule(dim, left, right)
 
 
@@ -339,7 +331,6 @@ def cmd_hochschild(args) -> int:
     alg = doc.algebra
     f = alg.field
     if doc.coaction_a is not None:
-        from .galois import fixed_subalgebra
         sub, _ = fixed_subalgebra(alg, doc.coaction_a)
     else:
         sub = Subspace.from_vectors(f, (alg.dim,), [tuple(alg.unit)])

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
-from .linalg import (LinMap, QuotientModule, Subspace, TensorShape, SCALAR,
-                     compose_all, corestrict, descend, image, kernel, kron,
-                     kron_all, quotient_by)
+from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
+                     TensorShape, SCALAR, compose_all, corestrict, descend,
+                     image, kernel, kron, kron_all, op_in_unknown, quotient_by)
 from .structures import Algebra, CheckReport, law
 
 
@@ -179,8 +179,7 @@ def cotensor(x: RightComodule, y: LeftComodule) -> Subspace:
     idx = LinMap.identity(f, (x.dim,))
     idy = LinMap.identity(f, (y.dim,))
     eq = kron(x.coaction, idy).sub(kron(idx, y.coaction))
-    ker = kernel(eq)
-    return Subspace(f, TensorShape((x.dim, y.dim)), ker.basis, ker.pivots)
+    return kernel(eq)
 
 
 def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
@@ -193,10 +192,7 @@ def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
     idm = LinMap.identity(f, (m.dim,))
     idn = LinMap.identity(f, (n.dim,))
     eq = kron(m.action, idn).sub(kron(idm, n.action))
-    relations = image(eq)
-    relations = Subspace(f, TensorShape((m.dim, n.dim)), relations.basis,
-                         relations.pivots)
-    return quotient_by(relations)
+    return quotient_by(image(eq))
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +201,6 @@ def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
 
 def _module_over_dst_algebra(mor: EntwiningMorphism) -> LeftModule:
     """The target algebra as a left module over the source through f."""
-    f = mor.src.field
     dst_a = mor.dst.alg
     action = dst_a.mult.compose(kron(mor.f, dst_a.identity()))
     return LeftModule(dst_a.dim, action)
@@ -218,7 +213,6 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
     """
     if m.ent is not mor.src and m.ent != mor.src:
         raise InputError("module does not live over the source entwining")
-    f = m.field
     dst = mor.dst
     da2, dc2 = dst.alg.dim, dst.coalg.dim
     quot = tensor_over_A(m.as_module(), _module_over_dst_algebra(mor))
@@ -257,7 +251,6 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
     """
     if mt.ent is not mor.dst and mt.ent != mor.dst:
         raise InputError("module does not live over the target entwining")
-    f = mt.field
     src = mor.src
     da, dc = src.alg.dim, src.coalg.dim
     sub = cotensor(mt.as_comodule(), _comodule_over_dst_left(mor))
@@ -307,25 +300,21 @@ def coinduce_morphism(mor: EntwiningMorphism, phi: LinMap,
     return corestrict(raw, dst_sub)
 
 
-def adjunction_unit(mor: EntwiningMorphism, m: EntwinedModule) -> LinMap:
-    """m -> m0 (x) 1 (x) m1, landing in the coinduced module of the induced one."""
-    fm, quot = induce(mor, m)
-    gfm, sub = coinduce(mor, fm)
-    f = m.field
-    idm = m.identity()
+def _unit_at(mor: EntwiningMorphism, m: EntwinedModule, quot: QuotientModule,
+             sub: Subspace) -> LinMap:
+    """The unit at m, given the quotient carrying F m and the cotensor
+    subspace carrying G F m."""
     idc = mor.src.coalg.identity()
     raw = compose_all(kron(quot.projection, idc),
-                      kron_all(idm, mor.dst.alg.unit_map(), idc),
+                      kron_all(m.identity(), mor.dst.alg.unit_map(), idc),
                       m.coaction)
     return corestrict(raw, sub)
 
 
-def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule) -> LinMap:
-    """Sum m~ (x) c (x) a~ -> Sum m~ . a~ eps(c), off the induced module of
-    the coinduced one."""
-    gmt, sub = coinduce(mor, mt)
-    fgmt, quot = induce(mor, gmt)
-    f = mt.field
+def _counit_at(mor: EntwiningMorphism, mt: EntwinedModule, sub: Subspace,
+               quot: QuotientModule) -> LinMap:
+    """The counit at m~, given the cotensor subspace carrying G m~ and the
+    quotient carrying F G m~."""
     ida2 = mor.dst.alg.identity()
     raw = compose_all(mt.action,
                       kron_all(mt.identity(), mor.src.coalg.counit_map(), ida2),
@@ -333,28 +322,42 @@ def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule) -> LinMap:
     return descend(raw, quot)
 
 
+def adjunction_unit(mor: EntwiningMorphism, m: EntwinedModule) -> LinMap:
+    """m -> m0 (x) 1 (x) m1, landing in the coinduced module of the induced one."""
+    fm, quot = induce(mor, m)
+    return _unit_at(mor, m, quot, coinduce(mor, fm)[1])
+
+
+def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule) -> LinMap:
+    """Sum m~ (x) c (x) a~ -> Sum m~ . a~ eps(c), off the induced module of
+    the coinduced one."""
+    gmt, sub = coinduce(mor, mt)
+    return _counit_at(mor, mt, sub, induce(mor, gmt)[1])
+
+
 def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
                     mt: EntwinedModule):
     """The unit at m and counit at m~ of the induction/coinduction adjunction.
 
-    Both triangle identities are re-verified exactly before returning.
+    Both triangle identities are re-verified exactly before returning; each
+    of the six functor applications they need is built once.
     """
-    phi = adjunction_unit(mor, m)
-    psi = adjunction_counit(mor, mt)
-    # counit(F m) . F(unit_m) = id on F m
     fm, q_fm = induce(mor, m)
     gfm, s_gfm = coinduce(mor, fm)
-    fgfm, q_fgfm = induce(mor, gfm)
+    phi = _unit_at(mor, m, q_fm, s_gfm)
+    gmt, s_gmt = coinduce(mor, mt)
+    fgmt, q_fgmt = induce(mor, gmt)
+    psi = _counit_at(mor, mt, s_gmt, q_fgmt)
+    # counit(F m) . F(unit_m) = id on F m
+    q_fgfm = induce(mor, gfm)[1]
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
-    left = adjunction_counit(mor, fm).compose(f_phi)
+    left = _counit_at(mor, fm, s_gfm, q_fgfm).compose(f_phi)
     if not left.equals(fm.identity()):
         raise DomainError("adjunction triangle (counit . F unit) failed")
     # G(counit_m~) . unit(G m~) = id on G m~
-    gmt, s_gmt = coinduce(mor, mt)
-    fgmt, q_fgmt = induce(mor, gmt)
-    gfgmt, s_gfgmt = coinduce(mor, fgmt)
+    s_gfgmt = coinduce(mor, fgmt)[1]
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
-    right = g_psi.compose(adjunction_unit(mor, gmt))
+    right = g_psi.compose(_unit_at(mor, gmt, q_fgmt, s_gfgmt))
     if not right.equals(gmt.identity()):
         raise DomainError("adjunction triangle (G counit . unit) failed")
     return phi, psi
@@ -364,25 +367,27 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
 # fixed parts and morphism spaces
 
 
+def fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
+    """Elements x of a module M with coaction(x . a) = x . rho_a(a) for every
+    a in A, for action M (x) A -> M, coaction M -> M (x) C and rho_a
+    A -> A (x) C.  For M = A this is the fixed subalgebra."""
+    f = action.field
+    da, dc = rho_a.codomain.factors
+    x_cod = action.codomain
+    sys = LinearConstraints(f, SCALAR, x_cod)
+    # both sides as maps A -> M (x) C in the unknown element x: k -> M
+    lhs = op_in_unknown(LinMap.identity(f, (da,)), SCALAR, SCALAR, x_cod, (da,),
+                        coaction.compose(action))
+    rhs = op_in_unknown(rho_a, SCALAR, SCALAR, x_cod, (da, dc),
+                        kron(action, LinMap.identity(f, (dc,))))
+    sys.require("fixed under the coaction", lhs, rhs)
+    return sys.solve().homogeneous
+
+
 def fixed_part(m: EntwinedModule, rho_a: LinMap) -> Subspace:
     """Elements whose coaction after any action agrees with acting through
     the coaction of the algebra itself."""
-    f = m.field
-    da = m.ent.alg.dim
-    rows = []
-    idm = m.identity()
-    for j in range(da):
-        basis_a = tuple(f.one if t == j else f.zero for t in range(da))
-        ins_a = LinMap.element(f, (da,), basis_a)
-        lhs = m.coaction.compose(m.action.compose(kron(idm, ins_a)))
-        rho_val = rho_a.column(j)
-        ins_ac = LinMap.element(f, (da, m.ent.coalg.dim), rho_val)
-        rhs = kron(m.action, m.ent.coalg.identity()).compose(kron(idm, ins_ac))
-        rows.extend(lhs.sub(rhs).entries)
-    if not rows:
-        return Subspace.full(f, (m.dim,))
-    cond = LinMap.from_rows(f, (m.dim,), (len(rows),), rows)
-    return kernel(cond)
+    return fixed_space(m.action, m.coaction, rho_a)
 
 
 def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
@@ -393,25 +398,21 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
     f = m.field
     e = m.ent
     da, dc = e.alg.dim, e.coalg.dim
-    from .linalg import op_in_unknown
     xdom, xcod = TensorShape((m.dim,)), TensorShape((n.dim,))
+    sys = LinearConstraints(f, xdom, xcod)
     # A-linearity: X . action_M = action_N . (X (x) id_A)
-    lin_lhs = op_in_unknown(m.action, SCALAR, xdom, xcod, SCALAR,
-                            LinMap.identity(f, (n.dim,)))
+    lin_lhs = op_in_unknown(m.action, SCALAR, xdom, xcod, SCALAR, n.identity())
     lin_rhs = op_in_unknown(LinMap.identity(f, (m.dim, da)), SCALAR, xdom, xcod,
                             TensorShape((da,)), n.action)
+    sys.require("A-linearity", lin_lhs, lin_rhs)
     # C-colinearity: coaction_N . X = (X (x) id_C) . coaction_M
-    col_lhs = op_in_unknown(LinMap.identity(f, (m.dim,)), SCALAR, xdom, xcod,
-                            SCALAR, n.coaction)
+    col_lhs = op_in_unknown(m.identity(), SCALAR, xdom, xcod, SCALAR, n.coaction)
     col_rhs = op_in_unknown(m.coaction, SCALAR, xdom, xcod, TensorShape((dc,)),
                             LinMap.identity(f, (n.dim, dc)))
-    rows = list(lin_lhs.sub(lin_rhs).entries) + list(col_lhs.sub(col_rhs).entries)
-    cond = LinMap.from_rows(f, (n.dim * m.dim,), (len(rows),), rows)
-    ker = kernel(cond)
-    return Subspace(f, TensorShape((n.dim, m.dim)), ker.basis, ker.pivots)
+    sys.require("C-colinearity", col_lhs, col_rhs)
+    return sys.solve().homogeneous
 
 
 def hom_vector_as_map(field, vec, m_dim: int, n_dim: int) -> LinMap:
     """Reshape a vector of the hom-space ambient back into a map M -> N."""
-    rows = [tuple(vec[i * m_dim + j] for j in range(m_dim)) for i in range(n_dim)]
-    return LinMap.from_rows(field, (m_dim,), (n_dim,), rows)
+    return LinMap.from_flat(field, (m_dim,), (n_dim,), vec)

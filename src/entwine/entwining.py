@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .fields import Field
-from .linalg import LinMap, compose_all, kron
+from .linalg import LinMap, compose_all, kron, kron_all
 from .structures import (Algebra, Coalgebra, CheckReport, law, verify_algebra,
                          verify_coalgebra)
 
@@ -33,24 +33,16 @@ class Entwining:
         return self.alg.field
 
 
-def make_entwining(alg: Algebra, coalg: Coalgebra, psi: LinMap,
-                   trusted: bool = False) -> Entwining:
-    """Build an entwining, re-verifying all axioms unless trusted.
-
-    The trusted path exists only for internal callers that have just proven
-    the axioms; the CLI and all constructors reachable from input files
-    verify.
-    """
+def make_entwining(alg: Algebra, coalg: Coalgebra, psi: LinMap) -> Entwining:
+    """Build an entwining, re-verifying all axioms."""
     e = Entwining(alg, coalg, psi)
-    if not trusted:
-        for rep in (verify_algebra(alg), verify_coalgebra(coalg), verify_entwining(e)):
-            if not rep.ok:
-                raise InputError(f"invalid entwining: {rep}")
+    for rep in (verify_algebra(alg), verify_coalgebra(coalg), verify_entwining(e)):
+        if not rep.ok:
+            raise InputError(f"invalid entwining: {rep}")
     return e
 
 
 def verify_entwining(e: Entwining) -> CheckReport:
-    f = e.field
     a, c, psi = e.alg, e.coalg, e.psi
     ida, idc = a.identity(), c.identity()
     failures = []
@@ -144,7 +136,7 @@ def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
     f = a.field
     ida, idb = a.identity(), b.identity()
     tw = LinMap.twist(f, (b.dim,), (a.dim,))
-    mult = compose_all(kron(a.mult, b.mult), kron_chain(ida, tw, idb))
+    mult = compose_all(kron(a.mult, b.mult), kron_all(ida, tw, idb))
     unit = tuple(f.mul(x, y) for x in a.unit for y in b.unit)
     out = Algebra(a.dim * b.dim,
                   mult.reshaped((a.dim * b.dim, a.dim * b.dim), (a.dim * b.dim,)),
@@ -156,19 +148,12 @@ def tensor_coalgebra(c: Coalgebra, d: Coalgebra) -> Coalgebra:
     f = c.field
     idc, idd = c.identity(), d.identity()
     tw = LinMap.twist(f, (c.dim,), (d.dim,))
-    comult = compose_all(kron_chain(idc, tw, idd), kron(c.comult, d.comult))
+    comult = compose_all(kron_all(idc, tw, idd), kron(c.comult, d.comult))
     counit = tuple(f.mul(x, y) for x in c.counit for y in d.counit)
     return Coalgebra(c.dim * d.dim,
                      comult.reshaped((c.dim * d.dim,),
                                      (c.dim * d.dim, c.dim * d.dim)),
                      counit)
-
-
-def kron_chain(*maps) -> LinMap:
-    out = maps[0]
-    for m in maps[1:]:
-        out = kron(out, m)
-    return out
 
 
 def tensor_entwining(e1: Entwining, e2: Entwining) -> Entwining:
@@ -185,10 +170,10 @@ def tensor_entwining(e1: Entwining, e2: Entwining) -> Entwining:
     db, dd = e2.alg.dim, e2.coalg.dim
     alg = tensor_algebra(e1.alg, e2.alg)
     coalg = tensor_coalgebra(e1.coalg, e2.coalg)
-    pre = kron_chain(e1.coalg.identity(), LinMap.twist(f, (dd,), (da,)),
+    pre = kron_all(e1.coalg.identity(), LinMap.twist(f, (dd,), (da,)),
                      e2.alg.identity())
     mid = kron(e1.psi, e2.psi)
-    post = kron_chain(e1.alg.identity(), LinMap.twist(f, (dc,), (db,)),
+    post = kron_all(e1.alg.identity(), LinMap.twist(f, (dc,), (db,)),
                       e2.coalg.identity())
     psi = compose_all(post, mid, pre).reshaped((dc * dd, da * db), (da * db, dc * dd))
     return make_entwining(alg, coalg, psi)

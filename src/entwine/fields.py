@@ -105,14 +105,8 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0
-
-    def is_one(self, a) -> bool:
-        return a == self.one
 
     # -- text encoding -----------------------------------------------------
 

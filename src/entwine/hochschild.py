@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InconsistencyError
-from .linalg import (LinMap, QuotientModule, Subspace, TensorShape, SCALAR,
-                     descend, image, kernel, kron, kron_all, op_in_unknown,
-                     quotient_by)
+from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
+                     TensorShape, SCALAR, descend, image, kernel, kron,
+                     kron_all, op_in_unknown, quotient_by)
 from .structures import Algebra, CheckReport, law
 
 
@@ -92,10 +92,7 @@ def _balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
         right_len = n - 2 - pos
         right = LinMap.identity(f, tuple([d] * right_len)) if right_len else \
             LinMap.identity(f, SCALAR)
-        block = kron_all(left, move, right)
-        img = image(block)
-        relations = relations.sum(Subspace(f, relations.ambient, img.basis,
-                                           img.pivots))
+        relations = relations.sum(image(kron_all(left, move, right)))
     return quotient_by(relations)
 
 
@@ -122,41 +119,30 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
         right_act = descend(power.projection.compose(last), power, right=bdim)
     xdom, xcod = TensorShape((dom_dim,)), TensorShape((m.dim,))
     idm = LinMap.identity(f, (m.dim,))
-    rows = []
+    sys = LinearConstraints(f, xdom, xcod)
     # X(b . x) = b . X(x)
     lhs = op_in_unknown(left_act, SCALAR, xdom, xcod, SCALAR, idm)
     rhs = op_in_unknown(LinMap.identity(f, (bdim, dom_dim)), (bdim,), xdom,
                         xcod, SCALAR, m.left.compose(kron(incl, idm)))
-    rows.extend(lhs.sub(rhs).entries)
+    sys.require("left B-linearity", lhs, rhs)
     # X(x . b) = X(x) . b
     lhs = op_in_unknown(right_act, SCALAR, xdom, xcod, SCALAR, idm)
     rhs = op_in_unknown(LinMap.identity(f, (dom_dim, bdim)), SCALAR, xdom,
                         xcod, (bdim,), m.right.compose(kron(idm, incl)))
-    rows.extend(lhs.sub(rhs).entries)
-    cond = LinMap.from_rows(f, (m.dim * dom_dim,), (len(rows),), rows)
-    ker = kernel(cond)
-    return Subspace(f, TensorShape((m.dim, dom_dim)), ker.basis, ker.pivots)
+    sys.require("right B-linearity", lhs, rhs)
+    return sys.solve().homogeneous
 
 
 def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
-    f = alg.field
-    rows = []
-    for v in b.basis:
-        ins = LinMap.element(f, (alg.dim,), v)
-        idm = LinMap.identity(f, (m.dim,))
-        lhs = m.left.compose(kron(ins, idm))
-        rhs = m.right.compose(kron(idm, ins))
-        rows.extend(lhs.sub(rhs).entries)
-    if not rows:
-        return Subspace.full(f, (m.dim,))
-    cond = LinMap.from_rows(f, (m.dim,), (len(rows),), rows)
-    return kernel(cond)
-
-
-def _as_map(f, vec, dom_dim, cod_dim) -> LinMap:
-    rows = [tuple(vec[i * dom_dim + j] for j in range(dom_dim))
-            for i in range(cod_dim)]
-    return LinMap.from_rows(f, (dom_dim,), (cod_dim,), rows)
+    """Elements x of M with b . x = x . b for every b in B."""
+    xcod = TensorShape((m.dim,))
+    sys = LinearConstraints(alg.field, SCALAR, xcod)
+    # both sides as maps B -> M in the unknown element x: k -> M
+    incl = b.inclusion()
+    lhs = op_in_unknown(incl, (alg.dim,), SCALAR, xcod, SCALAR, m.left)
+    rhs = op_in_unknown(incl, SCALAR, SCALAR, xcod, (alg.dim,), m.right)
+    sys.require("centrality", lhs, rhs)
+    return sys.solve().homogeneous
 
 
 def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
@@ -182,38 +168,37 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
         spaces.append(_cochain_space(alg, b, m, power))
     boundaries = []
     # degree 0: m -> (a -> a.m - m.a)
-    idm = LinMap.identity(f, (m.dim,))
     cols0 = []
     for vec in spaces[0].basis:
         ins = LinMap.element(f, (m.dim,), vec)
         delta = m.left.compose(kron(alg.identity(), ins)).sub(
             m.right.compose(kron(ins, alg.identity())))
-        cols0.append(tuple(x for row in delta.entries for x in row))
+        cols0.append(delta.flat())
     boundaries.append(_columns_into(spaces[1], cols0, f, spaces[0].dim))
     # degree 1: f -> (a1, a2 -> a1.f(a2) - f(a1 a2) + f(a1).a2)
     square = powers[0]
     cols1 = []
     for vec in spaces[1].basis:
-        fmap = _as_map(f, vec, d, m.dim)
+        fmap = LinMap.from_flat(f, (d,), (m.dim,), vec)
         raw = m.left.compose(kron(alg.identity(), fmap)) \
             .sub(fmap.compose(alg.mult)) \
             .add(m.right.compose(kron(fmap, alg.identity())))
         onq = descend(raw, square)
-        cols1.append(tuple(x for row in onq.entries for x in row))
+        cols1.append(onq.flat())
     boundaries.append(_columns_into(spaces[2], cols1, f, spaces[1].dim))
     if max_degree == 2:
         cube = powers[1]
         cols2 = []
         ida = alg.identity()
         for vec in spaces[2].basis:
-            gq = _as_map(f, vec, square.dim, m.dim)
+            gq = LinMap.from_flat(f, (square.dim,), (m.dim,), vec)
             gmap = gq.compose(square.projection)      # back on A (x) A
             raw = m.left.compose(kron(ida, gmap)) \
                 .sub(gmap.compose(kron(alg.mult, ida))) \
                 .add(gmap.compose(kron(ida, alg.mult))) \
                 .sub(m.right.compose(kron(gmap, ida)))
             onq = descend(raw, cube)
-            cols2.append(tuple(x for row in onq.entries for x in row))
+            cols2.append(onq.flat())
         boundaries.append(_columns_into(spaces[3], cols2, f, spaces[2].dim))
     complex_ = RelativeComplex(alg, b, m, tuple(powers), tuple(spaces),
                                tuple(boundaries))

@@ -164,6 +164,17 @@ class LinMap:
         return LinMap(field, SCALAR, shp, tuple((v,) for v in vec))
 
     @staticmethod
+    def from_flat(field, domain, codomain, vec) -> "LinMap":
+        """The map whose row-major vectorization is vec; inverse of flat."""
+        domain = domain if isinstance(domain, TensorShape) else TensorShape(domain)
+        codomain = codomain if isinstance(codomain, TensorShape) else TensorShape(codomain)
+        w = domain.total
+        if len(vec) != w * codomain.total:
+            raise InputError("vector length does not match the map shape")
+        return LinMap(field, domain, codomain,
+                      tuple(tuple(vec[r * w:(r + 1) * w]) for r in range(codomain.total)))
+
+    @staticmethod
     def functional(field, shp, covec) -> "LinMap":
         """A covector as a map to the ground field, V -> k."""
         shp = shp if isinstance(shp, TensorShape) else TensorShape(shp)
@@ -177,7 +188,6 @@ class LinMap:
         left = left if isinstance(left, TensorShape) else TensorShape(left)
         right = right if isinstance(right, TensorShape) else TensorShape(right)
         nl, nr = left.total, right.total
-        dom = TensorShape((nl, nr)) if nl and nr else None
         rows = [[field.zero] * (nl * nr) for _ in range(nl * nr)]
         for i in range(nl):
             for j in range(nr):
@@ -219,6 +229,10 @@ class LinMap:
                     acc += a * x
             out.append(acc if p is None else acc % p)
         return tuple(out)
+
+    def flat(self) -> tuple:
+        """Row-major vectorization of the matrix; inverse of from_flat."""
+        return tuple(itertools.chain.from_iterable(self.entries))
 
     def column(self, c: int):
         return tuple(row[c] for row in self.entries)
@@ -536,12 +550,6 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient.total})"
 
 
-def subspace_map_image(m: LinMap, sub: Subspace) -> Subspace:
-    """Image of a subspace under a map, as a canonical subspace of the codomain."""
-    vecs = [m.apply(b) for b in sub.basis]
-    return Subspace.from_vectors(m.field, m.codomain, vecs)
-
-
 # ---------------------------------------------------------------------------
 # quotients
 
@@ -807,10 +815,6 @@ class LinearConstraints:
         self.x_cod = x_cod if isinstance(x_cod, TensorShape) else TensorShape(x_cod)
         self.blocks: list[_Block] = []
 
-    @property
-    def n_unknowns(self) -> int:
-        return self.x_dom.total * self.x_cod.total
-
     def require(self, label, lhs: LinMap, rhs: LinMap | None = None,
                 target: LinMap | None = None):
         """Add the condition lhs(X) = rhs(X) + target, all sides optional
@@ -821,12 +825,14 @@ class LinearConstraints:
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:
-            tvec = tuple(x for row in target.entries for x in row)
+            tvec = target.flat()
             if len(tvec) != op.rows:
                 raise InputError("target does not match the constraint block")
         self.blocks.append(_Block(label, op, tvec, ee, dd))
 
     def assembled(self):
+        """The deduplicated system on vec(X); its domain is x_cod (x) x_dom,
+        so solution vectors carry the shape of X itself."""
         rows, rhs = [], []
         seen = set()
         zero = self.field.zero
@@ -841,9 +847,9 @@ class LinearConstraints:
                     continue
                 rows.append(r)
                 rhs.append(t)
-        dom = TensorShape((self.x_cod.total, self.x_dom.total))
         cod = TensorShape((len(rows),))
-        return LinMap(self.field, dom, cod, tuple(rows)), tuple(rhs)
+        return (LinMap(self.field, self.x_cod.concat(self.x_dom), cod, tuple(rows)),
+                tuple(rhs))
 
     def solve(self) -> AffineSolutionSet:
         m, b = self.assembled()
@@ -852,7 +858,6 @@ class LinearConstraints:
     def violations(self, xvec):
         """Per-block first violation: (label, output index, input index)."""
         out = []
-        f = self.field
         for blk in self.blocks:
             got = blk.matrix.apply(xvec)
             for i, (g, t) in enumerate(zip(got, blk.rhs)):
@@ -861,6 +866,3 @@ class LinearConstraints:
                     out.append((blk.label, e, d))
                     break
         return out
-
-    def satisfied_by(self, xvec) -> bool:
-        return not self.violations(xvec)

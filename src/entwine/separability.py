@@ -178,7 +178,6 @@ def expectation_from_phi(g: GaloisExtension, phi: LinMap) -> LinMap:
 
 def phi_from_expectation(g: GaloisExtension, expectation: LinMap) -> LinMap:
     """phi(c) = (A (x)_B E)(can_inv(1 (x) c)), on section representatives."""
-    f = g.field
     a, c = g.alg, g.coalg
     to_square = g.can_inv.compose(kron(a.unit_map(), c.identity()))
     return compose_all(a.mult, kron(a.identity(), expectation),
@@ -197,9 +196,7 @@ def check_split(g: GaloisExtension):
 
 
 def _phi_as_map(g: GaloisExtension, vec) -> LinMap:
-    da, dc = g.alg.dim, g.coalg.dim
-    rows = [tuple(vec[r * dc + j] for j in range(dc)) for r in range(da)]
-    return LinMap.from_rows(g.field, (dc,), (da,), rows)
+    return LinMap.from_flat(g.field, (g.coalg.dim,), (g.alg.dim,), vec)
 
 
 def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertificate:
@@ -216,9 +213,7 @@ def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertific
     phi = compose_all(a.mult, kron(a.identity(), gmap),
                       kron(g.ent.psi, c.identity()),
                       kron(c.identity(), LinMap.element(f, (da, dc), rho_one)))
-    sys = split_system(g)
-    vec = tuple(x for row in phi.entries for x in row)
-    bad = sys.violations(vec)
+    bad = split_system(g).violations(phi.flat())
     if bad:
         raise InconsistencyError(f"derived phi fails the split conditions: {bad}")
     return SplitCertificate(phi, expectation_from_phi(g, phi))
@@ -232,7 +227,7 @@ def verify_strong(g: GaloisExtension, u, expectation: LinMap, tau) -> list:
     """Violations of the two strong-separability identities for all basis a."""
     f = g.field
     a = g.alg
-    da, q = a.dim, g.square.dim
+    da = a.dim
     bad = []
     reps = g.square.section.apply(u)   # representatives in A (x) A
     rep_map = LinMap.element(f, (da, da), reps)
@@ -296,7 +291,7 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
                                  "compatibility identities fail")
         z = as_witness(WitnessKind.INTEGRAL, g.ent, g.can.apply(u), normalized=True)
         phi = phi_from_expectation(g, expectation)
-        if split_system(g).violations(tuple(x for row in phi.entries for x in row)):
+        if split_system(g).violations(phi.flat()):
             raise InconsistencyError("reconstructed phi fails the split conditions")
         cert = StrongCertificate(SeparabilityCertificate(tuple(u), z),
                                  SplitCertificate(phi, expectation), tau)

@@ -21,9 +21,9 @@ from enum import Enum
 
 from .errors import DomainError, InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism
-from .entmod import (EntwinedModule, LeftComodule, RightComodule, RightModule,
-                     coinduce, cotensor, hom_AC, induce, standard_module,
-                     regular_module, tensor_over_A)
+from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
+                     RightModule, _unit_at, coinduce, cotensor, hom_AC, induce,
+                     standard_module, regular_module, tensor_over_A)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
@@ -48,11 +48,7 @@ class Witness:
 
     def as_map(self) -> LinMap:
         dom, cod = witness_shapes(self.kind, self.ent)
-        rows = []
-        w = dom.total
-        for r in range(cod.total):
-            rows.append(tuple(self.value[r * w + j] for j in range(w)))
-        return LinMap.from_rows(self.ent.field, dom, cod, rows)
+        return LinMap.from_flat(self.ent.field, dom, cod, self.value)
 
 
 def witness_shapes(kind: WitnessKind, e: Entwining):
@@ -196,9 +192,7 @@ def _cotensor_with_c(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
 
 def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
     src, dst = mor.src, mor.dst
-    f = src.field
     da, dc = src.alg.dim, src.coalg.dim
-    da2 = dst.alg.dim
     idc = src.coalg.identity()
     ida = src.alg.identity()
     ida2 = dst.alg.identity()
@@ -227,13 +221,11 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     src, dst = mor.src, mor.dst
     f = src.field
     da, dc = src.alg.dim, src.coalg.dim
-    da2 = dst.alg.dim
     idc = src.coalg.identity()
     ida = src.alg.identity()
     ida2 = dst.alg.identity()
     s = ctx.carrier.dim
     sys = LinearConstraints(f, (s,), (da,))
-    ids = LinMap.identity(f, (s,))
     # right A-linearity: lambda(x . a) = lambda(x) a
     lin_l = op_in_unknown(ctx.action, SCALAR, (s,), (da,), SCALAR, ida)
     lin_r = op_in_unknown(LinMap.identity(f, (s, da)), SCALAR, (s,), (da,),
@@ -292,7 +284,6 @@ def _balanced_quotient(mor: EntwiningMorphism, mid_coalg_dims,
                        mid_action: LinMap) -> QuotientModule:
     """(A~ (x) X) (x)_A A~ for a middle factor X with the given right action
     of the source algebra on A~ (x) X."""
-    from .entmod import LeftModule
     dst = mor.dst
     da2 = dst.alg.dim
     mid_total = 1
@@ -306,10 +297,9 @@ def _balanced_quotient(mor: EntwiningMorphism, mid_coalg_dims,
 
 def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
     src, dst = mor.src, mor.dst
-    f = src.field
     da, dc = src.alg.dim, src.coalg.dim
     da2, dc2 = dst.alg.dim, dst.coalg.dim
-    ida, idc = src.alg.identity(), src.coalg.identity()
+    idc = src.coalg.identity()
     ida2, idc2 = dst.alg.identity(), dst.coalg.identity()
     mult_f = dst.alg.mult.compose(kron(ida2, mor.f))
 
@@ -371,7 +361,6 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
     qd = ctx.carrier.dim
     sys = LinearConstraints(f, (dc2,), (qd,))
     idc2 = dst.coalg.identity()
-    idq = LinMap.identity(f, (qd,))
     # right C~-colinearity
     col_l = op_in_unknown(idc2, SCALAR, (dc2,), (qd,), SCALAR, ctx.coaction)
     col_r = op_in_unknown(dst.coalg.comult, SCALAR, (dc2,), (qd,), (dc2,),
@@ -410,7 +399,7 @@ class MorphismWitness:
 
     @property
     def value(self):
-        return tuple(x for row in self.matrix.entries for x in row)
+        return self.matrix.flat()
 
 
 def lambda_witness(mor: EntwiningMorphism, value, total: bool = True) -> MorphismWitness:
@@ -420,12 +409,9 @@ def lambda_witness(mor: EntwiningMorphism, value, total: bool = True) -> Morphis
     if bad:
         raise DomainError(f"candidate fails the lambda identities: {bad}",
                           witness=bad[0])
-    s = ctx.carrier.dim
-    da = mor.src.alg.dim
-    rows = [tuple(value[r * s + j] for j in range(s)) for r in range(da)]
-    return MorphismWitness("lambda", mor,
-                           LinMap.from_rows(mor.src.field, (s,), (da,), rows),
-                           total, ctx)
+    matrix = LinMap.from_flat(mor.src.field, (ctx.carrier.dim,),
+                              (mor.src.alg.dim,), value)
+    return MorphismWitness("lambda", mor, matrix, total, ctx)
 
 
 def frakz_witness(mor: EntwiningMorphism, value, total: bool = True) -> MorphismWitness:
@@ -435,12 +421,9 @@ def frakz_witness(mor: EntwiningMorphism, value, total: bool = True) -> Morphism
     if bad:
         raise DomainError(f"candidate fails the frakz identities: {bad}",
                           witness=bad[0])
-    qd = ctx.carrier.dim
-    dc2 = mor.dst.coalg.dim
-    rows = [tuple(value[r * dc2 + j] for j in range(dc2)) for r in range(qd)]
-    return MorphismWitness("frakz", mor,
-                           LinMap.from_rows(mor.src.field, (dc2,), (qd,), rows),
-                           total, ctx)
+    matrix = LinMap.from_flat(mor.src.field, (mor.dst.coalg.dim,),
+                              (ctx.carrier.dim,), value)
+    return MorphismWitness("frakz", mor, matrix, total, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +446,8 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
         raise DomainError("lambda witness is not total")
     mor = lam.mor
     ctx: LambdaContext = lam.context
-    f = m.field
     fm, quot = induce(mor, m)
     gfm, sub = coinduce(mor, fm)
-    dc = mor.src.coalg.dim
     idm = m.identity()
     idc = mor.src.coalg.identity()
     ida2 = mor.dst.alg.identity()
@@ -486,14 +467,10 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
             raise InconsistencyError("splitting does not descend to the quotient")
     nu = raw.compose(_right_inverse(cover))
     # nu splits the adjunction unit
-    from .entmod import adjunction_unit
-    unit = adjunction_unit(mor, m)
-    if not nu.compose(unit).equals(idm):
+    if not nu.compose(_unit_at(mor, m, quot, sub)).equals(idm):
         raise InconsistencyError("splitting does not invert the adjunction unit")
     # nu is a morphism of entwined modules
-    hom = hom_AC(gfm, m)
-    flat = tuple(x for row in nu.entries for x in row)
-    if not hom.contains(flat):
+    if not hom_AC(gfm, m).contains(nu.flat()):
         raise InconsistencyError("splitting is not a module/comodule map")
     return nu
 
@@ -530,16 +507,12 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     gfm, sub = coinduce(mor, fm)
     if nu_on_ac.domain.total != gfm.dim or nu_on_ac.codomain.total != ac.dim:
         raise InputError("splitting has the wrong shape for A (x) C")
-    from .entmod import adjunction_unit
-    unit = adjunction_unit(mor, ac)
-    if not nu_on_ac.compose(unit).equals(ac.identity()):
+    if not nu_on_ac.compose(_unit_at(mor, ac, quot, sub)).equals(ac.identity()):
         raise DomainError("candidate does not split the adjunction unit")
-    hom = hom_AC(gfm, ac)
-    if not hom.contains(tuple(x for row in nu_on_ac.entries for x in row)):
+    if not hom_AC(gfm, ac).contains(nu_on_ac.flat()):
         raise DomainError("candidate is not a module/comodule map")
     ctx = lambda_context(mor)
     idc = src.coalg.identity()
-    ida2 = mor.dst.alg.identity()
     # S -> GF(A (x) C): front 1_A, then the balanced projection, inside the cotensor
     front = kron(LinMap.element(f, (da,), src.alg.unit),
                  LinMap.identity(f, (dc, da2, dc)))
@@ -548,8 +521,7 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
         sub)
     lam = compose_all(kron(LinMap.identity(f, (da,)), src.coalg.counit_map()),
                       nu_on_ac.reshaped(codomain=(da, dc)), lift)
-    value = tuple(x for row in lam.entries for x in row)
-    return lambda_witness(mor, value, total=True)
+    return lambda_witness(mor, lam.flat(), total=True)
 
 
 def gamma_from_lambda(lam: MorphismWitness) -> LinMap:
@@ -576,8 +548,7 @@ def lambda_from_gamma(gamma: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     raw = compose_all(src.alg.mult, kron(src.alg.identity(), gamma),
                       kron(src.psi, src.coalg.identity()))
     lam = raw.compose(ctx.carrier.inclusion())
-    value = tuple(x for row in lam.entries for x in row)
-    return lambda_witness(mor, value, total=True)
+    return lambda_witness(mor, lam.flat(), total=True)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +580,7 @@ def witness_from_structure(kind: str, **data) -> Witness:
 def _invariant_element(ent: Entwining, action_c: LinMap, eps_a,
                        invariant) -> Witness:
     f = ent.field
-    dc, da = ent.coalg.dim, ent.alg.dim
+    da = ent.alg.dim
     lam = tuple(invariant)
     eps_a = tuple(eps_a)
     for j in range(da):
@@ -649,14 +620,11 @@ def _casimir_functional(ent: Entwining, coaction_a: LinMap, one_c,
 def _cotranslation(coext: Coextension) -> Witness:
     if pointed_kappa(coext) is None:
         raise DomainError("coextension is not pointed", witness=("pointed",))
-    gamma = cotranslation_map(coext)
-    value = tuple(x for row in gamma.entries for x in row)
-    return as_witness(WitnessKind.INTEGRAL_MAP, coext.ent, value,
-                      normalized=True)
+    return as_witness(WitnessKind.INTEGRAL_MAP, coext.ent,
+                      cotranslation_map(coext).flat(), normalized=True)
 
 
 def _can_inv_unit(ext: GaloisExtension) -> Witness:
-    f = ext.field
     if ext.fixed.dim != 1:
         raise DomainError("extension is not over the ground field",
                           witness=("base",))
@@ -664,6 +632,5 @@ def _can_inv_unit(ext: GaloisExtension) -> Witness:
         raise DomainError("extension is not copointed", witness=("copointed",))
     zeta = compose_all(ext.square.section, ext.can_inv,
                        kron(ext.alg.unit_map(), ext.coalg.identity()))
-    value = tuple(x for row in zeta.entries for x in row)
-    return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent, value,
+    return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent, zeta.flat(),
                       normalized=True)

@@ -334,3 +334,43 @@ def test_boolean_or_float_dim_one_is_input_error(tmp_path, capsys, value):
 def test_catalog_modulus_out_of_range_is_input_error(capsys):
     _assert_input_error(["catalog", "--name", "hopf_self_galois", "--n", "2",
                          "--field", "Fp", "--p", str(2 ** 64 + 13)], capsys)
+
+
+def test_solve_without_psi_is_input_error(tmp_path, c2_q_file, capsys):
+    # the missing entwining is a SchemaError, which is also an InputError;
+    # it must stay malformed input (2), not become a failed axiom (1)
+    path = _write_doc(tmp_path, c2_q_file, lambda d: d.pop("psi"))
+    assert main(["solve", "--kind", "integral", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: document has no full entwining")
+    assert err.count("\n") == 1
+
+
+# -- the --bimodule file of `hochschild` follows the same contract ------------
+
+def _bimodule_file(tmp_path, section):
+    path = tmp_path / "bimodule.json"
+    path.write_text(json.dumps({"schema": "entwine/1", "field": {"kind": "Q"},
+                                "bimodule": section}))
+    return str(path)
+
+
+@pytest.mark.parametrize("dim", ["x", 1.5, True])
+def test_bimodule_dim_must_be_an_integer(tmp_path, c2_q_file, capsys, dim):
+    # int() would read 1.5 and true as 1, and the augmentation bimodule of
+    # dimension 1 below would be accepted
+    path = _bimodule_file(tmp_path, {"dim": dim, "left": [["1", "1"]],
+                                     "right": [["1", "1"]]})
+    _assert_input_error(["hochschild", "--bimodule", path, c2_q_file], capsys)
+
+
+def test_bimodule_missing_matrix_is_input_error(tmp_path, c2_q_file, capsys):
+    path = _bimodule_file(tmp_path, {"dim": 1, "left": [["1", "1"]]})
+    _assert_input_error(["hochschild", "--bimodule", path, c2_q_file], capsys)
+
+
+def test_non_utf8_bimodule_file_is_input_error(tmp_path, c2_q_file, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"schema": "entwine/1", "field": {"kind": "Q\xe9"}}')
+    _assert_input_error(["hochschild", "--bimodule", str(path), c2_q_file],
+                        capsys)

@@ -312,3 +312,42 @@ def test_zero_module_fixed_part(c2_q):
                           LinMap.zero(QQ, (0, 2), (0,)),
                           LinMap.zero(QQ, (0,), (0, 2)))
     assert fixed_part(zero, c2_q.rho_a).dim == 0
+
+
+def _count_functor_calls(monkeypatch):
+    """Count induce/coinduce calls in every module that binds them."""
+    from entwine import entmod, witness
+    counts = {"induce": 0, "coinduce": 0}
+    for name in counts:
+        original = getattr(entmod, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        for mod in (entmod, witness):
+            monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_adjunction_maps_builds_each_functor_once(c2_q, monkeypatch):
+    from entwine.entmod import adjunction_counit, adjunction_unit
+    mor = counit_morphism(c2_q.ent)
+    m = c2_q.module_A()
+    mt = functor_apply("induce", mor, m)
+    counts = _count_functor_calls(monkeypatch)
+    phi, psi = adjunction_maps(mor, m, mt)
+    # F m, G m~ and F G m~; G F m, F G F m and G F G m~ need only their carriers
+    assert counts == {"induce": 3, "coinduce": 3}
+    # the one-shot unit and counit agree with the maps built from shared functors
+    assert adjunction_unit(mor, m).equals(phi)
+    assert adjunction_counit(mor, mt).equals(psi)
+
+
+def test_nu_from_lambda_builds_each_functor_once(c2_q, monkeypatch):
+    from entwine import nu_from_lambda, solve_total_integrability
+    from entwine.witness import lambda_witness
+    mor = counit_morphism(c2_q.ent)
+    lam = lambda_witness(mor, solve_total_integrability(mor).particular)
+    counts = _count_functor_calls(monkeypatch)
+    nu_from_lambda(lam, c2_q.module_A())
+    assert counts == {"induce": 1, "coinduce": 1}

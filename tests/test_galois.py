@@ -275,3 +275,22 @@ def test_pointed_kappa_absent_for_unfactorizable(coext_q):
     fake = dataclasses.replace(coext_q,
                                rho_c=LinMap.from_rows(QQ, (2, 2), (2,), rows))
     assert pointed_kappa(fake) is None
+
+
+def test_non_bijective_canonical_map_rejected():
+    # Q[x]/(x^2) graded by the group-like basis e, g of Q[C_2] with
+    # rho(1) = 1 (x) e and rho(x) = x (x) g: only the scalars are fixed, so
+    # the balanced square is all of A (x) A, of the right dimension 4, but
+    # can(x (x) x) = x^2 (x) g = 0 leaves the canonical map of rank 3
+    from entwine import Algebra
+    alg = Algebra(2, LinMap.from_rows(QQ, (2, 2), (2,),
+                                      [[q(1), q(0), q(0), q(0)],
+                                       [q(0), q(1), q(1), q(0)]]),
+                  (q(1), q(0)))
+    coalg = cyclic_group_hopf(2, QQ).coalg
+    rho = LinMap.from_rows(QQ, (2,), (2, 2),
+                           [[q(1), q(0)], [q(0), q(0)],
+                            [q(0), q(0)], [q(0), q(1)]])
+    with pytest.raises(GaloisError, match="canonical map is not bijective") as err:
+        build_galois(alg, coalg, rho)
+    assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (4, 4, 3)
