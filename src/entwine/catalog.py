@@ -270,12 +270,12 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
     if not ext.ent.psi.equals(expected_psi):
         raise InputError("canonical entwining mismatch for the quotient datum")
     # invariant of the quotient coalgebra, when the characteristic allows it:
-    # x . s^j = x for every group element s^j, and eps(x) = 1
+    # x . a = eps(a) x for every a in H, and eps(x) = 1
     qshape = (quot_coalg.dim,)
     sys = LinearConstraints(f, SCALAR, qshape)
     acted = op_in_unknown(h.alg.identity(), SCALAR, SCALAR, qshape, (n,), rho_c)
-    kept = op_in_unknown(LinMap.functional(f, (n,), (one,) * n), SCALAR, SCALAR,
-                         qshape, SCALAR, LinMap.identity(f, qshape))
+    kept = op_in_unknown(h.coalg.counit_map(), SCALAR, SCALAR, qshape, SCALAR,
+                         LinMap.identity(f, qshape))
     sys.require("invariance", acted, kept)
     sys.require("normalisation",
                 op_in_unknown(LinMap.identity(f, SCALAR), SCALAR, SCALAR, qshape,

@@ -300,10 +300,10 @@ def coinduce_morphism(mor: EntwiningMorphism, phi: LinMap,
     return corestrict(raw, dst_sub)
 
 
-def _unit_at(mor: EntwiningMorphism, m: EntwinedModule, quot: QuotientModule,
-             sub: Subspace) -> LinMap:
-    """The unit at m, given the quotient carrying F m and the cotensor
-    subspace carrying G F m."""
+def adjunction_unit(mor: EntwiningMorphism, m: EntwinedModule,
+                    quot: QuotientModule, sub: Subspace) -> LinMap:
+    """m -> m0 (x) 1 (x) m1, given the quotient carrying the induced module
+    F m and the cotensor subspace carrying G F m."""
     idc = mor.src.coalg.identity()
     raw = compose_all(kron(quot.projection, idc),
                       kron_all(m.identity(), mor.dst.alg.unit_map(), idc),
@@ -311,28 +311,15 @@ def _unit_at(mor: EntwiningMorphism, m: EntwinedModule, quot: QuotientModule,
     return corestrict(raw, sub)
 
 
-def _counit_at(mor: EntwiningMorphism, mt: EntwinedModule, sub: Subspace,
-               quot: QuotientModule) -> LinMap:
-    """The counit at m~, given the cotensor subspace carrying G m~ and the
-    quotient carrying F G m~."""
+def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule,
+                      sub: Subspace, quot: QuotientModule) -> LinMap:
+    """Sum m~ (x) c (x) a~ -> Sum m~ . a~ eps(c), given the cotensor subspace
+    carrying the coinduced module G m~ and the quotient carrying F G m~."""
     ida2 = mor.dst.alg.identity()
     raw = compose_all(mt.action,
                       kron_all(mt.identity(), mor.src.coalg.counit_map(), ida2),
                       kron(sub.inclusion(), ida2))
     return descend(raw, quot)
-
-
-def adjunction_unit(mor: EntwiningMorphism, m: EntwinedModule) -> LinMap:
-    """m -> m0 (x) 1 (x) m1, landing in the coinduced module of the induced one."""
-    fm, quot = induce(mor, m)
-    return _unit_at(mor, m, quot, coinduce(mor, fm)[1])
-
-
-def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule) -> LinMap:
-    """Sum m~ (x) c (x) a~ -> Sum m~ . a~ eps(c), off the induced module of
-    the coinduced one."""
-    gmt, sub = coinduce(mor, mt)
-    return _counit_at(mor, mt, sub, induce(mor, gmt)[1])
 
 
 def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
@@ -344,20 +331,20 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
     """
     fm, q_fm = induce(mor, m)
     gfm, s_gfm = coinduce(mor, fm)
-    phi = _unit_at(mor, m, q_fm, s_gfm)
+    phi = adjunction_unit(mor, m, q_fm, s_gfm)
     gmt, s_gmt = coinduce(mor, mt)
     fgmt, q_fgmt = induce(mor, gmt)
-    psi = _counit_at(mor, mt, s_gmt, q_fgmt)
+    psi = adjunction_counit(mor, mt, s_gmt, q_fgmt)
     # counit(F m) . F(unit_m) = id on F m
     q_fgfm = induce(mor, gfm)[1]
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
-    left = _counit_at(mor, fm, s_gfm, q_fgfm).compose(f_phi)
+    left = adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi)
     if not left.equals(fm.identity()):
         raise DomainError("adjunction triangle (counit . F unit) failed")
     # G(counit_m~) . unit(G m~) = id on G m~
     s_gfgmt = coinduce(mor, fgmt)[1]
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
-    right = g_psi.compose(_unit_at(mor, gmt, q_fgmt, s_gfgmt))
+    right = g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt))
     if not right.equals(gmt.identity()):
         raise DomainError("adjunction triangle (G counit . unit) failed")
     return phi, psi
@@ -367,7 +354,7 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
 # fixed parts and morphism spaces
 
 
-def fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
+def _fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
     """Elements x of a module M with coaction(x . a) = x . rho_a(a) for every
     a in A, for action M (x) A -> M, coaction M -> M (x) C and rho_a
     A -> A (x) C.  For M = A this is the fixed subalgebra."""
@@ -387,7 +374,7 @@ def fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
 def fixed_part(m: EntwinedModule, rho_a: LinMap) -> Subspace:
     """Elements whose coaction after any action agrees with acting through
     the coaction of the algebra itself."""
-    return fixed_space(m.action, m.coaction, rho_a)
+    return _fixed_space(m.action, m.coaction, rho_a)
 
 
 def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:

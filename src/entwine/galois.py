@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import DomainError, GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, make_entwining
 from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, cotensor, fixed_space, tensor_over_A,
+                     RightModule, _fixed_space, cotensor, tensor_over_A,
                      verify_entwined_module)
 from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
                      corestrict, descend, image, invert, kron, kron_all)
@@ -63,7 +63,7 @@ def verify_action(alg: Algebra, action: LinMap) -> CheckReport:
 def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
     """The subalgebra of elements over which the coaction is left-linear,
     together with its induced algebra structure."""
-    space = fixed_space(alg.mult, rho_a, rho_a)
+    space = _fixed_space(alg.mult, rho_a, rho_a)
     if not space.contains(alg.unit):
         raise InconsistencyError("fixed subspace misses the unit")
     incl = space.inclusion()

@@ -22,7 +22,7 @@ from enum import Enum
 from .errors import DomainError, InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism
 from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, _unit_at, coinduce, cotensor, hom_AC, induce,
+                     RightModule, adjunction_unit, coinduce, cotensor, hom_AC, induce,
                      standard_module, regular_module, tensor_over_A)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
@@ -467,7 +467,7 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
             raise InconsistencyError("splitting does not descend to the quotient")
     nu = raw.compose(_right_inverse(cover))
     # nu splits the adjunction unit
-    if not nu.compose(_unit_at(mor, m, quot, sub)).equals(idm):
+    if not nu.compose(adjunction_unit(mor, m, quot, sub)).equals(idm):
         raise InconsistencyError("splitting does not invert the adjunction unit")
     # nu is a morphism of entwined modules
     if not hom_AC(gfm, m).contains(nu.flat()):
@@ -507,7 +507,7 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     gfm, sub = coinduce(mor, fm)
     if nu_on_ac.domain.total != gfm.dim or nu_on_ac.codomain.total != ac.dim:
         raise InputError("splitting has the wrong shape for A (x) C")
-    if not nu_on_ac.compose(_unit_at(mor, ac, quot, sub)).equals(ac.identity()):
+    if not nu_on_ac.compose(adjunction_unit(mor, ac, quot, sub)).equals(ac.identity()):
         raise DomainError("candidate does not split the adjunction unit")
     if not hom_AC(gfm, ac).contains(nu_on_ac.flat()):
         raise DomainError("candidate is not a module/comodule map")

@@ -4,8 +4,9 @@ Two checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
-  attribute, an imported name, or a word of a string literal (the benchmark
-  tracer patches targets such as "LinearConstraints.assembled" by string);
+  attribute, an imported name, or a part of a string literal that is a
+  dotted name (the benchmark tracer patches targets such as
+  "LinearConstraints.assembled" by string; free text does not count);
   a method counts as referenced only through an attribute or a string;
   docstrings do not count, and dunder methods are exempt because Python
   calls them itself;
@@ -20,7 +21,7 @@ import re
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "entwine")
 SCANNED = [os.path.join(ROOT, top) for top in ("src", "tests", "perfbench")]
-WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SCOPES = FUNCTIONS + (ast.ClassDef, ast.Lambda, ast.ListComp, ast.SetComp,
                       ast.DictComp, ast.GeneratorExp)
@@ -61,9 +62,9 @@ def _references(tree):
         elif isinstance(node, ast.alias):
             yield node.name.rpartition(".")[2], node.lineno, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-              and id(node) not in docstrings):
-            for word in WORD.findall(node.value):
-                yield word, node.lineno, True
+              and id(node) not in docstrings and DOTTED.fullmatch(node.value)):
+            for part in node.value.split("."):
+                yield part, node.lineno, True
 
 
 def _definitions():

@@ -330,17 +330,13 @@ def _count_functor_calls(monkeypatch):
 
 
 def test_adjunction_maps_builds_each_functor_once(c2_q, monkeypatch):
-    from entwine.entmod import adjunction_counit, adjunction_unit
     mor = counit_morphism(c2_q.ent)
     m = c2_q.module_A()
     mt = functor_apply("induce", mor, m)
     counts = _count_functor_calls(monkeypatch)
-    phi, psi = adjunction_maps(mor, m, mt)
+    adjunction_maps(mor, m, mt)
     # F m, G m~ and F G m~; G F m, F G F m and G F G m~ need only their carriers
     assert counts == {"induce": 3, "coinduce": 3}
-    # the one-shot unit and counit agree with the maps built from shared functors
-    assert adjunction_unit(mor, m).equals(phi)
-    assert adjunction_counit(mor, mt).equals(psi)
 
 
 def test_nu_from_lambda_builds_each_functor_once(c2_q, monkeypatch):
