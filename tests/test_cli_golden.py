@@ -1,5 +1,8 @@
 """Golden command-line outputs: every README subcommand on small catalog
-documents must print byte-identical stdout with the same exit code.
+documents, and the reports on committed documents whose structure constants
+have denominators other than 1 (tests/golden/docs, written by
+tests/golden/rational_docs.py), must print byte-identical stdout with the
+same exit code.
 
 The golden file was written by the solver this suite guards; rewrite it
 only for an intended output change, by running this file as a script:
@@ -34,6 +37,11 @@ DOCS = {
     "coext_dual_q3": ["--name", "self_coextension", "--n", "3", "--dual",
                       "--field", "Q"],
 }
+
+# committed documents over Q in random rational bases: stem -> path
+FIXTURES = {stem: os.path.join(os.path.dirname(__file__), "golden", "docs",
+                               f"{stem}.json")
+            for stem in ("rat_sweedler_q", "rat_ext_q3", "rat_coext_q3")}
 
 # case name -> argv, with {stem} replaced by the document path
 CASES = {
@@ -88,6 +96,17 @@ CASES = {
     "hochschild_1_q3": ["hochschild", "--n", "1", "--json", "{ext_q3}"],
     "hochschild_2_q2": ["hochschild", "--n", "2", "{ext_q2}"],
     "hochschild_2_f3": ["hochschild", "--n", "2", "--json", "{ext_f3}"],
+    "extension_report_rat_sweedler_q": ["extension", "report", "--json",
+                                        "{rat_sweedler_q}"],
+    "extension_report_rat_ext_q3": ["extension", "report", "--json",
+                                    "{rat_ext_q3}"],
+    "extension_report_rat_ext_q3_search": ["extension", "report",
+                                           "--strategy", "search", "--json",
+                                           "{rat_ext_q3}"],
+    "coextension_report_rat_coext_q3": ["coextension", "report", "--json",
+                                        "{rat_coext_q3}"],
+    "hochschild_2_rat_ext_q3": ["hochschild", "--n", "2", "--json",
+                                "{rat_ext_q3}"],
 }
 
 
@@ -99,7 +118,7 @@ def _run(argv):
 
 
 def _outputs(workdir):
-    paths = {}
+    paths = dict(FIXTURES)
     for stem, argv in DOCS.items():
         paths[stem] = os.path.join(workdir, f"{stem}.json")
         assert _run(["catalog"] + argv + ["-o", paths[stem]])["exit"] == 0
