@@ -185,9 +185,10 @@ def cmd_solve(args) -> int:
 
 def extension_report(ext: GaloisExtension, strategy: str) -> dict:
     f = ext.field
-    sep = check_separable(ext)
+    integral = solve_witness(WitnessKind.INTEGRAL, ext.ent, normalized=True)
+    sep = check_separable(ext, integral)
     split = check_split(ext)
-    strong = check_strongly_separable(ext, strategy)
+    strong = check_strongly_separable(ext, strategy, solved=(integral, split))
     bimod = regular_bimodule(ext.alg)
     cx = relative_complex(ext.alg, ext.fixed, bimod, max_degree=1)
     h1, _ = cohomology_dim(cx, 1)

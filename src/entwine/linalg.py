@@ -7,18 +7,24 @@ their domain and codomain, and index flattening is row-major throughout
 no tolerances, ever.
 
 Storage is dense, but the work is sparse: elimination and the products
-(composition, tensor product, difference, the operator builder) visit only
-nonzero entries and choose their scalar arithmetic once per call.  Every
-elimination goes through one sparse Gauss-Jordan routine, `rref`, whose
-result is the unique reduced row echelon form, so every subspace, kernel,
-image and solution set is canonical however it was computed.
+(composition, tensor product, application, difference, the operator
+builder) visit only nonzero entries and choose their scalar arithmetic once
+per call.  Products over Q run in integers on a common denominator: each
+factor's nonzeros are rewritten as integer numerators over one denominator
+(`_integral`), sums of products are plain int arithmetic, and one canonical
+Fraction is built per nonzero output entry (the field's shared zero where
+a sum cancels).  Every elimination goes through one sparse Gauss-Jordan
+routine, `rref`, whose result is the unique reduced row echelon form, so
+every subspace, kernel, image and solution set is canonical however it was
+computed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import prod
+from fractions import Fraction
+from math import lcm, prod
 from operator import is_not
 
 from .errors import InputError, InconsistencyError
@@ -93,15 +99,54 @@ def _nonzeros(row, zero):
     return [(j, row[j]) for j in candidates if row[j]]
 
 
-def _dense(entries, width, zero, p):
-    """A dense row from {column: value}, reduced mod p unless p is None."""
+def _integral(nz, p, d=None):
+    """(d, [(column, n)]) with value = n / d for each (column, value) in nz.
+
+    Over Q, d is the least common denominator of the values (or the given
+    multiple of it) and every n an int, so products and sums of them are
+    plain integer arithmetic; over F_p the values are already ints and d
+    is 1."""
+    if p is not None:
+        return 1, nz
+    if d is None:
+        d = lcm(*{x.denominator for _, x in nz})
+    if d == 1:
+        return 1, [(j, x.numerator) for j, x in nz]
+    return d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]
+
+
+def _denominator(rows, p):
+    """The least common denominator of every value in lists of nonzeros
+    (1 over F_p)."""
+    if p is not None:
+        return 1
+    return lcm(*{x.denominator for nz in rows for _, x in nz})
+
+
+def _dense(entries, width, zero):
+    """A dense row from {column: value}."""
     row = [zero] * width
-    if p is None:
-        for j, x in entries.items():
-            row[j] = x
+    for j, x in entries.items():
+        row[j] = x
+    return tuple(row)
+
+
+def _dense_sums(sums, width, d, zero, p):
+    """A dense row from {column: integer numerator over d}: one canonical
+    Fraction per nonzero entry over Q, and the field's shared zero where a
+    sum cancelled; over F_p the sums reduced mod p."""
+    row = [zero] * width
+    if p is not None:
+        for j, n in sums.items():
+            row[j] = n % p
+    elif d == 1:
+        for j, n in sums.items():
+            if n:
+                row[j] = Fraction(n)
     else:
-        for j, x in entries.items():
-            row[j] = x % p
+        for j, n in sums.items():
+            if n:
+                row[j] = Fraction(n, d)
     return tuple(row)
 
 
@@ -218,17 +263,16 @@ class LinMap:
     def apply(self, vec):
         if len(vec) != self.cols:
             raise InputError(f"vector of length {len(vec)} for domain {self.cols}")
-        f = self.field
-        p, zero = f.p, f.zero
-        out = []
-        for row in self.entries:
-            acc = zero
-            for j, a in _nonzeros(row, zero):
-                x = vec[j]
-                if x:
-                    acc += a * x
-            out.append(acc if p is None else acc % p)
-        return tuple(out)
+        p, zero = self.field.p, self.field.zero
+        rows_nz = [_nonzeros(r, zero) for r in self.entries]
+        d = _denominator(rows_nz, p)
+        dv, vec_nz = _integral(_nonzeros(vec, zero), p)
+        ints = [0] * len(vec)
+        for j, x in vec_nz:
+            ints[j] = x
+        sums = {i: sum([a * ints[j] for j, a in _integral(nz, p, d)[1]])
+                for i, nz in enumerate(rows_nz)}
+        return _dense_sums(sums, len(rows_nz), d * dv, zero, p)
 
     def flat(self) -> tuple:
         """Row-major vectorization of the matrix; inverse of from_flat."""
@@ -247,14 +291,17 @@ class LinMap:
         f = self.field
         p, zero, n_in = f.p, f.zero, other.cols
         other_nz = [_nonzeros(r, zero) for r in other.entries]
+        d_other = _denominator(other_nz, p)
+        other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
         out = []
         for row in self.entries:
+            d, row_nz = _integral(_nonzeros(row, zero), p)
             acc = {}
-            for k, a in _nonzeros(row, zero):
+            for k, a in row_nz:
                 for j, b in other_nz[k]:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
-            out.append(_dense(acc, n_in, zero, p))
+            out.append(_dense_sums(acc, n_in, d * d_other, zero, p))
         return LinMap(f, other.domain, self.codomain, tuple(out))
 
     def add(self, other: "LinMap") -> "LinMap":
@@ -330,20 +377,26 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     p, zero = f.field.p, f.field.zero
     gc = g.cols
     width = f.cols * gc
-    g_nz = [_nonzeros(r, zero) for r in g.entries]
+    g_nz = [_integral(_nonzeros(r, zero), p) for r in g.entries]
     out = []
     for frow in f.entries:
-        f_nz = [(j1 * gc, a) for j1, a in _nonzeros(frow, zero)]
-        for grow in g_nz:
+        df, f_nz = _integral(_nonzeros(frow, zero), p)
+        f_nz = [(j1 * gc, a) for j1, a in f_nz]
+        for dg, grow in g_nz:
             row = [zero] * width
-            if p is None:
-                for base, a in f_nz:
-                    for j2, b in grow:
-                        row[base + j2] = a * b
-            else:
+            d = df * dg
+            if p is not None:
                 for base, a in f_nz:
                     for j2, b in grow:
                         row[base + j2] = a * b % p
+            elif d == 1:
+                for base, a in f_nz:
+                    for j2, b in grow:
+                        row[base + j2] = Fraction(a * b)
+            else:
+                for base, a in f_nz:
+                    for j2, b in grow:
+                        row[base + j2] = Fraction(a * b, d)
             out.append(tuple(row))
     return LinMap(f.field, f.domain.concat(g.domain), f.codomain.concat(g.codomain),
                   tuple(out))
@@ -443,7 +496,7 @@ def rref(field, rows):
                 axpy(other, neg(x), row)
         reduced[c] = row
     pivots = sorted(reduced)
-    return [_dense(reduced[c], ncols, zero, None) for c in pivots], pivots
+    return [_dense(reduced[c], ncols, zero) for c in pivots], pivots
 
 
 def _kernel_from_rref(field, reduced, pivots, ncols):
@@ -660,6 +713,17 @@ class AffineSolutionSet:
         diff = tuple(f.sub(a, b) for a, b in zip(vec, self.particular))
         return self.homogeneous.contains(diff)
 
+    def equations(self):
+        """(m, b) with exactly this solution set for m x = b: the rows of m
+        span the annihilator of the homogeneous part, read off its echelon
+        basis without elimination, and b = m . particular."""
+        if not self.feasible:
+            raise InputError("an infeasible solution set has no equations")
+        h = self.homogeneous
+        rows = _kernel_from_rref(h.field, h.basis, h.pivots, h.ambient.total)
+        m = LinMap.from_rows(h.field, h.ambient, (len(rows),), rows)
+        return m, m.apply(self.particular)
+
     def members(self, coefficient_grids):
         """Yield particular + combinations of the homogeneous basis, with
         coefficients drawn from the cartesian product of the given grids."""
@@ -727,20 +791,29 @@ def kernel_image(m: LinMap):
     return ker, im
 
 
+def right_inverse(m: LinMap) -> LinMap:
+    """A right inverse of a surjective map, from one reduction of [m | I]:
+    column t is the solution of m x = e_t that solve_affine returns (zero in
+    every free column).  Raises InputError when m is not onto."""
+    f = m.field
+    n, w = m.rows, m.cols
+    one, zero = f.one, f.zero
+    aug = [row + tuple(one if i == j else zero for j in range(n))
+           for i, row in enumerate(m.entries)]
+    reduced, pivots = rref(f, aug)
+    if len(pivots) != n or (pivots and pivots[-1] >= w):
+        raise InputError("map is not onto")
+    rows = [(zero,) * n] * w
+    for row, pc in zip(reduced, pivots):
+        rows[pc] = row[w:]
+    return LinMap(f, m.codomain, m.domain, tuple(rows))
+
+
 def invert(m: LinMap) -> LinMap:
     """Exact inverse of a bijective map; raises InputError when singular."""
     if m.rows != m.cols:
         raise InputError("only square maps can be inverted")
-    f = m.field
-    n = m.rows
-    one, zero = f.one, f.zero
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    reduced, pivots = rref(f, aug)
-    if list(pivots) != list(range(n)):
-        raise InputError("map is not invertible")
-    inv_rows = tuple(tuple(row[n:]) for row in reduced)
-    return LinMap(f, m.codomain, m.domain, inv_rows)
+    return right_inverse(m)
 
 
 # ---------------------------------------------------------------------------
@@ -767,14 +840,16 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
     if post.cols != lt * xc * rt:
         raise InputError("post does not start from L (x) Xcod (x) R")
     p, zero = f.p, f.zero
-    # pre's nonzeros grouped by the surrounding factors:
-    # by_lr[l * rt + rho] = [(s, d, pre[(l,s,rho)][d]), ...]
+    pre_nz = [_nonzeros(r, zero) for r in pre.entries]
+    d_pre = _denominator(pre_nz, p)
+    # pre's nonzeros over d_pre, grouped by the surrounding factors:
+    # by_lr[l * rt + rho] = [(s, d, numerator of pre[(l,s,rho)][d]), ...]
     by_lr = {}
     for l in range(lt):
         for s in range(xd):
             base = (l * xd + s) * rt
             for rho in range(rt):
-                nz = _nonzeros(pre.entries[base + rho], zero)
+                _, nz = _integral(pre_nz[base + rho], p, d_pre)
                 if nz:
                     by_lr.setdefault(l * rt + rho, []).extend(
                         (s, d, w) for d, w in nz)
@@ -782,8 +857,9 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
     width = xc * xd
     big = []
     for prow in post.entries:
+        d_post, post_nz = _integral(_nonzeros(prow, zero), p)
         acc = [{} for _ in range(dd)]
-        for col, v in _nonzeros(prow, zero):
+        for col, v in post_nz:
             lr, rho = divmod(col, rt)
             l, r = divmod(lr, xc)
             for s, d, w in by_lr.get(l * rt + rho, ()):
@@ -791,7 +867,8 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
                 k = r * xd + s
                 x = cell.get(k)
                 cell[k] = v * w if x is None else x + v * w
-        big.extend(_dense(cell, width, zero, p) for cell in acc)
+        den = d_post * d_pre
+        big.extend(_dense_sums(cell, width, den, zero, p) for cell in acc)
     return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)), tuple(big))
 
 

@@ -99,8 +99,11 @@ def separability_from_integral(g: GaloisExtension, z: Witness) -> SeparabilityCe
     return SeparabilityCertificate(tuple(u), z)
 
 
-def check_separable(g: GaloisExtension):
-    sol = solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
+def check_separable(g: GaloisExtension, integral=None):
+    """The separability certificate, or None; integral is the solution set
+    of the normalised-integral system when the caller has already solved it."""
+    sol = integral if integral is not None else \
+        solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
     if not sol.feasible:
         return None
     z = as_witness(WitnessKind.INTEGRAL, g.ent, sol.particular, normalized=True)
@@ -261,7 +264,8 @@ def _extract_tau(g: GaloisExtension, u, expectation: LinMap):
 
 
 def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral",
-                             witnesses=None, grid=None) -> StrongOutcome:
+                             witnesses=None, grid=None,
+                             solved=None) -> StrongOutcome:
     """Decide strong separability by one of three bounded strategies.
 
     "given": verify a supplied (u, E, tau) triple (witnesses = (u, E, tau)
@@ -271,6 +275,9 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
     "fixed_integral": fix the particular normalised integral, then solve for
     phi with the extra affine rows forcing sum a_i phi(c_i) into the span of
     the unit, reading tau off the solution.
+
+    solved = (the normalised-integral solution set, the check_split result)
+    when the caller already has both; otherwise they are computed here.
     """
     f = g.field
     free_basis = _right_free_basis(g) is not None
@@ -297,16 +304,19 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
                                  SplitCertificate(phi, expectation), tau)
         return StrongOutcome(cert, False, free_basis)
 
-    zsol = solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
+    if solved is None:
+        zsol = solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
+        split = check_split(g) if zsol.feasible else None
+    else:
+        zsol, split = solved
     if not zsol.feasible:
         return StrongOutcome(None, False, free_basis, "not separable")
-    split = check_split(g)
     if split is None:
         return StrongOutcome(None, False, free_basis, "not split")
 
+    _, phi_family = split
     if strategy == "search":
         coeffs = tuple(grid) if grid is not None else (f.zero, f.one, f.neg(f.one))
-        _, phi_family = split
         z_grid = [coeffs] * zsol.homogeneous.dim
         phi_grid = [coeffs] * phi_family.homogeneous.dim
         for zvec in zsol.members(z_grid):
@@ -332,9 +342,11 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
         u = g.can_inv.apply(zvec)
         a, c = g.alg, g.coalg
         da, dc = a.dim, c.dim
-        # unknowns (phi, tau): phi entries plus one slack column for tau
-        base = split_system(g)
-        m, rhs = base.assembled()
+        # unknowns (phi, tau): phi entries plus one slack column for tau; the
+        # split conditions are restated from their solved family, which has
+        # the same solutions, so the reduced system and its answer are those
+        # of the split system itself
+        m, rhs = phi_family.equations()
         rows = [row + (f.zero,) for row in m.entries]
         targets = list(rhs)
         # sum a_i phi(c_i) - tau 1 = 0, with z = sum a_i (x) c_i

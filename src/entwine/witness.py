@@ -29,7 +29,7 @@ from .galois import Coextension, GaloisExtension, copointed_grouplike, \
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
                      QuotientModule, Subspace, TensorShape, SCALAR,
                      compose_all, corestrict, descend, kernel_image, kron,
-                     kron_all, op_in_unknown, solve_affine)
+                     kron_all, op_in_unknown, right_inverse)
 
 
 class WitnessKind(str, Enum):
@@ -465,7 +465,7 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     for v in ck.basis:
         if any(x != 0 for x in raw.apply(v)):
             raise InconsistencyError("splitting does not descend to the quotient")
-    nu = raw.compose(_right_inverse(cover))
+    nu = raw.compose(right_inverse(cover))
     # nu splits the adjunction unit
     if not nu.compose(adjunction_unit(mor, m, quot, sub)).equals(idm):
         raise InconsistencyError("splitting does not invert the adjunction unit")
@@ -473,22 +473,6 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     if not hom_AC(gfm, m).contains(nu.flat()):
         raise InconsistencyError("splitting is not a module/comodule map")
     return nu
-
-
-def _right_inverse(cover: LinMap) -> LinMap:
-    """A right inverse of a surjection, one exact solve per column."""
-    f = cover.field
-    n = cover.rows
-    cols = []
-    for t in range(n):
-        target = [f.zero] * n
-        target[t] = f.one
-        sol = solve_affine(cover, tuple(target))
-        if not sol.feasible:
-            raise InconsistencyError("cover is not onto")  # unreachable after rank check
-        cols.append(sol.particular)
-    rows = tuple(tuple(cols[t][i] for t in range(n)) for i in range(cover.cols))
-    return LinMap(f, cover.codomain, cover.domain, rows)
 
 
 def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from entwine import GF, QQ, LinMap, Subspace, TensorShape, kernel_image, \
     kron, solve_affine
 from entwine.linalg import invert, quotient_by, rref
+from entwine.errors import InputError
+from entwine.linalg import op_in_unknown, right_inverse
 
 import oracle
 
@@ -310,3 +312,141 @@ def test_products_match_naive_loops(p, n, k, m, data):
     assert kron(fa, fb).entries == _naive_kron(field, a, b)
     assert fa.sub(fc).entries == tuple(
         tuple(field.sub(x, y) for x, y in zip(r, s)) for r, s in zip(a, c))
+
+
+# -- products over Q with denominators: integer kernels vs Fraction loops ----
+
+def _fraction_product(a, b):
+    return tuple(tuple(sum((a[i][t] * b[t][j] for t in range(len(b))),
+                           Fraction(0))
+                       for j in range(len(b[0])))
+                 for i in range(len(a)))
+
+
+def _assert_canonical(entries):
+    """Every entry a Fraction, and every zero the field's shared zero."""
+    for row in entries:
+        for x in row:
+            assert type(x) is Fraction
+            assert x or x is QQ.zero
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 12))
+_NONZERO_RATIONALS = st.builds(Fraction, st.integers(1, 6) | st.integers(-6, -1),
+                               st.integers(1, 12))
+
+
+@st.composite
+def rational_rows(draw, n_rows, n_cols):
+    """Rows of Fractions with denominators up to 12, about a third zero
+    (the shared zero or a fresh Fraction(0, d))."""
+    cells = st.tuples(st.integers(0, 2), _RATIONALS)
+    return [[v if u else QQ.zero
+             for u, v in draw(st.lists(cells, min_size=n_cols,
+                                       max_size=n_cols))]
+            for _ in range(n_rows)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 4), st.integers(1, 4),
+       st.booleans(), st.data())
+def test_rational_products_match_fraction_loops(n, k, m, cancel, data):
+    a = data.draw(rational_rows(n, k))
+    b = data.draw(rational_rows(k, m))
+    vec = data.draw(rational_rows(1, k))[0]
+    if cancel:
+        # row 0 of a . b and entry 0 of a . vec are sums that cancel to 0
+        x = data.draw(_NONZERO_RATIONALS)
+        a[0] = [x, -x] + [QQ.zero] * (k - 2)
+        b[1] = list(b[0])
+        vec[1] = vec[0]
+    fa = LinMap.from_rows(QQ, (k,), (n,), a)
+    fb = LinMap.from_rows(QQ, (m,), (k,), b)
+    product = fa.compose(fb).entries
+    assert product == _fraction_product(a, b)
+    _assert_canonical(product)
+    if cancel:
+        assert all(x is QQ.zero for x in product[0])
+    tensor = kron(fa, fb).entries
+    assert tensor == tuple(tuple(x * y for x in ra for y in rb)
+                           for ra in a for rb in b)
+    _assert_canonical(tensor)
+    image = fa.apply(vec)
+    assert image == tuple(r[0] for r in _fraction_product(a, [[v] for v in vec]))
+    _assert_canonical([image])
+
+
+def _fraction_op_in_unknown(pre, post, lt, xd, xc, rt):
+    """The matrix of X |-> post . (1_L (x) X (x) 1_R) . pre, one column per
+    matrix unit E_rs, by plain Fraction products."""
+    cols = []
+    for r in range(xc):
+        for s in range(xd):
+            mid = [[Fraction(0)] * (lt * xd * rt) for _ in range(lt * xc * rt)]
+            for l in range(lt):
+                for rho in range(rt):
+                    mid[(l * xc + r) * rt + rho][(l * xd + s) * rt + rho] = \
+                        Fraction(1)
+            image = _fraction_product(post, _fraction_product(mid, pre))
+            cols.append([x for row in image for x in row])
+    return tuple(zip(*cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 2), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.data())
+def test_rational_op_in_unknown_matches_fraction_loops(lt, rt, xd, xc, dd, ee,
+                                                       cancel, data):
+    pre = data.draw(rational_rows(lt * xd * rt, dd))
+    post = data.draw(rational_rows(ee, lt * xc * rt))
+    if cancel and lt == 2:
+        # the l = 1 half of pre repeats the l = 0 half and post's row 0 negates
+        # it, so every sum over l in the rows (0, d) cancels
+        half = xd * rt
+        pre[half:] = [list(row) for row in pre[:half]]
+        post[0][xc * rt:] = [-x for x in post[0][:xc * rt]]
+    fpre = LinMap.from_rows(QQ, (dd,), (lt, xd, rt), pre)
+    fpost = LinMap.from_rows(QQ, (lt, xc, rt), (ee,), post)
+    op = op_in_unknown(fpre, (lt,), (xd,), (xc,), (rt,), fpost).entries
+    assert op == _fraction_op_in_unknown(pre, post, lt, xd, xc, rt)
+    _assert_canonical(op)
+    if cancel and lt == 2:
+        assert all(x is QQ.zero for row in op[:dd] for x in row)
+
+
+# -- right inverses and equations of a solution set ---------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+def test_right_inverse_columns_are_the_particular_solutions(system):
+    p, rows, _ = system
+    field = FIELDS[p]
+    n_cols = len(rows[0])
+    m = LinMap.from_rows(field, (n_cols,), (len(rows),), rows)
+    units = [tuple(field.one if i == t else field.zero for i in range(m.rows))
+             for t in range(m.rows)]
+    solutions = [solve_affine(m, e) for e in units]
+    if not all(sol.feasible for sol in solutions):
+        with pytest.raises(InputError):
+            right_inverse(m)
+        return
+    r = right_inverse(m)
+    assert tuple(zip(*r.entries)) == tuple(sol.particular for sol in solutions)
+    assert m.compose(r).equals(LinMap.identity(field, (m.rows,)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_systems())
+def test_equations_have_the_same_solution_set(system):
+    p, rows, rhs = system
+    field = FIELDS[p]
+    m = LinMap.from_rows(field, (len(rows[0]),), (len(rows),), rows)
+    sol = solve_affine(m, rhs)
+    if not sol.feasible:
+        with pytest.raises(InputError):
+            sol.equations()
+        return
+    again = solve_affine(*sol.equations())
+    assert again.particular == sol.particular
+    assert again.homogeneous == sol.homogeneous

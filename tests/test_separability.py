@@ -223,3 +223,44 @@ def test_tau_is_inverse_group_order(n):
     out = check_strongly_separable(ext, "fixed_integral")
     assert out.found
     assert out.certificate.tau == Fraction(1, n)
+
+
+def test_extension_report_solves_each_system_once(monkeypatch):
+    from entwine import separability, witness
+    from entwine.cli import extension_report
+    from entwine.linalg import LinearConstraints
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
+    tagged = []                     # (system, name), kept alive while counting
+    builds = {"integral": 0, "split": 0}
+    solves = {"integral": 0, "split": 0}
+    build_witness_system = witness.witness_system
+    build_split_system = separability.split_system
+    solve = LinearConstraints.solve
+
+    def counted_witness_system(kind, e, normalized):
+        system = build_witness_system(kind, e, normalized)
+        if kind == WitnessKind.INTEGRAL:
+            builds["integral"] += 1
+            tagged.append((system, "integral"))
+        return system
+
+    def counted_split_system(g):
+        system = build_split_system(g)
+        builds["split"] += 1
+        tagged.append((system, "split"))
+        return system
+
+    def counted_solve(self):
+        for system, name in tagged:
+            if system is self:
+                solves[name] += 1
+        return solve(self)
+    monkeypatch.setattr(witness, "witness_system", counted_witness_system)
+    monkeypatch.setattr(separability, "split_system", counted_split_system)
+    monkeypatch.setattr(LinearConstraints, "solve", counted_solve)
+    report = extension_report(ext, "fixed_integral")
+    assert report["strong"]["found"]
+    # the normalised-integral system is also rebuilt to re-check each
+    # certificate drawn from it, but it is solved once
+    assert solves == {"integral": 1, "split": 1}
+    assert builds["split"] == 1

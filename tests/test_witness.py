@@ -408,3 +408,29 @@ def test_integral_map_identities_by_explicit_loops(c2_q):
         for i in range(n):
             assert gamma[(i, i)][0] == 1
             assert all(gamma[(i, i)][p] == 0 for p in range(1, n))
+
+
+def test_nu_inverts_its_cover_with_one_reduction(monkeypatch):
+    from entwine import linalg, witness
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
+    mor = counit_morphism(ext.ent)
+    lam = lambda_witness(mor, solve_total_integrability(mor).particular)
+    reductions = [0]
+    calls = []                      # (cover rows, cover cols, reductions)
+    rref, right_inverse = linalg.rref, witness.right_inverse
+
+    def counted_rref(*args):
+        reductions[0] += 1
+        return rref(*args)
+
+    def counted_right_inverse(cover):
+        before = reductions[0]
+        out = right_inverse(cover)
+        calls.append((cover.rows, cover.cols, reductions[0] - before))
+        return out
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(witness, "right_inverse", counted_right_inverse)
+    ac = standard_module("mod_tensor_c", regular_module(ext.alg), ext.ent)
+    nu_from_lambda(lam, ac)
+    # one reduction of [cover | I] instead of one solve per column (27)
+    assert calls == [(27, 81, 1)]
