@@ -292,7 +292,8 @@ class LinMap:
         p, zero, n_in = f.p, f.zero, other.cols
         other_nz = [_nonzeros(r, zero) for r in other.entries]
         d_other = _denominator(other_nz, p)
-        other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
+        if p is None:
+            other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
         out = []
         for row in self.entries:
             d, row_nz = _integral(_nonzeros(row, zero), p)
@@ -384,16 +385,16 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
         f_nz = [(j1 * gc, a) for j1, a in f_nz]
         for dg, grow in g_nz:
             row = [zero] * width
-            d = df * dg
             if p is not None:
                 for base, a in f_nz:
                     for j2, b in grow:
                         row[base + j2] = a * b % p
-            elif d == 1:
+            elif df * dg == 1:
                 for base, a in f_nz:
                     for j2, b in grow:
                         row[base + j2] = Fraction(a * b)
             else:
+                d = df * dg
                 for base, a in f_nz:
                     for j2, b in grow:
                         row[base + j2] = Fraction(a * b, d)
