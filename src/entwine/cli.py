@@ -14,25 +14,23 @@ import sys
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
 from .fields import GF, QQ, FieldError
-from .linalg import LinMap
+from .linalg import LinMap, Subspace
 from .structures import verify_algebra, verify_coalgebra
-from .entwining import (counit_morphism, unit_morphism, EntwiningMorphism,
-                        make_entwining, verify_entwining, verify_morphism)
+from .entwining import (counit_morphism, unit_morphism, Entwining,
+                        EntwiningMorphism, make_entwining, verify_entwining,
+                        verify_morphism)
 from .entmod import EntwinedModule, verify_entwined_module
-from .galois import (build_coextension, build_galois, copointed_grouplike,
-                     cotranslation_map, fixed_subalgebra, pointed_kappa,
-                     verify_action, verify_coaction)
+from .galois import (Coextension, GaloisExtension, build_coextension,
+                     build_galois, copointed_grouplike, cotranslation_map,
+                     fixed_subalgebra, pointed_kappa, verify_action,
+                     verify_coaction)
 from .hochschild import (Bimodule, cohomology_dim, regular_bimodule,
                          relative_complex, verify_bimodule)
-from .linalg import Subspace
-from .separability import (check_coseparable, check_separable, check_split,
-                           check_strongly_separable)
-from .witness import (WitnessKind, solve_witness, integrability_system,
-                      cointegrability_system, witness_shapes)
+from .separability import check_coseparable, check_strongly_separable
+from .witness import (WitnessKind, witness_system, integrability_system,
+                      cointegrability_system)
 from . import schema
 from .catalog import make_example
-from .galois import Coextension, GaloisExtension
-from .entwining import Entwining
 
 OK, FAIL, MALFORMED = 0, 1, 2
 
@@ -153,22 +151,20 @@ def cmd_solve(args) -> int:
     normalized = args.normalized
     if args.kind in _KIND_MAP:
         kind = _KIND_MAP[args.kind]
-        sol = solve_witness(kind, ent, normalized=normalized)
-        dom, cod = witness_shapes(kind, ent)
+        sys_ = witness_system(kind, ent, normalized)
         label = kind.value
     else:
         mor = _morphism_from(doc, ent, args.morphism)
         build = {"lambda": integrability_system,
                  "frakz": cointegrability_system}[args.kind]
         sys_, _ = build(mor, total=True)
-        sol = sys_.solve()
-        dom, cod = sys_.x_dom, sys_.x_cod
         label = args.kind
         normalized = True  # the functor-level systems are always total
+    sol = sys_.solve()
     if not sol.feasible:
         print(f"{label}: infeasible")
         return FAIL
-    matrix = LinMap.from_flat(f, dom, cod, sol.particular)
+    matrix = LinMap.from_flat(f, sys_.x_dom, sys_.x_cod, sol.particular)
     if not args.json:
         print(f"{label}: found; solution family dimension "
               f"{sol.homogeneous.dim}")
@@ -185,10 +181,8 @@ def cmd_solve(args) -> int:
 
 def extension_report(ext: GaloisExtension, strategy: str) -> dict:
     f = ext.field
-    integral = solve_witness(WitnessKind.INTEGRAL, ext.ent, normalized=True)
-    sep = check_separable(ext, integral)
-    split = check_split(ext)
-    strong = check_strongly_separable(ext, strategy, solved=(integral, split))
+    strong = check_strongly_separable(ext, strategy)
+    sep, split = strong.separability, strong.split
     bimod = regular_bimodule(ext.alg)
     cx = relative_complex(ext.alg, ext.fixed, bimod, max_degree=1)
     h1, _ = cohomology_dim(cx, 1)

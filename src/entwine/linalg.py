@@ -89,6 +89,10 @@ def shape(*factors) -> TensorShape:
 SCALAR = TensorShape(())
 
 
+def _shape(shp) -> TensorShape:
+    return shp if isinstance(shp, TensorShape) else TensorShape(shp)
+
+
 def _nonzeros(row, zero):
     """(column, value) pairs of the nonzero entries of a dense row.
 
@@ -180,13 +184,12 @@ class LinMap:
 
     @staticmethod
     def from_rows(field, domain, codomain, rows) -> "LinMap":
-        domain = domain if isinstance(domain, TensorShape) else TensorShape(domain)
-        codomain = codomain if isinstance(codomain, TensorShape) else TensorShape(codomain)
+        domain, codomain = _shape(domain), _shape(codomain)
         return LinMap(field, domain, codomain, tuple(tuple(r) for r in rows))
 
     @staticmethod
     def identity(field, shp) -> "LinMap":
-        shp = shp if isinstance(shp, TensorShape) else TensorShape(shp)
+        shp = _shape(shp)
         n = shp.total
         one, zero = field.one, field.zero
         rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -194,8 +197,7 @@ class LinMap:
 
     @staticmethod
     def zero(field, domain, codomain) -> "LinMap":
-        domain = domain if isinstance(domain, TensorShape) else TensorShape(domain)
-        codomain = codomain if isinstance(codomain, TensorShape) else TensorShape(codomain)
+        domain, codomain = _shape(domain), _shape(codomain)
         z = field.zero
         rows = tuple((z,) * domain.total for _ in range(codomain.total))
         return LinMap(field, domain, codomain, rows)
@@ -203,7 +205,7 @@ class LinMap:
     @staticmethod
     def element(field, shp, vec) -> "LinMap":
         """A vector as a map from the ground field, k -> V."""
-        shp = shp if isinstance(shp, TensorShape) else TensorShape(shp)
+        shp = _shape(shp)
         if len(vec) != shp.total:
             raise InputError("element length does not match shape")
         return LinMap(field, SCALAR, shp, tuple((v,) for v in vec))
@@ -211,8 +213,7 @@ class LinMap:
     @staticmethod
     def from_flat(field, domain, codomain, vec) -> "LinMap":
         """The map whose row-major vectorization is vec; inverse of flat."""
-        domain = domain if isinstance(domain, TensorShape) else TensorShape(domain)
-        codomain = codomain if isinstance(codomain, TensorShape) else TensorShape(codomain)
+        domain, codomain = _shape(domain), _shape(codomain)
         w = domain.total
         if len(vec) != w * codomain.total:
             raise InputError("vector length does not match the map shape")
@@ -222,7 +223,7 @@ class LinMap:
     @staticmethod
     def functional(field, shp, covec) -> "LinMap":
         """A covector as a map to the ground field, V -> k."""
-        shp = shp if isinstance(shp, TensorShape) else TensorShape(shp)
+        shp = _shape(shp)
         if len(covec) != shp.total:
             raise InputError("functional length does not match shape")
         return LinMap(field, shp, SCALAR, (tuple(covec),))
@@ -230,8 +231,7 @@ class LinMap:
     @staticmethod
     def twist(field, left, right) -> "LinMap":
         """The flip V (x) W -> W (x) V on basis vectors."""
-        left = left if isinstance(left, TensorShape) else TensorShape(left)
-        right = right if isinstance(right, TensorShape) else TensorShape(right)
+        left, right = _shape(left), _shape(right)
         nl, nr = left.total, right.total
         rows = [[field.zero] * (nl * nr) for _ in range(nl * nr)]
         for i in range(nl):
@@ -252,10 +252,8 @@ class LinMap:
 
     def reshaped(self, domain=None, codomain=None) -> "LinMap":
         """Reinterpret the tensor factorization without touching entries."""
-        domain = self.domain if domain is None else (
-            domain if isinstance(domain, TensorShape) else TensorShape(domain))
-        codomain = self.codomain if codomain is None else (
-            codomain if isinstance(codomain, TensorShape) else TensorShape(codomain))
+        domain = self.domain if domain is None else _shape(domain)
+        codomain = self.codomain if codomain is None else _shape(codomain)
         if domain.total != self.domain.total or codomain.total != self.codomain.total:
             raise InputError("reshape must preserve total dimensions")
         return LinMap(self.field, domain, codomain, self.entries)
@@ -532,7 +530,7 @@ class Subspace:
 
     @staticmethod
     def from_vectors(field, ambient, vectors) -> "Subspace":
-        ambient = ambient if isinstance(ambient, TensorShape) else TensorShape(ambient)
+        ambient = _shape(ambient)
         vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient.total:
@@ -542,12 +540,12 @@ class Subspace:
 
     @staticmethod
     def zero(field, ambient) -> "Subspace":
-        ambient = ambient if isinstance(ambient, TensorShape) else TensorShape(ambient)
+        ambient = _shape(ambient)
         return Subspace(field, ambient, (), ())
 
     @staticmethod
     def full(field, ambient) -> "Subspace":
-        ambient = ambient if isinstance(ambient, TensorShape) else TensorShape(ambient)
+        ambient = _shape(ambient)
         n = ambient.total
         one, zero = field.one, field.zero
         basis = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
@@ -829,10 +827,8 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
     to that of the composite (shape (E, D)).
     """
     f = pre.field
-    left = left if isinstance(left, TensorShape) else TensorShape(left)
-    right = right if isinstance(right, TensorShape) else TensorShape(right)
-    x_dom = x_dom if isinstance(x_dom, TensorShape) else TensorShape(x_dom)
-    x_cod = x_cod if isinstance(x_cod, TensorShape) else TensorShape(x_cod)
+    left, right = _shape(left), _shape(right)
+    x_dom, x_cod = _shape(x_dom), _shape(x_cod)
     lt, rt = left.total, right.total
     xd, xc = x_dom.total, x_cod.total
     dd, ee = pre.cols, post.rows
@@ -889,8 +885,7 @@ class LinearConstraints:
 
     def __init__(self, field, x_dom, x_cod):
         self.field = field
-        self.x_dom = x_dom if isinstance(x_dom, TensorShape) else TensorShape(x_dom)
-        self.x_cod = x_cod if isinstance(x_cod, TensorShape) else TensorShape(x_cod)
+        self.x_dom, self.x_cod = _shape(x_dom), _shape(x_cod)
         self.blocks: list[_Block] = []
 
     def require(self, label, lhs: LinMap, rhs: LinMap | None = None,

@@ -8,6 +8,11 @@ rebuilt and re-verified.  Strong separability couples the two certificates
 through a scalar tau; since the coupling is bilinear in the pair, three
 bounded strategies are offered instead of a general bilinear solver, and a
 failed search is reported as inconclusive rather than as absence.
+
+Each certificate is solved once and re-verified once: the particular
+integral on the system that was solved, then u against `verify_idempotent`;
+phi through `expectation_violations`; a strong pair through `verify_strong`.
+A strong outcome carries the separability and split results it used.
 """
 
 from __future__ import annotations
@@ -16,17 +21,18 @@ from dataclasses import dataclass
 
 from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
-from .linalg import (LinMap, LinearConstraints, Subspace, TensorShape,
+from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, compose_all, corestrict, kron, kron_all,
                      op_in_unknown, solve_affine)
 from .witness import Witness, WitnessKind, as_witness, check_witness, \
-    solve_witness
+    particular_witness, witness_system
 
 
 @dataclass(frozen=True)
 class SeparabilityCertificate:
     u: tuple                    # coordinates in A (x)_B A
     source_integral: Witness
+    family: AffineSolutionSet | None = None   # all integrals, when solved for
 
 
 @dataclass(frozen=True)
@@ -48,6 +54,8 @@ class StrongOutcome:
     inconclusive: bool          # search exhausted without deciding
     free_basis_found: bool      # heuristic check that A is free over B
     note: str = ""              # diagnostic for a negative or open outcome
+    separability: SeparabilityCertificate | None = None   # check_separable
+    split: tuple | None = None  # check_split: (certificate, phi family)
 
     @property
     def found(self) -> bool:
@@ -66,22 +74,13 @@ class CoseparabilityCertificate:
 
 def verify_idempotent(g: GaloisExtension, u) -> list:
     """Violations of the two separability-idempotent conditions."""
-    f = g.field
-    u = tuple(u)
-    bad = []
-    left = g.square_left_mult()
-    right = g.square_right_mult()
-    da = g.alg.dim
-    q = g.square.dim
-    for j in range(da):
-        a = tuple(f.one if t == j else f.zero for t in range(da))
-        ins = LinMap.element(f, (da,), a)
-        lm = left.compose(kron(ins, LinMap.identity(f, (q,))))
-        rm = right.compose(kron(LinMap.identity(f, (q,)), ins))
-        if lm.apply(u) != rm.apply(u):
-            bad.append(("centrality", j))
-            break
-    if g.mu_AB().apply(u) != tuple(g.alg.unit):
+    ida = g.alg.identity()
+    um = LinMap.element(g.field, (g.square.dim,), tuple(u))
+    lm = g.square_left_mult().compose(kron(ida, um))     # a -> a u
+    rm = g.square_right_mult().compose(kron(um, ida))    # a -> u a
+    bad = [("centrality", j) for j in range(g.alg.dim)
+           if lm.column(j) != rm.column(j)][:1]
+    if g.mu_AB().apply(um.flat()) != tuple(g.alg.unit):
         bad.append(("unit image",))
     return bad
 
@@ -92,22 +91,26 @@ def separability_from_integral(g: GaloisExtension, z: Witness) -> SeparabilityCe
         raise InputError("expected a normalised integral witness")
     if check_witness(WitnessKind.INTEGRAL, g.ent, z.value, normalized=True):
         raise InputError("witness does not hold for this extension")
+    return _separability_certificate(g, z)
+
+
+def _separability_certificate(g: GaloisExtension, z: Witness,
+                              family=None) -> SeparabilityCertificate:
     u = g.can_inv.apply(z.value)
     bad = verify_idempotent(g, u)
     if bad:
         raise InconsistencyError(f"idempotent conditions failed: {bad}")
-    return SeparabilityCertificate(tuple(u), z)
+    return SeparabilityCertificate(tuple(u), z, family)
 
 
-def check_separable(g: GaloisExtension, integral=None):
-    """The separability certificate, or None; integral is the solution set
-    of the normalised-integral system when the caller has already solved it."""
-    sol = integral if integral is not None else \
-        solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
-    if not sol.feasible:
+def check_separable(g: GaloisExtension):
+    """The separability certificate, carrying the solved normalised-integral
+    family, or None when that system is infeasible."""
+    solved = particular_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
+    if solved is None:
         return None
-    z = as_witness(WitnessKind.INTEGRAL, g.ent, sol.particular, normalized=True)
-    return separability_from_integral(g, z)
+    family, z = solved
+    return _separability_certificate(g, z, family)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +266,30 @@ def _extract_tau(g: GaloisExtension, u, expectation: LinMap):
     return sol.particular[0]
 
 
+def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
+    """Conditions on the vector (phi entries, then tau) for a fixed integral
+    z = sum a_i (x) c_i: sum a_i phi(c_i) = tau 1, and the equations of the
+    solved split family (same solutions as the split system) on phi."""
+    f = g.field
+    a = g.alg
+    da, dc = a.dim, g.coalg.dim
+    n = da * dc + 1
+
+    def with_tau(m, tau_column):
+        rows = [row + (t,) for row, t in zip(m.entries, tau_column)]
+        return LinMap.from_rows(f, (n,), (m.rows, 1), rows)
+    sys = LinearConstraints(f, SCALAR, (n,))
+    m, rhs = phi_family.equations()
+    sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),
+                target=LinMap.element(f, (m.rows, 1), rhs))
+    contract = op_in_unknown(LinMap.element(f, (da, dc), zvec), (da,), (dc,),
+                             (da,), SCALAR, a.mult)
+    sys.require("coupling", with_tau(contract, tuple(f.neg(x) for x in a.unit)))
+    return sys
+
+
 def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral",
-                             witnesses=None, grid=None,
-                             solved=None) -> StrongOutcome:
+                             witnesses=None, grid=None) -> StrongOutcome:
     """Decide strong separability by one of three bounded strategies.
 
     "given": verify a supplied (u, E, tau) triple (witnesses = (u, E, tau)
@@ -276,111 +300,83 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
     phi with the extra affine rows forcing sum a_i phi(c_i) into the span of
     the unit, reading tau off the solution.
 
-    solved = (the normalised-integral solution set, the check_split result)
-    when the caller already has both; otherwise they are computed here.
+    Whatever the strategy, check_separable(g) and check_split(g) run once
+    and the outcome carries both (.separability, .split).
     """
+    if strategy not in ("given", "search", "fixed_integral"):
+        raise InputError(f"unknown strategy {strategy!r}")
+    if strategy == "given" and not witnesses:
+        raise InputError("strategy 'given' needs (u, expectation, tau)")
     f = g.field
+    sep = check_separable(g)
+    split = check_split(g)
     free_basis = _right_free_basis(g) is not None
+
+    def outcome(note, certificate=None, inconclusive=False):
+        return StrongOutcome(certificate, inconclusive, free_basis, note, sep, split)
+
+    def found(sep_cert, phi, expectation, tau):
+        split_cert = SplitCertificate(phi, expectation)
+        return outcome("", StrongCertificate(sep_cert, split_cert, tau))
+
     if strategy == "given":
-        if not witnesses:
-            raise InputError("strategy 'given' needs (u, expectation, tau)")
         u, expectation, tau = witnesses
         if verify_idempotent(g, u) or expectation_violations(g, expectation):
-            return StrongOutcome(None, False, free_basis,
-                                 "supplied witnesses fail their conditions")
+            return outcome("supplied witnesses fail their conditions")
         if tau is None:
             tau = _extract_tau(g, u, expectation)
         if tau is None or tau == 0:
-            return StrongOutcome(None, False, free_basis,
-                                 "coupling scalar is not invertible")
+            return outcome("coupling scalar is not invertible")
         if verify_strong(g, u, expectation, tau):
-            return StrongOutcome(None, False, free_basis,
-                                 "compatibility identities fail")
+            return outcome("compatibility identities fail")
         z = as_witness(WitnessKind.INTEGRAL, g.ent, g.can.apply(u), normalized=True)
         phi = phi_from_expectation(g, expectation)
         if split_system(g).violations(phi.flat()):
             raise InconsistencyError("reconstructed phi fails the split conditions")
-        cert = StrongCertificate(SeparabilityCertificate(tuple(u), z),
-                                 SplitCertificate(phi, expectation), tau)
-        return StrongOutcome(cert, False, free_basis)
+        return found(SeparabilityCertificate(tuple(u), z), phi, expectation, tau)
 
-    if solved is None:
-        zsol = solve_witness(WitnessKind.INTEGRAL, g.ent, normalized=True)
-        split = check_split(g) if zsol.feasible else None
-    else:
-        zsol, split = solved
-    if not zsol.feasible:
-        return StrongOutcome(None, False, free_basis, "not separable")
+    if sep is None:
+        return outcome("not separable")
     if split is None:
-        return StrongOutcome(None, False, free_basis, "not split")
-
+        return outcome("not split")
     _, phi_family = split
+
     if strategy == "search":
         coeffs = tuple(grid) if grid is not None else (f.zero, f.one, f.neg(f.one))
-        z_grid = [coeffs] * zsol.homogeneous.dim
+        integrals = witness_system(WitnessKind.INTEGRAL, g.ent, normalized=True)
+        z_grid = [coeffs] * sep.family.homogeneous.dim
         phi_grid = [coeffs] * phi_family.homogeneous.dim
-        for zvec in zsol.members(z_grid):
-            if check_witness(WitnessKind.INTEGRAL, g.ent, zvec, normalized=True):
+        for zvec in sep.family.members(z_grid):
+            if integrals.violations(zvec):
                 continue
             u = g.can_inv.apply(zvec)
             for pvec in phi_family.members(phi_grid):
                 phi = _phi_as_map(g, pvec)
                 expectation = expectation_from_phi(g, phi)
                 tau = _extract_tau(g, u, expectation)
-                if tau is None or tau == 0:
+                if tau is None or tau == 0 or verify_strong(g, u, expectation, tau):
                     continue
-                if verify_strong(g, u, expectation, tau):
-                    continue
-                z = as_witness(WitnessKind.INTEGRAL, g.ent, zvec, normalized=True)
-                cert = StrongCertificate(SeparabilityCertificate(tuple(u), z),
-                                         SplitCertificate(phi, expectation), tau)
-                return StrongOutcome(cert, False, free_basis)
-        return StrongOutcome(None, True, free_basis, "search grid exhausted")
+                z = Witness(WitnessKind.INTEGRAL, g.ent, zvec, True)
+                return found(SeparabilityCertificate(tuple(u), z), phi,
+                             expectation, tau)
+        return outcome("search grid exhausted", inconclusive=True)
 
-    if strategy == "fixed_integral":
-        zvec = zsol.particular
-        u = g.can_inv.apply(zvec)
-        a, c = g.alg, g.coalg
-        da, dc = a.dim, c.dim
-        # unknowns (phi, tau): phi entries plus one slack column for tau; the
-        # split conditions are restated from their solved family, which has
-        # the same solutions, so the reduced system and its answer are those
-        # of the split system itself
-        m, rhs = phi_family.equations()
-        rows = [row + (f.zero,) for row in m.entries]
-        targets = list(rhs)
-        # sum a_i phi(c_i) - tau 1 = 0, with z = sum a_i (x) c_i
-        contract = op_in_unknown(LinMap.element(f, (da, dc), zvec), (da,),
-                                 TensorShape((dc,)), TensorShape((da,)), SCALAR,
-                                 a.mult)
-        for r, unit_coord in zip(contract.entries, a.unit):
-            rows.append(tuple(r) + (f.neg(unit_coord),))
-            targets.append(f.zero)
-        big = LinMap.from_rows(f, (da * dc + 1,), (len(rows),), rows)
-        sol = solve_affine(big, tuple(targets))
-        if not sol.feasible:
-            return StrongOutcome(None, False, free_basis,
-                                 "coupled linear system is infeasible")
-        pick = sol.particular
-        if pick[-1] == 0:
-            for h in sol.homogeneous.basis:
-                if h[-1] != 0:
-                    pick = tuple(f.add(x, y) for x, y in zip(pick, h))
-                    break
-        tau = pick[-1]
-        if tau == 0:
-            return StrongOutcome(None, False, free_basis,
-                                 "coupling scalar is forced to zero")
-        phi = _phi_as_map(g, pick[:-1])
-        expectation = expectation_from_phi(g, phi)
-        if verify_strong(g, u, expectation, tau):
-            raise InconsistencyError("coupled solution failed the strong identities")
-        z = as_witness(WitnessKind.INTEGRAL, g.ent, zvec, normalized=True)
-        cert = StrongCertificate(SeparabilityCertificate(tuple(u), z),
-                                 SplitCertificate(phi, expectation), tau)
-        return StrongOutcome(cert, False, free_basis)
-
-    raise InputError(f"unknown strategy {strategy!r}")
+    # fixed_integral
+    sol = coupled_system(g, sep.source_integral.value, phi_family).solve()
+    if not sol.feasible:
+        return outcome("coupled linear system is infeasible")
+    pick = sol.particular
+    shift = next((h for h in sol.homogeneous.basis if h[-1] != 0), None)
+    if pick[-1] == 0 and shift is not None:
+        pick = tuple(f.add(x, y) for x, y in zip(pick, shift))
+    tau = pick[-1]
+    if tau == 0:
+        return outcome("coupling scalar is forced to zero")
+    phi = _phi_as_map(g, pick[:-1])
+    expectation = expectation_from_phi(g, phi)
+    if verify_strong(g, sep.u, expectation, tau):
+        raise InconsistencyError("coupled solution failed the strong identities")
+    return found(sep, phi, expectation, tau)
 
 
 def _right_free_basis(g: GaloisExtension):
@@ -397,10 +393,7 @@ def _right_free_basis(g: GaloisExtension):
     chosen = []
     vectors = []
     span = Subspace.from_vectors(f, (a.dim,), [])
-    candidates = [tuple(a.unit)] + [
-        tuple(f.one if t == j else f.zero for t in range(a.dim))
-        for j in range(a.dim)]
-    for cand in candidates:
+    for cand in [tuple(a.unit), *a.identity().entries]:   # 1, then the basis
         block = a.mult.compose(kron(LinMap.element(f, (a.dim,), cand), incl))
         block_vectors = [block.column(t) for t in range(bdim)]
         trial = Subspace.from_vectors(f, (a.dim,), vectors + block_vectors)
@@ -421,10 +414,10 @@ def check_coseparable(x: Coextension):
     """Solve for a normalised cointegral, convert it to the cotensor-square
     functional, and re-verify the two defining identities."""
     f = x.field
-    sol = solve_witness(WitnessKind.COINTEGRAL, x.ent, normalized=True)
-    if not sol.feasible:
+    solved = particular_witness(WitnessKind.COINTEGRAL, x.ent, normalized=True)
+    if solved is None:
         return None
-    y = as_witness(WitnessKind.COINTEGRAL, x.ent, sol.particular, normalized=True)
+    _, y = solved
     dc = x.coalg.dim
     ymap = LinMap.functional(f, (dc, x.alg.dim), y.value)
     upsilon = ymap.compose(x.cocan_inv)

@@ -28,7 +28,7 @@ from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
                      QuotientModule, Subspace, TensorShape, SCALAR,
-                     compose_all, corestrict, descend, kernel_image, kron,
+                     compose_all, corestrict, descend, kron,
                      kron_all, op_in_unknown, right_inverse)
 
 
@@ -137,6 +137,20 @@ def witness_system(kind: WitnessKind, e: Entwining,
 def solve_witness(kind: WitnessKind, e: Entwining,
                   normalized: bool = True) -> AffineSolutionSet:
     return witness_system(kind, e, normalized).solve()
+
+
+def particular_witness(kind: WitnessKind, e: Entwining, normalized: bool = True):
+    """(solution set, its particular solution as a Witness), or None when
+    the system is infeasible: one build, one solve, and one exact re-check
+    of the particular solution on the system that was solved."""
+    sys = witness_system(kind, e, normalized)
+    sol = sys.solve()
+    if not sol.feasible:
+        return None
+    bad = sys.violations(sol.particular)
+    if bad:
+        raise InconsistencyError(f"particular solution fails its own system: {bad}")
+    return sol, Witness(kind, e, sol.particular, normalized)
 
 
 def check_witness(kind: WitnessKind, e: Entwining, value,
@@ -459,13 +473,16 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     raw = compose_all(m.action, kron(idm, lam.matrix), into_carrier)
     cover = corestrict(kron(quot.projection, idc).compose(upstairs.inclusion()),
                        sub)
-    ck, cim = kernel_image(cover)
-    if cim.dim != sub.dim:
-        raise InconsistencyError("representative cover of the quotient is not onto")
-    for v in ck.basis:
-        if any(x != 0 for x in raw.apply(v)):
-            raise InconsistencyError("splitting does not descend to the quotient")
-    nu = raw.compose(right_inverse(cover))
+    try:
+        section = right_inverse(cover)
+    except InputError:
+        raise InconsistencyError(
+            "representative cover of the quotient is not onto") from None
+    nu = raw.compose(section)
+    # section . cover is a projection with kernel ker(cover), so raw kills
+    # ker(cover) exactly when it factors as nu . cover
+    if not raw.equals(nu.compose(cover)):
+        raise InconsistencyError("splitting does not descend to the quotient")
     # nu splits the adjunction unit
     if not nu.compose(adjunction_unit(mor, m, quot, sub)).equals(idm):
         raise InconsistencyError("splitting does not invert the adjunction unit")

@@ -6,6 +6,7 @@ from entwine import (GaloisError, LinMap, QQ, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
                      fixed_subalgebra, make_example, pointed_kappa,
                      verify_entwining)
+from entwine.galois import verify_action, verify_coaction
 from entwine.entwining import ground_algebra
 from entwine.catalog import cyclic_group_hopf, function_group_hopf
 from entwine.errors import DomainError, InputError
@@ -294,3 +295,39 @@ def test_non_bijective_canonical_map_rejected():
     with pytest.raises(GaloisError, match="canonical map is not bijective") as err:
         build_galois(alg, coalg, rho)
     assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (4, 4, 3)
+
+
+def test_action_and_coaction_failure_labels(hopf_c2_q):
+    # on V = k, a -> (2, 3) on the basis (1, g) is neither associative nor
+    # unital, and v -> 2 v (x) 1 is neither coassociative nor counital
+    action = LinMap.from_rows(QQ, (1, 2), (1,), [[q(2), q(3)]])
+    rep = verify_action(hopf_c2_q.alg, action)
+    assert rep.subject == "action"
+    assert [(x.law, x.at) for x in rep.failures] == [
+        ("action associativity", (0, 0, 0)), ("action unitality", (0,))]
+    coaction = LinMap.from_rows(QQ, (1,), (1, 2), [[q(2)], [q(0)]])
+    rep = verify_coaction(hopf_c2_q.coalg, coaction)
+    assert rep.subject == "coaction"
+    assert [(x.law, x.at) for x in rep.failures] == [
+        ("coaction coassociativity", (0,)), ("coaction counitality", (0,))]
+
+
+def test_builds_verify_their_inputs_once(monkeypatch):
+    from entwine import entwining, galois
+    calls = []                      # (verifier name, the object it checked)
+    for mod in (galois, entwining):
+        for name in ("verify_algebra", "verify_coalgebra"):
+            def counted(x, _name=name, _original=getattr(mod, name)):
+                calls.append((_name, x))
+                return _original(x)
+            monkeypatch.setattr(mod, name, counted)
+
+    def on_inputs(alg, coalg):
+        return (sum(1 for n, x in calls if n == "verify_algebra" and x is alg),
+                sum(1 for n, x in calls if n == "verify_coalgebra" and x is coalg))
+    h = cyclic_group_hopf(3, QQ)
+    build_galois(h.alg, h.coalg, h.coalg.comult.reshaped((3,), (3, 3)))
+    assert on_inputs(h.alg, h.coalg) == (1, 1)
+    calls.clear()
+    build_coextension(h.coalg, h.alg, h.alg.mult.reshaped((3, 3), (3,)))
+    assert on_inputs(h.alg, h.coalg) == (1, 1)

@@ -264,3 +264,65 @@ def test_extension_report_solves_each_system_once(monkeypatch):
     # certificate drawn from it, but it is solved once
     assert solves == {"integral": 1, "split": 1}
     assert builds["split"] == 1
+
+
+def test_extension_report_builds_and_solves_each_certificate_once(monkeypatch):
+    import inspect
+    from entwine import separability, witness
+    from entwine.cli import extension_report
+    from entwine.linalg import SCALAR, LinearConstraints
+    assert "integral" not in inspect.signature(check_separable).parameters
+    assert "solved" not in inspect.signature(check_strongly_separable).parameters
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
+    n_phi_tau = ext.alg.dim * ext.coalg.dim + 1
+    tagged = []                     # (system, name), kept alive while counting
+    builds = {"integral": 0, "split": 0}
+    solves = {"integral": 0, "split": 0, "phi_tau": 0}
+    build_witness_system = witness.witness_system
+    build_split_system = separability.split_system
+    solve = LinearConstraints.solve
+
+    def counted_witness_system(kind, e, normalized):
+        system = build_witness_system(kind, e, normalized)
+        if kind == WitnessKind.INTEGRAL:
+            builds["integral"] += 1
+            tagged.append((system, "integral"))
+        return system
+
+    def counted_split_system(g):
+        system = build_split_system(g)
+        builds["split"] += 1
+        tagged.append((system, "split"))
+        return system
+
+    def counted_solve(self):
+        for system, name in tagged:
+            if system is self:
+                solves[name] += 1
+        if self.x_dom == SCALAR and self.x_cod.total == n_phi_tau:
+            solves["phi_tau"] += 1
+        return solve(self)
+    monkeypatch.setattr(witness, "witness_system", counted_witness_system)
+    monkeypatch.setattr(separability, "witness_system", counted_witness_system,
+                        raising=False)
+    monkeypatch.setattr(separability, "split_system", counted_split_system)
+    monkeypatch.setattr(LinearConstraints, "solve", counted_solve)
+    report = extension_report(ext, "fixed_integral")
+    assert report["strong"]["found"] and report["strong"]["tau"] == "1/3"
+    assert builds == {"integral": 1, "split": 1}
+    assert solves == {"integral": 1, "split": 1, "phi_tau": 1}
+
+
+def test_strong_outcome_carries_separability_and_split(c2_q, c2_f2):
+    out = check_strongly_separable(c2_q, "fixed_integral")
+    assert out.separability == check_separable(c2_q)
+    family = out.separability.family          # the unique normalised integral
+    assert family.homogeneous.dim == 0
+    assert family.particular == out.separability.source_integral.value
+    assert out.split == check_split(c2_q)
+    # fixed_integral reuses the separability certificate it was handed
+    assert out.certificate.separability is out.separability
+    for strategy in ("fixed_integral", "search"):
+        out = check_strongly_separable(c2_f2, strategy)
+        assert out.separability is None and out.note == "not separable"
+        assert out.split == check_split(c2_f2)

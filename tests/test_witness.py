@@ -434,3 +434,35 @@ def test_nu_inverts_its_cover_with_one_reduction(monkeypatch):
     nu_from_lambda(lam, ac)
     # one reduction of [cover | I] instead of one solve per column (27)
     assert calls == [(27, 81, 1)]
+
+
+def test_nu_reduces_its_cover_once(monkeypatch):
+    from entwine import linalg, witness
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
+    mor = counit_morphism(ext.ent)
+    lam = lambda_witness(mor, solve_total_integrability(mor).particular)
+    reduced = []                    # the input rows of every reduction
+    covers = []
+    rref, right_inverse = linalg.rref, witness.right_inverse
+
+    def recorded_rref(field, rows):
+        rows = [tuple(r) for r in rows]
+        reduced.append(rows)
+        return rref(field, rows)
+
+    def recorded_right_inverse(cover):
+        covers.append(cover)
+        return right_inverse(cover)
+    monkeypatch.setattr(linalg, "rref", recorded_rref)
+    monkeypatch.setattr(witness, "right_inverse", recorded_right_inverse)
+    ac = standard_module("mod_tensor_c", regular_module(ext.alg), ext.ent)
+    nu_from_lambda(lam, ac)
+    [cover] = covers
+    assert (cover.rows, cover.cols) == (27, 81)
+    rows, cols = list(cover.entries), [tuple(c) for c in zip(*cover.entries)]
+
+    def of_the_cover(m):
+        # the cover itself, its columns (an image), or [cover | anything]
+        return (m == rows or m == cols
+                or [r[:cover.cols] for r in m] == rows)
+    assert sum(1 for m in reduced if of_the_cover(m)) == 1
