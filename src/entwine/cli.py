@@ -24,8 +24,8 @@ from .galois import (Coextension, GaloisExtension, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
                      fixed_subalgebra, pointed_kappa, verify_action,
                      verify_coaction)
-from .hochschild import (Bimodule, cohomology_dim, regular_bimodule,
-                         relative_complex, verify_bimodule)
+from .hochschild import (Bimodule, _assemble_complex, cohomology_dim,
+                         regular_bimodule, verify_bimodule)
 from .separability import check_coseparable, check_strongly_separable
 from .witness import (WitnessKind, witness_system, integrability_system,
                       cointegrability_system)
@@ -46,7 +46,11 @@ def _read(path: str) -> str:
 
 
 def _load(path: str) -> schema.InputDocument:
-    return schema.parse_document(_read(path))
+    text = _read(path)
+    try:
+        return schema.parse_document(text)
+    except RecursionError:
+        raise schema.SchemaError(f"{path} is nested too deeply") from None
 
 
 def _emit(doc: dict, out: str | None, as_json: bool):
@@ -183,8 +187,10 @@ def extension_report(ext: GaloisExtension, strategy: str) -> dict:
     f = ext.field
     strong = check_strongly_separable(ext, strategy)
     sep, split = strong.separability, strong.split
-    bimod = regular_bimodule(ext.alg)
-    cx = relative_complex(ext.alg, ext.fixed, bimod, max_degree=1)
+    # the build checked the algebra laws, which are the regular bimodule's,
+    # and that the fixed subalgebra is unital; A (x)_B A is ext.square
+    cx = _assemble_complex(ext.alg, ext.fixed, regular_bimodule(ext.alg), 1,
+                           ext.square)
     h1, _ = cohomology_dim(cx, 1)
     report = {
         "schema": schema.SCHEMA,
@@ -301,6 +307,8 @@ def _parse_bimodule_file(path, alg):
         obj = json.loads(_read(path))
     except json.JSONDecodeError as exc:
         raise schema.SchemaError(f"cannot read bimodule file: {exc}") from exc
+    except RecursionError:
+        raise schema.SchemaError(f"{path} is nested too deeply") from None
     schema._strict(obj, {"schema", "field", "bimodule"}, "bimodule document")
     if obj.get("schema") != schema.SCHEMA:
         raise schema.SchemaError("unsupported schema in bimodule file")
@@ -325,19 +333,22 @@ def cmd_hochschild(args) -> int:
         raise schema.SchemaError("hochschild needs an algebra")
     alg = doc.algebra
     f = alg.field
+    bimod = _parse_bimodule_file(args.bimodule, alg) if args.bimodule else None
+    rep = verify_algebra(alg)
+    if rep.ok and bimod is not None:
+        rep = verify_bimodule(alg, bimod)
+    if not rep.ok:
+        print(f"{rep.subject}: FAIL {rep}")
+        return FAIL
+    if bimod is None:
+        # the regular bimodule's laws are the algebra laws just checked
+        bimod = regular_bimodule(alg)
+    # a unital subalgebra either way: fixed_subalgebra checks its own
     if doc.coaction_a is not None:
         sub, _ = fixed_subalgebra(alg, doc.coaction_a)
     else:
         sub = Subspace.from_vectors(f, (alg.dim,), [tuple(alg.unit)])
-    if args.bimodule:
-        bimod = _parse_bimodule_file(args.bimodule, alg)
-        rep = verify_bimodule(alg, bimod)
-        if not rep.ok:
-            print(f"bimodule: FAIL {rep}")
-            return FAIL
-    else:
-        bimod = regular_bimodule(alg)
-    cx = relative_complex(alg, sub, bimod, max_degree=max(1, args.degree))
+    cx = _assemble_complex(alg, sub, bimod, max(1, args.degree))
     dim, reps = cohomology_dim(cx, args.degree)
     if not args.json:
         print(f"H^{args.degree} dimension: {dim}")

@@ -95,17 +95,22 @@ def check_right_comodule(coalg, m: RightComodule, failures):
         kron(idm, coalg.counit_map()).compose(m.coaction), idm)
 
 
+def check_entwined_compatibility(m: EntwinedModule, failures):
+    """The one law tying the action to the coaction through psi."""
+    e = m.ent
+    law(failures, "entwined compatibility",
+        m.coaction.compose(m.action),
+        compose_all(kron(m.action, e.coalg.identity()),
+                    kron(m.identity(), e.psi),
+                    kron(m.coaction, e.alg.identity())))
+
+
 def verify_entwined_module(m: EntwinedModule) -> CheckReport:
     e = m.ent
     failures = []
     check_right_module(e.alg, m.as_module(), failures)
     check_right_comodule(e.coalg, m.as_comodule(), failures)
-    idm = m.identity()
-    law(failures, "entwined compatibility",
-        m.coaction.compose(m.action),
-        compose_all(kron(m.action, e.coalg.identity()),
-                    kron(idm, e.psi),
-                    kron(m.coaction, e.alg.identity())))
+    check_entwined_compatibility(m, failures)
     return CheckReport("entwined module", tuple(failures))
 
 
@@ -199,11 +204,13 @@ def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
 # the two functors attached to a morphism of entwinings
 
 
-def _module_over_dst_algebra(mor: EntwiningMorphism) -> LeftModule:
-    """The target algebra as a left module over the source through f."""
+def _induced_carrier(mor: EntwiningMorphism,
+                     m: EntwinedModule) -> QuotientModule:
+    """The quotient M (x)_A A~ that carries the induced module, with the
+    target algebra a left module over the source through f."""
     dst_a = mor.dst.alg
     action = dst_a.mult.compose(kron(mor.f, dst_a.identity()))
-    return LeftModule(dst_a.dim, action)
+    return tensor_over_A(m.as_module(), LeftModule(dst_a.dim, action))
 
 
 def induce(mor: EntwiningMorphism, m: EntwinedModule):
@@ -215,7 +222,7 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
         raise InputError("module does not live over the source entwining")
     dst = mor.dst
     da2, dc2 = dst.alg.dim, dst.coalg.dim
-    quot = tensor_over_A(m.as_module(), _module_over_dst_algebra(mor))
+    quot = _induced_carrier(mor, m)
     idm = m.identity()
     ida2 = dst.alg.identity()
     # action (x (x)_A a~) . a~' = x (x)_A (a~ a~')
@@ -237,11 +244,12 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
     return out, quot
 
 
-def _comodule_over_dst_left(mor: EntwiningMorphism) -> LeftComodule:
-    """The source coalgebra as a left comodule over the target through g."""
+def _coinduced_carrier(mor: EntwiningMorphism, mt: EntwinedModule) -> Subspace:
+    """The subspace M~ [] C that carries the coinduced module, with the
+    source coalgebra a left comodule over the target through g."""
     src_c = mor.src.coalg
     coaction = kron(mor.g, src_c.identity()).compose(src_c.comult)
-    return LeftComodule(src_c.dim, coaction)
+    return cotensor(mt.as_comodule(), LeftComodule(src_c.dim, coaction))
 
 
 def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
@@ -253,7 +261,7 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
         raise InputError("module does not live over the target entwining")
     src = mor.src
     da, dc = src.alg.dim, src.coalg.dim
-    sub = cotensor(mt.as_comodule(), _comodule_over_dst_left(mor))
+    sub = _coinduced_carrier(mor, mt)
     idmt = mt.identity()
     idc = src.coalg.identity()
     # coaction Sum m~ (x) c -> Sum m~ (x) c1 (x) c2
@@ -326,8 +334,10 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
                     mt: EntwinedModule):
     """The unit at m and counit at m~ of the induction/coinduction adjunction.
 
-    Both triangle identities are re-verified exactly before returning; each
-    of the six functor applications they need is built once.
+    Both triangle identities are re-verified exactly before returning.  Of
+    the six functor applications they need, four are built as modules (F m,
+    G F m, G m~, F G m~), each once; G F G m~ and F G F m enter only through
+    their carriers, so only those are built.
     """
     fm, q_fm = induce(mor, m)
     gfm, s_gfm = coinduce(mor, fm)
@@ -336,13 +346,13 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
     fgmt, q_fgmt = induce(mor, gmt)
     psi = adjunction_counit(mor, mt, s_gmt, q_fgmt)
     # counit(F m) . F(unit_m) = id on F m
-    q_fgfm = induce(mor, gfm)[1]
+    q_fgfm = _induced_carrier(mor, gfm)
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
     left = adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi)
     if not left.equals(fm.identity()):
         raise DomainError("adjunction triangle (counit . F unit) failed")
     # G(counit_m~) . unit(G m~) = id on G m~
-    s_gfgmt = coinduce(mor, fgmt)[1]
+    s_gfgmt = _coinduced_carrier(mor, fgmt)
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
     right = g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt))
     if not right.equals(gmt.identity()):

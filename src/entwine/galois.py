@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from .errors import DomainError, GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, entwine_verified
 from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, _fixed_space, check_right_comodule,
-                     check_right_module, cotensor, tensor_over_A,
-                     verify_entwined_module)
+                     RightModule, _fixed_space, check_entwined_compatibility,
+                     check_right_comodule, check_right_module, cotensor,
+                     tensor_over_A)
 from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
                      corestrict, descend, image, invert, kron, kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, quotient_coalgebra,
@@ -118,6 +118,18 @@ class GaloisExtension:
         return compose_all(kron(self.alg.mult, idc), kron(ida, self.ent.psi))
 
 
+def _require_entwined(m: EntwinedModule, message: str):
+    """A (or C) entwined over its own (co)extension.  Only "entwined
+    compatibility" runs: its action and coaction laws restate laws the build
+    already checked on the same maps (`verify_algebra`/`verify_coalgebra`
+    and `verify_coaction`/`verify_action`)."""
+    failures = []
+    check_entwined_compatibility(m, failures)
+    if failures:
+        rep = CheckReport("entwined module", tuple(failures))
+        raise InconsistencyError(f"{message}: {rep}")
+
+
 def _b_module_structures(alg: Algebra, fixed: Subspace):
     incl = fixed.inclusion()
     right = RightModule(alg.dim, alg.mult.compose(kron(alg.identity(), incl)))
@@ -163,9 +175,8 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     ent = entwine_verified(alg, coalg, psi)
     ext = GaloisExtension(alg, coalg, rho_a, fixed, fixed_alg, square,
                           can, can_inv, ent)
-    rep = verify_entwined_module(ext.module_A())
-    if not rep.ok:
-        raise InconsistencyError(f"A is not entwined over its own extension: {rep}")
+    _require_entwined(ext.module_A(),
+                      "A is not entwined over its own extension")
     return ext
 
 
@@ -280,9 +291,8 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
     ent = entwine_verified(alg, coalg, psi)
     coext = Coextension(coalg, alg, rho_c, coideal, base, base_proj,
                         cosquare, cocan, cocan_inv, ent)
-    rep = verify_entwined_module(coext.module_C())
-    if not rep.ok:
-        raise InconsistencyError(f"C is not entwined over its own coextension: {rep}")
+    _require_entwined(coext.module_C(),
+                      "C is not entwined over its own coextension")
     return coext
 
 

@@ -151,18 +151,31 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
 
     max_degree 1 builds the complex through the balanced square, 2 through
     the balanced cube; the square of every assembled coboundary is asserted
-    to vanish.
+    to vanish.  The bimodule laws and the unital subalgebra are checked
+    first, and a failure raises InputError.
     """
     if max_degree not in (1, 2):
         raise InputError("degree is capped at 2")
-    f = alg.field
-    d = alg.dim
     rep = verify_bimodule(alg, m)
     if not rep.ok:
         raise InputError(f"invalid bimodule: {rep}")
-    if b.ambient.total != d or not _is_unital_subalgebra(alg, b):
+    if b.ambient.total != alg.dim or not _is_unital_subalgebra(alg, b):
         raise InputError("relative complex needs a unital subalgebra")
-    powers = [_balanced_power(alg, b, n) for n in range(2, max_degree + 2)]
+    return _assemble_complex(alg, b, m, max_degree)
+
+
+def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
+                      square: QuotientModule | None = None) -> RelativeComplex:
+    """The complex of `relative_complex` on inputs that the caller has
+    already checked: m a bimodule, b a unital subalgebra, max_degree 1 or 2.
+    A balanced square the caller holds (A (x)_B A as `_balanced_power`
+    builds it) is used instead of being built again."""
+    f = alg.field
+    d = alg.dim
+    if square is None:
+        square = _balanced_power(alg, b, 2)
+    powers = [square] + [_balanced_power(alg, b, n)
+                         for n in range(3, max_degree + 2)]
     spaces = [_centralizer(alg, b, m), _cochain_space(alg, b, m, None)]
     for power in powers:
         spaces.append(_cochain_space(alg, b, m, power))
@@ -176,7 +189,6 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
         cols0.append(delta.flat())
     boundaries.append(_columns_into(spaces[1], cols0, f, spaces[0].dim))
     # degree 1: f -> (a1, a2 -> a1.f(a2) - f(a1 a2) + f(a1).a2)
-    square = powers[0]
     cols1 = []
     for vec in spaces[1].basis:
         fmap = LinMap.from_flat(f, (d,), (m.dim,), vec)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InconsistencyError, InputError
+from .errors import DomainError, InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, compose_all, corestrict, kron, kron_all,
                      op_in_unknown, solve_affine)
-from .witness import Witness, WitnessKind, as_witness, check_witness, \
-    particular_witness, witness_system
+from .witness import Witness, WitnessKind, check_witness, particular_witness, \
+    witness_system
 
 
 @dataclass(frozen=True)
@@ -329,10 +329,15 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
             return outcome("coupling scalar is not invertible")
         if verify_strong(g, u, expectation, tau):
             return outcome("compatibility identities fail")
-        z = as_witness(WitnessKind.INTEGRAL, g.ent, g.can.apply(u), normalized=True)
+        # re-check the pair on the families check_separable/check_split solved
+        zvec = g.can.apply(u)
+        if sep is None or not sep.family.contains(zvec):
+            raise DomainError("candidate fails witness identities: can(u) is "
+                              "not a normalised integral")
         phi = phi_from_expectation(g, expectation)
-        if split_system(g).violations(phi.flat()):
+        if split is None or not split[1].contains(phi.flat()):
             raise InconsistencyError("reconstructed phi fails the split conditions")
+        z = Witness(WitnessKind.INTEGRAL, g.ent, tuple(zvec), True)
         return found(SeparabilityCertificate(tuple(u), z), phi, expectation, tau)
 
     if sep is None:

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from entwine import GF, QQ, make_example
@@ -23,3 +25,20 @@ def coext_q():
 @pytest.fixture(scope="session")
 def hopf_c2_q():
     return make_example("group_algebra", {"field": QQ, "n": 2}).payload
+
+
+@pytest.fixture()
+def law_calls(monkeypatch):
+    """Every `structures.law` run while the fixture is live, as
+    (name, {lhs entries, rhs entries})."""
+    from entwine import structures
+    law = structures.law
+    calls = []
+
+    def recording(failures, name, lhs, rhs):
+        calls.append((name, {lhs.entries, rhs.entries}))
+        return law(failures, name, lhs, rhs)
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("entwine") and getattr(mod, "law", None) is law:
+            monkeypatch.setattr(mod, "law", recording)
+    return calls

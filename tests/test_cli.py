@@ -374,3 +374,82 @@ def test_non_utf8_bimodule_file_is_input_error(tmp_path, c2_q_file, capsys):
     path.write_bytes(b'{"schema": "entwine/1", "field": {"kind": "Q\xe9"}}')
     _assert_input_error(["hochschild", "--bimodule", str(path), c2_q_file],
                         capsys)
+
+
+# -- hochschild checks the algebra it reads -----------------------------------
+
+def _non_associative_files(tmp_path):
+    """Basis 1, x, y with x.x = y, x.y = x and every other product of x and y
+    zero, so (x.x).y = 0 but x.(x.y) = y; and k as a bimodule through
+    chi(1) = 1, chi(x) = chi(y) = 0."""
+    mult = [["0"] * 9 for _ in range(3)]
+    for j in range(3):
+        mult[j][j] = mult[j][3 * j] = "1"          # 1.e_j = e_j . 1 = e_j
+    mult[2][3 * 1 + 1] = "1"                       # x.x = y
+    mult[1][3 * 1 + 2] = "1"                       # x.y = x
+    doc = tmp_path / "non_associative.json"
+    doc.write_text(json.dumps({
+        "schema": "entwine/1", "field": {"kind": "Q"},
+        "algebra": {"dim": 3, "mult": mult, "unit": ["1", "0", "0"]}}))
+    chi = [["1", "0", "0"]]
+    bim = _bimodule_file(tmp_path, {"dim": 1, "left": chi, "right": chi})
+    return str(doc), bim
+
+
+@pytest.mark.parametrize("degree", ["0", "1", "2"])
+@pytest.mark.parametrize("bimodule", [False, True])
+def test_hochschild_fails_on_a_non_associative_algebra(tmp_path, capsys,
+                                                       degree, bimodule):
+    doc, bim = _non_associative_files(tmp_path)
+    assert main(["check", doc]) == 1
+    capsys.readouterr()
+    extra = ["--bimodule", bim] if bimodule else []
+    assert main(["hochschild", "--n", degree, *extra, doc]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("algebra: FAIL ")
+    assert "associativity fails" in out
+    assert out.count("\n") == 1 and err == ""
+
+
+# -- a deeply nested document is malformed input ------------------------------
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["check"], ["extension", "report"]])
+def test_deeply_nested_document_is_input_error(tmp_path, capsys, command):
+    _assert_input_error([*command, _deeply_nested(tmp_path)], capsys)
+
+
+def test_deeply_nested_bimodule_file_is_input_error(tmp_path, c2_q_file,
+                                                    capsys):
+    _assert_input_error(["hochschild", "--bimodule", _deeply_nested(tmp_path),
+                         c2_q_file], capsys)
+
+
+# -- each law runs once per command -------------------------------------------
+
+def test_each_command_runs_each_law_once(tmp_path, law_calls, capsys):
+    ext3, coext3 = str(tmp_path / "ext3.json"), str(tmp_path / "coext3.json")
+    assert main(["catalog", "--name", "hopf_self_galois", "--n", "3",
+                 "-o", ext3]) == 0
+    assert main(["catalog", "--name", "self_coextension", "--n", "3",
+                 "-o", coext3]) == 0
+    mult = json.load(open(ext3))["algebra"]["mult"]
+    bim = _bimodule_file(tmp_path, {"dim": 3, "left": mult, "right": mult})
+    # a build: 3 algebra + 3 coalgebra + 2 (co)action + 3 for the fixed
+    # subalgebra (quotient coalgebra) + 4 entwining + 1 entwined
+    # compatibility; hochschild: 3 algebra + 3 fixed subalgebra, and 5 for a
+    # bimodule file.  No law restated by another runs a second time.
+    for argv, laws in ((["extension", "report", ext3], 16),
+                       (["coextension", "report", coext3], 16),
+                       (["hochschild", "--n", "1", ext3], 6),
+                       (["hochschild", "--n", "1", "--bimodule", bim, ext3],
+                        11)):
+        law_calls.clear()
+        assert main(argv) == 0
+        assert len(law_calls) == laws, argv
+    capsys.readouterr()

@@ -335,8 +335,9 @@ def test_adjunction_maps_builds_each_functor_once(c2_q, monkeypatch):
     mt = functor_apply("induce", mor, m)
     counts = _count_functor_calls(monkeypatch)
     adjunction_maps(mor, m, mt)
-    # F m, G m~ and F G m~; G F m, F G F m and G F G m~ need only their carriers
-    assert counts == {"induce": 3, "coinduce": 3}
+    # F m, F G m~ and G F m, G m~ are built as modules; the triangles need
+    # only the carriers of F G F m and G F G m~, so those are not built
+    assert counts == {"induce": 2, "coinduce": 2}
 
 
 def test_nu_from_lambda_builds_each_functor_once(c2_q, monkeypatch):

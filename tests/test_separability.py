@@ -260,8 +260,8 @@ def test_extension_report_solves_each_system_once(monkeypatch):
     monkeypatch.setattr(LinearConstraints, "solve", counted_solve)
     report = extension_report(ext, "fixed_integral")
     assert report["strong"]["found"]
-    # the normalised-integral system is also rebuilt to re-check each
-    # certificate drawn from it, but it is solved once
+    # each system is solved once, and each certificate drawn from it is
+    # re-checked on the system that was solved
     assert solves == {"integral": 1, "split": 1}
     assert builds["split"] == 1
 
@@ -326,3 +326,32 @@ def test_strong_outcome_carries_separability_and_split(c2_q, c2_f2):
         out = check_strongly_separable(c2_f2, strategy)
         assert out.separability is None and out.note == "not separable"
         assert out.split == check_split(c2_f2)
+
+
+def test_given_strategy_builds_each_system_once(monkeypatch):
+    # the supplied pair is re-checked on the integral and phi families that
+    # check_separable and check_split solved, not on rebuilt systems
+    from entwine import separability, witness
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
+    base = check_strongly_separable(ext, "fixed_integral").certificate
+    builds = {"integral": 0, "split": 0}
+    build_witness_system = witness.witness_system
+    build_split_system = separability.split_system
+
+    def counted_witness_system(kind, e, normalized):
+        if kind == WitnessKind.INTEGRAL:
+            builds["integral"] += 1
+        return build_witness_system(kind, e, normalized)
+
+    def counted_split_system(g):
+        builds["split"] += 1
+        return build_split_system(g)
+    monkeypatch.setattr(witness, "witness_system", counted_witness_system)
+    monkeypatch.setattr(separability, "split_system", counted_split_system)
+    out = check_strongly_separable(
+        ext, "given", witnesses=(base.separability.u, base.split.expectation,
+                                 None))
+    assert out.found and out.certificate.tau == Fraction(1, 3)
+    assert out.certificate.separability.source_integral.value == \
+        ext.can.apply(base.separability.u)
+    assert builds == {"integral": 1, "split": 1}
