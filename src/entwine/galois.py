@@ -313,7 +313,7 @@ def pointed_kappa(x: Coextension):
                                            for t in range(dc)))
     kappa_map = compose_all(x.coalg.counit_map(), x.rho_c,
                             kron(ins_c, x.alg.identity())).scale(scale)
-    kappa = kappa_map.entries[0]
+    kappa = kappa_map.flat()
     # eps . action = eps (x) kappa on all of C (x) A
     lhs = x.coalg.counit_map().compose(x.rho_c)
     rhs = kron(x.coalg.counit_map(), kappa_map.reshaped((da,), SCALAR.factors))

@@ -25,7 +25,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import is_not
 
 from .errors import InputError, InconsistencyError
 from .fields import Field
@@ -93,14 +92,20 @@ def _shape(shp) -> TensorShape:
     return shp if isinstance(shp, TensorShape) else TensorShape(shp)
 
 
-def _nonzeros(row, zero):
-    """(column, value) pairs of the nonzero entries of a dense row.
+def _sparse_row(row):
+    """The (column, value) pairs of the nonzero entries of a dense row."""
+    return tuple((j, x) for j, x in enumerate(row) if x)
 
-    Entries that are the field's shared zero object are skipped by an
-    identity test at C speed; only the rest are tested for zero."""
-    candidates = itertools.compress(range(len(row)),
-                                    map(is_not, row, itertools.repeat(zero)))
-    return [(j, row[j]) for j in candidates if row[j]]
+
+def _dense_rows(rows, width, zero):
+    """Dense tuples from sparse rows, with the field's shared zero."""
+    out = []
+    for nz in rows:
+        row = [zero] * width
+        for j, x in nz:
+            row[j] = x
+        out.append(tuple(row))
+    return tuple(out)
 
 
 def _integral(nz, p, d=None):
@@ -120,38 +125,22 @@ def _integral(nz, p, d=None):
 
 
 def _denominator(rows, p):
-    """The least common denominator of every value in lists of nonzeros
-    (1 over F_p)."""
+    """The least common denominator of every value in sparse rows (1 over
+    F_p)."""
     if p is not None:
         return 1
     return lcm(*{x.denominator for nz in rows for _, x in nz})
 
 
-def _dense(entries, width, zero):
-    """A dense row from {column: value}."""
-    row = [zero] * width
-    for j, x in entries.items():
-        row[j] = x
-    return tuple(row)
-
-
-def _dense_sums(sums, width, d, zero, p):
-    """A dense row from {column: integer numerator over d}: one canonical
-    Fraction per nonzero entry over Q, and the field's shared zero where a
-    sum cancelled; over F_p the sums reduced mod p."""
-    row = [zero] * width
+def _sparse_sums(sums, d, p):
+    """A sparse row from {column: integer numerator over d}: one canonical
+    Fraction per nonzero sum over Q, the sums reduced mod p over F_p; sums
+    that cancel are dropped."""
     if p is not None:
-        for j, n in sums.items():
-            row[j] = n % p
-    elif d == 1:
-        for j, n in sums.items():
-            if n:
-                row[j] = Fraction(n)
-    else:
-        for j, n in sums.items():
-            if n:
-                row[j] = Fraction(n, d)
-    return tuple(row)
+        return tuple((j, x) for j in sorted(sums) if (x := sums[j] % p))
+    if d == 1:
+        return tuple((j, Fraction(n)) for j in sorted(sums) if (n := sums[j]))
+    return tuple((j, Fraction(n, d)) for j in sorted(sums) if (n := sums[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -162,45 +151,48 @@ def _dense_sums(sums, width, d, zero, p):
 class LinMap:
     """An exact matrix with tensor-shaped domain and codomain.
 
-    entries[r][c] is the coefficient of codomain basis vector r in the image
-    of domain basis vector c.
+    nonzeros[r] holds the nonzero entries of codomain row r as (column,
+    value) pairs in increasing column order; the value at (r, c) is the
+    coefficient of codomain basis vector r in the image of domain basis
+    vector c.  Every scalar is canonical, so equal maps have equal rows.
     """
 
     field: Field
     domain: TensorShape
     codomain: TensorShape
-    entries: tuple
+    nonzeros: tuple
 
     def __post_init__(self):
-        if len(self.entries) != self.codomain.total:
+        if len(self.nonzeros) != self.codomain.total:
             raise InputError(
-                f"{len(self.entries)} rows for codomain of total {self.codomain.total}")
-        n = self.domain.total
-        for length in set(map(len, self.entries)):
-            if length != n:
-                raise InputError(f"row of length {length} for domain of total {n}")
+                f"{len(self.nonzeros)} rows for codomain of total {self.codomain.total}")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rows(field, domain, codomain, rows) -> "LinMap":
+        """The map with the given dense rows."""
         domain, codomain = _shape(domain), _shape(codomain)
-        return LinMap(field, domain, codomain, tuple(tuple(r) for r in rows))
+        rows = [tuple(r) for r in rows]
+        if len(rows) != codomain.total:
+            raise InputError(
+                f"{len(rows)} rows for codomain of total {codomain.total}")
+        n = domain.total
+        for length in set(map(len, rows)):
+            if length != n:
+                raise InputError(f"row of length {length} for domain of total {n}")
+        return LinMap(field, domain, codomain, tuple(map(_sparse_row, rows)))
 
     @staticmethod
     def identity(field, shp) -> "LinMap":
         shp = _shape(shp)
-        n = shp.total
-        one, zero = field.one, field.zero
-        rows = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return LinMap(field, shp, shp, rows)
+        one = field.one
+        return LinMap(field, shp, shp, tuple(((i, one),) for i in range(shp.total)))
 
     @staticmethod
     def zero(field, domain, codomain) -> "LinMap":
         domain, codomain = _shape(domain), _shape(codomain)
-        z = field.zero
-        rows = tuple((z,) * domain.total for _ in range(codomain.total))
-        return LinMap(field, domain, codomain, rows)
+        return LinMap(field, domain, codomain, ((),) * codomain.total)
 
     @staticmethod
     def element(field, shp, vec) -> "LinMap":
@@ -208,7 +200,7 @@ class LinMap:
         shp = _shape(shp)
         if len(vec) != shp.total:
             raise InputError("element length does not match shape")
-        return LinMap(field, SCALAR, shp, tuple((v,) for v in vec))
+        return LinMap(field, SCALAR, shp, tuple(((0, v),) if v else () for v in vec))
 
     @staticmethod
     def from_flat(field, domain, codomain, vec) -> "LinMap":
@@ -218,7 +210,8 @@ class LinMap:
         if len(vec) != w * codomain.total:
             raise InputError("vector length does not match the map shape")
         return LinMap(field, domain, codomain,
-                      tuple(tuple(vec[r * w:(r + 1) * w]) for r in range(codomain.total)))
+                      tuple(_sparse_row(vec[r * w:(r + 1) * w])
+                            for r in range(codomain.total)))
 
     @staticmethod
     def functional(field, shp, covec) -> "LinMap":
@@ -226,19 +219,16 @@ class LinMap:
         shp = _shape(shp)
         if len(covec) != shp.total:
             raise InputError("functional length does not match shape")
-        return LinMap(field, shp, SCALAR, (tuple(covec),))
+        return LinMap(field, shp, SCALAR, (_sparse_row(covec),))
 
     @staticmethod
     def twist(field, left, right) -> "LinMap":
         """The flip V (x) W -> W (x) V on basis vectors."""
         left, right = _shape(left), _shape(right)
         nl, nr = left.total, right.total
-        rows = [[field.zero] * (nl * nr) for _ in range(nl * nr)]
-        for i in range(nl):
-            for j in range(nr):
-                rows[j * nl + i][i * nr + j] = field.one
-        return LinMap(field, left.concat(right), right.concat(left),
-                      tuple(tuple(r) for r in rows))
+        one = field.one
+        rows = tuple(((i * nr + j, one),) for j in range(nr) for i in range(nl))
+        return LinMap(field, left.concat(right), right.concat(left), rows)
 
     # -- basics --------------------------------------------------------------
 
@@ -250,34 +240,48 @@ class LinMap:
     def cols(self) -> int:
         return self.domain.total
 
+    @property
+    def entries(self) -> tuple:
+        """Dense rows, built on each read: entries[r][c] is the coefficient
+        of codomain basis vector r in the image of domain basis vector c."""
+        return _dense_rows(self.nonzeros, self.cols, self.field.zero)
+
     def reshaped(self, domain=None, codomain=None) -> "LinMap":
         """Reinterpret the tensor factorization without touching entries."""
         domain = self.domain if domain is None else _shape(domain)
         codomain = self.codomain if codomain is None else _shape(codomain)
         if domain.total != self.domain.total or codomain.total != self.codomain.total:
             raise InputError("reshape must preserve total dimensions")
-        return LinMap(self.field, domain, codomain, self.entries)
+        return LinMap(self.field, domain, codomain, self.nonzeros)
 
     def apply(self, vec):
         if len(vec) != self.cols:
             raise InputError(f"vector of length {len(vec)} for domain {self.cols}")
-        p, zero = self.field.p, self.field.zero
-        rows_nz = [_nonzeros(r, zero) for r in self.entries]
-        d = _denominator(rows_nz, p)
-        dv, vec_nz = _integral(_nonzeros(vec, zero), p)
+        p = self.field.p
+        d = _denominator(self.nonzeros, p)
+        dv, vec_nz = _integral(_sparse_row(vec), p)
         ints = [0] * len(vec)
         for j, x in vec_nz:
             ints[j] = x
         sums = {i: sum([a * ints[j] for j, a in _integral(nz, p, d)[1]])
-                for i, nz in enumerate(rows_nz)}
-        return _dense_sums(sums, len(rows_nz), d * dv, zero, p)
+                for i, nz in enumerate(self.nonzeros)}
+        return _dense_rows((_sparse_sums(sums, d * dv, p),), self.rows,
+                           self.field.zero)[0]
 
     def flat(self) -> tuple:
         """Row-major vectorization of the matrix; inverse of from_flat."""
-        return tuple(itertools.chain.from_iterable(self.entries))
+        return tuple(itertools.chain.from_iterable(
+            _dense_rows(self.nonzeros, self.cols, self.field.zero)))
 
     def column(self, c: int):
-        return tuple(row[c] for row in self.entries)
+        out = [self.field.zero] * self.rows
+        for r, nz in enumerate(self.nonzeros):
+            for j, x in nz:
+                if j >= c:
+                    if j == c:
+                        out[r] = x
+                    break
+        return tuple(out)
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other (matrix product self . other)."""
@@ -287,57 +291,58 @@ class LinMap:
             raise InputError(
                 f"composition shape mismatch: {self.domain} vs {other.codomain}")
         f = self.field
-        p, zero, n_in = f.p, f.zero, other.cols
-        other_nz = [_nonzeros(r, zero) for r in other.entries]
+        p = f.p
+        other_nz = other.nonzeros
         d_other = _denominator(other_nz, p)
         if p is None:
             other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
         out = []
-        for row in self.entries:
-            d, row_nz = _integral(_nonzeros(row, zero), p)
+        for nz in self.nonzeros:
+            d, row_nz = _integral(nz, p)
             acc = {}
             for k, a in row_nz:
                 for j, b in other_nz[k]:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
-            out.append(_dense_sums(acc, n_in, d * d_other, zero, p))
+            out.append(_sparse_sums(acc, d * d_other, p))
         return LinMap(f, other.domain, self.codomain, tuple(out))
 
     def add(self, other: "LinMap") -> "LinMap":
-        self._require_parallel(other)
-        f = self.field
-        rows = tuple(tuple(f.add(a, b) for a, b in zip(r1, r2))
-                     for r1, r2 in zip(self.entries, other.entries))
-        return LinMap(f, self.domain, self.codomain, rows)
+        return self._merge(other, 1)
 
     def sub(self, other: "LinMap") -> "LinMap":
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign):
+        """self + sign * other, row by row."""
         self._require_parallel(other)
-        f = self.field
-        p, zero = f.p, f.zero
+        p = self.field.p
         rows = []
-        for r1, r2 in zip(self.entries, other.entries):
-            nz = _nonzeros(r2, zero)
-            if nz:
-                row = list(r1)
-                if p is None:
-                    for j, b in nz:
-                        row[j] -= b
-                else:
-                    for j, b in nz:
-                        row[j] = (row[j] - b) % p
-                r1 = tuple(row)
+        for r1, r2 in zip(self.nonzeros, other.nonzeros):
+            if r2:
+                acc = dict(r1)
+                for j, b in r2:
+                    x = acc.get(j, 0) + sign * b
+                    acc[j] = x if p is None else x % p
+                r1 = tuple((j, x) for j, x in sorted(acc.items()) if x)
             rows.append(r1)
-        return LinMap(f, self.domain, self.codomain, tuple(rows))
+        return LinMap(self.field, self.domain, self.codomain, tuple(rows))
 
     def scale(self, scalar) -> "LinMap":
         f = self.field
-        rows = tuple(tuple(f.mul(scalar, a) for a in r) for r in self.entries)
+        if not scalar:
+            return LinMap.zero(f, self.domain, self.codomain)
+        rows = tuple(tuple((j, f.mul(scalar, a)) for j, a in nz)
+                     for nz in self.nonzeros)
         return LinMap(f, self.domain, self.codomain, rows)
 
     def transpose(self) -> "LinMap":
-        rows = tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                     for j in range(self.cols))
-        return LinMap(self.field, self.codomain, self.domain, rows)
+        cols = [[] for _ in range(self.cols)]
+        for i, nz in enumerate(self.nonzeros):
+            for j, x in nz:
+                cols[j].append((i, x))
+        return LinMap(self.field, self.codomain, self.domain,
+                      tuple(map(tuple, cols)))
 
     def _require_parallel(self, other):
         if self.field != other.field:
@@ -348,22 +353,23 @@ class LinMap:
     def equals(self, other: "LinMap") -> bool:
         """Entrywise equality; factorizations may differ but totals must agree."""
         self._require_parallel(other)
-        return self.entries == other.entries
+        return self.nonzeros == other.nonzeros
 
     def is_zero_map(self) -> bool:
-        return all(a == 0 for row in self.entries for a in row)
+        return not any(self.nonzeros)
 
     def first_difference(self, other: "LinMap"):
         """First (column, row) where the matrices differ, scanning columns
         lexicographically; None if equal."""
         self._require_parallel(other)
-        if self.entries == other.entries:
-            return None
-        for c in range(self.cols):
-            for r in range(self.rows):
-                if self.entries[r][c] != other.entries[r][c]:
-                    return c, r
-        return None
+        first = None
+        for r, (a, b) in enumerate(zip(self.nonzeros, other.nonzeros)):
+            if a != b:
+                da, db = dict(a), dict(b)
+                c = min(j for j in da.keys() | db.keys() if da.get(j) != db.get(j))
+                if first is None or (c, r) < first:
+                    first = (c, r)
+        return first
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.domain.factors}->{self.codomain.factors})"
@@ -373,30 +379,25 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     """Tensor product of maps; shapes concatenate, flattening is row-major."""
     if f.field != g.field:
         raise InputError("field mismatch in tensor product")
-    p, zero = f.field.p, f.field.zero
+    p = f.field.p
     gc = g.cols
-    width = f.cols * gc
-    g_nz = [_integral(_nonzeros(r, zero), p) for r in g.entries]
+    g_nz = [_integral(nz, p) for nz in g.nonzeros]
     out = []
-    for frow in f.entries:
-        df, f_nz = _integral(_nonzeros(frow, zero), p)
+    for fnz in f.nonzeros:
+        df, f_nz = _integral(fnz, p)
         f_nz = [(j1 * gc, a) for j1, a in f_nz]
         for dg, grow in g_nz:
-            row = [zero] * width
             if p is not None:
-                for base, a in f_nz:
-                    for j2, b in grow:
-                        row[base + j2] = a * b % p
+                row = tuple((base + j2, a * b % p)
+                            for base, a in f_nz for j2, b in grow)
             elif df * dg == 1:
-                for base, a in f_nz:
-                    for j2, b in grow:
-                        row[base + j2] = Fraction(a * b)
+                row = tuple((base + j2, Fraction(a * b))
+                            for base, a in f_nz for j2, b in grow)
             else:
                 d = df * dg
-                for base, a in f_nz:
-                    for j2, b in grow:
-                        row[base + j2] = Fraction(a * b, d)
-            out.append(tuple(row))
+                row = tuple((base + j2, Fraction(a * b, d))
+                            for base, a in f_nz for j2, b in grow)
+            out.append(row)
     return LinMap(f.field, f.domain.concat(g.domain), f.codomain.concat(g.codomain),
                   tuple(out))
 
@@ -461,27 +462,23 @@ def _row_ops(field):
 def rref(field, rows):
     """Reduced row echelon form over an exact field.
 
-    Returns (rows, pivot_columns); zero rows are dropped and every pivot is
-    normalized to 1 with zeros above and below.
+    rows is a list of sparse rows, each an iterable of (column, nonzero
+    value) pairs.  Returns (rows, pivot_columns) with the reduced rows as
+    tuples of (column, value) pairs in increasing column order; zero rows
+    are dropped and every pivot is normalized to 1 with zeros above and
+    below.
 
-    Sparse Gauss-Jordan: each input row, held as its nonzero entries, is
-    reduced by the pivot rows found so far; its leftmost remaining entry
-    becomes a new pivot, and that column is cleared from the earlier pivot
-    rows, so the pivot rows stay fully reduced throughout.  The reduced row
-    echelon form of a row space is unique, so the result does not depend on
-    the order of the input rows.
+    Gauss-Jordan: each input row is reduced by the pivot rows found so far;
+    its leftmost remaining entry becomes a new pivot, and that column is
+    cleared from the earlier pivot rows, so the pivot rows stay fully
+    reduced throughout.  The reduced row echelon form of a row space is
+    unique, so the result does not depend on the order of the input rows.
     """
-    rows = list(rows)
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
     axpy, scale = _row_ops(field)
-    neg, zero = field.neg, field.zero
-    reduced = {}                     # pivot column -> sparse row, pivot 1
-    for dense in rows:
-        if len(reduced) == ncols:
-            break
-        row = dict(_nonzeros(dense, zero))
+    neg = field.neg
+    reduced = {}                     # pivot column -> {column: value}, pivot 1
+    for sparse in rows:
+        row = dict(sparse)
         for c in row.keys() & reduced.keys():
             axpy(row, neg(row[c]), reduced[c])
         if not row:
@@ -495,23 +492,21 @@ def rref(field, rows):
                 axpy(other, neg(x), row)
         reduced[c] = row
     pivots = sorted(reduced)
-    return [_dense(reduced[c], ncols, zero) for c in pivots], pivots
+    return [tuple(sorted(reduced[c].items())) for c in pivots], pivots
 
 
 def _kernel_from_rref(field, reduced, pivots, ncols):
-    """Kernel basis of a reduced matrix: one vector per free column, set to
-    1 there; reads only the first ncols entries of each row."""
+    """Kernel basis of a reduced matrix, as sparse rows: one vector per free
+    column, set to 1 there; columns from ncols on are ignored."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [field.zero] * ncols
-        v[fc] = field.one
-        for row, pc in zip(reduced, pivots):
-            if row[fc]:
-                v[pc] = field.neg(row[fc])
-        basis.append(tuple(v))
-    return basis
+    basis = {c: [(c, field.one)] for c in range(ncols) if c not in pivot_set}
+    for row, pc in zip(reduced, pivots):
+        for j, x in row:
+            if j >= ncols:
+                break
+            if j != pc:
+                basis[j].append((pc, field.neg(x)))
+    return [tuple(sorted(v)) for v in basis.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +515,13 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace given by a reduced-echelon basis; the canonical form makes
-    equality of subspaces plain equality of bases."""
+    """A subspace given by its reduced row echelon basis, held as sparse
+    rows; the canonical form makes equality of subspaces plain equality of
+    bases."""
 
     field: Field
     ambient: TensorShape
-    basis: tuple
+    reduced: tuple
     pivots: tuple
 
     @staticmethod
@@ -535,7 +531,12 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient.total:
                 raise InputError("spanning vector does not match ambient shape")
-        reduced, pivots = rref(field, vecs)
+        return Subspace._span(field, ambient, [_sparse_row(v) for v in vecs])
+
+    @staticmethod
+    def _span(field, ambient, rows) -> "Subspace":
+        """The span of a list of sparse rows."""
+        reduced, pivots = rref(field, rows)
         return Subspace(field, ambient, tuple(reduced), tuple(pivots))
 
     @staticmethod
@@ -547,27 +548,31 @@ class Subspace:
     def full(field, ambient) -> "Subspace":
         ambient = _shape(ambient)
         n = ambient.total
-        one, zero = field.one, field.zero
-        basis = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-        return Subspace(field, ambient, basis, tuple(range(n)))
+        one = field.one
+        return Subspace(field, ambient, tuple(((i, one),) for i in range(n)),
+                        tuple(range(n)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.reduced)
+
+    @property
+    def basis(self) -> tuple:
+        """The echelon basis as dense vectors, built on each read."""
+        return _dense_rows(self.reduced, self.ambient.total, self.field.zero)
 
     def reduce(self, vec):
         """Remainder of vec after subtracting its span component."""
-        f = self.field
-        p, zero = f.p, f.zero
+        p = self.field.p
         v = list(vec)
-        for b, pc in zip(self.basis, self.pivots):
+        for b, pc in zip(self.reduced, self.pivots):
             c = v[pc]
             if c:
                 if p is None:
-                    for j, y in _nonzeros(b, zero):
+                    for j, y in b:
                         v[j] -= c * y
                 else:
-                    for j, y in _nonzeros(b, zero):
+                    for j, y in b:
                         v[j] = (v[j] - c * y) % p
         return tuple(v)
 
@@ -582,21 +587,20 @@ class Subspace:
 
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
-        rows = tuple(tuple(b[i] for b in self.basis) for i in range(self.ambient.total))
-        return LinMap(self.field, TensorShape((self.dim,)), self.ambient, rows)
+        return LinMap(self.field, self.ambient, TensorShape((self.dim,)),
+                      self.reduced).transpose()
 
     def retraction(self) -> LinMap:
         """ambient -> S, pivot-coordinate extraction; a left inverse of inclusion."""
-        one, zero = self.field.one, self.field.zero
-        n = self.ambient.total
-        rows = tuple(tuple(one if j == p else zero for j in range(n)) for p in self.pivots)
-        return LinMap(self.field, self.ambient, TensorShape((self.dim,)), rows)
+        one = self.field.one
+        return LinMap(self.field, self.ambient, TensorShape((self.dim,)),
+                      tuple(((pc, one),) for pc in self.pivots))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient.total != other.ambient.total:
             raise InputError("ambient mismatch in subspace sum")
-        return Subspace.from_vectors(self.field, self.ambient,
-                                     list(self.basis) + list(other.basis))
+        return Subspace._span(self.field, self.ambient,
+                              list(self.reduced + other.reduced))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient.total})"
@@ -639,21 +643,19 @@ def quotient_by(relations: Subspace) -> QuotientModule:
     # projection: reduce modulo the relations, then read the complement
     # coords; a complement basis vector reduces to itself, and the pivot-p
     # vector of the echelon basis b reduces to e_p - b
-    zero = f.zero
     position = {c: t for t, c in enumerate(complement)}
-    proj_rows = [[zero] * n for _ in range(q)]
-    for t, c in enumerate(complement):
-        proj_rows[t][c] = f.one
-    for b, pc in zip(relations.basis, relations.pivots):
-        for c, x in _nonzeros(b, zero):
+    proj_rows = [[(c, f.one)] for c in complement]
+    for b, pc in zip(relations.reduced, relations.pivots):
+        for c, x in b:
             t = position.get(c)
             if t is not None:
-                proj_rows[t][pc] = f.neg(x)
-    projection = LinMap(f, ambient, qshape, tuple(tuple(r) for r in proj_rows))
-    sec_rows = [[f.zero] * q for _ in range(n)]
+                proj_rows[t].append((pc, f.neg(x)))
+    projection = LinMap(f, ambient, qshape,
+                        tuple(tuple(sorted(r)) for r in proj_rows))
+    sec_rows = [()] * n
     for t, c in enumerate(complement):
-        sec_rows[c][t] = f.one
-    section = LinMap(f, qshape, ambient, tuple(tuple(r) for r in sec_rows))
+        sec_rows[c] = ((t, f.one),)
+    section = LinMap(f, qshape, ambient, tuple(sec_rows))
     return QuotientModule(ambient, relations, projection, section)
 
 
@@ -719,8 +721,8 @@ class AffineSolutionSet:
         if not self.feasible:
             raise InputError("an infeasible solution set has no equations")
         h = self.homogeneous
-        rows = _kernel_from_rref(h.field, h.basis, h.pivots, h.ambient.total)
-        m = LinMap.from_rows(h.field, h.ambient, (len(rows),), rows)
+        rows = _kernel_from_rref(h.field, h.reduced, h.pivots, h.ambient.total)
+        m = LinMap(h.field, h.ambient, TensorShape((len(rows),)), tuple(rows))
         return m, m.apply(self.particular)
 
     def members(self, coefficient_grids):
@@ -729,7 +731,7 @@ class AffineSolutionSet:
         if not self.feasible:
             return
         f = self.homogeneous.field
-        basis = self.homogeneous.basis
+        basis = self.homogeneous.reduced
         if not basis:
             yield self.particular
             return
@@ -738,9 +740,8 @@ class AffineSolutionSet:
             v = list(self.particular)
             for c, b in zip(combo, basis):
                 if c != 0:
-                    for i, x in enumerate(b):
-                        if x != 0:
-                            v[i] = f.add(v[i], f.mul(c, x))
+                    for i, x in b:
+                        v[i] = f.add(v[i], f.mul(c, x))
             yield tuple(v)
 
 
@@ -750,9 +751,9 @@ def solve_affine(m: LinMap, b) -> AffineSolutionSet:
     if len(b) != m.rows:
         raise InputError(f"rhs length {len(b)} does not match {m.rows} rows")
     f = m.field
-    aug = [row + (bi,) for row, bi in zip(m.entries, b)]
-    reduced, pivots = rref(f, aug)
     ncols = m.cols
+    aug = [row + ((ncols, bi),) if bi else row for row, bi in zip(m.nonzeros, b)]
+    reduced, pivots = rref(f, aug)
     if pivots and pivots[-1] == ncols:
         # the last pivot sits in the rhs column: 0 = 1 is implied
         particular = None
@@ -760,26 +761,27 @@ def solve_affine(m: LinMap, b) -> AffineSolutionSet:
     else:
         part = [f.zero] * ncols
         for row, p in zip(reduced, pivots):
-            part[p] = row[ncols]
+            j, x = row[-1]
+            if j == ncols:
+                part[p] = x
         particular = tuple(part)
     # the remaining rows' coefficient blocks are the reduced form of m
     basis = _kernel_from_rref(f, reduced, pivots, ncols)
-    return AffineSolutionSet(particular,
-                             Subspace.from_vectors(f, m.domain, basis))
+    return AffineSolutionSet(particular, Subspace._span(f, m.domain, basis))
 
 
 def kernel(m: LinMap) -> Subspace:
     """The kernel of a map, as a canonical subspace of its domain."""
     f = m.field
-    reduced, pivots = rref(f, m.entries)
-    return Subspace.from_vectors(f, m.domain,
-                                 _kernel_from_rref(f, reduced, pivots, m.cols))
+    reduced, pivots = rref(f, list(m.nonzeros))
+    return Subspace._span(f, m.domain,
+                          _kernel_from_rref(f, reduced, pivots, m.cols))
 
 
 def image(m: LinMap) -> Subspace:
     """The image of a map, as a canonical subspace of its codomain: the
     reduced span of its columns."""
-    return Subspace.from_vectors(m.field, m.codomain, zip(*m.entries))
+    return Subspace._span(m.field, m.codomain, list(m.transpose().nonzeros))
 
 
 def kernel_image(m: LinMap):
@@ -796,15 +798,14 @@ def right_inverse(m: LinMap) -> LinMap:
     every free column).  Raises InputError when m is not onto."""
     f = m.field
     n, w = m.rows, m.cols
-    one, zero = f.one, f.zero
-    aug = [row + tuple(one if i == j else zero for j in range(n))
-           for i, row in enumerate(m.entries)]
+    one = f.one
+    aug = [row + ((w + i, one),) for i, row in enumerate(m.nonzeros)]
     reduced, pivots = rref(f, aug)
     if len(pivots) != n or (pivots and pivots[-1] >= w):
         raise InputError("map is not onto")
-    rows = [(zero,) * n] * w
+    rows = [()] * w
     for row, pc in zip(reduced, pivots):
-        rows[pc] = row[w:]
+        rows[pc] = tuple((j - w, x) for j, x in row if j >= w)
     return LinMap(f, m.codomain, m.domain, tuple(rows))
 
 
@@ -836,8 +837,8 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
         raise InputError("pre does not land in L (x) Xdom (x) R")
     if post.cols != lt * xc * rt:
         raise InputError("post does not start from L (x) Xcod (x) R")
-    p, zero = f.p, f.zero
-    pre_nz = [_nonzeros(r, zero) for r in pre.entries]
+    p = f.p
+    pre_nz = pre.nonzeros
     d_pre = _denominator(pre_nz, p)
     # pre's nonzeros over d_pre, grouped by the surrounding factors:
     # by_lr[l * rt + rho] = [(s, d, numerator of pre[(l,s,rho)][d]), ...]
@@ -851,10 +852,9 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
                     by_lr.setdefault(l * rt + rho, []).extend(
                         (s, d, w) for d, w in nz)
     # big[(e,d)][(r,s)] = sum over (l,rho) of post[e][(l,r,rho)] * pre[(l,s,rho)][d]
-    width = xc * xd
     big = []
-    for prow in post.entries:
-        d_post, post_nz = _integral(_nonzeros(prow, zero), p)
+    for prow in post.nonzeros:
+        d_post, post_nz = _integral(prow, p)
         acc = [{} for _ in range(dd)]
         for col, v in post_nz:
             lr, rho = divmod(col, rt)
@@ -865,7 +865,7 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
                 x = cell.get(k)
                 cell[k] = v * w if x is None else x + v * w
         den = d_post * d_pre
-        big.extend(_dense_sums(cell, width, den, zero, p) for cell in acc)
+        big.extend(_sparse_sums(cell, den, p) for cell in acc)
     return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)), tuple(big))
 
 
@@ -908,15 +908,13 @@ class LinearConstraints:
         so solution vectors carry the shape of X itself."""
         rows, rhs = [], []
         seen = set()
-        zero = self.field.zero
         for blk in self.blocks:
-            for r, t in zip(blk.matrix.entries, blk.rhs):
-                nz = tuple(_nonzeros(r, zero))
-                key = (nz, t)
+            for r, t in zip(blk.matrix.nonzeros, blk.rhs):
+                key = (r, t)
                 if key in seen:
                     continue
                 seen.add(key)
-                if not nz and not t:
+                if not r and not t:
                     continue
                 rows.append(r)
                 rhs.append(t)

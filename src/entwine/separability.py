@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .errors import DomainError, InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, compose_all, corestrict, kron, kron_all,
-                     op_in_unknown, solve_affine)
+                     SCALAR, TensorShape, compose_all, corestrict, kron,
+                     kron_all, op_in_unknown, solve_affine)
 from .witness import Witness, WitnessKind, check_witness, particular_witness, \
     witness_system
 
@@ -276,8 +276,9 @@ def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
     n = da * dc + 1
 
     def with_tau(m, tau_column):
-        rows = [row + (t,) for row, t in zip(m.entries, tau_column)]
-        return LinMap.from_rows(f, (n,), (m.rows, 1), rows)
+        rows = [row + ((n - 1, t),) if t else row
+                for row, t in zip(m.nonzeros, tau_column)]
+        return LinMap(f, TensorShape((n,)), TensorShape((m.rows, 1)), tuple(rows))
     sys = LinearConstraints(f, SCALAR, (n,))
     m, rhs = phi_family.equations()
     sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),
@@ -398,7 +399,8 @@ def _right_free_basis(g: GaloisExtension):
     chosen = []
     vectors = []
     span = Subspace.from_vectors(f, (a.dim,), [])
-    for cand in [tuple(a.unit), *a.identity().entries]:   # 1, then the basis
+    basis = [a.identity().column(j) for j in range(a.dim)]
+    for cand in [tuple(a.unit), *basis]:   # 1, then the basis
         block = a.mult.compose(kron(LinMap.element(f, (a.dim,), cand), incl))
         block_vectors = [block.column(t) for t in range(bdim)]
         trial = Subspace.from_vectors(f, (a.dim,), vectors + block_vectors)
@@ -441,4 +443,4 @@ def check_coseparable(x: Coextension):
     diag = corestrict(x.coalg.comult, x.cosquare)
     if not upsilon.compose(diag).equals(x.coalg.counit_map()):
         raise InconsistencyError("cotensor functional is not normalised")
-    return CoseparabilityCertificate(tuple(upsilon.entries[0]), y)
+    return CoseparabilityCertificate(upsilon.flat(), y)

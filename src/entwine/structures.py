@@ -173,7 +173,7 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
     sigma = quot.section
     comult_q = compose_all(kron(pi, pi), c.comult, sigma)
     counit_q = compose_all(c.counit_map(), sigma)
-    result = Coalgebra(quot.dim, comult_q, counit_q.entries[0])
+    result = Coalgebra(quot.dim, comult_q, counit_q.flat())
     # the projection must be a coalgebra map on the nose
     lhs = kron(pi, pi).compose(c.comult)
     rhs = comult_q.compose(pi)

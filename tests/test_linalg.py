@@ -243,7 +243,11 @@ def test_elimination_matches_oracle(system, rnd):
     p, rows, rhs = system
     field = FIELDS[p]
     n_cols = len(rows[0])
-    reduced, pivots = rref(field, rows)
+    # rref works on sparse rows: (column, value) pairs of the nonzeros
+    reduced, pivots = rref(field, [tuple((j, x) for j, x in enumerate(r) if x)
+                                   for r in rows])
+    reduced = [tuple(dict(r).get(j, field.zero) for j in range(n_cols))
+               for r in reduced]
     _, oracle_pivots = oracle.echelon(rows, p)
     assert list(pivots) == oracle_pivots
     assert len(reduced) == oracle.rank(rows, p)

@@ -459,10 +459,12 @@ def test_nu_reduces_its_cover_once(monkeypatch):
     nu_from_lambda(lam, ac)
     [cover] = covers
     assert (cover.rows, cover.cols) == (27, 81)
-    rows, cols = list(cover.entries), [tuple(c) for c in zip(*cover.entries)]
+    # rref works on sparse rows: (column, value) pairs of the nonzeros
+    rows, cols = list(cover.nonzeros), list(cover.transpose().nonzeros)
 
     def of_the_cover(m):
         # the cover itself, its columns (an image), or [cover | anything]
         return (m == rows or m == cols
-                or [r[:cover.cols] for r in m] == rows)
+                or [tuple((j, x) for j, x in r if j < cover.cols)
+                    for r in m] == rows)
     assert sum(1 for m in reduced if of_the_cover(m)) == 1
