@@ -411,6 +411,20 @@ def test_hochschild_fails_on_a_non_associative_algebra(tmp_path, capsys,
     assert out.count("\n") == 1 and err == ""
 
 
+@pytest.mark.parametrize("degree", ["0", "1", "2"])
+def test_hochschild_fails_on_an_invalid_coaction(tmp_path, c2_q_file, capsys,
+                                                 degree):
+    def break_coaction(doc):
+        doc["coactionA"][0][0] = "2"
+    doc = _write_doc(tmp_path, c2_q_file, break_coaction)
+    assert main(["check", doc]) == 1
+    capsys.readouterr()
+    assert main(["hochschild", "--n", degree, doc]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("coaction: FAIL ")
+    assert out.count("\n") == 1 and err == ""
+
+
 # -- a deeply nested document is malformed input ------------------------------
 
 def _deeply_nested(tmp_path):
@@ -442,13 +456,14 @@ def test_each_command_runs_each_law_once(tmp_path, law_calls, capsys):
     bim = _bimodule_file(tmp_path, {"dim": 3, "left": mult, "right": mult})
     # a build: 3 algebra + 3 coalgebra + 2 (co)action + 3 for the fixed
     # subalgebra (quotient coalgebra) + 4 entwining + 1 entwined
-    # compatibility; hochschild: 3 algebra + 3 fixed subalgebra, and 5 for a
-    # bimodule file.  No law restated by another runs a second time.
+    # compatibility; hochschild: 3 algebra + 3 coalgebra + 2 coaction + 3
+    # fixed subalgebra, and 5 for a bimodule file.  No law restated by
+    # another runs a second time.
     for argv, laws in ((["extension", "report", ext3], 16),
                        (["coextension", "report", coext3], 16),
-                       (["hochschild", "--n", "1", ext3], 6),
+                       (["hochschild", "--n", "1", ext3], 11),
                        (["hochschild", "--n", "1", "--bimodule", bim, ext3],
-                        11)):
+                        16)):
         law_calls.clear()
         assert main(argv) == 0
         assert len(law_calls) == laws, argv
