@@ -305,7 +305,8 @@ def cmd_coextension(args) -> int:
 def _parse_bimodule_file(path, alg):
     try:
         obj = json.loads(_read(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise schema.SchemaError(f"cannot read bimodule file: {exc}") from exc
     except RecursionError:
         raise schema.SchemaError(f"{path} is nested too deeply") from None

@@ -8,6 +8,7 @@ equality of scalars is plain `==` and comparisons are bit-exact.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,10 +17,17 @@ class FieldError(ValueError):
     pass
 
 
-# shared rational constants: Fractions are immutable, and one zero object
-# lets dense rows be scanned for nonzeros by identity first (linalg)
+# shared rational constants: Fractions are immutable, so the dense rows and
+# vectors built at the boundary can all share one zero and one one
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
+
+# A rational scalar in text is "num" or "num/den" in ASCII digits with an
+# optional leading minus sign, and each digit run has at most
+# MAX_SCALAR_DIGITS digits, the limit Python itself puts on converting
+# decimal text to an int (a JSON integer literal has the same limit).
+MAX_SCALAR_DIGITS = 4300
+_RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
 
 # Miller-Rabin with these bases decides primality exactly below 2**64
@@ -111,30 +119,28 @@ class Field:
     # -- text encoding -----------------------------------------------------
 
     def parse(self, text):
-        """Parse a scalar: "num/den" or "num" over Q, an integer in [0,p) over F_p."""
-        if self.kind == "Q":
-            if isinstance(text, bool):
-                raise FieldError(f"not a rational scalar: {text!r}")
-            if isinstance(text, int):
-                return Fraction(text)
-            if isinstance(text, str):
-                try:
-                    return Fraction(text.strip())
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise FieldError(f"not a rational scalar: {text!r}") from exc
-            raise FieldError(f"not a rational scalar: {text!r}")
-        if isinstance(text, bool):
-            raise FieldError(f"not a mod-{self.p} scalar: {text!r}")
-        if isinstance(text, str):
-            try:
-                text = int(text.strip())
-            except ValueError as exc:
-                raise FieldError(f"not a mod-{self.p} scalar: {text!r}") from exc
-        if not isinstance(text, int):
-            raise FieldError(f"not a mod-{self.p} scalar: {text!r}")
-        if not 0 <= text < self.p:
-            raise FieldError(f"scalar {text} out of range [0,{self.p})")
-        return text
+        """Parse a scalar: an integer, "num" or "num/den" over Q, an integer
+        in [0,p) over F_p.  Nothing else is accepted: no whitespace, plus
+        signs, decimal points, exponents, underscores or non-ASCII digits."""
+        if self.kind == "Fp":
+            if not isinstance(text, int) or isinstance(text, bool):
+                raise FieldError(f"not a mod-{self.p} scalar: {text!r:.60}")
+            if not 0 <= text < self.p:
+                raise FieldError(f"scalar {text} out of range [0,{self.p})")
+            return text
+        if isinstance(text, int) and not isinstance(text, bool):
+            return Fraction(text)
+        match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            raise FieldError(f"not a rational scalar: {text!r:.60}")
+        sign, num, den = match.groups()
+        if max(len(num), len(den or "")) > MAX_SCALAR_DIGITS:
+            raise FieldError(f"rational scalar with more than "
+                             f"{MAX_SCALAR_DIGITS} digits in a run")
+        if den is not None and not int(den):
+            raise FieldError(f"zero denominator in {text!r:.60}")
+        value = Fraction(int(num), int(den or 1))
+        return -value if sign else value
 
     def fmt(self, a):
         """Canonical text form; JSON-friendly (str over Q, int over F_p)."""

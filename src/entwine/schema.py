@@ -125,7 +125,8 @@ class InputDocument:
 def parse_document(text) -> InputDocument:
     try:
         obj = json.loads(text) if isinstance(text, (str, bytes)) else text
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     _strict(obj, DOCUMENT_KEYS, "document")
     if _need(obj, "schema", "document") != SCHEMA:

@@ -346,6 +346,57 @@ def test_solve_without_psi_is_input_error(tmp_path, c2_q_file, capsys):
     assert err.count("\n") == 1
 
 
+# -- scalars follow the README grammar ---------------------------------------
+
+@pytest.mark.parametrize("scalar", ["1.5", " 1 ", "1_0", "\u0661", "+1", "1e3",
+                                    "1e999999", "0x1", "1/0", "1/", "",
+                                    "1" * 4301, "1/" + "1" * 4301, 1.0, None])
+def test_rational_scalar_outside_the_grammar_is_input_error(
+        tmp_path, c2_q_file, capsys, scalar):
+    def put(doc):
+        doc["algebra"]["unit"][0] = scalar
+    _assert_input_error(["check", _write_doc(tmp_path, c2_q_file, put)], capsys)
+
+
+def test_rational_scalars_in_the_grammar_are_accepted(tmp_path, c2_q_file,
+                                                      capsys):
+    # "1" as "2/2", "01" and a JSON integer; "0" as "-0" and "0/5"
+    forms = {"1": ["2/2", "01", 1], "0": ["-0", "0/5"]}
+
+    def rewrite(doc):
+        mult = doc["algebra"]["mult"]
+        for r, row in enumerate(mult):
+            mult[r] = [forms[x][(r + c) % len(forms[x])]
+                       for c, x in enumerate(row)]
+    assert main(["check", _write_doc(tmp_path, c2_q_file, rewrite)]) == 0
+    assert "algebra: ok" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scalar", ["1", 2, -1, True])
+def test_mod_p_scalar_must_be_an_integer_in_range(tmp_path, c2_f2_file, capsys,
+                                                  scalar):
+    def put(doc):
+        doc["algebra"]["unit"][0] = scalar
+    _assert_input_error(["check", _write_doc(tmp_path, c2_f2_file, put)], capsys)
+
+
+def _with_long_integer(text):
+    """The JSON text with the placeholder "X" replaced by a 5,000-digit
+    integer literal."""
+    return text.replace('"X"', "1" * 5000)
+
+
+def test_overlong_integer_literal_is_input_error(tmp_path, c2_q_file, capsys):
+    def put(doc):
+        doc["algebra"]["unit"][0] = "X"
+    path = _write_doc(tmp_path, c2_q_file, put)
+    with open(path) as fh:
+        text = _with_long_integer(fh.read())
+    with open(path, "w") as fh:
+        fh.write(text)
+    _assert_input_error(["check", path], capsys)
+
+
 # -- the --bimodule file of `hochschild` follows the same contract ------------
 
 def _bimodule_file(tmp_path, section):
@@ -366,6 +417,16 @@ def test_bimodule_dim_must_be_an_integer(tmp_path, c2_q_file, capsys, dim):
 
 def test_bimodule_missing_matrix_is_input_error(tmp_path, c2_q_file, capsys):
     path = _bimodule_file(tmp_path, {"dim": 1, "left": [["1", "1"]]})
+    _assert_input_error(["hochschild", "--bimodule", path, c2_q_file], capsys)
+
+
+def test_overlong_integer_in_bimodule_file_is_input_error(tmp_path, c2_q_file,
+                                                           capsys):
+    path = _bimodule_file(tmp_path, {"dim": "X", "left": [], "right": []})
+    with open(path) as fh:
+        text = _with_long_integer(fh.read())
+    with open(path, "w") as fh:
+        fh.write(text)
     _assert_input_error(["hochschild", "--bimodule", path, c2_q_file], capsys)
 
 
