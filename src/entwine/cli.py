@@ -335,18 +335,17 @@ def cmd_hochschild(args) -> int:
     alg = doc.algebra
     f = alg.field
     bimod = _parse_bimodule_file(args.bimodule, alg) if args.bimodule else None
-    checks = [lambda: verify_algebra(alg)]
-    if bimod is not None:
-        checks.append(lambda: verify_bimodule(alg, bimod))
-    if doc.coaction_a is not None:
-        # the fixed subalgebra is taken only under a valid coaction
-        checks += [lambda: verify_coalgebra(doc.coalgebra),
-                   lambda: verify_coaction(doc.coalgebra, doc.coaction_a)]
-    for check in checks:
-        rep = check()
-        if not rep.ok:
-            print(f"{rep.subject}: FAIL {rep}")
-            return FAIL
+    rep = verify_algebra(alg)
+    if rep.ok and bimod is not None:
+        rep = verify_bimodule(alg, bimod)
+    # the fixed subalgebra is taken only under a valid coaction
+    if rep.ok and doc.coaction_a is not None:
+        rep = verify_coalgebra(doc.coalgebra)
+    if rep.ok and doc.coaction_a is not None:
+        rep = verify_coaction(doc.coalgebra, doc.coaction_a)
+    if not rep.ok:
+        print(f"{rep.subject}: FAIL {rep}")
+        return FAIL
     if bimod is None:
         # the regular bimodule's laws are the algebra laws just checked
         bimod = regular_bimodule(alg)

@@ -22,10 +22,8 @@ class FieldError(ValueError):
 _Q_ZERO = Fraction(0)
 _Q_ONE = Fraction(1)
 
-# A rational scalar in text is "num" or "num/den" in ASCII digits with an
-# optional leading minus sign, and each digit run has at most
-# MAX_SCALAR_DIGITS digits, the limit Python itself puts on converting
-# decimal text to an int (a JSON integer literal has the same limit).
+# The most digits in each digit run of a rational scalar's text: Python's
+# own limit on converting decimal text to an int, which JSON integers share
 MAX_SCALAR_DIGITS = 4300
 _RATIONAL = re.compile(r"(-?)([0-9]+)(?:/([0-9]+))?")
 
@@ -119,9 +117,8 @@ class Field:
     # -- text encoding -----------------------------------------------------
 
     def parse(self, text):
-        """Parse a scalar: an integer, "num" or "num/den" over Q, an integer
-        in [0,p) over F_p.  Nothing else is accepted: no whitespace, plus
-        signs, decimal points, exponents, underscores or non-ASCII digits."""
+        """Parse a scalar: an integer, "num" or "num/den" in ASCII digits
+        over Q (no other form), an integer in [0,p) over F_p."""
         if self.kind == "Fp":
             if not isinstance(text, int) or isinstance(text, bool):
                 raise FieldError(f"not a mod-{self.p} scalar: {text!r:.60}")

@@ -223,15 +223,10 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
 def _columns_into(space: Subspace, cols, f, src_dim) -> LinMap:
     """Express ambient column vectors in the coordinates of a cochain
     subspace, asserting membership."""
-    out_rows = [[f.zero] * src_dim for _ in range(space.dim)]
-    for t, col in enumerate(cols):
-        coords = space.coords(col)
-        if coords is None:
-            raise InconsistencyError("coboundary leaves the cochain space")
-        for i, x in enumerate(coords):
-            out_rows[i][t] = x
-    return LinMap.from_rows(f, (src_dim,), (space.dim,),
-                            [tuple(r) for r in out_rows])
+    coords = [space.coords(col) for col in cols]
+    if None in coords:
+        raise InconsistencyError("coboundary leaves the cochain space")
+    return LinMap.from_rows(f, (space.dim,), (src_dim,), coords).transpose()
 
 
 def cohomology_dim(complex_: RelativeComplex, n: int):

@@ -1,22 +1,24 @@
 """Exact linear algebra on tensor-shaped spaces.
 
-Everything here is immutable and pure.  Vectors are tuples of scalars, maps
-are dense row-major matrices carrying explicit tensor factorizations of
-their domain and codomain, and index flattening is row-major throughout
-(leftmost factor most significant).  There is no floating point anywhere;
-no tolerances, ever.
+Everything here is immutable and pure.  Vectors are dense tuples of
+scalars; maps carry explicit tensor factorizations of their domain and
+codomain, and index flattening is row-major throughout (leftmost factor
+most significant).  There is no floating point anywhere; no tolerances,
+ever.
 
-Storage is dense, but the work is sparse: elimination and the products
-(composition, tensor product, application, difference, the operator
-builder) visit only nonzero entries and choose their scalar arithmetic once
-per call.  Products over Q run in integers on a common denominator: each
+Matrices are stored once, as sparse rows: for each codomain row, the
+(column, value) pairs of its nonzero entries in increasing column order,
+every value a canonical nonzero scalar.  Products, sums, elimination and
+the solvers read those rows directly and choose their scalar arithmetic
+once per call; dense rows are built only on request (`LinMap.entries`,
+`flat`, `Subspace.basis`) for printing, JSON and callers that index
+vectors.  Products over Q run in integers on a common denominator: each
 factor's nonzeros are rewritten as integer numerators over one denominator
 (`_integral`), sums of products are plain int arithmetic, and one canonical
-Fraction is built per nonzero output entry (the field's shared zero where
-a sum cancels).  Every elimination goes through one sparse Gauss-Jordan
-routine, `rref`, whose result is the unique reduced row echelon form, so
-every subspace, kernel, image and solution set is canonical however it was
-computed.
+Fraction is built per nonzero output entry.  Every elimination goes through
+one Gauss-Jordan routine on sparse rows, `rref`, whose result is the unique
+reduced row echelon form, so every subspace, kernel, image and solution set
+is canonical however it was computed.
 """
 
 from __future__ import annotations
@@ -274,14 +276,8 @@ class LinMap:
             _dense_rows(self.nonzeros, self.cols, self.field.zero)))
 
     def column(self, c: int):
-        out = [self.field.zero] * self.rows
-        for r, nz in enumerate(self.nonzeros):
-            for j, x in nz:
-                if j >= c:
-                    if j == c:
-                        out[r] = x
-                    break
-        return tuple(out)
+        zero = self.field.zero
+        return tuple(next((x for j, x in nz if j == c), zero) for nz in self.nonzeros)
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other (matrix product self . other)."""
@@ -362,14 +358,13 @@ class LinMap:
         """First (column, row) where the matrices differ, scanning columns
         lexicographically; None if equal."""
         self._require_parallel(other)
-        first = None
+        diffs = []
         for r, (a, b) in enumerate(zip(self.nonzeros, other.nonzeros)):
             if a != b:
                 da, db = dict(a), dict(b)
-                c = min(j for j in da.keys() | db.keys() if da.get(j) != db.get(j))
-                if first is None or (c, r) < first:
-                    first = (c, r)
-        return first
+                diffs.append((min(j for j in da.keys() | db.keys()
+                                  if da.get(j) != db.get(j)), r))
+        return min(diffs, default=None)
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.domain.factors}->{self.codomain.factors})"
@@ -502,9 +497,7 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
     basis = {c: [(c, field.one)] for c in range(ncols) if c not in pivot_set}
     for row, pc in zip(reduced, pivots):
         for j, x in row:
-            if j >= ncols:
-                break
-            if j != pc:
+            if pc < j < ncols:
                 basis[j].append((pc, field.neg(x)))
     return [tuple(sorted(v)) for v in basis.values()]
 

@@ -2,8 +2,9 @@
 
 Documents are strict: an unknown key anywhere is an error, so a certificate
 can never silently carry unvalidated data.  All matrices are row-major with
-codomain-rows x domain-columns; scalars are "num/den" strings over Q (the
-denominator omitted when 1) and plain integers in [0, p) over F_p.
+codomain-rows x domain-columns; scalars are written as "num/den" strings
+over Q (the denominator omitted when 1) and plain integers in [0, p) over
+F_p, and read in the grammar that `Field.parse` states.
 """
 
 from __future__ import annotations

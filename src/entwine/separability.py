@@ -399,8 +399,8 @@ def _right_free_basis(g: GaloisExtension):
     chosen = []
     vectors = []
     span = Subspace.from_vectors(f, (a.dim,), [])
-    basis = [a.identity().column(j) for j in range(a.dim)]
-    for cand in [tuple(a.unit), *basis]:   # 1, then the basis
+    # 1, then the basis
+    for cand in [tuple(a.unit), *map(a.identity().column, range(a.dim))]:
         block = a.mult.compose(kron(LinMap.element(f, (a.dim,), cand), incl))
         block_vectors = [block.column(t) for t in range(bdim)]
         trial = Subspace.from_vectors(f, (a.dim,), vectors + block_vectors)
