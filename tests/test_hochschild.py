@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,56 @@ def delta1_rows(n, p=None):
                 row[((out - b) % n) * n + a] += 1
                 rows.append(row)
     return rows
+
+
+def coboundary_rows(n, degree):
+    """The degree-`degree` coboundary on Hom(A^(x)degree, A) for the
+    order-n cyclic group algebra over the ground line, assembled by hand:
+    delta g (s^a0, ..., s^ak) = s^a0 g(s^a1, ..., s^ak)
+        + sum_i (-1)^(i+1) g(..., s^(ai + ai+1), ...)
+        + (-1)^(k+1) g(s^a0, ..., s^a(k-1)) s^ak,
+    with a cochain g stored as its coefficients g[out][(a1, ..., ak)]."""
+    width = n ** degree
+
+    def coord(out, args):
+        flat = 0
+        for a in args:
+            flat = flat * n + a
+        return out * width + flat
+
+    rows = []
+    for args in itertools.product(range(n), repeat=degree + 1):
+        for out in range(n):
+            row = [0] * (n * width)
+            row[coord((out - args[0]) % n, args[1:])] += 1
+            for i in range(degree):
+                merged = args[:i] + ((args[i] + args[i + 1]) % n,) + args[i + 2:]
+                row[coord(out, merged)] += (-1) ** (i + 1)
+            row[coord((out - args[-1]) % n, args[:-1])] += (-1) ** (degree + 1)
+            rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n, field, expected", [
+    (2, GF(2), [2, 2, 2]),
+    (3, GF(3), [3, 3, 3]),
+    (2, QQ, [2, 0, 0]),
+    (3, QQ, [3, 0, 0]),
+], ids=["C2-GF2", "C3-GF3", "C2-Q", "C3-Q"])
+def test_low_degree_cohomology_matches_hand_coboundaries(n, field, expected):
+    p = field.p
+    deltas = [coboundary_rows(n, k) for k in range(3)]
+    ranks = [oracle.rank(rows, p=p) for rows in deltas]
+    oracle_dims = [oracle.kernel_dim(deltas[k], p=p) - (ranks[k - 1] if k else 0)
+                   for k in range(3)]
+    assert oracle_dims == expected
+    alg = make_example("hopf_self_galois", {"field": field, "n": n}).payload.alg
+    cx = relative_complex(alg, ground_line(field, alg), regular_bimodule(alg),
+                          max_degree=2)
+    assert [s.dim for s in cx.spaces] == [n ** (k + 1) for k in range(4)]
+    assert [oracle.rank(cx.boundaries[k].entries, p=p)
+            for k in range(3)] == ranks
+    assert [cohomology_dim(cx, k)[0] for k in range(3)] == expected
 
 
 def test_h1_mod2_oracle_first(c2_f2):
