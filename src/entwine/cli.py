@@ -9,7 +9,6 @@ system is infeasible (including non-Galois data for the report commands),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
@@ -24,8 +23,8 @@ from .galois import (Coextension, GaloisExtension, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
                      fixed_subalgebra, pointed_kappa, verify_action,
                      verify_coaction)
-from .hochschild import (Bimodule, _assemble_complex, cohomology_dim,
-                         regular_bimodule, verify_bimodule)
+from .hochschild import (_assemble_complex, cohomology_dim, regular_bimodule,
+                         verify_bimodule)
 from .separability import check_coseparable, check_strongly_separable
 from .witness import (WitnessKind, witness_system, integrability_system,
                       cointegrability_system)
@@ -45,10 +44,11 @@ def _read(path: str) -> str:
         raise schema.SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load(path: str) -> schema.InputDocument:
+def _load(path: str, parse=schema.parse_document, *context):
+    """The document at path, read by parse (with any further arguments)."""
     text = _read(path)
     try:
-        return schema.parse_document(text)
+        return parse(text, *context)
     except RecursionError:
         raise schema.SchemaError(f"{path} is nested too deeply") from None
 
@@ -302,39 +302,14 @@ def cmd_coextension(args) -> int:
 # hochschild
 
 
-def _parse_bimodule_file(path, alg):
-    try:
-        obj = json.loads(_read(path))
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer literal past Python's digit limit
-        raise schema.SchemaError(f"cannot read bimodule file: {exc}") from exc
-    except RecursionError:
-        raise schema.SchemaError(f"{path} is nested too deeply") from None
-    schema._strict(obj, {"schema", "field", "bimodule"}, "bimodule document")
-    if obj.get("schema") != schema.SCHEMA:
-        raise schema.SchemaError("unsupported schema in bimodule file")
-    f = schema.parse_field(obj.get("field", {}))
-    if f != alg.field:
-        raise schema.SchemaError("bimodule field does not match the algebra")
-    sect = obj.get("bimodule")
-    schema._strict(sect, {"dim", "left", "right"}, "bimodule")
-    dim = schema._need_int(sect, "dim", "bimodule")
-    if dim < 1:
-        raise schema.SchemaError("bimodule dimension must be positive")
-    left = schema.parse_matrix(f, schema._need(sect, "left", "bimodule"),
-                               (alg.dim, dim), (dim,), "left")
-    right = schema.parse_matrix(f, schema._need(sect, "right", "bimodule"),
-                                (dim, alg.dim), (dim,), "right")
-    return Bimodule(dim, left, right)
-
-
 def cmd_hochschild(args) -> int:
     doc = _load(args.file)
     if doc.algebra is None:
         raise schema.SchemaError("hochschild needs an algebra")
     alg = doc.algebra
     f = alg.field
-    bimod = _parse_bimodule_file(args.bimodule, alg) if args.bimodule else None
+    bimod = _load(args.bimodule, schema.parse_bimodule, alg) \
+        if args.bimodule else None
     rep = verify_algebra(alg)
     if rep.ok and bimod is not None:
         rep = verify_bimodule(alg, bimod)
@@ -486,9 +461,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except schema.SchemaError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return MALFORMED
     except (InputError, FieldError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return MALFORMED

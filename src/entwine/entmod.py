@@ -200,6 +200,24 @@ def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
     return quotient_by(image(eq))
 
 
+def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
+    """A (x)_B ... (x)_B A with n factors, as one quotient of the n-fold
+    tensor power by all middle balancing relations; n = 0 gives the ground
+    field and n = 1 gives A, each with no relations."""
+    f = alg.field
+    ida = alg.identity()
+    incl = b.inclusion()
+    # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
+    move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
+        kron(ida, alg.mult.compose(kron(incl, ida))))
+    relations = Subspace.zero(f, (alg.dim,) * n)
+    for pos in range(n - 1):
+        relations = relations.sum(image(kron_all(
+            LinMap.identity(f, (alg.dim,) * pos), move,
+            LinMap.identity(f, (alg.dim,) * (n - 2 - pos)))))
+    return quotient_by(relations)
+
+
 # ---------------------------------------------------------------------------
 # the two functors attached to a morphism of entwinings
 

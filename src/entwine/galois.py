@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError, GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, entwine_verified
-from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, _fixed_space, check_entwined_compatibility,
-                     check_right_comodule, check_right_module, cotensor,
-                     tensor_over_A)
+from .entmod import (EntwinedModule, LeftComodule, RightComodule, RightModule,
+                     _fixed_space, balanced_power,
+                     check_entwined_compatibility, check_right_comodule,
+                     check_right_module, cotensor)
 from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
                      corestrict, descend, image, invert, kron, kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, quotient_coalgebra,
@@ -94,18 +94,13 @@ class GaloisExtension:
         return EntwinedModule(self.ent, self.alg.dim, self.alg.mult, self.rho_a)
 
     def square_right_mult(self) -> LinMap:
-        """Right multiplication (A (x)_B A) (x) A -> A (x)_B A on the second leg."""
-        da = self.alg.dim
-        raw = kron(self.alg.identity(), self.alg.mult)
-        return descend(self.square.projection.compose(raw), self.square, right=da)
+        return _square_right_mult(self.alg, self.square)
 
     def square_left_mult(self) -> LinMap:
         """Left multiplication A (x) (A (x)_B A) -> A (x)_B A on the first leg."""
-        da = self.alg.dim
-        tw_mult = self.alg.mult  # (a, x) -> ax on the first factor
-        raw = kron(tw_mult, self.alg.identity())
-        raw = raw.reshaped((da, da, da), (da, da))
-        return descend(self.square.projection.compose(raw), self.square, left=da)
+        raw = kron(self.alg.mult, self.alg.identity())
+        return descend(self.square.projection.compose(raw), self.square,
+                       left=self.alg.dim)
 
     def mu_AB(self) -> LinMap:
         """The multiplication A (x)_B A -> A induced on the quotient."""
@@ -130,11 +125,10 @@ def _require_entwined(m: EntwinedModule, message: str):
         raise InconsistencyError(f"{message}: {rep}")
 
 
-def _b_module_structures(alg: Algebra, fixed: Subspace):
-    incl = fixed.inclusion()
-    right = RightModule(alg.dim, alg.mult.compose(kron(alg.identity(), incl)))
-    left = LeftModule(alg.dim, alg.mult.compose(kron(incl, alg.identity())))
-    return right, left
+def _square_right_mult(alg: Algebra, square: QuotientModule) -> LinMap:
+    """Right multiplication (A (x)_B A) (x) A -> A (x)_B A on the second leg."""
+    raw = kron(alg.identity(), alg.mult)
+    return descend(square.projection.compose(raw), square, right=alg.dim)
 
 
 def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtension:
@@ -148,8 +142,7 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
         if not rep.ok:
             raise DomainError(f"invalid extension data: {rep}")
     fixed, fixed_alg = fixed_subalgebra(alg, rho_a)
-    right_b, left_b = _b_module_structures(alg, fixed)
-    square = tensor_over_A(right_b, left_b)
+    square = balanced_power(alg, fixed, 2)
     # can(a (x) a') = a . rho(a'), factored through the balanced quotient
     can_raw = compose_all(kron(alg.mult, coalg.identity()),
                           kron(alg.identity(), rho_a))
@@ -167,9 +160,7 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     # psi(c (x) a) = can(can_inv(1 (x) c) . a)
     unit_c = kron(alg.unit_map(), coalg.identity())   # C -> A (x) C
     to_square = can_inv.compose(unit_c)               # C -> A (x)_B A
-    raw_mult = kron(alg.identity(), alg.mult)
-    right_mult = descend(square.projection.compose(raw_mult), square, right=da)
-    psi = compose_all(can, right_mult,
+    psi = compose_all(can, _square_right_mult(alg, square),
                       kron(to_square, alg.identity()))
     psi = psi.reshaped((dc, da), (da, dc))
     ent = entwine_verified(alg, coalg, psi)

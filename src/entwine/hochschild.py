@@ -1,21 +1,29 @@
 """Relative Hochschild cochains and low-degree cohomology.
 
 For a unital subalgebra B of A and an (A,A)-bimodule M, the degree-n
-cochains are the two-sided B-linear maps on the n-fold balanced power of A
-over B, with degree zero the B-centralizer of M.  The coboundary is the
-usual alternating sum; its square is asserted to vanish in every computed
-degree.  Degree is capped at two: the balanced cube is the largest space
-this library ever builds.
+cochains are the two-sided B-linear maps g on the n-fold balanced power of
+A over B (`entmod.balanced_power`), with degree zero the B-centralizer of
+M.  One formula gives the coboundary in every degree:
+
+    (delta g)(a0, ..., an) = a0 . g(a1, ..., an)
+        + sum over i < n of (-1)^(i+1) g(a0, ..., ai ai+1, ..., an)
+        + (-1)^(n+1) g(a0, ..., an-1) . an
+
+with g read on the n-fold power through its projection and delta g
+descended to the (n+1)-fold power.  Its square is asserted to vanish in
+every computed degree.  Degree is capped at two: the balanced cube is the
+largest space this library ever builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .entmod import balanced_power
 from .errors import InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      TensorShape, SCALAR, descend, image, kernel, kron,
-                     kron_all, op_in_unknown, quotient_by)
+                     kron_all, op_in_unknown)
 from .structures import Algebra, CheckReport, law
 
 
@@ -57,7 +65,7 @@ class RelativeComplex:
     alg: Algebra
     sub: Subspace              # B inside A
     bimodule: Bimodule
-    powers: tuple              # QuotientModule for each balanced power >= 2
+    powers: tuple              # balanced power QuotientModules, 0 factors upward
     spaces: tuple              # cochain Subspaces, degree 0 upward
     boundaries: tuple          # coboundary maps on cochain coordinates
 
@@ -76,47 +84,20 @@ def _is_unital_subalgebra(alg: Algebra, b: Subspace) -> bool:
     return True
 
 
-def _balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
-    """A (x)_B ... (x)_B A with n factors, as one quotient of the n-fold
-    tensor power by all middle balancing relations."""
-    f = alg.field
-    d = alg.dim
-    incl = b.inclusion()
-    ids = [LinMap.identity(f, (d,)) for _ in range(n)]
-    move = kron(alg.mult.compose(kron(ids[0], incl)), ids[0]).sub(
-        kron(ids[0], alg.mult.compose(kron(incl, ids[0]))))
-    # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
-    relations = Subspace.from_vectors(f, tuple([d] * n), [])
-    for pos in range(n - 1):
-        left = LinMap.identity(f, tuple([d] * pos)) if pos else LinMap.identity(f, SCALAR)
-        right_len = n - 2 - pos
-        right = LinMap.identity(f, tuple([d] * right_len)) if right_len else \
-            LinMap.identity(f, SCALAR)
-        relations = relations.sum(image(kron_all(left, move, right)))
-    return quotient_by(relations)
-
-
 def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
-                   power: QuotientModule | None) -> Subspace:
-    """Two-sided B-linear maps out of a balanced power (or out of A itself
-    when power is None), as a subspace of the full matrix space."""
+                   power: QuotientModule) -> Subspace:
+    """Two-sided B-linear maps out of a balanced power with at least one
+    factor, as a subspace of the full matrix space."""
     f = alg.field
-    d = alg.dim
     incl = b.inclusion()
     bdim = b.dim
-    if power is None:
-        dom_dim = d
-        left_act = alg.mult.compose(kron(incl, alg.identity()))
-        right_act = alg.mult.compose(kron(alg.identity(), incl))
-    else:
-        dom_dim = power.dim
-        amb = power.ambient
-        first = kron(alg.mult.compose(kron(incl, alg.identity())),
-                     LinMap.identity(f, amb.factors[1:]))
-        left_act = descend(power.projection.compose(first), power, left=bdim)
-        last = kron(LinMap.identity(f, amb.factors[:-1]),
-                    alg.mult.compose(kron(alg.identity(), incl)))
-        right_act = descend(power.projection.compose(last), power, right=bdim)
+    dom_dim = power.dim
+    first = kron(alg.mult.compose(kron(incl, alg.identity())),
+                 LinMap.identity(f, power.ambient.factors[1:]))
+    left_act = descend(power.projection.compose(first), power, left=bdim)
+    last = kron(LinMap.identity(f, power.ambient.factors[:-1]),
+                alg.mult.compose(kron(alg.identity(), incl)))
+    right_act = descend(power.projection.compose(last), power, right=bdim)
     xdom, xcod = TensorShape((dom_dim,)), TensorShape((m.dim,))
     idm = LinMap.identity(f, (m.dim,))
     sys = LinearConstraints(f, xdom, xcod)
@@ -168,65 +149,44 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
                       square: QuotientModule | None = None) -> RelativeComplex:
     """The complex of `relative_complex` on inputs that the caller has
     already checked: m a bimodule, b a unital subalgebra, max_degree 1 or 2.
-    A balanced square the caller holds (A (x)_B A as `_balanced_power`
+    A balanced square the caller holds (A (x)_B A as `balanced_power`
     builds it) is used instead of being built again."""
     f = alg.field
     d = alg.dim
-    if square is None:
-        square = _balanced_power(alg, b, 2)
-    powers = [square] + [_balanced_power(alg, b, n)
-                         for n in range(3, max_degree + 2)]
-    spaces = [_centralizer(alg, b, m), _cochain_space(alg, b, m, None)]
-    for power in powers:
-        spaces.append(_cochain_space(alg, b, m, power))
+    powers = [square if n == 2 and square is not None
+              else balanced_power(alg, b, n) for n in range(max_degree + 2)]
+    spaces = [_centralizer(alg, b, m)]
+    spaces += [_cochain_space(alg, b, m, power) for power in powers[1:]]
+    ida = alg.identity()
     boundaries = []
-    # degree 0: m -> (a -> a.m - m.a)
-    cols0 = []
-    for vec in spaces[0].basis:
-        ins = LinMap.element(f, (m.dim,), vec)
-        delta = m.left.compose(kron(alg.identity(), ins)).sub(
-            m.right.compose(kron(ins, alg.identity())))
-        cols0.append(delta.flat())
-    boundaries.append(_columns_into(spaces[1], cols0, f, spaces[0].dim))
-    # degree 1: f -> (a1, a2 -> a1.f(a2) - f(a1 a2) + f(a1).a2)
-    cols1 = []
-    for vec in spaces[1].basis:
-        fmap = LinMap.from_flat(f, (d,), (m.dim,), vec)
-        raw = m.left.compose(kron(alg.identity(), fmap)) \
-            .sub(fmap.compose(alg.mult)) \
-            .add(m.right.compose(kron(fmap, alg.identity())))
-        onq = descend(raw, square)
-        cols1.append(onq.flat())
-    boundaries.append(_columns_into(spaces[2], cols1, f, spaces[1].dim))
-    if max_degree == 2:
-        cube = powers[1]
-        cols2 = []
-        ida = alg.identity()
-        for vec in spaces[2].basis:
-            gq = LinMap.from_flat(f, (square.dim,), (m.dim,), vec)
-            gmap = gq.compose(square.projection)      # back on A (x) A
-            raw = m.left.compose(kron(ida, gmap)) \
-                .sub(gmap.compose(kron(alg.mult, ida))) \
-                .add(gmap.compose(kron(ida, alg.mult))) \
-                .sub(m.right.compose(kron(gmap, ida)))
-            onq = descend(raw, cube)
-            cols2.append(onq.flat())
-        boundaries.append(_columns_into(spaces[3], cols2, f, spaces[2].dim))
+    for n in range(max_degree + 1):
+        src = powers[n]
+        # the inner faces: a_i (x) a_(i+1) -> a_i a_(i+1) on A^(n+1)
+        faces = [kron_all(LinMap.identity(f, (d,) * i), alg.mult,
+                          LinMap.identity(f, (d,) * (n - 1 - i)))
+                 for i in range(n)]
+        coords = []
+        for vec in spaces[n].basis:
+            g = LinMap.from_flat(f, (src.dim,), (m.dim,), vec) \
+                .compose(src.projection)
+            terms = ([m.left.compose(kron(ida, g))]
+                     + [g.compose(face) for face in faces]
+                     + [m.right.compose(kron(g, ida))])
+            delta = terms[0]
+            for i, term in enumerate(terms[1:]):
+                delta = delta.add(term) if i % 2 else delta.sub(term)
+            coords.append(spaces[n + 1].coords(
+                descend(delta, powers[n + 1]).flat()))
+        if None in coords:
+            raise InconsistencyError("coboundary leaves the cochain space")
+        boundaries.append(LinMap.from_rows(f, (spaces[n + 1].dim,),
+                                           (spaces[n].dim,), coords).transpose())
     complex_ = RelativeComplex(alg, b, m, tuple(powers), tuple(spaces),
                                tuple(boundaries))
     for lower, upper in zip(boundaries, boundaries[1:]):
         if not upper.compose(lower).is_zero_map():
             raise InconsistencyError("coboundary square does not vanish")
     return complex_
-
-
-def _columns_into(space: Subspace, cols, f, src_dim) -> LinMap:
-    """Express ambient column vectors in the coordinates of a cochain
-    subspace, asserting membership."""
-    coords = [space.coords(col) for col in cols]
-    if None in coords:
-        raise InconsistencyError("coboundary leaves the cochain space")
-    return LinMap.from_rows(f, (space.dim,), (src_dim,), coords).transpose()
 
 
 def cohomology_dim(complex_: RelativeComplex, n: int):
@@ -239,10 +199,8 @@ def cohomology_dim(complex_: RelativeComplex, n: int):
         raise InputError(f"degree {n} exceeds the computed complex")
     f = complex_.alg.field
     cycles = kernel(complex_.boundaries[n])
-    if n == 0:
-        boundaries = Subspace.zero(f, cycles.ambient)
-    else:
-        boundaries = image(complex_.boundaries[n - 1])
+    boundaries = image(complex_.boundaries[n - 1]) if n else \
+        Subspace.zero(f, cycles.ambient)
     dim = cycles.dim - boundaries.dim
     reps = []
     span = boundaries

@@ -887,6 +887,8 @@ class LinearConstraints:
         except lhs; lhs/rhs are operators built by op_in_unknown, target is a
         fixed map vectorized as the affine right-hand side."""
         op = lhs if rhs is None else lhs.sub(rhs)
+        if op.cols != self.x_cod.total * self.x_dom.total:
+            raise InputError("constraint operator does not act on the unknown")
         ee, dd = op.codomain.factors if op.codomain.factors else (1, 1)
         if target is None:
             tvec = (self.field.zero,) * op.rows

@@ -16,6 +16,7 @@ from .fields import Field, FieldError, GF, QQ
 from .linalg import LinMap, TensorShape
 from .structures import Algebra, Coalgebra
 from .entwining import Entwining, make_entwining
+from .hochschild import Bimodule
 
 SCHEMA = "entwine/1"
 
@@ -160,6 +161,31 @@ def parse_document(text) -> InputDocument:
     if "morphism" in obj:
         doc.morphism = _parse_morphism(f, obj["morphism"], doc)
     return doc
+
+
+def parse_bimodule(text, alg: Algebra) -> Bimodule:
+    """The (A,A)-bimodule M of a `--bimodule` document over alg."""
+    try:
+        obj = json.loads(text)
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal past Python's digit limit
+        raise SchemaError(f"cannot read bimodule file: {exc}") from exc
+    _strict(obj, {"schema", "field", "bimodule"}, "bimodule document")
+    if obj.get("schema") != SCHEMA:
+        raise SchemaError("unsupported schema in bimodule file")
+    f = parse_field(obj.get("field", {}))
+    if f != alg.field:
+        raise SchemaError("bimodule field does not match the algebra")
+    sect = obj.get("bimodule")
+    _strict(sect, {"dim", "left", "right"}, "bimodule")
+    dim = _need_int(sect, "dim", "bimodule")
+    if dim < 1:
+        raise SchemaError("bimodule dimension must be positive")
+    left = parse_matrix(f, _need(sect, "left", "bimodule"), (alg.dim, dim),
+                        (dim,), "left")
+    right = parse_matrix(f, _need(sect, "right", "bimodule"), (dim, alg.dim),
+                         (dim,), "right")
+    return Bimodule(dim, left, right)
 
 
 def _parse_algebra(f, obj) -> Algebra:

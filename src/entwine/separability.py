@@ -290,13 +290,13 @@ def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
 
 
 def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral",
-                             witnesses=None, grid=None) -> StrongOutcome:
+                             witnesses=None) -> StrongOutcome:
     """Decide strong separability by one of three bounded strategies.
 
     "given": verify a supplied (u, E, tau) triple (witnesses = (u, E, tau)
     with tau None to extract it).  "search": iterate the integral and phi
-    solution families over a small coefficient grid (default -1, 0, 1) and
-    test every pair; exhaustion is inconclusive, not absence.
+    solution families over the coefficient grid (0, 1, -1) in each
+    coordinate and test every pair; exhaustion is inconclusive, not absence.
     "fixed_integral": fix the particular normalised integral, then solve for
     phi with the extra affine rows forcing sum a_i phi(c_i) into the span of
     the unit, reading tau off the solution.
@@ -348,7 +348,7 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
     _, phi_family = split
 
     if strategy == "search":
-        coeffs = tuple(grid) if grid is not None else (f.zero, f.one, f.neg(f.one))
+        coeffs = (f.zero, f.one, f.neg(f.one))
         integrals = witness_system(WitnessKind.INTEGRAL, g.ent, normalized=True)
         z_grid = [coeffs] * sep.family.homogeneous.dim
         phi_grid = [coeffs] * phi_family.homogeneous.dim

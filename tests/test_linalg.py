@@ -7,7 +7,8 @@ from entwine import GF, QQ, LinMap, Subspace, TensorShape, kernel_image, \
     kron, solve_affine
 from entwine.linalg import invert, quotient_by, rref
 from entwine.errors import InputError
-from entwine.linalg import op_in_unknown, right_inverse
+from entwine.linalg import (LinearConstraints, SCALAR, op_in_unknown,
+                            right_inverse)
 
 import oracle
 
@@ -454,3 +455,12 @@ def test_equations_have_the_same_solution_set(system):
     again = solve_affine(*sol.equations())
     assert again.particular == sol.particular
     assert again.homogeneous == sol.homogeneous
+
+
+def test_constraint_on_a_different_unknown_is_rejected():
+    # an operator built for a 3x3 unknown, offered to a 2x2 one
+    op = op_in_unknown(LinMap.identity(QQ, (3,)), SCALAR, (3,), (3,), SCALAR,
+                       LinMap.identity(QQ, (3,)))
+    sys_ = LinearConstraints(QQ, (2,), (2,))
+    with pytest.raises(InputError):
+        sys_.require("wrong unknown", op)

@@ -8,7 +8,7 @@ maps up to order, a law the same path still runs. That is checked here on
 random structure maps over GF(7), which satisfy none of the laws, so equal
 verdicts alone would not pass. Reports assemble the relative complex on
 the extension's own A (x)_B A, which must be the quotient that
-`_balanced_power` builds.
+`entmod.balanced_power` builds.
 """
 
 import math
@@ -17,11 +17,11 @@ import random
 import pytest
 
 from entwine import GF, QQ, default_catalog
-from entwine.entmod import (RightComodule, RightModule, check_right_comodule,
-                            check_right_module)
+from entwine.entmod import (RightComodule, RightModule,
+                            balanced_power as _balanced_power,
+                            check_right_comodule, check_right_module)
 from entwine.galois import GaloisExtension, verify_action, verify_coaction
-from entwine.hochschild import (_balanced_power, regular_bimodule,
-                                verify_bimodule)
+from entwine.hochschild import regular_bimodule, verify_bimodule
 from entwine.linalg import LinMap
 from entwine.structures import (Algebra, Coalgebra, verify_algebra,
                                 verify_coalgebra)
