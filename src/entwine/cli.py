@@ -44,11 +44,11 @@ def _read(path: str) -> str:
         raise schema.SchemaError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def _load(path: str, parse=schema.parse_document, *context):
-    """The document at path, read by parse (with any further arguments)."""
+def _load(path: str, parse=schema.parse_document):
+    """The document at path, as parse reads its text."""
     text = _read(path)
     try:
-        return parse(text, *context)
+        return parse(text)
     except RecursionError:
         raise schema.SchemaError(f"{path} is nested too deeply") from None
 
@@ -308,7 +308,7 @@ def cmd_hochschild(args) -> int:
         raise schema.SchemaError("hochschild needs an algebra")
     alg = doc.algebra
     f = alg.field
-    bimod = _load(args.bimodule, schema.parse_bimodule, alg) \
+    bimod = _load(args.bimodule, lambda text: schema.parse_bimodule(text, alg)) \
         if args.bimodule else None
     rep = verify_algebra(alg)
     if rep.ok and bimod is not None:

@@ -205,12 +205,13 @@ def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
     tensor power by all middle balancing relations; n = 0 gives the ground
     field and n = 1 gives A, each with no relations."""
     f = alg.field
-    ida = alg.identity()
-    incl = b.inclusion()
-    # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
-    move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
-        kron(ida, alg.mult.compose(kron(incl, ida))))
     relations = Subspace.zero(f, (alg.dim,) * n)
+    if n > 1:
+        ida = alg.identity()
+        incl = b.inclusion()
+        # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
+        move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
+            kron(ida, alg.mult.compose(kron(incl, ida))))
     for pos in range(n - 1):
         relations = relations.sum(image(kron_all(
             LinMap.identity(f, (alg.dim,) * pos), move,

@@ -199,8 +199,10 @@ def cohomology_dim(complex_: RelativeComplex, n: int):
         raise InputError(f"degree {n} exceeds the computed complex")
     f = complex_.alg.field
     cycles = kernel(complex_.boundaries[n])
-    boundaries = image(complex_.boundaries[n - 1]) if n else \
-        Subspace.zero(f, cycles.ambient)
+    if n == 0:
+        boundaries = Subspace.zero(f, cycles.ambient)
+    else:
+        boundaries = image(complex_.boundaries[n - 1])
     dim = cycles.dim - boundaries.dim
     reps = []
     span = boundaries

@@ -661,8 +661,8 @@ def descend(raw: LinMap, src: QuotientModule, left=1, right=1) -> LinMap:
     f = raw.field
     idl = LinMap.identity(f, TensorShape((left,)) if left != 1 else SCALAR)
     idr = LinMap.identity(f, TensorShape((right,)) if right != 1 else SCALAR)
-    incl = kron_all(idl, src.relations.inclusion(), idr)
-    if src.relations.dim and not raw.compose(incl).is_zero_map():
+    if src.relations.dim and not raw.compose(
+            kron_all(idl, src.relations.inclusion(), idr)).is_zero_map():
         raise InconsistencyError("map does not descend to the quotient")
     sec = kron_all(idl, src.section, idr)
     return raw.compose(sec)
