@@ -16,6 +16,7 @@ landing and descent assertions on each individual map still run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
@@ -205,18 +206,17 @@ def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
     tensor power by all middle balancing relations; n = 0 gives the ground
     field and n = 1 gives A, each with no relations."""
     f = alg.field
-    relations = Subspace.zero(f, (alg.dim,) * n)
-    if n > 1:
-        ida = alg.identity()
-        incl = b.inclusion()
-        # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
-        move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
-            kron(ida, alg.mult.compose(kron(incl, ida))))
-    for pos in range(n - 1):
-        relations = relations.sum(image(kron_all(
-            LinMap.identity(f, (alg.dim,) * pos), move,
-            LinMap.identity(f, (alg.dim,) * (n - 2 - pos)))))
-    return quotient_by(relations)
+    if n < 2:
+        return quotient_by(Subspace.zero(f, (alg.dim,) * n))
+    ida = alg.identity()
+    incl = b.inclusion()
+    # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
+    move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
+        kron(ida, alg.mult.compose(kron(incl, ida))))
+    return quotient_by(reduce(Subspace.sum, [
+        image(kron_all(LinMap.identity(f, (alg.dim,) * pos), move,
+                       LinMap.identity(f, (alg.dim,) * (n - 2 - pos))))
+        for pos in range(n - 1)]))
 
 
 # ---------------------------------------------------------------------------
