@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
-                     kron, kron_all, op_in_unknown, quotient_by)
+                     kron, kron_all, quotient_by)
 from .structures import (Algebra, Coalgebra, dual_swap, quotient_coalgebra,
                          verify_algebra, verify_coalgebra)
 from .entwining import (Entwining, ground_coalgebra, make_entwining,
@@ -70,10 +70,17 @@ def _verify_hopf(h: HopfData) -> None:
         raise InputError("antipode fails on the right")
 
 
+# Largest group order of any catalog family (each --n, --na and --nc): every
+# family is built on cyclic_group_hopf, and order 16 takes seconds.
+MAX_ORDER = 16
+
+
 def cyclic_group_hopf(n: int, field: Field) -> HopfData:
     """k[C_n] with the group-like coproduct and inversion antipode."""
     if n < 1:
         raise InputError("group order must be positive")
+    if n > MAX_ORDER:
+        raise InputError(f"group order {n} is above the cap of {MAX_ORDER}")
     one, zero = field.one, field.zero
     rows = [[zero] * (n * n) for _ in range(n)]
     for i in range(n):
@@ -273,13 +280,13 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
     # x . a = eps(a) x for every a in H, and eps(x) = 1
     qshape = (quot_coalg.dim,)
     sys = LinearConstraints(f, SCALAR, qshape)
-    acted = op_in_unknown(h.alg.identity(), SCALAR, SCALAR, qshape, (n,), rho_c)
-    kept = op_in_unknown(h.coalg.counit_map(), SCALAR, SCALAR, qshape, SCALAR,
-                         LinMap.identity(f, qshape))
+    acted = sys.term(h.alg.identity(), SCALAR, (n,), rho_c)
+    kept = sys.term(h.coalg.counit_map(), SCALAR, SCALAR,
+                    LinMap.identity(f, qshape))
     sys.require("invariance", acted, kept)
     sys.require("normalisation",
-                op_in_unknown(LinMap.identity(f, SCALAR), SCALAR, SCALAR, qshape,
-                              SCALAR, quot_coalg.counit_map()),
+                sys.term(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
+                         quot_coalg.counit_map()),
                 target=LinMap.identity(f, SCALAR))
     sol = sys.solve()
     extras = {"hopf": h, "projection": proj, "action": rho_c,

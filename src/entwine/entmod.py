@@ -21,8 +21,8 @@ from functools import reduce
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
-                     TensorShape, SCALAR, compose_all, corestrict, descend,
-                     image, kernel, kron, kron_all, op_in_unknown, quotient_by)
+                     SCALAR, compose_all, corestrict, descend, image, kernel,
+                     kron, kron_all, quotient_by)
 from .structures import Algebra, CheckReport, law
 
 
@@ -224,12 +224,25 @@ def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
 
 
 def _induced_carrier(mor: EntwiningMorphism,
-                     m: EntwinedModule) -> QuotientModule:
-    """The quotient M (x)_A A~ that carries the induced module, with the
-    target algebra a left module over the source through f."""
+                     m: RightModule) -> QuotientModule:
+    """The quotient M (x)_A A~ that carries the induced module, for a right
+    source-module M, with the target algebra a left module over the source
+    through f."""
     dst_a = mor.dst.alg
     action = dst_a.mult.compose(kron(mor.f, dst_a.identity()))
-    return tensor_over_A(m.as_module(), LeftModule(dst_a.dim, action))
+    return tensor_over_A(m, LeftModule(dst_a.dim, action))
+
+
+def _induced_coaction(mor: EntwiningMorphism, v: RightComodule) -> LinMap:
+    """x (x) a~ -> x0 (x) psi~(g(x1) (x) a~) on V (x) A~ for a right
+    source-comodule V, shaped as a coaction on the flattened space."""
+    dst = mor.dst
+    idv = LinMap.identity(dst.field, (v.dim,))
+    ida2 = dst.alg.identity()
+    dim = v.dim * dst.alg.dim
+    return compose_all(kron(idv, dst.psi), kron_all(idv, mor.g, ida2),
+                       kron(v.coaction, ida2)).reshaped((dim,),
+                                                        (dim, dst.coalg.dim))
 
 
 def induce(mor: EntwiningMorphism, m: EntwinedModule):
@@ -241,16 +254,11 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
         raise InputError("module does not live over the source entwining")
     dst = mor.dst
     da2, dc2 = dst.alg.dim, dst.coalg.dim
-    quot = _induced_carrier(mor, m)
-    idm = m.identity()
-    ida2 = dst.alg.identity()
+    quot = _induced_carrier(mor, m.as_module())
     # action (x (x)_A a~) . a~' = x (x)_A (a~ a~')
-    act_raw = kron(idm, dst.alg.mult)
+    act_raw = kron(m.identity(), dst.alg.mult)
     action = descend(quot.projection.compose(act_raw), quot, right=da2)
-    # coaction x (x) a~ -> x0 (x) psi~(g(x1) (x) a~)
-    coact_raw = compose_all(kron_all(idm, dst.psi),
-                            kron_all(idm, mor.g, ida2),
-                            kron(m.coaction, ida2))
+    coact_raw = _induced_coaction(mor, m.as_comodule())
     coaction = descend(kron(quot.projection, dst.coalg.identity()).compose(coact_raw),
                        quot)
     qd = quot.dim
@@ -263,12 +271,13 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
     return out, quot
 
 
-def _coinduced_carrier(mor: EntwiningMorphism, mt: EntwinedModule) -> Subspace:
-    """The subspace M~ [] C that carries the coinduced module, with the
-    source coalgebra a left comodule over the target through g."""
+def _coinduced_carrier(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
+    """The subspace V [] C that carries the coinduced module, for a right
+    target-comodule V, with the source coalgebra a left comodule over the
+    target through g."""
     src_c = mor.src.coalg
     coaction = kron(mor.g, src_c.identity()).compose(src_c.comult)
-    return cotensor(mt.as_comodule(), LeftComodule(src_c.dim, coaction))
+    return cotensor(v, LeftComodule(src_c.dim, coaction))
 
 
 def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
@@ -280,7 +289,7 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
         raise InputError("module does not live over the target entwining")
     src = mor.src
     da, dc = src.alg.dim, src.coalg.dim
-    sub = _coinduced_carrier(mor, mt)
+    sub = _coinduced_carrier(mor, mt.as_comodule())
     idmt = mt.identity()
     idc = src.coalg.identity()
     # coaction Sum m~ (x) c -> Sum m~ (x) c1 (x) c2
@@ -365,13 +374,13 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
     fgmt, q_fgmt = induce(mor, gmt)
     psi = adjunction_counit(mor, mt, s_gmt, q_fgmt)
     # counit(F m) . F(unit_m) = id on F m
-    q_fgfm = _induced_carrier(mor, gfm)
+    q_fgfm = _induced_carrier(mor, gfm.as_module())
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
     left = adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi)
     if not left.equals(fm.identity()):
         raise DomainError("adjunction triangle (counit . F unit) failed")
     # G(counit_m~) . unit(G m~) = id on G m~
-    s_gfgmt = _coinduced_carrier(mor, fgmt)
+    s_gfgmt = _coinduced_carrier(mor, fgmt.as_comodule())
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
     right = g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt))
     if not right.equals(gmt.identity()):
@@ -389,13 +398,12 @@ def _fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
     A -> A (x) C.  For M = A this is the fixed subalgebra."""
     f = action.field
     da, dc = rho_a.codomain.factors
-    x_cod = action.codomain
-    sys = LinearConstraints(f, SCALAR, x_cod)
+    sys = LinearConstraints(f, SCALAR, action.codomain)
     # both sides as maps A -> M (x) C in the unknown element x: k -> M
-    lhs = op_in_unknown(LinMap.identity(f, (da,)), SCALAR, SCALAR, x_cod, (da,),
-                        coaction.compose(action))
-    rhs = op_in_unknown(rho_a, SCALAR, SCALAR, x_cod, (da, dc),
-                        kron(action, LinMap.identity(f, (dc,))))
+    lhs = sys.term(LinMap.identity(f, (da,)), SCALAR, (da,),
+                   coaction.compose(action))
+    rhs = sys.term(rho_a, SCALAR, (da, dc),
+                   kron(action, LinMap.identity(f, (dc,))))
     sys.require("fixed under the coaction", lhs, rhs)
     return sys.solve().homogeneous
 
@@ -414,17 +422,16 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
     f = m.field
     e = m.ent
     da, dc = e.alg.dim, e.coalg.dim
-    xdom, xcod = TensorShape((m.dim,)), TensorShape((n.dim,))
-    sys = LinearConstraints(f, xdom, xcod)
+    sys = LinearConstraints(f, (m.dim,), (n.dim,))
     # A-linearity: X . action_M = action_N . (X (x) id_A)
-    lin_lhs = op_in_unknown(m.action, SCALAR, xdom, xcod, SCALAR, n.identity())
-    lin_rhs = op_in_unknown(LinMap.identity(f, (m.dim, da)), SCALAR, xdom, xcod,
-                            TensorShape((da,)), n.action)
+    lin_lhs = sys.term(m.action, SCALAR, SCALAR, n.identity())
+    lin_rhs = sys.term(LinMap.identity(f, (m.dim, da)), SCALAR, (da,),
+                       n.action)
     sys.require("A-linearity", lin_lhs, lin_rhs)
     # C-colinearity: coaction_N . X = (X (x) id_C) . coaction_M
-    col_lhs = op_in_unknown(m.identity(), SCALAR, xdom, xcod, SCALAR, n.coaction)
-    col_rhs = op_in_unknown(m.coaction, SCALAR, xdom, xcod, TensorShape((dc,)),
-                            LinMap.identity(f, (n.dim, dc)))
+    col_lhs = sys.term(m.identity(), SCALAR, SCALAR, n.coaction)
+    col_rhs = sys.term(m.coaction, SCALAR, (dc,),
+                       LinMap.identity(f, (n.dim, dc)))
     sys.require("C-colinearity", col_lhs, col_rhs)
     return sys.solve().homogeneous
 

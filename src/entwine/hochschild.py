@@ -23,7 +23,7 @@ from .entmod import balanced_power
 from .errors import InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      TensorShape, SCALAR, descend, image, kernel, kron,
-                     kron_all, op_in_unknown)
+                     kron_all)
 from .structures import Algebra, CheckReport, law
 
 
@@ -65,7 +65,6 @@ class RelativeComplex:
     alg: Algebra
     sub: Subspace              # B inside A
     bimodule: Bimodule
-    powers: tuple              # balanced power QuotientModules, 0 factors upward
     spaces: tuple              # cochain Subspaces, degree 0 upward
     boundaries: tuple          # coboundary maps on cochain coordinates
 
@@ -98,30 +97,28 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
     last = kron(LinMap.identity(f, power.ambient.factors[:-1]),
                 alg.mult.compose(kron(alg.identity(), incl)))
     right_act = descend(power.projection.compose(last), power, right=bdim)
-    xdom, xcod = TensorShape((dom_dim,)), TensorShape((m.dim,))
     idm = LinMap.identity(f, (m.dim,))
-    sys = LinearConstraints(f, xdom, xcod)
+    sys = LinearConstraints(f, (dom_dim,), (m.dim,))
     # X(b . x) = b . X(x)
-    lhs = op_in_unknown(left_act, SCALAR, xdom, xcod, SCALAR, idm)
-    rhs = op_in_unknown(LinMap.identity(f, (bdim, dom_dim)), (bdim,), xdom,
-                        xcod, SCALAR, m.left.compose(kron(incl, idm)))
+    lhs = sys.term(left_act, SCALAR, SCALAR, idm)
+    rhs = sys.term(LinMap.identity(f, (bdim, dom_dim)), (bdim,), SCALAR,
+                   m.left.compose(kron(incl, idm)))
     sys.require("left B-linearity", lhs, rhs)
     # X(x . b) = X(x) . b
-    lhs = op_in_unknown(right_act, SCALAR, xdom, xcod, SCALAR, idm)
-    rhs = op_in_unknown(LinMap.identity(f, (dom_dim, bdim)), SCALAR, xdom,
-                        xcod, (bdim,), m.right.compose(kron(idm, incl)))
+    lhs = sys.term(right_act, SCALAR, SCALAR, idm)
+    rhs = sys.term(LinMap.identity(f, (dom_dim, bdim)), SCALAR, (bdim,),
+                   m.right.compose(kron(idm, incl)))
     sys.require("right B-linearity", lhs, rhs)
     return sys.solve().homogeneous
 
 
 def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
     """Elements x of M with b . x = x . b for every b in B."""
-    xcod = TensorShape((m.dim,))
-    sys = LinearConstraints(alg.field, SCALAR, xcod)
+    sys = LinearConstraints(alg.field, SCALAR, (m.dim,))
     # both sides as maps B -> M in the unknown element x: k -> M
     incl = b.inclusion()
-    lhs = op_in_unknown(incl, (alg.dim,), SCALAR, xcod, SCALAR, m.left)
-    rhs = op_in_unknown(incl, SCALAR, SCALAR, xcod, (alg.dim,), m.right)
+    lhs = sys.term(incl, (alg.dim,), SCALAR, m.left)
+    rhs = sys.term(incl, SCALAR, (alg.dim,), m.right)
     sys.require("centrality", lhs, rhs)
     return sys.solve().homogeneous
 
@@ -181,8 +178,7 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
             raise InconsistencyError("coboundary leaves the cochain space")
         boundaries.append(LinMap.from_rows(f, (spaces[n + 1].dim,),
                                            (spaces[n].dim,), coords).transpose())
-    complex_ = RelativeComplex(alg, b, m, tuple(powers), tuple(spaces),
-                               tuple(boundaries))
+    complex_ = RelativeComplex(alg, b, m, tuple(spaces), tuple(boundaries))
     for lower, upper in zip(boundaries, boundaries[1:]):
         if not upper.compose(lower).is_zero_map():
             raise InconsistencyError("coboundary square does not vanish")

@@ -867,7 +867,6 @@ class _Block:
     label: str
     matrix: LinMap      # operator on vec(X), rows indexed by (e, d)
     rhs: tuple          # target vector of length matrix.rows
-    out_total: int
     in_total: int
 
 
@@ -881,22 +880,27 @@ class LinearConstraints:
         self.x_dom, self.x_cod = _shape(x_dom), _shape(x_cod)
         self.blocks: list[_Block] = []
 
+    def term(self, pre: LinMap, left, right, post: LinMap) -> LinMap:
+        """The operator X |-> post . (1_L (x) X (x) 1_R) . pre on this
+        system's unknown (see op_in_unknown)."""
+        return op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post)
+
     def require(self, label, lhs: LinMap, rhs: LinMap | None = None,
                 target: LinMap | None = None):
         """Add the condition lhs(X) = rhs(X) + target, all sides optional
-        except lhs; lhs/rhs are operators built by op_in_unknown, target is a
-        fixed map vectorized as the affine right-hand side."""
+        except lhs; lhs/rhs are operators on vec(X), usually built by term,
+        target is a fixed map vectorized as the affine right-hand side."""
         op = lhs if rhs is None else lhs.sub(rhs)
         if op.cols != self.x_cod.total * self.x_dom.total:
             raise InputError("constraint operator does not act on the unknown")
-        ee, dd = op.codomain.factors if op.codomain.factors else (1, 1)
+        _, in_total = op.codomain.factors or (1, 1)
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:
             tvec = target.flat()
             if len(tvec) != op.rows:
                 raise InputError("target does not match the constraint block")
-        self.blocks.append(_Block(label, op, tvec, ee, dd))
+        self.blocks.append(_Block(label, op, tvec, in_total))
 
     def assembled(self):
         """The deduplicated system on vec(X); its domain is x_cod (x) x_dom,

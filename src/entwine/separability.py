@@ -127,23 +127,21 @@ def split_system(g: GaloisExtension) -> LinearConstraints:
     sys = LinearConstraints(f, (dc,), (da,))
     rho_one = g.rho_a.apply(a.unit)
     # psi(c1 (x) phi(c2)) = phi(c) . rho(1)
-    coh_l = op_in_unknown(c.comult, (dc,), (dc,), (da,), SCALAR, psi)
+    coh_l = sys.term(c.comult, (dc,), SCALAR, psi)
     mult_by_rho_one = compose_all(kron(a.mult, idc),
                                   kron(ida, LinMap.element(f, (da, dc), rho_one)))
-    coh_r = op_in_unknown(idc, SCALAR, (dc,), (da,), SCALAR, mult_by_rho_one)
+    coh_r = sys.term(idc, SCALAR, SCALAR, mult_by_rho_one)
     sys.require("coaction coherence", coh_l, coh_r)
     # sum a^i phi(c_i) = 1 where rho(1) = sum a^i (x) c_i
-    contract = op_in_unknown(LinMap.element(f, (da, dc), rho_one), (da,),
-                             (dc,), (da,), SCALAR, a.mult)
+    contract = sys.term(LinMap.element(f, (da, dc), rho_one), (da,), SCALAR,
+                        a.mult)
     sys.require("unit splitting", contract, target=a.unit_map())
     # b_alpha phi(c^alpha) = phi(c) b for b running over the fixed subalgebra
     for t in range(g.fixed.dim):
         b = g.fixed.basis[t]
         ins_b = LinMap.element(f, (da,), b)
-        lhs = op_in_unknown(psi.compose(kron(idc, ins_b)), (da,), (dc,), (da,),
-                            SCALAR, a.mult)
-        rhs = op_in_unknown(idc, SCALAR, (dc,), (da,), SCALAR,
-                            a.mult.compose(kron(ida, ins_b)))
+        lhs = sys.term(psi.compose(kron(idc, ins_b)), (da,), SCALAR, a.mult)
+        rhs = sys.term(idc, SCALAR, SCALAR, a.mult.compose(kron(ida, ins_b)))
         sys.require(f"fixed-element commutation {t}", lhs, rhs)
     return sys
 

@@ -21,15 +21,16 @@ from enum import Enum
 
 from .errors import DomainError, InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism
-from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, adjunction_unit, coinduce, cotensor, hom_AC, induce,
-                     standard_module, regular_module, tensor_over_A)
+from .entmod import (EntwinedModule, RightComodule, RightModule,
+                     _coinduced_carrier, _induced_carrier, _induced_coaction,
+                     adjunction_unit, coinduce, hom_AC, induce,
+                     standard_module, regular_module)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
                      QuotientModule, Subspace, TensorShape, SCALAR,
                      compose_all, corestrict, descend, kron,
-                     kron_all, op_in_unknown, right_inverse)
+                     kron_all, right_inverse)
 
 
 class WitnessKind(str, Enum):
@@ -75,58 +76,54 @@ def witness_system(kind: WitnessKind, e: Entwining,
     sys = LinearConstraints(f, dom, cod)
     if kind == WitnessKind.INTEGRAL:
         # a . z = z . a for every a, as maps A -> A (x) C in the unknown z
-        left = op_in_unknown(ida, (da,), SCALAR, (da, dc), SCALAR,
-                             kron(a.mult, idc))
-        right = op_in_unknown(ida, SCALAR, SCALAR, (da, dc), (da,),
-                              compose_all(kron(a.mult, idc), kron(ida, psi)))
+        left = sys.term(ida, (da,), SCALAR, kron(a.mult, idc))
+        right = sys.term(ida, SCALAR, (da,),
+                         compose_all(kron(a.mult, idc), kron(ida, psi)))
         sys.require("centrality", left, right)
         if normalized:
-            norm = op_in_unknown(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
-                                 (da, dc), SCALAR, kron(ida, c.counit_map()))
+            norm = sys.term(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
+                            kron(ida, c.counit_map()))
             sys.require("normalisation", norm, target=a.unit_map())
     elif kind == WitnessKind.COINTEGRAL:
         # c1 y(c2 (x) a) = y(c1 (x) a_alpha) c2^alpha
-        left = op_in_unknown(kron(c.comult, ida), (dc,), (dc, da), SCALAR,
-                             SCALAR, idc)
-        right = op_in_unknown(compose_all(kron(idc, psi), kron(c.comult, ida)),
-                              SCALAR, (dc, da), SCALAR, (dc,), idc)
+        left = sys.term(kron(c.comult, ida), (dc,), SCALAR, idc)
+        right = sys.term(compose_all(kron(idc, psi), kron(c.comult, ida)),
+                         SCALAR, (dc,), idc)
         sys.require("equivariance", left, right)
         if normalized:
-            norm = op_in_unknown(kron(idc, a.unit_map()), SCALAR, (dc, da),
-                                 SCALAR, SCALAR, LinMap.identity(f, SCALAR))
+            norm = sys.term(kron(idc, a.unit_map()), SCALAR, SCALAR,
+                            LinMap.identity(f, SCALAR))
             sys.require("normalisation", norm, target=c.counit_map())
     elif kind == WitnessKind.INTEGRAL_MAP:
         # gamma(c (x) c'1) (x) c'2 = psi(c1 (x) gamma(c2 (x) c'))
-        co_l = op_in_unknown(kron(idc, c.comult), SCALAR, (dc, dc), (da,),
-                             (dc,), LinMap.identity(f, (da, dc)))
-        co_r = op_in_unknown(kron(c.comult, idc), (dc,), (dc, dc), (da,),
-                             SCALAR, psi)
+        co_l = sys.term(kron(idc, c.comult), SCALAR, (dc,),
+                        LinMap.identity(f, (da, dc)))
+        co_r = sys.term(kron(c.comult, idc), (dc,), SCALAR, psi)
         sys.require("comodule compatibility", co_l, co_r)
         # gamma(c (x) c') a = a_{alpha beta} gamma(c^beta (x) c'^alpha)
-        mo_l = op_in_unknown(LinMap.identity(f, (dc, dc, da)), SCALAR,
-                             (dc, dc), (da,), (da,), a.mult)
-        mo_r = op_in_unknown(compose_all(kron(psi, idc), kron(idc, psi)),
-                             (da,), (dc, dc), (da,), SCALAR, a.mult)
+        mo_l = sys.term(LinMap.identity(f, (dc, dc, da)), SCALAR, (da,),
+                        a.mult)
+        mo_r = sys.term(compose_all(kron(psi, idc), kron(idc, psi)), (da,),
+                        SCALAR, a.mult)
         sys.require("module compatibility", mo_l, mo_r)
         if normalized:
-            norm = op_in_unknown(c.comult, SCALAR, (dc, dc), (da,), SCALAR, ida)
+            norm = sys.term(c.comult, SCALAR, SCALAR, ida)
             sys.require("normalisation", norm,
                         target=a.unit_map().compose(c.counit_map()))
     elif kind == WitnessKind.COINTEGRAL_MAP:
         # zeta(c)^1 (x) zeta(c)^2 a = a_alpha zeta(c^alpha)^1 (x) zeta(c^alpha)^2
-        mo_l = op_in_unknown(LinMap.identity(f, (dc, da)), SCALAR, (dc,),
-                             (da, da), (da,), kron(ida, a.mult))
-        mo_r = op_in_unknown(psi, (da,), (dc,), (da, da), SCALAR,
-                             kron(a.mult, ida))
+        mo_l = sys.term(LinMap.identity(f, (dc, da)), SCALAR, (da,),
+                        kron(ida, a.mult))
+        mo_r = sys.term(psi, (da,), SCALAR, kron(a.mult, ida))
         sys.require("module compatibility", mo_l, mo_r)
         # zeta(c1) (x) c2 = (A (x) psi)(psi (x) A)(c1 (x) zeta(c2))
-        co_l = op_in_unknown(c.comult, SCALAR, (dc,), (da, da), (dc,),
-                             LinMap.identity(f, (da, da, dc)))
-        co_r = op_in_unknown(c.comult, (dc,), (dc,), (da, da), SCALAR,
-                             compose_all(kron(ida, psi), kron(psi, ida)))
+        co_l = sys.term(c.comult, SCALAR, (dc,),
+                        LinMap.identity(f, (da, da, dc)))
+        co_r = sys.term(c.comult, (dc,), SCALAR,
+                        compose_all(kron(ida, psi), kron(psi, ida)))
         sys.require("comodule compatibility", co_l, co_r)
         if normalized:
-            norm = op_in_unknown(idc, SCALAR, (dc,), (da, da), SCALAR, a.mult)
+            norm = sys.term(idc, SCALAR, SCALAR, a.mult)
             sys.require("normalisation", norm,
                         target=a.unit_map().compose(c.counit_map()))
     else:
@@ -186,22 +183,11 @@ class LambdaContext:
 
 
 def _cotensor_with_c(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
-    """(V (x) A~) [] C for a right source-comodule V, using the target-side
-    comodule structure of V (x) A~ and the left structure of C through g."""
-    src, dst = mor.src, mor.dst
-    f = src.field
-    da2 = dst.alg.dim
-    idv = LinMap.identity(f, (v.dim,))
-    ida2 = dst.alg.identity()
-    coact = compose_all(kron(idv, dst.psi),
-                        kron_all(idv, mor.g, ida2),
-                        kron(v.coaction, ida2))
-    right = RightComodule(v.dim * da2,
-                          coact.reshaped((v.dim * da2,),
-                                         (v.dim * da2, dst.coalg.dim)))
-    left = LeftComodule(src.coalg.dim,
-                        kron(mor.g, src.coalg.identity()).compose(src.coalg.comult))
-    return cotensor(right, left)
+    """(V (x) A~) [] C for a right source-comodule V: the coinduced carrier
+    on V (x) A~ with its induced coaction."""
+    dim = v.dim * mor.dst.alg.dim
+    return _coinduced_carrier(mor,
+                              RightComodule(dim, _induced_coaction(mor, v)))
 
 
 def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
@@ -217,9 +203,9 @@ def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
                           kron_all(idc, ida2, src.psi),
                           kron(carrier.inclusion(), ida))
     action = corestrict(act_raw, carrier)
-    # auxiliary cotensor on (C (x) A) (x) A~, with C (x) A entwined over the source
-    ca = standard_module("comod_tensor_a", RightComodule(dc, src.coalg.comult), src)
-    aux = _cotensor_with_c(mor, ca.as_comodule())
+    # auxiliary cotensor on (C (x) A) (x) A~, C (x) A entwined over the source
+    aux = _cotensor_with_c(mor, RightComodule(dc * da, compose_all(
+        kron(idc, src.psi), kron(src.coalg.comult, ida))))
     # c -> c1 (x) 1_A~ (x) c2 lands in the carrier
     ins_raw = compose_all(kron_all(idc, dst.alg.unit_map(), idc), src.coalg.comult)
     unit_insert = corestrict(ins_raw, carrier)
@@ -241,9 +227,8 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     s = ctx.carrier.dim
     sys = LinearConstraints(f, (s,), (da,))
     # right A-linearity: lambda(x . a) = lambda(x) a
-    lin_l = op_in_unknown(ctx.action, SCALAR, (s,), (da,), SCALAR, ida)
-    lin_r = op_in_unknown(LinMap.identity(f, (s, da)), SCALAR, (s,), (da,),
-                          (da,), src.alg.mult)
+    lin_l = sys.term(ctx.action, SCALAR, SCALAR, ida)
+    lin_r = sys.term(LinMap.identity(f, (s, da)), SCALAR, (da,), src.alg.mult)
     sys.require("module map", lin_l, lin_r)
     # multiplicativity: lambda(c (x) f(a)a~ (x) c') = a_alpha lambda(c^alpha (x) a~ (x) c')
     push = compose_all(kron_all(idc, dst.alg.mult, idc),
@@ -252,8 +237,8 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     push = corestrict(push, ctx.carrier)                      # S2 -> S
     pull = compose_all(kron_all(src.psi, ida2, idc), ctx.aux.inclusion())
     pull = corestrict(pull, ctx.carrier, left=da)             # S2 -> A (x) S
-    mult_l = op_in_unknown(push, SCALAR, (s,), (da,), SCALAR, ida)
-    mult_r = op_in_unknown(pull, (da,), (s,), (da,), SCALAR, src.alg.mult)
+    mult_l = sys.term(push, SCALAR, SCALAR, ida)
+    mult_r = sys.term(pull, (da,), SCALAR, src.alg.mult)
     sys.require("multiplicativity", mult_l, mult_r)
     # colinearity: lambda(c (x) a~ (x) c'1) (x) c'2 = psi(c1 (x) lambda(c2 (x) a~ (x) c'))
     spread_r = corestrict(compose_all(kron_all(idc, ida2, src.coalg.comult),
@@ -262,12 +247,11 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     spread_l = corestrict(compose_all(kron_all(src.coalg.comult, ida2, idc),
                                       ctx.carrier.inclusion()),
                           ctx.carrier, left=dc)               # S -> C (x) S
-    col_l = op_in_unknown(spread_r, SCALAR, (s,), (da,), (dc,),
-                          LinMap.identity(f, (da, dc)))
-    col_r = op_in_unknown(spread_l, (dc,), (s,), (da,), SCALAR, src.psi)
+    col_l = sys.term(spread_r, SCALAR, (dc,), LinMap.identity(f, (da, dc)))
+    col_r = sys.term(spread_l, (dc,), SCALAR, src.psi)
     sys.require("colinearity", col_l, col_r)
     if total:
-        norm = op_in_unknown(ctx.unit_insert, SCALAR, (s,), (da,), SCALAR, ida)
+        norm = sys.term(ctx.unit_insert, SCALAR, SCALAR, ida)
         sys.require("normalisation", norm,
                     target=src.alg.unit_map().compose(src.coalg.counit_map()))
     return sys, ctx
@@ -281,8 +265,8 @@ def solve_total_integrability(mor: EntwiningMorphism) -> AffineSolutionSet:
 @dataclass(frozen=True)
 class FrakzContext:
     """Carrier data for the frakz witness: the balanced quotient
-    (A~ (x) C) (x)_A A~ with its right target-coalgebra coaction, plus the
-    derived quotients and connecting maps used by the constraints."""
+    (A~ (x) C) (x)_A A~ with its right target-coalgebra coaction, plus
+    Q3 = (A~ (x) C~ (x) C) (x)_A A~ and the maps the constraints use."""
 
     mor: EntwiningMorphism
     carrier: QuotientModule      # Q on ambient A~ (x) C (x) A~
@@ -292,21 +276,6 @@ class FrakzContext:
     mult_left: LinMap            # A~ (x) Q -> Q
     mult_right: LinMap           # Q (x) A~ -> Q
     counit_collapse: LinMap      # Q -> A~
-
-
-def _balanced_quotient(mor: EntwiningMorphism, mid_coalg_dims,
-                       mid_action: LinMap) -> QuotientModule:
-    """(A~ (x) X) (x)_A A~ for a middle factor X with the given right action
-    of the source algebra on A~ (x) X."""
-    dst = mor.dst
-    da2 = dst.alg.dim
-    mid_total = 1
-    for d in mid_coalg_dims:
-        mid_total *= d
-    right = RightModule(da2 * mid_total, mid_action)
-    left_action = dst.alg.mult.compose(kron(mor.f, dst.alg.identity()))
-    left = LeftModule(da2, left_action)
-    return tensor_over_A(right, left)
 
 
 def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
@@ -319,23 +288,19 @@ def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
 
     # action on A~ (x) C: (a~ (x) c) . a = a~ f(a_alpha) (x) c^alpha
     act_ac = compose_all(kron(mult_f, idc), kron(ida2, src.psi))
-    q = _balanced_quotient(mor, (dc,),
-                           act_ac.reshaped((da2 * dc, da), (da2 * dc,)))
+    q = _induced_carrier(mor, RightModule(da2 * dc, act_ac.reshaped(
+        (da2 * dc, da), (da2 * dc,))))
     # action on A~ (x) C~ (x) C entwines through psi then psi~ after f
     act_a2c = compose_all(kron_all(dst.alg.mult, idc2, idc),
                           kron_all(ida2, dst.psi, idc),
                           kron_all(ida2, idc2, kron(mor.f, idc).compose(src.psi)))
-    q3 = _balanced_quotient(mor, (dc2, dc),
-                            act_a2c.reshaped((da2 * dc2 * dc, da),
-                                             (da2 * dc2 * dc,)))
-    # action on A~ alone through f
-    q4 = _balanced_quotient(mor, (),
-                            mult_f.reshaped((da2, da), (da2,)))
+    q3 = _induced_carrier(mor, RightModule(da2 * dc2 * dc, act_a2c.reshaped(
+        (da2 * dc2 * dc, da), (da2 * dc2 * dc,))))
 
-    # right C~-coaction on Q: a~ (x) c (x) a~' -> a~ (x) c1 (x) a~'_alpha (x) g(c2)^alpha
-    coact_raw = compose_all(kron_all(ida2, idc, dst.psi),
-                            kron_all(ida2, idc, mor.g, ida2),
-                            kron_all(ida2, src.coalg.comult, ida2))
+    # right C~-coaction on Q, induced from A~ (x) C with its coaction on C:
+    # a~ (x) c (x) a~' -> a~ (x) c1 (x) a~'_alpha (x) g(c2)^alpha
+    coact_raw = _induced_coaction(mor, RightComodule(
+        da2 * dc, kron(ida2, src.coalg.comult)))
     coaction = descend(kron(q.projection, idc2).compose(coact_raw), q)
 
     # spread: Q -> Q3 via a~ (x) c (x) a~' -> a~ (x) g(c1) (x) c2 (x) a~'
@@ -353,11 +318,9 @@ def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
     mult_right = descend(q.projection.compose(kron_all(ida2, idc, dst.alg.mult)),
                          q, right=da2)
 
-    # counit collapse: Q -> A~ (x)_A A~ -> A~
-    eps_mid = descend(q4.projection.compose(kron_all(ida2, src.coalg.counit_map(),
-                                                     ida2)), q)
-    mu_q4 = descend(dst.alg.mult, q4)
-    counit_collapse = mu_q4.compose(eps_mid)
+    # counit collapse: a~ (x) c (x) a~' -> a~ eps(c) a~'
+    counit_collapse = descend(dst.alg.mult.compose(
+        kron_all(ida2, src.coalg.counit_map(), ida2)), q)
 
     return FrakzContext(mor, q,
                         coaction.reshaped((q.dim,), (q.dim, dc2)),
@@ -376,23 +339,21 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
     sys = LinearConstraints(f, (dc2,), (qd,))
     idc2 = dst.coalg.identity()
     # right C~-colinearity
-    col_l = op_in_unknown(idc2, SCALAR, (dc2,), (qd,), SCALAR, ctx.coaction)
-    col_r = op_in_unknown(dst.coalg.comult, SCALAR, (dc2,), (qd,), (dc2,),
-                          LinMap.identity(f, (qd, dc2)))
+    col_l = sys.term(idc2, SCALAR, SCALAR, ctx.coaction)
+    col_r = sys.term(dst.coalg.comult, SCALAR, (dc2,),
+                     LinMap.identity(f, (qd, dc2)))
     sys.require("colinearity", col_l, col_r)
     # coaction compatibility through Q3
-    ca_l = op_in_unknown(idc2, SCALAR, (dc2,), (qd,), SCALAR, ctx.spread)
-    ca_r = op_in_unknown(dst.coalg.comult, (dc2,), (dc2,), (qd,), SCALAR,
-                         ctx.entwine_left)
+    ca_l = sys.term(idc2, SCALAR, SCALAR, ctx.spread)
+    ca_r = sys.term(dst.coalg.comult, (dc2,), SCALAR, ctx.entwine_left)
     sys.require("coaction compatibility", ca_l, ca_r)
     # action compatibility: multiply on the left after psi~, or on the right
-    ac_l = op_in_unknown(dst.psi, (da2,), (dc2,), (qd,), SCALAR, ctx.mult_left)
-    ac_r = op_in_unknown(LinMap.identity(f, (dc2, da2)), SCALAR, (dc2,), (qd,),
-                         (da2,), ctx.mult_right)
+    ac_l = sys.term(dst.psi, (da2,), SCALAR, ctx.mult_left)
+    ac_r = sys.term(LinMap.identity(f, (dc2, da2)), SCALAR, (da2,),
+                    ctx.mult_right)
     sys.require("action compatibility", ac_l, ac_r)
     if total:
-        norm = op_in_unknown(idc2, SCALAR, (dc2,), (qd,), SCALAR,
-                             ctx.counit_collapse)
+        norm = sys.term(idc2, SCALAR, SCALAR, ctx.counit_collapse)
         sys.require("normalisation", norm,
                     target=dst.alg.unit_map().compose(dst.coalg.counit_map()))
     return sys, ctx

@@ -336,6 +336,23 @@ def test_catalog_modulus_out_of_range_is_input_error(capsys):
                          "--field", "Fp", "--p", str(2 ** 64 + 13)], capsys)
 
 
+@pytest.mark.parametrize("args", [
+    ["group_algebra", "--n", "17"],
+    ["group_function_coalgebra", "--n", "17"],
+    ["hopf_self_galois", "--n", "17"],
+    ["hopf_quotient_galois", "--n", "34", "--d", "17"],
+    ["comodule_algebra_entwining", "--n", "17"],
+    ["self_coextension", "--n", "17", "--dual"],
+    ["trivial_entwining", "--n", "17"],
+    ["flip_entwining", "--na", "17", "--nc", "2"],
+    ["flip_entwining", "--na", "2", "--nc", "17"],
+])
+def test_catalog_order_above_the_cap_is_input_error(capsys, args):
+    from entwine.catalog import MAX_ORDER
+    assert MAX_ORDER == 16
+    _assert_input_error(["catalog", "--name", *args], capsys)
+
+
 def test_solve_without_psi_is_input_error(tmp_path, c2_q_file, capsys):
     # the missing entwining is a SchemaError, which is also an InputError;
     # it must stay malformed input (2), not become a failed axiom (1)
@@ -518,10 +535,14 @@ def test_each_command_runs_each_law_once(tmp_path, law_calls, capsys):
     # a build: 3 algebra + 3 coalgebra + 2 (co)action + 3 for the fixed
     # subalgebra (quotient coalgebra) + 4 entwining + 1 entwined
     # compatibility; hochschild: 3 algebra + 3 coalgebra + 2 coaction + 3
-    # fixed subalgebra, and 5 for a bimodule file.  No law restated by
-    # another runs a second time.
+    # fixed subalgebra, and 5 for a bimodule file; a lambda or frakz solve:
+    # 3 algebra + 3 coalgebra + 4 entwining, on the source and on the
+    # target of the morphism.  No law restated by another runs a second
+    # time.
     for argv, laws in ((["extension", "report", ext3], 16),
                        (["coextension", "report", coext3], 16),
+                       (["solve", "--kind", "lambda", ext3], 20),
+                       (["solve", "--kind", "frakz", ext3], 20),
                        (["hochschild", "--n", "1", ext3], 11),
                        (["hochschild", "--n", "1", "--bimodule", bim, ext3],
                         16)):

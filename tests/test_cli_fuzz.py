@@ -5,7 +5,10 @@ wrong type, a wrong shape, a deleted entry, a bad scalar, a huge integer)
 and each mutant is run through one command: `check`, `solve` (integral,
 lambda, frakz), both reports or `hochschild`. Every run must end with exit
 code 0, 1 or 2 and no traceback, and exit 2 must print exactly one line,
-`input error: ...`, on stderr. The seed is fixed, so a failure reproduces.
+`input error: ...`, on stderr. A document that passes `check` (each
+unmutated source, and every mutant that `check` accepts) also runs through
+every other command, and none of those runs may raise `InconsistencyError`,
+which always signals a bug. The seed is fixed, so a failure reproduces.
 
     PYTHONPATH=src python tests/test_cli_fuzz.py SEED COUNT
 
@@ -22,6 +25,7 @@ import tempfile
 import traceback
 
 from entwine.cli import main
+from entwine.errors import InconsistencyError
 
 SEED = 20240611
 COUNT = 400
@@ -33,8 +37,9 @@ DOCS = {
     "coext_q2": ["--name", "self_coextension", "--n", "2", "--field", "Q"],
 }
 
+CHECK = ["check"]
 COMMANDS = [
-    ["check"],
+    CHECK,
     ["solve", "--kind", "integral", "--normalized"],
     ["solve", "--kind", "lambda"],
     ["solve", "--kind", "frakz", "--json"],
@@ -125,18 +130,27 @@ def mutate(doc, rng):
 
 
 def run(argv):
-    """(exit code, stderr) of cli.main, with any escaping exception as a
-    traceback on stderr."""
+    """(exit code, stderr, messages of every InconsistencyError raised) of
+    cli.main, with any escaping exception as a traceback on stderr."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-        except Exception:
-            traceback.print_exc()
-            code = None
-    return code, err.getvalue()
+    raised = []
+
+    def record(self, *args):
+        raised.append(str(args[0]) if args else "")
+        Exception.__init__(self, *args)
+    InconsistencyError.__init__ = record
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                traceback.print_exc()
+                code = None
+    finally:
+        del InconsistencyError.__init__
+    return code, err.getvalue(), raised
 
 
 def contract_breaks(code, err):
@@ -152,27 +166,47 @@ def contract_breaks(code, err):
     return problems
 
 
+def _problems(what, command, result):
+    code, err, raised = result
+    found = contract_breaks(code, err)
+    found += [f"InconsistencyError: {message}" for message in raised]
+    return [f"{what}, {' '.join(command)}: {problem}" for problem in found]
+
+
+def _after_check(what, path):
+    """Problems of every command but `check` on a document `check` accepts."""
+    failures = []
+    for command in COMMANDS[1:]:
+        failures += _problems(what, command, run(command + [path]))
+    return failures
+
+
 def fuzz(seed, count, workdir):
     rng = random.Random(seed)
     sources = {}
+    failures = []
     for stem, argv in DOCS.items():
         path = os.path.join(workdir, f"{stem}.json")
-        code, err = run(["catalog"] + argv + ["-o", path])
+        code, err, _ = run(["catalog"] + argv + ["-o", path])
         assert code == 0, err
         with open(path, encoding="utf-8") as fh:
             sources[stem] = json.load(fh)
-    failures = []
+        failures += _after_check(f"{stem}, unmutated", path)
     mutant = os.path.join(workdir, "mutant.json")
     for i in range(count):
         stem = rng.choice(sorted(sources))
         what, data = mutate(sources[stem], rng)
         with open(mutant, "wb") as fh:
             fh.write(data)
+        what = f"#{i} {stem}, {what}"
         command = COMMANDS[i % len(COMMANDS)]
-        code, err = run(command + [mutant])
-        for problem in contract_breaks(code, err):
-            failures.append(f"#{i} {stem}, {what}, {' '.join(command)}: "
-                            f"{problem}")
+        result = run(command + [mutant])
+        failures += _problems(what, command, result)
+        if command != CHECK:
+            result = run(CHECK + [mutant])
+            failures += _problems(what, CHECK, result)
+        if result[0] == 0:
+            failures += _after_check(what, mutant)
     return failures
 
 

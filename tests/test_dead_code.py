@@ -1,6 +1,6 @@
 """Dead-code scan of the package with the stdlib `ast` module.
 
-Two checks:
+Three checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
@@ -11,7 +11,9 @@ Two checks:
   docstrings do not count, and dunder methods are exempt because Python
   calls them itself;
 - no function in src/entwine assigns a local variable that it never reads;
-  `_` is the conventional throwaway and is exempt.
+  `_` is the conventional throwaway and is exempt;
+- no module in src/entwine imports a name it never uses; the package's
+  `__init__.py` is exempt, since its imports are the public re-exports.
 """
 
 import ast
@@ -139,6 +141,27 @@ def unused_locals():
     return found
 
 
+def unused_imports():
+    found = []
+    for path in _python_files(PACKAGE):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        tree = _parse(path)
+        imported = {}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    imported.setdefault(name, node.lineno)
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1]):
+            if name not in used:
+                found.append(f"{os.path.relpath(path, ROOT)}:{line} {name}")
+    return found
+
+
 def test_every_definition_is_referenced():
     assert dead_definitions() == []
 
@@ -147,6 +170,10 @@ def test_no_unused_locals():
     assert unused_locals() == []
 
 
+def test_no_unused_imports():
+    assert unused_imports() == []
+
+
 if __name__ == "__main__":
-    for line in dead_definitions() + unused_locals():
+    for line in dead_definitions() + unused_locals() + unused_imports():
         print(line)
