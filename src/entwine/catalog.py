@@ -16,10 +16,9 @@ from .errors import InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
                      kron, kron_all, quotient_by)
-from .structures import (Algebra, Coalgebra, dual_swap, quotient_coalgebra,
-                         verify_algebra, verify_coalgebra)
-from .entwining import (Entwining, ground_coalgebra, make_entwining,
-                        twist_entwining)
+from .structures import (Algebra, CheckReport, Coalgebra, dual_swap, law,
+                         quotient_coalgebra, verify_algebra, verify_coalgebra)
+from .entwining import Entwining, entwine_verified, ground_coalgebra
 from .galois import (Coextension, GaloisExtension, build_coextension,
                      build_galois, verify_action)
 
@@ -49,25 +48,25 @@ class CatalogEntry:
 def _verify_hopf(h: HopfData) -> None:
     a, c, s = h.alg, h.coalg, h.antipode
     f = a.field
-    for rep in (verify_algebra(a), verify_coalgebra(c)):
-        if not rep.ok:
-            raise InputError(f"invalid Hopf data: {rep}")
+    verify_algebra(a).require()
+    verify_coalgebra(c).require()
     ida = a.identity()
     # comultiplication and counit are algebra maps
     tw = LinMap.twist(f, (a.dim,), (a.dim,))
     mult2 = compose_all(kron(a.mult, a.mult), kron_all(ida, tw, ida))
-    if not c.comult.compose(a.mult).equals(mult2.compose(kron(c.comult, c.comult))):
-        raise InputError("comultiplication is not an algebra map")
     eps = c.counit_map()
-    if not eps.compose(a.mult).equals(kron(eps, eps)):
-        raise InputError("counit is not an algebra map")
-    if eps.apply(a.unit)[0] != f.one:
-        raise InputError("counit does not send the unit to 1")
     unit_eps = a.unit_map().compose(eps)
-    if not compose_all(a.mult, kron(s, ida), c.comult).equals(unit_eps):
-        raise InputError("antipode fails on the left")
-    if not compose_all(a.mult, kron(ida, s), c.comult).equals(unit_eps):
-        raise InputError("antipode fails on the right")
+    failures = []
+    law(failures, "multiplicative comultiplication", c.comult.compose(a.mult),
+        mult2.compose(kron(c.comult, c.comult)))
+    law(failures, "multiplicative counit", eps.compose(a.mult), kron(eps, eps))
+    law(failures, "unital counit", eps.compose(a.unit_map()),
+        LinMap.identity(f, SCALAR))
+    law(failures, "left antipode", compose_all(a.mult, kron(s, ida), c.comult),
+        unit_eps)
+    law(failures, "right antipode", compose_all(a.mult, kron(ida, s), c.comult),
+        unit_eps)
+    CheckReport("Hopf data", tuple(failures)).require()
 
 
 # Largest group order of any catalog family (each --n, --na and --nc): every
@@ -215,7 +214,8 @@ def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
     if name == "trivial_entwining":
         n = int(params.get("n", 2))
         h = cyclic_group_hopf(n, field)
-        ent = twist_entwining(h.alg, ground_coalgebra(field))
+        ent = entwine_verified(h.alg, ground_coalgebra(field),
+                               LinMap.twist(field, (1,), (n,)))
         return CatalogEntry(name, params, ent)
 
     if name == "flip_entwining":
@@ -223,7 +223,8 @@ def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
         nc = int(params.get("nc", 2))
         ha = cyclic_group_hopf(na, field)
         hc = cyclic_group_hopf(nc, field)
-        ent = twist_entwining(ha.alg, hc.coalg)
+        ent = entwine_verified(ha.alg, hc.coalg,
+                               LinMap.twist(field, (nc,), (na,)))
         return CatalogEntry(name, params, ent)
 
     raise InputError(f"unknown catalog name {name!r}")
@@ -257,9 +258,7 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
             if any(x != 0 for x in moved):
                 raise InputError("span is not a right ideal")  # unreachable
     rho_c = rho_c_raw.compose(kron(section, h.alg.identity()))
-    rep = verify_action(h.alg, rho_c)
-    if not rep.ok:
-        raise InputError(f"quotient action failed: {rep}")
+    verify_action(h.alg, rho_c).require()
     rho_a = kron(h.alg.identity(), proj).compose(h.coalg.comult)
     ext = build_galois(h.alg, quot_coalg, rho_a)
     # the fixed subalgebra must be exactly the subgroup algebra
@@ -306,7 +305,7 @@ def _comodule_algebra_entwining(params, field) -> CatalogEntry:
                       kron(LinMap.twist(f, (n,), (n,)), h.coalg.identity()),
                       kron(h.coalg.identity(), coaction))
     psi = psi.reshaped((n, n), (n, n))
-    ent = make_entwining(h.alg, h.coalg, psi)
+    ent = entwine_verified(h.alg, h.coalg, psi)
     kappa = tuple(f.one if i == 0 else f.zero for i in range(n))
     extras = {"hopf": h, "coactionA": coaction, "kappa": kappa,
               "c_unit": tuple(h.alg.unit)}

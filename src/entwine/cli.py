@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
 from .fields import GF, QQ, FieldError
@@ -68,7 +69,6 @@ def _emit(doc: dict, out: str | None, as_json: bool):
 
 def cmd_check(args) -> int:
     doc = _load(args.file)
-    failures = 0
     reports = []
     if doc.algebra is not None:
         reports.append(("algebra", verify_algebra(doc.algebra)))
@@ -101,13 +101,10 @@ def cmd_check(args) -> int:
                         verify_morphism(EntwiningMorphism(ent, dst, fmap,
                                                           gmap))))
     for name, rep in reports:
-        status = "ok" if rep.ok else "FAIL " + "; ".join(map(repr, rep.failures))
-        print(f"{name}: {status}")
-        if not rep.ok:
-            failures += 1
+        print(replace(rep, subject=name))
     if not reports:
         print("nothing to check")
-    return OK if failures == 0 else FAIL
+    return OK if all(rep.ok for _, rep in reports) else FAIL
 
 
 # ---------------------------------------------------------------------------
@@ -130,11 +127,8 @@ def _morphism_from(doc, ent, choice) -> EntwiningMorphism:
     if doc.morphism is None:
         raise schema.SchemaError("--morphism doc needs a morphism section")
     fmap, gmap, (alg2, coalg2, psi2) = doc.morphism
-    dst = make_entwining(alg2, coalg2, psi2)
-    mor = EntwiningMorphism(ent, dst, fmap, gmap)
-    rep = verify_morphism(mor)
-    if not rep.ok:
-        raise DomainError(f"document morphism is invalid: {rep}")
+    mor = EntwiningMorphism(ent, make_entwining(alg2, coalg2, psi2), fmap, gmap)
+    verify_morphism(mor).require()
     return mor
 
 
@@ -142,13 +136,7 @@ def cmd_solve(args) -> int:
     doc = _load(args.file)
     try:
         ent = doc.entwining()
-    except schema.SchemaError:
-        # SchemaError is an InputError: a document without a full entwining
-        # is malformed input (exit 2), not a failed axiom
-        raise
-    except InputError as exc:
-        # shapes were already validated by the parser, so this is a failed
-        # axiom, a mathematical outcome rather than malformed input
+    except DomainError as exc:
         print(f"invalid entwining: {exc}")
         return FAIL
     f = ent.field
@@ -310,16 +298,16 @@ def cmd_hochschild(args) -> int:
     f = alg.field
     bimod = _load(args.bimodule, lambda text: schema.parse_bimodule(text, alg)) \
         if args.bimodule else None
-    rep = verify_algebra(alg)
-    if rep.ok and bimod is not None:
-        rep = verify_bimodule(alg, bimod)
-    # the fixed subalgebra is taken only under a valid coaction
-    if rep.ok and doc.coaction_a is not None:
-        rep = verify_coalgebra(doc.coalgebra)
-    if rep.ok and doc.coaction_a is not None:
-        rep = verify_coaction(doc.coalgebra, doc.coaction_a)
-    if not rep.ok:
-        print(f"{rep.subject}: FAIL {rep}")
+    try:
+        verify_algebra(alg).require()
+        if bimod is not None:
+            verify_bimodule(alg, bimod).require()
+        # the fixed subalgebra is taken only under a valid coaction
+        if doc.coaction_a is not None:
+            verify_coalgebra(doc.coalgebra).require()
+            verify_coaction(doc.coalgebra, doc.coaction_a).require()
+    except DomainError as exc:
+        print(exc)
         return FAIL
     if bimod is None:
         # the regular bimodule's laws are the algebra laws just checked

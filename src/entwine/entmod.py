@@ -23,7 +23,7 @@ from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, compose_all, corestrict, descend, image, kernel,
                      kron, kron_all, quotient_by)
-from .structures import Algebra, CheckReport, law
+from .structures import Algebra, CheckReport, Coalgebra, law
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,22 @@ def check_right_comodule(coalg, m: RightComodule, failures):
         kron(idm, coalg.counit_map()).compose(m.coaction), idm)
 
 
+def verify_coaction(coalg: Coalgebra, coaction: LinMap) -> CheckReport:
+    """Right coaction axioms for a map V -> V (x) C."""
+    failures = []
+    check_right_comodule(coalg, RightComodule(coaction.domain.factors[0], coaction),
+                         failures)
+    return CheckReport("coaction", tuple(failures))
+
+
+def verify_action(alg: Algebra, action: LinMap) -> CheckReport:
+    """Right action axioms for a map V (x) A -> V."""
+    failures = []
+    check_right_module(alg, RightModule(action.codomain.factors[0], action),
+                       failures)
+    return CheckReport("action", tuple(failures))
+
+
 def check_entwined_compatibility(m: EntwinedModule, failures):
     """The one law tying the action to the coaction through psi."""
     e = m.ent
@@ -136,10 +152,7 @@ def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
     if kind == "mod_tensor_c":
         if not isinstance(base, RightModule):
             raise DomainError("mod_tensor_c needs a right module base")
-        failures = []
-        check_right_module(a, base, failures)
-        if failures:
-            raise DomainError(f"base is not a module: {failures}")
+        verify_action(a, base.action).require()
         idm = LinMap.identity(f, (base.dim,))
         action = compose_all(kron(base.action, c.identity()), kron(idm, ent.psi))
         coaction = kron(idm, c.comult)
@@ -151,10 +164,7 @@ def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
     elif kind == "comod_tensor_a":
         if not isinstance(base, RightComodule):
             raise DomainError("comod_tensor_a needs a right comodule base")
-        failures = []
-        check_right_comodule(c, base, failures)
-        if failures:
-            raise DomainError(f"base is not a comodule: {failures}")
+        verify_coaction(c, base.coaction).require()
         idv = LinMap.identity(f, (base.dim,))
         action = kron(idv, a.mult)
         coaction = compose_all(kron(idv, ent.psi), kron(base.coaction, a.identity()))
@@ -165,9 +175,7 @@ def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
                                                (base.dim * a.dim, c.dim)))
     else:
         raise InputError(f"unknown standard module kind {kind!r}")
-    rep = verify_entwined_module(out)
-    if not rep.ok:
-        raise DomainError(f"standard module failed verification: {rep}")
+    verify_entwined_module(out).require()
     return out
 
 
@@ -265,9 +273,7 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
     out = EntwinedModule(dst, qd,
                          action.reshaped((qd, da2), (qd,)),
                          coaction.reshaped((qd,), (qd, dc2)))
-    rep = verify_entwined_module(out)
-    if not rep.ok:
-        raise DomainError(f"induced module failed verification: {rep}")
+    verify_entwined_module(out).require()
     return out, quot
 
 
@@ -305,9 +311,7 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
     out = EntwinedModule(src, sd,
                          action.reshaped((sd, da), (sd,)),
                          coaction.reshaped((sd,), (sd, dc)))
-    rep = verify_entwined_module(out)
-    if not rep.ok:
-        raise DomainError(f"coinduced module failed verification: {rep}")
+    verify_entwined_module(out).require()
     return out, sub
 
 

@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-InputError: malformed or shape-inconsistent input.
+InputError: malformed or shape-inconsistent input, never a failed law.
 DomainError: well-formed input that violates a mathematical precondition
-    (not a coideal, not a coaction, wrong side of a morphism, ...).
+    (not a coideal, not a coaction, wrong side of a morphism, ...).  A
+    failed law is always a DomainError raised by `CheckReport.require`,
+    with the first failure as its witness.
 GaloisError: a canonical map fails to be bijective; carries the dimension
     and rank data that witnessed the failure.
 InconsistencyError: an internal re-verification failed; this always signals

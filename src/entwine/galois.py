@@ -13,36 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, GaloisError, InconsistencyError, InputError
+from .errors import GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, entwine_verified
-from .entmod import (EntwinedModule, LeftComodule, RightComodule, RightModule,
+from .entmod import (EntwinedModule, LeftComodule, RightComodule,
                      _fixed_space, balanced_power,
-                     check_entwined_compatibility, check_right_comodule,
-                     check_right_module, cotensor)
+                     check_entwined_compatibility, cotensor, verify_action,
+                     verify_coaction)
 from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
                      corestrict, descend, image, invert, kron, kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, quotient_coalgebra,
                          verify_algebra, verify_coalgebra)
-
-
-# ---------------------------------------------------------------------------
-# coactions and actions
-
-
-def verify_coaction(coalg: Coalgebra, coaction: LinMap) -> CheckReport:
-    """Right coaction axioms for a map V -> V (x) C."""
-    failures = []
-    check_right_comodule(coalg, RightComodule(coaction.domain.factors[0], coaction),
-                         failures)
-    return CheckReport("coaction", tuple(failures))
-
-
-def verify_action(alg: Algebra, action: LinMap) -> CheckReport:
-    """Right action axioms for a map V (x) A -> V."""
-    failures = []
-    check_right_module(alg, RightModule(action.codomain.factors[0], action),
-                       failures)
-    return CheckReport("action", tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -63,9 +43,7 @@ def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
     if not back.equals(raw_mult):
         raise InconsistencyError("fixed subspace is not closed under product")
     sub_alg = Algebra(space.dim, retr.compose(raw_mult), space.coords(alg.unit))
-    rep = verify_algebra(sub_alg)
-    if not rep.ok:
-        raise InconsistencyError(f"induced subalgebra failed verification: {rep}")
+    verify_algebra(sub_alg).require(InconsistencyError)
     return space, sub_alg
 
 
@@ -113,16 +91,15 @@ class GaloisExtension:
         return compose_all(kron(self.alg.mult, idc), kron(ida, self.ent.psi))
 
 
-def _require_entwined(m: EntwinedModule, message: str):
+def _require_entwined(m: EntwinedModule):
     """A (or C) entwined over its own (co)extension.  Only "entwined
     compatibility" runs: its action and coaction laws restate laws the build
     already checked on the same maps (`verify_algebra`/`verify_coalgebra`
-    and `verify_coaction`/`verify_action`)."""
+    and `verify_coaction`/`verify_action`).  A failure is a bug, raised as
+    InconsistencyError."""
     failures = []
     check_entwined_compatibility(m, failures)
-    if failures:
-        rep = CheckReport("entwined module", tuple(failures))
-        raise InconsistencyError(f"{message}: {rep}")
+    CheckReport("entwined module", tuple(failures)).require(InconsistencyError)
 
 
 def _square_right_mult(alg: Algebra, square: QuotientModule) -> LinMap:
@@ -139,8 +116,7 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
         raise InputError("coaction shape does not match algebra/coalgebra")
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_coaction(coalg, rho_a)):
-        if not rep.ok:
-            raise DomainError(f"invalid extension data: {rep}")
+        rep.require()
     fixed, fixed_alg = fixed_subalgebra(alg, rho_a)
     square = balanced_power(alg, fixed, 2)
     # can(a (x) a') = a . rho(a'), factored through the balanced quotient
@@ -166,8 +142,7 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     ent = entwine_verified(alg, coalg, psi)
     ext = GaloisExtension(alg, coalg, rho_a, fixed, fixed_alg, square,
                           can, can_inv, ent)
-    _require_entwined(ext.module_A(),
-                      "A is not entwined over its own extension")
+    _require_entwined(ext.module_A())
     return ext
 
 
@@ -250,8 +225,7 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
         raise InputError("action shape does not match coalgebra/algebra")
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_action(alg, rho_c)):
-        if not rep.ok:
-            raise DomainError(f"invalid coextension data: {rep}")
+        rep.require()
     coideal = _canonical_coideal(coalg, alg, rho_c)
     base, base_proj = quotient_coalgebra(coalg, coideal)
     # C as a right and left B-comodule through the projection
@@ -282,8 +256,7 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
     ent = entwine_verified(alg, coalg, psi)
     coext = Coextension(coalg, alg, rho_c, coideal, base, base_proj,
                         cosquare, cocan, cocan_inv, ent)
-    _require_entwined(coext.module_C(),
-                      "C is not entwined over its own coextension")
+    _require_entwined(coext.module_C())
     return coext
 
 

@@ -129,14 +129,12 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
 
     max_degree 1 builds the complex through the balanced square, 2 through
     the balanced cube; the square of every assembled coboundary is asserted
-    to vanish.  The bimodule laws and the unital subalgebra are checked
-    first, and a failure raises InputError.
+    to vanish.  The bimodule laws are checked first (a failed law raises
+    DomainError), then that b is a unital subalgebra (InputError).
     """
     if max_degree not in (1, 2):
         raise InputError("degree is capped at 2")
-    rep = verify_bimodule(alg, m)
-    if not rep.ok:
-        raise InputError(f"invalid bimodule: {rep}")
+    verify_bimodule(alg, m).require()
     if b.ambient.total != alg.dim or not _is_unital_subalgebra(alg, b):
         raise InputError("relative complex needs a unital subalgebra")
     return _assemble_complex(alg, b, m, max_degree)

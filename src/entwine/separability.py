@@ -78,8 +78,8 @@ def verify_idempotent(g: GaloisExtension, u) -> list:
     um = LinMap.element(g.field, (g.square.dim,), tuple(u))
     lm = g.square_left_mult().compose(kron(ida, um))     # a -> a u
     rm = g.square_right_mult().compose(kron(um, ida))    # a -> u a
-    bad = [("centrality", j) for j in range(g.alg.dim)
-           if lm.column(j) != rm.column(j)][:1]
+    diff = lm.first_difference(rm)
+    bad = [] if diff is None else [("centrality", diff[0])]
     if g.mu_AB().apply(um.flat()) != tuple(g.alg.unit):
         bad.append(("unit image",))
     return bad

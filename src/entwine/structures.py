@@ -33,10 +33,21 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def __repr__(self):
+    def __str__(self):
+        """The line `entwine check` prints for this report."""
         if self.ok:
-            return f"CheckReport({self.subject}: ok)"
-        return f"CheckReport({self.subject}: {list(self.failures)})"
+            return f"{self.subject}: ok"
+        return f"{self.subject}: FAIL " + "; ".join(map(repr, self.failures))
+
+    def require(self, error=DomainError):
+        """Raise error(str(self)) if a law failed; a DomainError carries the
+        first failure as its witness.  The one place a failed report becomes
+        an exception."""
+        if self.ok:
+            return
+        if issubclass(error, DomainError):
+            raise error(str(self), witness=self.failures[0])
+        raise error(str(self))
 
 
 def law(failures, name, lhs: LinMap, rhs: LinMap):
@@ -181,7 +192,5 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
         raise DomainError("projection fails to intertwine comultiplications")
     if not counit_q.compose(pi).equals(c.counit_map()):
         raise DomainError("projection fails to intertwine counits")
-    report = verify_coalgebra(result)
-    if not report.ok:
-        raise DomainError(f"quotient is not a coalgebra: {report}")
+    verify_coalgebra(result).require()
     return result, pi

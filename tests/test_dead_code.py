@@ -1,6 +1,6 @@
 """Dead-code scan of the package with the stdlib `ast` module.
 
-Three checks:
+Four checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
@@ -13,7 +13,10 @@ Three checks:
 - no function in src/entwine assigns a local variable that it never reads;
   `_` is the conventional throwaway and is exempt;
 - no module in src/entwine imports a name it never uses; the package's
-  `__init__.py` is exempt, since its imports are the public re-exports.
+  `__init__.py` is exempt, since its imports are the public re-exports;
+- outside structures.py, no `if` whose test reads `.ok` or a `failures`
+  list has a `raise` in its body: `CheckReport.require` is the one place
+  a failed report becomes an exception.
 """
 
 import ast
@@ -162,6 +165,24 @@ def unused_imports():
     return found
 
 
+def raising_report_checks():
+    found = []
+    for path in _python_files(PACKAGE):
+        if os.path.basename(path) == "structures.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.If):
+                continue
+            reads = {n.attr if isinstance(n, ast.Attribute) else n.id
+                     for n in ast.walk(node.test)
+                     if isinstance(n, (ast.Attribute, ast.Name))}
+            raises = any(isinstance(n, ast.Raise)
+                         for stmt in node.body for n in ast.walk(stmt))
+            if raises and reads & {"ok", "failures"}:
+                found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+    return found
+
+
 def test_every_definition_is_referenced():
     assert dead_definitions() == []
 
@@ -174,6 +195,11 @@ def test_no_unused_imports():
     assert unused_imports() == []
 
 
+def test_only_require_raises_on_a_failed_report():
+    assert raising_report_checks() == []
+
+
 if __name__ == "__main__":
-    for line in dead_definitions() + unused_locals() + unused_imports():
+    for line in (dead_definitions() + unused_locals() + unused_imports()
+                 + raising_report_checks()):
         print(line)

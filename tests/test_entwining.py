@@ -7,7 +7,7 @@ from entwine import (GF, LinMap, QQ, default_catalog, entwining_of,
                      verify_entwining, verify_morphism)
 from entwine.entwining import (Entwining, counit_morphism, ground_entwining,
                                identity_morphism, unit_morphism)
-from entwine.errors import InputError
+from entwine.errors import DomainError, InputError
 
 
 def q(x):
@@ -58,7 +58,7 @@ def test_invalid_entwining_constructor_raises(hopf_c2_q):
     rows = [list(r) for r in tw.psi.entries]
     rows[0][0] = q(2)
     from entwine import make_entwining
-    with pytest.raises(InputError):
+    with pytest.raises(DomainError):
         make_entwining(hopf_c2_q.alg, hopf_c2_q.coalg,
                        LinMap.from_rows(QQ, (2, 2), (2, 2), rows))
 

@@ -6,7 +6,7 @@ import pytest
 from entwine import (Bimodule, GF, LinMap, QQ, Subspace, cohomology_dim,
                      make_example, regular_bimodule, relative_complex)
 from entwine.hochschild import verify_bimodule
-from entwine.errors import InputError
+from entwine.errors import DomainError, InputError
 from entwine.linalg import kron
 
 import oracle
@@ -145,7 +145,7 @@ def test_invalid_bimodule_rejected(c2_q):
     a = c2_q.alg
     broken = Bimodule(2, LinMap.zero(QQ, (2, 2), (2,)),
                       a.mult.reshaped((2, 2), (2,)))
-    with pytest.raises(InputError):
+    with pytest.raises(DomainError):
         relative_complex(a, ground_line(QQ, a), broken)
 
 

@@ -8,7 +8,8 @@ maps up to order, a law the same path still runs. That is checked here on
 random structure maps over GF(7), which satisfy none of the laws, so equal
 verdicts alone would not pass. Reports assemble the relative complex on
 the extension's own A (x)_B A, which must be the quotient that
-`entmod.balanced_power` builds.
+`entmod.balanced_power` builds. The flip entwining of the counit and
+unit morphisms runs no law, because its four laws hold for any maps.
 """
 
 import math
@@ -20,6 +21,7 @@ from entwine import GF, QQ, default_catalog
 from entwine.entmod import (RightComodule, RightModule,
                             balanced_power as _balanced_power,
                             check_right_comodule, check_right_module)
+from entwine.entwining import Entwining, verify_entwining
 from entwine.galois import GaloisExtension, verify_action, verify_coaction
 from entwine.hochschild import regular_bimodule, verify_bimodule
 from entwine.linalg import LinMap
@@ -116,6 +118,27 @@ def test_regular_bimodule_laws_restate_the_algebra_laws(law_calls, seed):
         lambda failures: failures.extend(
             verify_bimodule(alg, regular_bimodule(alg)).failures),
         lambda failures: failures.extend(verify_algebra(alg).failures))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_flip_laws_hold_for_any_maps(law_calls, seed):
+    # counit_morphism and unit_morphism build their flip entwining without
+    # running its four laws, which hold whatever the structure maps are
+    rng = random.Random(seed)
+    da, dc = 3, 2
+    alg = Algebra(da, _random_map(rng, (da, da), (da,)),
+                  _random_vector(rng, da))
+    coalg = Coalgebra(dc, _random_map(rng, (dc,), (dc, dc)),
+                      _random_vector(rng, dc))
+    assert len(verify_algebra(alg).failures) == 3
+    assert len(verify_coalgebra(coalg).failures) == 3
+    law_calls.clear()
+    flip = Entwining(alg, coalg, LinMap.twist(F7, (dc,), (da,)))
+    assert verify_entwining(flip).ok
+    assert [name for name, _ in law_calls] == [
+        "multiplicativity", "unitality", "comultiplicativity", "counitality"]
+    for _, sides in law_calls:
+        assert len(sides) == 1
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3)], ids=str)

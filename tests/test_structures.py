@@ -6,6 +6,7 @@ from entwine import (Algebra, Coalgebra, DomainError, LinMap, QQ, Subspace,
                      dual_swap, quotient_coalgebra, verify_algebra,
                      verify_coalgebra)
 from entwine.catalog import cyclic_group_hopf, function_group_hopf
+from entwine.errors import InconsistencyError
 
 
 def q(x):
@@ -25,6 +26,22 @@ def test_broken_unit_reports_witness(hopf_c2_q):
     laws = {fail.law for fail in report.failures}
     assert "left unit" in laws or "right unit" in laws
     assert all(isinstance(fail.at, tuple) for fail in report.failures)
+
+
+def test_require_turns_a_failed_report_into_its_error(hopf_c2_q):
+    report = verify_algebra(Algebra(2, hopf_c2_q.alg.mult, (q(0), q(1))))
+    line = str(report)
+    assert line == "algebra: FAIL " + "; ".join(
+        f"{fail.law} fails at basis index {fail.at}" for fail in report.failures)
+    with pytest.raises(DomainError) as err:
+        report.require()
+    assert str(err.value) == line
+    assert err.value.witness == report.failures[0]
+    with pytest.raises(InconsistencyError, match="^algebra: FAIL "):
+        report.require(InconsistencyError)
+    clean = verify_algebra(hopf_c2_q.alg)
+    assert str(clean) == "algebra: ok"
+    clean.require()
 
 
 def test_one_dimensional_algebra():
