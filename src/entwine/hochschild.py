@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .entmod import balanced_power
-from .errors import InputError, InconsistencyError
+from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      TensorShape, SCALAR, descend, image, kernel, kron,
                      kron_all)
@@ -129,14 +129,17 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
 
     max_degree 1 builds the complex through the balanced square, 2 through
     the balanced cube; the square of every assembled coboundary is asserted
-    to vanish.  The bimodule laws are checked first (a failed law raises
-    DomainError), then that b is a unital subalgebra (InputError).
+    to vanish.  The bimodule laws are checked first, then that b is a
+    unital subalgebra; either failure raises DomainError.  A b outside the
+    algebra's space is an InputError.
     """
     if max_degree not in (1, 2):
         raise InputError("degree is capped at 2")
     verify_bimodule(alg, m).require()
-    if b.ambient.total != alg.dim or not _is_unital_subalgebra(alg, b):
-        raise InputError("relative complex needs a unital subalgebra")
+    if b.ambient.total != alg.dim:
+        raise InputError("subalgebra does not lie in the algebra's space")
+    if not _is_unital_subalgebra(alg, b):
+        raise DomainError("relative complex needs a unital subalgebra")
     return _assemble_complex(alg, b, m, max_degree)
 
 

@@ -15,10 +15,14 @@ once per call; dense rows are built only on request (`LinMap.entries`,
 vectors.  Products over Q run in integers on a common denominator: each
 factor's nonzeros are rewritten as integer numerators over one denominator
 (`_integral`), sums of products are plain int arithmetic, and one canonical
-Fraction is built per nonzero output entry.  Every elimination goes through
-one Gauss-Jordan routine on sparse rows, `rref`, whose result is the unique
-reduced row echelon form, so every subspace, kernel, image and solution set
-is canonical however it was computed.
+Fraction is built per nonzero output entry.  A product with an identity or
+unit-selection factor (every row empty or a single 1, `_unit_selection`;
+on the right of a composite, no two rows picking one column) only
+re-indexes rows and reuses their values, with no arithmetic; its result is
+the same canonical rows, so outputs are byte-identical.  Every elimination
+goes through one Gauss-Jordan routine on sparse rows, `rref`, whose result
+is the unique reduced row echelon form, so every subspace, kernel, image
+and solution set is canonical however it was computed.
 """
 
 from __future__ import annotations
@@ -132,6 +136,22 @@ def _denominator(rows, p):
     if p is not None:
         return 1
     return lcm(*{x.denominator for nz in rows for _, x in nz})
+
+
+def _unit_selection(rows, one):
+    """The column each row selects (None for an empty row) when every row
+    is empty or a single entry equal to 1, as in identities, twists,
+    sections and retractions; None otherwise, found at the first row that
+    is neither.  one is the field's shared 1, which most such rows hold."""
+    picked = []
+    for nz in rows:
+        if not nz:
+            picked.append(None)
+        elif len(nz) == 1 and (nz[0][1] is one or nz[0][1] == 1):
+            picked.append(nz[0][0])
+        else:
+            return None
+    return picked
 
 
 def _sparse_sums(sums, d, p):
@@ -287,6 +307,21 @@ class LinMap:
             raise InputError(
                 f"composition shape mismatch: {self.domain} vs {other.codomain}")
         f = self.field
+        picked = _unit_selection(self.nonzeros, f.one)
+        if picked is not None:
+            # each row of self picks one row of other, or none
+            rows = [() if k is None else other.nonzeros[k] for k in picked]
+            return LinMap(f, other.domain, self.codomain, tuple(rows))
+        picked = _unit_selection(other.nonzeros, f.one)
+        if picked is not None:
+            hit = [j for j in picked if j is not None]
+            if len(set(hit)) == len(hit):
+                # other sends basis vector k to basis vector picked[k], no
+                # two to the same one: rename the columns of self
+                rows = [tuple(sorted([(picked[k], a) for k, a in nz
+                                      if picked[k] is not None]))
+                        for nz in self.nonzeros]
+                return LinMap(f, other.domain, self.codomain, tuple(rows))
         p = f.p
         other_nz = other.nonzeros
         d_other = _denominator(other_nz, p)
@@ -374,8 +409,38 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     """Tensor product of maps; shapes concatenate, flattening is row-major."""
     if f.field != g.field:
         raise InputError("field mismatch in tensor product")
-    p = f.field.p
+    domain, codomain = f.domain.concat(g.domain), f.codomain.concat(g.codomain)
     gc = g.cols
+    one = f.field.one
+    f_picked = _unit_selection(f.nonzeros, one)
+    g_picked = _unit_selection(g.nonzeros, one)
+    if f_picked is not None and g_picked is not None:
+        # a unit selection again: row (i1, i2) picks column (j1, j2)
+        rows = [() if j1 is None or j2 is None else ((j1 * gc + j2, one),)
+                for j1 in f_picked for j2 in g_picked]
+        return LinMap(f.field, domain, codomain, tuple(rows))
+    if f_picked is not None:
+        # row (i1, i2) is row i2 of g moved into column block j1
+        rows = []
+        for j1 in f_picked:
+            if j1 is None:
+                rows.extend([()] * g.rows)
+            elif j1 == 0:
+                rows.extend(g.nonzeros)
+            else:
+                base = j1 * gc
+                rows.extend([tuple([(base + j2, b) for j2, b in grow])
+                             for grow in g.nonzeros])
+        return LinMap(f.field, domain, codomain, tuple(rows))
+    if g_picked is not None:
+        # row (i1, i2) is row i1 of f spread to columns (j1, j2)
+        rows = []
+        for fnz in f.nonzeros:
+            rows.extend([() if j2 is None
+                         else tuple([(j1 * gc + j2, a) for j1, a in fnz])
+                         for j2 in g_picked])
+        return LinMap(f.field, domain, codomain, tuple(rows))
+    p = f.field.p
     g_nz = [_integral(nz, p) for nz in g.nonzeros]
     out = []
     for fnz in f.nonzeros:
@@ -393,8 +458,7 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
                 row = tuple((base + j2, Fraction(a * b, d))
                             for base, a in f_nz for j2, b in grow)
             out.append(row)
-    return LinMap(f.field, f.domain.concat(g.domain), f.codomain.concat(g.codomain),
-                  tuple(out))
+    return LinMap(f.field, domain, codomain, tuple(out))
 
 
 def kron_all(*maps) -> LinMap:

@@ -24,7 +24,7 @@ from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, TensorShape, compose_all, corestrict, kron,
                      kron_all, op_in_unknown, solve_affine)
-from .witness import Witness, WitnessKind, check_witness, particular_witness, \
+from .witness import Witness, WitnessKind, as_witness, particular_witness, \
     witness_system
 
 
@@ -89,8 +89,7 @@ def separability_from_integral(g: GaloisExtension, z: Witness) -> SeparabilityCe
     """u = can_inv(z); both idempotent conditions re-verified exactly."""
     if z.kind != WitnessKind.INTEGRAL or not z.normalized:
         raise InputError("expected a normalised integral witness")
-    if check_witness(WitnessKind.INTEGRAL, g.ent, z.value, normalized=True):
-        raise InputError("witness does not hold for this extension")
+    as_witness(WitnessKind.INTEGRAL, g.ent, z.value)  # DomainError if it fails
     return _separability_certificate(g, z)
 
 
@@ -207,8 +206,7 @@ def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertific
     """phi(c) = sum_i (a^i)_alpha gamma(c^alpha (x) c_i) for rho(1) = sum a^i (x) c_i."""
     if gamma.kind != WitnessKind.INTEGRAL_MAP or not gamma.normalized:
         raise InputError("expected a normalised integral map")
-    if check_witness(WitnessKind.INTEGRAL_MAP, g.ent, gamma.value, normalized=True):
-        raise InputError("integral map does not hold for this extension")
+    as_witness(WitnessKind.INTEGRAL_MAP, g.ent, gamma.value)  # DomainError if it fails
     f = g.field
     a, c = g.alg, g.coalg
     da, dc = a.dim, c.dim

@@ -179,6 +179,9 @@ def answers(ext, with_lambda):
     if out["strong"]:
         assert out["separable"] and out["split"]
     assert out["separable"] == (integral is not None)
+    # this holds on the catalog entries checked here, not as a theorem:
+    # vanishing regular-bimodule H^1 is necessary for separability but not
+    # sufficient (see test_hochschild's upper-triangular algebra)
     assert out["separable"] == (h1 == 0)
     return out
 

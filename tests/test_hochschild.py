@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from entwine import (Bimodule, GF, LinMap, QQ, Subspace, cohomology_dim,
-                     make_example, regular_bimodule, relative_complex)
+from entwine import (Algebra, Bimodule, GF, LinMap, QQ, Subspace,
+                     cohomology_dim, make_example, regular_bimodule,
+                     relative_complex)
 from entwine.hochschild import verify_bimodule
+from entwine.structures import verify_algebra
 from entwine.errors import DomainError, InputError
 from entwine.linalg import kron
 
@@ -137,7 +139,7 @@ def test_coboundary_squares_vanish():
 
 def test_non_subalgebra_rejected(c2_q):
     bad = Subspace.from_vectors(QQ, (2,), [(q(0), q(1))])
-    with pytest.raises(InputError):
+    with pytest.raises(DomainError, match="unital subalgebra"):
         relative_complex(c2_q.alg, bad, regular_bimodule(c2_q.alg))
 
 
@@ -177,6 +179,32 @@ def test_nonseparable_battery_detects(c2_f2):
                               max_degree=1)
         dims.append(cohomology_dim(cx, 1)[0])
     assert any(d > 0 for d in dims)
+
+
+def upper_triangular():
+    """T2 over Q: basis e11, e12, e22 with e11 e11 = e11, e11 e12 = e12,
+    e12 e22 = e12, e22 e22 = e22, every other product zero."""
+    table = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}
+    rows = [[q(1) if table.get((i, j)) == out else q(0)
+             for i in range(3) for j in range(3)] for out in range(3)]
+    return Algebra(3, LinMap.from_rows(QQ, (3, 3), (3,), rows),
+                   (q(1), q(0), q(1)))
+
+
+def test_vanishing_regular_h1_does_not_make_separable():
+    # T2 over the ground field has zero regular-bimodule H^1, yet it is not
+    # separable: e12 spans a nonzero square-zero ideal, and the outer
+    # bimodule A (x) A, whose H^1 vanishes for a separable extension, has
+    # nonzero H^1
+    alg = upper_triangular()
+    assert verify_algebra(alg).ok
+    e12 = (q(0), q(1), q(0))
+    assert not any(alg.multiply(e12, e12))
+    b = ground_line(QQ, alg)
+    regular = relative_complex(alg, b, regular_bimodule(alg), max_degree=1)
+    assert cohomology_dim(regular, 1)[0] == 0
+    outer = relative_complex(alg, b, _outer_bimodule(alg), max_degree=1)
+    assert cohomology_dim(outer, 1)[0] > 0
 
 
 def test_sweedler_stress_instance_consistency():

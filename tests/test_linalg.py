@@ -272,11 +272,12 @@ def test_elimination_matches_oracle(system, rnd):
     assert (a.basis, a.pivots) == (b.basis, b.pivots)
 
 
-def _naive_product(field, a, b):
+def _naive_product(field, a, b, m=None):
+    """a . b by plain loops; m is the width of b, needed when b has no rows."""
     out = []
     for i in range(len(a)):
         row = []
-        for j in range(len(b[0])):
+        for j in range(len(b[0]) if m is None else m):
             acc = field.zero
             for k in range(len(b)):
                 acc = field.add(acc, field.mul(a[i][k], b[k][j]))
@@ -418,6 +419,98 @@ def test_rational_op_in_unknown_matches_fraction_loops(lt, rt, xd, xc, dd, ee,
     _assert_canonical(op)
     if cancel and lt == 2:
         assert all(x is QQ.zero for row in op[:dd] for x in row)
+
+
+# -- products with unit-selection factors -------------------------------------
+
+SELECTION_FIELDS = {None: QQ, 2: GF(2), 3: GF(3), 7: GF(7)}
+
+
+def _selection_rows(field, picked, n_cols):
+    """Dense rows with a 1 in column picked[i] of row i, none where it is None."""
+    return [[field.one if c == j else field.zero for c in range(n_cols)]
+            for j in picked]
+
+
+@st.composite
+def unit_selections(draw, field):
+    """A map whose every row is empty or a single 1: an identity (0x0 and 1x1
+    included), a permutation, a twist, or a selection of n_cols columns that
+    may leave rows empty and either picks no column twice or picks one
+    column in two rows at the end."""
+    kind = draw(st.sampled_from(["identity", "permutation", "twist",
+                                 "injective", "repeated"]))
+    if kind == "identity":
+        return LinMap.identity(field, (draw(st.integers(0, 4)),))
+    if kind == "twist":
+        return LinMap.twist(field, (draw(st.integers(0, 3)),),
+                            (draw(st.integers(0, 3)),))
+    n_cols = draw(st.integers(0, 5))
+    if kind == "permutation":
+        picked = draw(st.permutations(range(n_cols)))
+    else:
+        column = st.integers(0, n_cols - 1) if n_cols else st.nothing()
+        picked = draw(st.lists(st.none() | column, max_size=5))
+        if kind == "injective":
+            picked = [j if j not in picked[:i] else None
+                      for i, j in enumerate(picked)]
+        elif n_cols:
+            picked += [draw(column)] * 2
+    return LinMap.from_rows(field, (n_cols,), (len(picked),),
+                            _selection_rows(field, picked, n_cols))
+
+
+@st.composite
+def other_factors(draw, field, n_rows, n_cols):
+    """Dense rows for the other factor of a product: a unit selection, a
+    selection whose last row holds two 1s (found only at that row), or
+    values (Fractions with denominators over Q, about a third zero)."""
+    kind = draw(st.sampled_from(["selection", "late", "values"]))
+    if kind != "values":
+        column = st.integers(0, n_cols - 1) if n_cols else st.none()
+        picked = draw(st.lists(st.none() | column, min_size=n_rows,
+                               max_size=n_rows))
+        rows = _selection_rows(field, picked, n_cols)
+        if kind == "late" and n_rows and n_cols > 1:
+            rows[-1][0] = rows[-1][-1] = field.one
+        return rows
+    if field.p is None:
+        return draw(rational_rows(n_rows, n_cols))
+    cells = st.tuples(st.integers(0, 2), st.integers(1, field.p - 1))
+    return [[v if u else 0 for u, v in draw(st.lists(cells, min_size=n_cols,
+                                                     max_size=n_cols))]
+            for _ in range(n_rows)]
+
+
+def _assert_product(field, got, expected):
+    """got holds exactly the expected dense rows, in canonical sparse form."""
+    assert got.entries == tuple(map(tuple, expected))
+    assert got.nonzeros == LinMap.from_rows(field, got.domain, got.codomain,
+                                            expected).nonzeros
+    if field.p is None:
+        _assert_canonical(got.entries)
+    else:
+        assert all(type(x) is int and 0 < x < field.p
+                   for nz in got.nonzeros for _, x in nz)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(list(SELECTION_FIELDS)), st.integers(0, 4),
+       st.integers(0, 3), st.data())
+def test_products_with_unit_selections_match_naive_loops(p, m, n, data):
+    field = SELECTION_FIELDS[p]
+    s = data.draw(unit_selections(field))
+    sel = s.entries
+    b = data.draw(other_factors(field, s.cols, m))
+    fb = LinMap.from_rows(field, (m,), (s.cols,), b)
+    _assert_product(field, s.compose(fb), _naive_product(field, sel, b, m))
+    a = data.draw(other_factors(field, m, s.rows))
+    fa = LinMap.from_rows(field, (s.rows,), (m,), a)
+    _assert_product(field, fa.compose(s), _naive_product(field, a, sel, s.cols))
+    c = data.draw(other_factors(field, n, m))
+    fc = LinMap.from_rows(field, (m,), (n,), c)
+    _assert_product(field, kron(s, fc), _naive_kron(field, sel, c))
+    _assert_product(field, kron(fc, s), _naive_kron(field, c, sel))
 
 
 # -- right inverses and equations of a solution set ---------------------------

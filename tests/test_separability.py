@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from entwine import (GF, LinMap, QQ, WitnessKind, check_coseparable,
@@ -8,7 +9,8 @@ from entwine import (GF, LinMap, QQ, WitnessKind, check_coseparable,
                      split_from_integral_map, solve_witness)
 from entwine.separability import (phi_from_expectation, verify_strong,
                                   verify_idempotent)
-from entwine.witness import as_witness
+from entwine.errors import DomainError
+from entwine.witness import Witness, as_witness
 
 import oracle
 
@@ -30,6 +32,18 @@ def test_separability_from_integral_explicit(c2_q):
                    (Fraction(1, 2), Fraction(1, 2), q(0), q(0)), True)
     cert = separability_from_integral(c2_q, z)
     assert cert.source_integral is z
+
+
+def test_failed_witnesses_are_domain_errors(c2_q):
+    """A well-formed witness that fails its identities is a DomainError, as
+    in as_witness, whichever certificate it was meant to build."""
+    ones = (q(1),) * 4
+    z = Witness(WitnessKind.INTEGRAL, c2_q.ent, ones, True)
+    with pytest.raises(DomainError, match="normalisation"):
+        separability_from_integral(c2_q, z)
+    gamma = Witness(WitnessKind.INTEGRAL_MAP, c2_q.ent, ones * 2, True)
+    with pytest.raises(DomainError, match="witness identities"):
+        split_from_integral_map(c2_q, gamma)
 
 
 def test_trivial_extension_separable():
