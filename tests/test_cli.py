@@ -149,6 +149,28 @@ def test_extension_report_rejects_non_galois(tmp_path, capsys):
     assert "not a coalgebra-Galois extension" in capsys.readouterr().out
 
 
+def test_coextension_report_rejects_non_galois(tmp_path, capsys):
+    # the transposed data of test_galois.py's graded dual numbers: the
+    # canonical map C (x) A -> C [] C has rank 3 of 4
+    doc = {
+        "schema": "entwine/1", "field": {"kind": "Q"},
+        "algebra": {"dim": 2, "mult": [["1", "0", "0", "0"],
+                                       ["0", "0", "0", "1"]],
+                    "unit": ["1", "1"]},
+        "coalgebra": {"dim": 2,
+                      "comult": [["1", "0"], ["0", "1"], ["0", "1"],
+                                 ["0", "0"]],
+                      "counit": ["1", "0"]},
+        "actionC": [["1", "0", "0", "0"], ["0", "0", "0", "1"]],
+    }
+    path = tmp_path / "graded.json"
+    path.write_text(json.dumps(doc))
+    assert main(["coextension", "report", str(path)]) == 1
+    assert capsys.readouterr().out == ("not an algebra-Galois coextension: "
+                                       "canonical map of the coextension is "
+                                       "not bijective\n")
+
+
 def test_coextension_report(tmp_path, capsys):
     path = tmp_path / "coext.json"
     assert main(["catalog", "--name", "self_coextension", "--n", "2",

@@ -4,7 +4,7 @@ import pytest
 
 from entwine import (GaloisError, LinMap, QQ, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
-                     fixed_subalgebra, make_example, pointed_kappa,
+                     dual_swap, fixed_subalgebra, make_example, pointed_kappa,
                      verify_entwining)
 from entwine.galois import verify_action, verify_coaction
 from entwine.entwining import ground_algebra
@@ -278,7 +278,7 @@ def test_pointed_kappa_absent_for_unfactorizable(coext_q):
     assert pointed_kappa(fake) is None
 
 
-def test_non_bijective_canonical_map_rejected():
+def _graded_dual_numbers():
     # Q[x]/(x^2) graded by the group-like basis e, g of Q[C_2] with
     # rho(1) = 1 (x) e and rho(x) = x (x) g: only the scalars are fixed, so
     # the balanced square is all of A (x) A, of the right dimension 4, but
@@ -292,8 +292,21 @@ def test_non_bijective_canonical_map_rejected():
     rho = LinMap.from_rows(QQ, (2,), (2, 2),
                            [[q(1), q(0)], [q(0), q(0)],
                             [q(0), q(0)], [q(0), q(1)]])
+    return alg, coalg, rho
+
+
+def test_non_bijective_canonical_map_rejected():
     with pytest.raises(GaloisError, match="canonical map is not bijective") as err:
-        build_galois(alg, coalg, rho)
+        build_galois(*_graded_dual_numbers())
+    assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (4, 4, 3)
+
+
+def test_non_bijective_canonical_map_of_coextension_rejected():
+    # the transposed data: (Q[x]/(x^2))^* acted on by the functions on C_2
+    alg, coalg, rho = _graded_dual_numbers()
+    with pytest.raises(GaloisError) as err:
+        build_coextension(dual_swap(alg), dual_swap(coalg), rho.transpose())
+    assert str(err.value) == "canonical map of the coextension is not bijective"
     assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (4, 4, 3)
 
 
