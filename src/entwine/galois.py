@@ -4,9 +4,16 @@ An extension is built from a coaction on an algebra: the fixed subalgebra
 is carved out, the balanced tensor square is formed, and the canonical map
 a (x) a' -> a . coaction(a') must be bijective.  The entwining map is then
 reconstructed from the inverse of the canonical map and re-verified from
-scratch, never trusted.  Coextensions are the mirror construction from an
-action on a coalgebra, with a quotient coalgebra in place of the fixed
-subalgebra and the canonical map running into a cotensor product.
+scratch, never trusted.
+
+A coextension (C, A, C (x) A -> C) is built as the extension of its
+transposed data: C^* is an algebra, A^* a coalgebra, and the transposed
+action is a coaction C^* -> C^* (x) A^*.  At finite dimension the
+coextension is Galois exactly when that extension is, and each of its
+pieces is the transpose of the extension's (Brzezinski-Hajac 1999,
+"Coalgebra extensions and algebra coextensions of Galois type"): the
+coideal and the cotensor square are the annihilators of the fixed
+subalgebra and of the balancing relations, and psi is the transposed psi.
 """
 
 from __future__ import annotations
@@ -15,13 +22,12 @@ from dataclasses import dataclass
 
 from .errors import GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, entwine_verified
-from .entmod import (EntwinedModule, LeftComodule, RightComodule,
-                     _fixed_space, balanced_power,
-                     check_entwined_compatibility, cotensor, verify_action,
+from .entmod import (EntwinedModule, _fixed_space, balanced_power,
+                     check_entwined_compatibility, verify_action,
                      verify_coaction)
-from .linalg import (LinMap, QuotientModule, Subspace, SCALAR, compose_all,
-                     corestrict, descend, image, invert, kron, kron_all)
-from .structures import (Algebra, Coalgebra, CheckReport, quotient_coalgebra,
+from .linalg import (LinMap, QuotientModule, Subspace, compose_all, descend,
+                     image, invert, kernel, kron, kron_all)
+from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
                          verify_algebra, verify_coalgebra)
 
 
@@ -71,6 +77,11 @@ class GaloisExtension:
         """A itself, entwined by its multiplication and the coaction."""
         return EntwinedModule(self.ent, self.alg.dim, self.alg.mult, self.rho_a)
 
+    def translation_map(self) -> LinMap:
+        """C -> A (x) A, c -> can_inv(1 (x) c) on section representatives."""
+        return compose_all(self.square.section, self.can_inv,
+                           kron(self.alg.unit_map(), self.coalg.identity()))
+
     def square_right_mult(self) -> LinMap:
         return _square_right_mult(self.alg, self.square)
 
@@ -117,6 +128,15 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_coaction(coalg, rho_a)):
         rep.require()
+    return _assemble_galois(alg, coalg, rho_a)
+
+
+def _assemble_galois(alg: Algebra, coalg: Coalgebra,
+                     rho_a: LinMap) -> GaloisExtension:
+    """The extension of data whose algebra, coalgebra and coaction laws
+    already hold: the fixed subalgebra, the balanced square, the canonical
+    map and its inverse, and the canonical entwining."""
+    da, dc = alg.dim, coalg.dim
     fixed, fixed_alg = fixed_subalgebra(alg, rho_a)
     square = balanced_power(alg, fixed, 2)
     # can(a (x) a') = a . rho(a'), factored through the balanced quotient
@@ -181,16 +201,16 @@ def copointed_grouplike(g: GaloisExtension):
 
 @dataclass(frozen=True)
 class Coextension:
+    """An algebra-Galois coextension (C, A, C (x) A -> C), held with the
+    coalgebra-Galois extension of its transposed data that built it."""
     coalg: Coalgebra
     alg: Algebra
     rho_c: LinMap            # C (x) A -> C
     coideal: Subspace        # I inside C
-    base: Coalgebra          # B = C/I
-    base_proj: LinMap        # C -> B
-    cosquare: Subspace       # C [] _B C inside C (x) C
-    cocan: LinMap            # C (x) A -> C []_B C  (subspace coordinates)
-    cocan_inv: LinMap
+    base: Coalgebra          # B = C/I, the transpose of the dual's B^*
+    cosquare: Subspace       # C []_B C inside C (x) C
     ent: Entwining
+    dual: GaloisExtension    # (C^*, A^*, rho_c^T)
 
     @property
     def field(self):
@@ -202,109 +222,54 @@ class Coextension:
                               self.coalg.comult)
 
 
-def _canonical_coideal(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Subspace:
-    """Span of Delta(c.a) corrected by c1 (x) (c2.a), contracted with every
-    dual basis functional in the second slot."""
-    f = coalg.field
-    dc, da = coalg.dim, alg.dim
-    after = coalg.comult.compose(rho_c)                       # Delta(c.a)
-    before = compose_all(kron(coalg.identity(), rho_c),
-                         kron(coalg.comult, alg.identity()))  # c1 (x) c2.a
-    diff = after.sub(before)                                  # (dc,da)->(dc,dc)
-    vectors = []
-    for col in range(dc * da):
-        w = diff.column(col)  # an element of C (x) C, flattened row-major
-        for k in range(dc):
-            vectors.append(tuple(w[p * dc + k] for p in range(dc)))
-    return Subspace.from_vectors(f, (dc,), vectors)
-
-
 def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextension:
+    """Assemble the coextension as the extension of its transposed data
+    (C^*, A^*, rho_c^T: C^* -> C^* (x) A^*), which is Galois exactly when
+    the coextension is (Brzezinski-Hajac 1999); raises GaloisError when the
+    canonical map C (x) A -> C []_B C is not bijective."""
     dc, da = coalg.dim, alg.dim
     if rho_c.domain.factors != (dc, da) or rho_c.codomain.factors != (dc,):
         raise InputError("action shape does not match coalgebra/algebra")
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_action(alg, rho_c)):
         rep.require()
-    coideal = _canonical_coideal(coalg, alg, rho_c)
-    base, base_proj = quotient_coalgebra(coalg, coideal)
-    # C as a right and left B-comodule through the projection
-    right_b = RightComodule(dc, kron(coalg.identity(), base_proj).compose(coalg.comult))
-    left_b = LeftComodule(dc, kron(base_proj, coalg.identity()).compose(coalg.comult))
-    cosquare = cotensor(right_b, left_b)
-    cocan_raw = compose_all(kron(coalg.identity(), rho_c),
-                            kron(coalg.comult, alg.identity()))
-    cocan = corestrict(cocan_raw, cosquare)
-    if cosquare.dim != dc * da:
-        raise GaloisError("cotensor square and C (x) A have different dimensions",
-                          expected_dim=dc * da, actual_dim=cosquare.dim)
     try:
-        cocan_inv = invert(cocan)
-    except InputError:
-        raise GaloisError("canonical map of the coextension is not bijective",
-                          expected_dim=dc * da, actual_dim=cosquare.dim,
-                          rank=image(cocan).dim) from None
-    # psi = (eps (x) A (x) C) . (cocan_inv (x) C) . (C (x) Delta) . cocan
-    idc = coalg.identity()
-    spread = kron(idc, coalg.comult).compose(cosquare.inclusion())  # S -> C,C,C
-    spread = corestrict(spread, cosquare, right=dc)                 # S -> S (x) C
-    psi = compose_all(kron_all(coalg.counit_map(), alg.identity(), idc),
-                      kron(cocan_inv, idc),
-                      spread,
-                      cocan)
-    psi = psi.reshaped((dc, da), (da, dc))
-    ent = entwine_verified(alg, coalg, psi)
-    coext = Coextension(coalg, alg, rho_c, coideal, base, base_proj,
-                        cosquare, cocan, cocan_inv, ent)
-    _require_entwined(coext.module_C())
-    return coext
+        dual = _assemble_galois(dual_swap(coalg), dual_swap(alg),
+                                rho_c.transpose())
+    except GaloisError as exc:
+        # the dual's square and canonical map are the transposes of the
+        # cotensor square and the canonical map, with the same dimensions
+        # and rank; only a failed inversion carries a rank
+        message = ("cotensor square and C (x) A have different dimensions"
+                   if exc.rank is None else
+                   "canonical map of the coextension is not bijective")
+        raise GaloisError(message, expected_dim=exc.expected_dim,
+                          actual_dim=exc.actual_dim, rank=exc.rank) from None
+    # I annihilates the fixed subalgebra B^* inside C^*, and C []_B C the
+    # balancing relations inside C^* (x) C^*
+    coideal = kernel(dual.fixed.inclusion().transpose())
+    cosquare = kernel(dual.square.relations.inclusion().transpose())
+    # psi's four laws and C's entwined compatibility are the transposes of
+    # the dual's, which its build checked
+    ent = Entwining(alg, coalg, dual.ent.psi.transpose())
+    return Coextension(coalg, alg, rho_c, coideal, dual_swap(dual.fixed_alg),
+                       cosquare, ent, dual)
 
 
 def pointed_kappa(x: Coextension):
-    """The character kappa with eps(c.a) = eps(c) kappa(a), if one exists."""
-    f = x.field
-    dc, da = x.coalg.dim, x.alg.dim
-    eps = x.coalg.counit
-    pivot = None
-    for i, v in enumerate(eps):
-        if v != 0:
-            pivot = i
-            break
-    if pivot is None:
-        raise InconsistencyError("counit of a counital coalgebra vanishes")
-    scale = f.inv(eps[pivot])
-    ins_c = LinMap.element(f, (dc,), tuple(f.one if t == pivot else f.zero
-                                           for t in range(dc)))
-    kappa_map = compose_all(x.coalg.counit_map(), x.rho_c,
-                            kron(ins_c, x.alg.identity())).scale(scale)
-    kappa = kappa_map.flat()
-    # eps . action = eps (x) kappa on all of C (x) A
-    lhs = x.coalg.counit_map().compose(x.rho_c)
-    rhs = kron(x.coalg.counit_map(), kappa_map.reshaped((da,), SCALAR.factors))
-    if not lhs.equals(rhs):
-        return None
-    # kappa is an algebra map
-    kmap = LinMap.functional(f, (da,), kappa)
-    if not kmap.compose(x.alg.mult).equals(kron(kmap, kmap)):
-        return None
-    if kmap.apply(x.alg.unit)[0] != f.one:
-        return None
-    return kappa
+    """The character kappa with eps(c.a) = eps(c) kappa(a), if one exists:
+    the group-like e of the dual with coaction(eps) = eps (x) e."""
+    return copointed_grouplike(x.dual)
 
 
 def cotranslation_map(x: Coextension) -> LinMap:
     """For a coextension of the ground field, the map C (x) C -> A inverting
-    the canonical map in the first leg; its two composition laws and the
-    normalisation are verified exactly."""
+    the canonical map in the first leg: the transpose of the dual's
+    translation map.  Its two composition laws and the normalisation are
+    verified exactly."""
     if x.base.dim != 1:
         raise InputError("cotranslation map needs a coextension of the ground field")
-    dc, da = x.coalg.dim, x.alg.dim
-    if x.cosquare.dim != dc * dc:
-        raise InconsistencyError("cotensor square of a trivial base is not full")
-    gamma = compose_all(kron(x.coalg.counit_map(), x.alg.identity()),
-                        x.cocan_inv,
-                        x.cosquare.retraction())
-    gamma = gamma.reshaped((dc, dc), (da,))
+    gamma = x.dual.translation_map().transpose()
     idc, ida = x.coalg.identity(), x.alg.identity()
     # multiplicativity against the action
     lhs = x.alg.mult.compose(kron(gamma, ida))

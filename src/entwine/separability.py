@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .errors import DomainError, InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, TensorShape, compose_all, corestrict, kron,
-                     kron_all, op_in_unknown, solve_affine)
+                     SCALAR, TensorShape, compose_all, kron, kron_all,
+                     op_in_unknown, solve_affine)
 from .witness import Witness, WitnessKind, as_witness, particular_witness, \
     witness_system
 
@@ -414,29 +414,17 @@ def _right_free_basis(g: GaloisExtension):
 
 
 def check_coseparable(x: Coextension):
-    """Solve for a normalised cointegral, convert it to the cotensor-square
-    functional, and re-verify the two defining identities."""
-    f = x.field
-    solved = particular_witness(WitnessKind.COINTEGRAL, x.ent, normalized=True)
-    if solved is None:
+    """The normalised cointegral and its cotensor-square functional upsilon,
+    or None: the separability certificate of the dual extension read
+    backwards.  The dual's integral is the cointegral, coordinate for
+    coordinate, and upsilon pairs its idempotent u with the cotensor square,
+    upsilon_j = <section(u), cosquare.basis[j]>; `verify_idempotent` on u
+    is the transpose of upsilon's colinearity and normalisation."""
+    sep = check_separable(x.dual)
+    if sep is None:
         return None
-    _, y = solved
-    dc = x.coalg.dim
-    ymap = LinMap.functional(f, (dc, x.alg.dim), y.value)
-    upsilon = ymap.compose(x.cocan_inv)
-    idc = x.coalg.identity()
-    incl = x.cosquare.inclusion()
-    # (C (x) upsilon)(Delta (x) C) = (upsilon (x) C)(C (x) Delta) on the square
-    left_spread = corestrict(kron(x.coalg.comult, idc).compose(incl),
-                             x.cosquare, left=dc)
-    right_spread = corestrict(kron(idc, x.coalg.comult).compose(incl),
-                              x.cosquare, right=dc)
-    lhs = kron(idc, upsilon).compose(left_spread)
-    rhs = kron(upsilon, idc).compose(right_spread)
-    if not lhs.equals(rhs):
-        raise InconsistencyError("cotensor functional fails colinearity")
-    # upsilon . Delta = eps
-    diag = corestrict(x.coalg.comult, x.cosquare)
-    if not upsilon.compose(diag).equals(x.coalg.counit_map()):
-        raise InconsistencyError("cotensor functional is not normalised")
+    u = LinMap.functional(x.field, x.cosquare.ambient,
+                          x.dual.square.section.apply(sep.u))
+    upsilon = u.compose(x.cosquare.inclusion())
+    y = Witness(WitnessKind.COINTEGRAL, x.ent, sep.source_integral.value, True)
     return CoseparabilityCertificate(upsilon.flat(), y)

@@ -592,7 +592,5 @@ def _can_inv_unit(ext: GaloisExtension) -> Witness:
                           witness=("base",))
     if copointed_grouplike(ext) is None:
         raise DomainError("extension is not copointed", witness=("copointed",))
-    zeta = compose_all(ext.square.section, ext.can_inv,
-                       kron(ext.alg.unit_map(), ext.coalg.identity()))
-    return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent, zeta.flat(),
-                      normalized=True)
+    return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent,
+                      ext.translation_map().flat(), normalized=True)

@@ -229,15 +229,25 @@ def test_cotranslation_requires_ground_base():
 
 
 def test_coextension_psi_cocan_identity(coext_q):
-    # psi . cocan_inv = (gamma (x) C)(C (x) Delta) when the base is the
-    # ground field
+    # psi . cocan_inv = (gamma (x) C)(C (x) Delta) on the cotensor square
+    # when the base is the ground field; cocan = (C (x) action)(Delta (x) A)
+    # is onto that square, so psi = (gamma (x) C)(C (x) Delta) . cocan
     gamma = cotranslation_map(coext_q)
-    c = coext_q.coalg
-    lhs = coext_q.ent.psi.compose(coext_q.cocan_inv)
-    rhs = compose_all(kron(gamma, c.identity()),
-                      kron(c.identity(), c.comult),
-                      coext_q.cosquare.inclusion())
-    assert lhs.equals(rhs)
+    c, a = coext_q.coalg, coext_q.alg
+    idc = c.identity()
+    cocan = compose_all(kron(idc, coext_q.rho_c), kron(c.comult, a.identity()))
+    rhs = compose_all(kron(gamma, idc), kron(idc, c.comult), cocan)
+    assert coext_q.ent.psi.equals(rhs)
+    # transposed, on the dual extension: psi'(c (x) a) = can(tau(c) . a) for
+    # its translation map tau = gamma^T
+    g = coext_q.dual
+    tau = g.translation_map()
+    assert tau.transpose().equals(gamma)
+    ida, idc = g.alg.identity(), g.coalg.identity()
+    can_of_tau = compose_all(kron(g.alg.mult, idc), kron(ida, g.rho_a),
+                             kron(ida, g.alg.mult), kron(tau, ida))
+    assert g.ent.psi.equals(can_of_tau)
+    assert g.ent.psi.transpose().equals(coext_q.ent.psi)
 
 
 def test_canonical_psi_unit_law_on_catalog(c2_q, coext_q):
@@ -266,16 +276,18 @@ def test_pointed_kappa_sign_twisted_action():
 
 def test_pointed_kappa_absent_for_unfactorizable(coext_q):
     # if the counit of the action does not factor through a character the
-    # detector must decline; perturb the action on a synthetic copy
+    # detector must decline; perturb the action on a synthetic copy of the
+    # dual extension, whose coaction is the transposed action
     import dataclasses
     rows = [[q(0)] * 4 for _ in range(2)]
     for i in range(2):
         for j in range(2):
             sign = q(-1) if (i, j) == (1, 1) else q(1)
             rows[(i + j) % 2][i * 2 + j] = sign
-    fake = dataclasses.replace(coext_q,
-                               rho_c=LinMap.from_rows(QQ, (2, 2), (2,), rows))
-    assert pointed_kappa(fake) is None
+    action = LinMap.from_rows(QQ, (2, 2), (2,), rows)
+    fake = dataclasses.replace(coext_q.dual, rho_a=action.transpose())
+    assert copointed_grouplike(fake) is None
+    assert copointed_grouplike(coext_q.dual) == pointed_kappa(coext_q)
 
 
 def _graded_dual_numbers():
@@ -308,6 +320,23 @@ def test_non_bijective_canonical_map_of_coextension_rejected():
         build_coextension(dual_swap(alg), dual_swap(coalg), rho.transpose())
     assert str(err.value) == "canonical map of the coextension is not bijective"
     assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (4, 4, 3)
+
+
+def test_coextension_with_small_cotensor_square_rejected():
+    # Q[C_3] acting on the group-like coalgebra through its counit,
+    # c . a = eps(a) c: the coideal is 0, so C []_C C = C has dimension 3,
+    # not the 9 of C (x) A
+    h = cyclic_group_hopf(3, QQ)
+    rows = [[q(0)] * 9 for _ in range(3)]
+    for c in range(3):
+        for a in range(3):
+            rows[c][c * 3 + a] = h.coalg.counit[a]
+    act = LinMap.from_rows(QQ, (3, 3), (3,), rows)
+    with pytest.raises(GaloisError) as err:
+        build_coextension(h.coalg, h.alg, act)
+    assert str(err.value) == ("cotensor square and C (x) A have different "
+                              "dimensions")
+    assert (err.value.expected_dim, err.value.actual_dim, err.value.rank) == (9, 3, None)
 
 
 def test_action_and_coaction_failure_labels(hopf_c2_q):
