@@ -103,10 +103,11 @@ class GaloisExtension:
 
 
 def _require_entwined(m: EntwinedModule):
-    """A (or C) entwined over its own (co)extension.  Only "entwined
-    compatibility" runs: its action and coaction laws restate laws the build
-    already checked on the same maps (`verify_algebra`/`verify_coalgebra`
-    and `verify_coaction`/`verify_action`).  A failure is a bug, raised as
+    """A entwined over its own extension.  Only "entwined compatibility"
+    runs: its action and coaction laws restate `verify_algebra` and
+    `verify_coaction`, which the build already ran on the same maps, or,
+    for the dual of a coextension, `verify_coalgebra` and `verify_action`
+    on their transposes.  A failure is a bug, raised as
     InconsistencyError."""
     failures = []
     check_entwined_compatibility(m, failures)

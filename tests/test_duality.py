@@ -60,6 +60,9 @@ class _Data:
     def red(self, v):
         return v % self.p if self.p else v
 
+    def reds(self, vec):
+        return [self.red(v) for v in vec]
+
     def delta(self, k):
         """The nonzero terms (i, j, coefficient) of Delta(e_k)."""
         dc = self.dc
@@ -77,7 +80,7 @@ class _Data:
         for i, j, d in self.delta(k):
             for m, r in enumerate(self.act(j, b)):
                 out[i * dc + m] += d * r
-        return [self.red(v) for v in out]
+        return self.reds(out)
 
 
 def _kernel_basis(rows, width, p):
@@ -104,7 +107,7 @@ def _cotensor_rows(data, coideal):
                 for b in range(dc):
                     for j in range(dc):
                         row[i * dc + b] -= phi[j] * data.D[j * dc + l][b]
-                rows.append([data.red(v) for v in row])
+                rows.append(data.reds(row))
     return rows
 
 
@@ -169,7 +172,7 @@ def test_upsilon_is_a_normalised_colinear_functional(case):
                     lhs[i] += v[a * dc + b] * d * ups[j * dc + b]
                 for j, l, d in data.delta(b):
                     rhs[l] += v[a * dc + b] * ups[a * dc + j] * d
-        assert [data.red(t) for t in lhs] == [data.red(t) for t in rhs]
+        assert data.reds(lhs) == data.reds(rhs)
     # upsilon . Delta = eps, with Delta(c) inside the square
     for k in range(dc):
         diag = [0] * (dc * dc)
@@ -201,7 +204,7 @@ def test_coseparable_iff_cointegral_system_is_feasible(case):
                         row[j * da + b] += d
                     for beta in range(da):
                         row[i * da + beta] -= d * psi[beta * dc + m][j * da + b]
-                rows.append([data.red(v) for v in row])
+                rows.append(data.reds(row))
     rhs = [0] * len(rows)
     # y(c (x) 1) = eps(c)
     for k in range(dc):
@@ -256,7 +259,6 @@ def test_cotranslation_map_laws_by_hand(case):
                     for s in range(da) if u[s] for t in range(da) if w[t])
                 for r in range(da)]
     e = [[1 if r == s else 0 for r in range(da)] for s in range(da)]
-    red = functools.partial(map, data.red)
     for c in range(dc):
         for c2 in range(dc):
             # gamma(c (x) c') a = gamma(c (x) c' . a)
@@ -265,8 +267,8 @@ def test_cotranslation_map_laws_by_hand(case):
                 for m, r in enumerate(data.act(c2, b)):
                     for s, g in enumerate(gamma(c, m)):
                         acted[s] += r * g
-                assert list(red(times(gamma(c, c2), e[b]))) == \
-                    list(red(acted))
+                assert data.reds(times(gamma(c, c2), e[b])) == \
+                    data.reds(acted)
             # gamma(c (x) c'1) gamma(c'2 (x) c'') = eps(c') gamma(c (x) c'')
             for c3 in range(dc):
                 lhs = [0] * da
@@ -274,12 +276,12 @@ def test_cotranslation_map_laws_by_hand(case):
                     for r, v in enumerate(times(gamma(c, i), gamma(j, c3))):
                         lhs[r] += d * v
                 rhs = [data.eps[c2] * g for g in gamma(c, c3)]
-                assert list(red(lhs)) == list(red(rhs))
+                assert data.reds(lhs) == data.reds(rhs)
     # gamma . Delta = unit . eps
     for k in range(dc):
         norm = [0] * da
         for i, j, d in data.delta(k):
             for r, g in enumerate(gamma(i, j)):
                 norm[r] += d * g
-        assert list(red(norm)) == [data.red(u * data.eps[k])
-                                   for u in data.unit]
+        assert data.reds(norm) == data.reds(u * data.eps[k]
+                                            for u in data.unit)
