@@ -423,8 +423,8 @@ def check_coseparable(x: Coextension):
     sep = check_separable(x.dual)
     if sep is None:
         return None
-    u = LinMap.functional(x.field, x.cosquare.ambient,
-                          x.dual.square.section.apply(sep.u))
-    upsilon = u.compose(x.cosquare.inclusion())
+    pair_u = LinMap.functional(x.field, x.cosquare.ambient,
+                               x.dual.square.section.apply(sep.u))
+    upsilon = pair_u.compose(x.cosquare.inclusion())
     y = Witness(WitnessKind.COINTEGRAL, x.ent, sep.source_integral.value, True)
     return CoseparabilityCertificate(upsilon.flat(), y)
