@@ -12,9 +12,9 @@ from .linalg import (AffineSolutionSet, LinMap, QuotientModule, Subspace,
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
 from .entwining import (Entwining, EntwiningMorphism, counit_morphism,
-                        identity_morphism, make_entwining, tensor_entwining,
-                        twist_entwining, unit_morphism, verify_entwining,
-                        verify_morphism)
+                        dual_entwining, identity_morphism, make_entwining,
+                        tensor_entwining, twist_entwining, unit_morphism,
+                        verify_entwining, verify_morphism)
 from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
                      RightModule, adjunction_maps, cotensor, fixed_part,
                      functor_apply, hom_AC, standard_module, tensor_over_A,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .errors import InputError
 from .fields import Field
 from .linalg import LinMap, compose_all, kron, kron_all
-from .structures import (Algebra, Coalgebra, CheckReport, law, verify_algebra,
-                         verify_coalgebra)
+from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
+                         verify_algebra, verify_coalgebra)
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,13 @@ def verify_entwining(e: Entwining) -> CheckReport:
         kron(ida, c.counit_map()).compose(psi),
         kron(c.counit_map(), ida))
     return CheckReport("entwining", tuple(failures))
+
+
+def dual_entwining(e: Entwining) -> Entwining:
+    """(C^*, A^*, psi^T): the algebra C^* entwined with the coalgebra A^* by
+    the transposed psi.  Its four laws are the transposes of e's, so none
+    is re-run; applying it twice gives back e."""
+    return Entwining(dual_swap(e.coalg), dual_swap(e.alg), e.psi.transpose())
 
 
 @dataclass(frozen=True)

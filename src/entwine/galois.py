@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import GaloisError, InconsistencyError, InputError
-from .entwining import Entwining, entwine_verified
+from .entwining import Entwining, dual_entwining, entwine_verified
 from .entmod import (EntwinedModule, _fixed_space, balanced_power,
                      check_entwined_compatibility, verify_action,
                      verify_coaction)
@@ -252,7 +252,7 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
     cosquare = kernel(dual.square.relations.inclusion().transpose())
     # psi's four laws and C's entwined compatibility are the transposes of
     # the dual's, which its build checked
-    ent = Entwining(alg, coalg, dual.ent.psi.transpose())
+    ent = dual_entwining(dual.ent)
     return Coextension(coalg, alg, rho_c, coideal, dual_swap(dual.fixed_alg),
                        cosquare, ent, dual)
 

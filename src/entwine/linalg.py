@@ -985,6 +985,17 @@ class LinearConstraints:
         return (LinMap(self.field, self.x_cod.concat(self.x_dom), cod, tuple(rows)),
                 tuple(rhs))
 
+    def transposed(self) -> "LinearConstraints":
+        """The same conditions stated on the transposed unknown X^T: each
+        block is composed with the flip vec(X^T) -> vec(X), a unit
+        selection, so only its columns are renamed."""
+        out = LinearConstraints(self.field, self.x_cod, self.x_dom)
+        flip = LinMap.twist(self.field, (self.x_dom.total,),
+                            (self.x_cod.total,))
+        out.blocks = [_Block(blk.label, blk.matrix.compose(flip), blk.rhs,
+                             blk.in_total) for blk in self.blocks]
+        return out
+
     def solve(self) -> AffineSolutionSet:
         m, b = self.assembled()
         return solve_affine(m, b)

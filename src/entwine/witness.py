@@ -11,7 +11,10 @@ of the induction/coinduction adjunction, frakz cosplits its counit.
 Each defining identity is assembled once, by `*_system`, into a
 LinearConstraints block; the solvers call .solve() on it and the checkers
 call .violations() on the same object, so there is a single source of truth
-per diagram.
+per diagram.  Of the four kinds, only the integral side is written out: a
+cointegral (map) of (A, C, psi) is the transpose of an integral (map) of the
+dual entwining (C^*, A^*, psi^T), so its system is that integral system
+stated on the transposed unknown (Brzezinski-Hajac 1999).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InconsistencyError, InputError
-from .entwining import Entwining, EntwiningMorphism
+from .entwining import Entwining, EntwiningMorphism, dual_entwining
 from .entmod import (EntwinedModule, RightComodule, RightModule,
                      _coinduced_carrier, _induced_carrier, _induced_coaction,
                      adjunction_unit, coinduce, hom_AC, induce,
@@ -68,6 +71,12 @@ def witness_shapes(kind: WitnessKind, e: Entwining):
 
 def witness_system(kind: WitnessKind, e: Entwining,
                    normalized: bool) -> LinearConstraints:
+    if kind == WitnessKind.COINTEGRAL:
+        return witness_system(WitnessKind.INTEGRAL, dual_entwining(e),
+                              normalized).transposed()
+    if kind == WitnessKind.COINTEGRAL_MAP:
+        return witness_system(WitnessKind.INTEGRAL_MAP, dual_entwining(e),
+                              normalized).transposed()
     f = e.field
     a, c, psi = e.alg, e.coalg, e.psi
     da, dc = a.dim, c.dim
@@ -84,16 +93,6 @@ def witness_system(kind: WitnessKind, e: Entwining,
             norm = sys.term(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
                             kron(ida, c.counit_map()))
             sys.require("normalisation", norm, target=a.unit_map())
-    elif kind == WitnessKind.COINTEGRAL:
-        # c1 y(c2 (x) a) = y(c1 (x) a_alpha) c2^alpha
-        left = sys.term(kron(c.comult, ida), (dc,), SCALAR, idc)
-        right = sys.term(compose_all(kron(idc, psi), kron(c.comult, ida)),
-                         SCALAR, (dc,), idc)
-        sys.require("equivariance", left, right)
-        if normalized:
-            norm = sys.term(kron(idc, a.unit_map()), SCALAR, SCALAR,
-                            LinMap.identity(f, SCALAR))
-            sys.require("normalisation", norm, target=c.counit_map())
     elif kind == WitnessKind.INTEGRAL_MAP:
         # gamma(c (x) c'1) (x) c'2 = psi(c1 (x) gamma(c2 (x) c'))
         co_l = sys.term(kron(idc, c.comult), SCALAR, (dc,),
@@ -108,22 +107,6 @@ def witness_system(kind: WitnessKind, e: Entwining,
         sys.require("module compatibility", mo_l, mo_r)
         if normalized:
             norm = sys.term(c.comult, SCALAR, SCALAR, ida)
-            sys.require("normalisation", norm,
-                        target=a.unit_map().compose(c.counit_map()))
-    elif kind == WitnessKind.COINTEGRAL_MAP:
-        # zeta(c)^1 (x) zeta(c)^2 a = a_alpha zeta(c^alpha)^1 (x) zeta(c^alpha)^2
-        mo_l = sys.term(LinMap.identity(f, (dc, da)), SCALAR, (da,),
-                        kron(ida, a.mult))
-        mo_r = sys.term(psi, (da,), SCALAR, kron(a.mult, ida))
-        sys.require("module compatibility", mo_l, mo_r)
-        # zeta(c1) (x) c2 = (A (x) psi)(psi (x) A)(c1 (x) zeta(c2))
-        co_l = sys.term(c.comult, SCALAR, (dc,),
-                        LinMap.identity(f, (da, da, dc)))
-        co_r = sys.term(c.comult, (dc,), SCALAR,
-                        compose_all(kron(ida, psi), kron(psi, ida)))
-        sys.require("comodule compatibility", co_l, co_r)
-        if normalized:
-            norm = sys.term(idc, SCALAR, SCALAR, a.mult)
             sys.require("normalisation", norm,
                         target=a.unit_map().compose(c.counit_map()))
     else:
@@ -545,6 +528,8 @@ def _invariant_element(ent: Entwining, action_c: LinMap, eps_a,
     da = ent.alg.dim
     lam = tuple(invariant)
     eps_a = tuple(eps_a)
+    if len(eps_a) != da:
+        raise InputError("character length does not match the algebra")
     for j in range(da):
         a = tuple(f.one if t == j else f.zero for t in range(da))
         acted = action_c.apply(tuple(f.mul(x, y) for x in lam for y in a))
@@ -561,22 +546,12 @@ def _invariant_element(ent: Entwining, action_c: LinMap, eps_a,
 
 def _casimir_functional(ent: Entwining, coaction_a: LinMap, one_c,
                         kappa) -> Witness:
-    f = ent.field
-    dc, da = ent.coalg.dim, ent.alg.dim
-    kappa = tuple(kappa)
-    one_c = tuple(one_c)
-    kmap = LinMap.functional(f, (da,), kappa)
-    if kmap.apply(ent.alg.unit)[0] != f.one:
-        raise DomainError("functional is not unital", witness=("unitality",))
-    # kappa(a0) a1 = kappa(a) 1_C for all a
-    lhs = kron(kmap, ent.coalg.identity()).compose(coaction_a)
-    rhs = LinMap.element(f, (dc,), one_c).compose(kmap)
-    if not lhs.equals(rhs):
-        at = lhs.first_difference(rhs)
-        raise DomainError("functional fails coaction invariance",
-                          witness=("invariance",) + (at or ()))
-    value = tuple(f.mul(e, k) for e in ent.coalg.counit for k in kappa)
-    return as_witness(WitnessKind.COINTEGRAL, ent, value, normalized=True)
+    """kappa is invariant under the transposed coaction, a right action of
+    the dual algebra C^* on A^*, so 1 (x) kappa is an integral of the dual
+    entwining; read as a functional it is the cointegral eps (x) kappa."""
+    dual = _invariant_element(dual_entwining(ent), coaction_a.transpose(),
+                              one_c, kappa)
+    return Witness(WitnessKind.COINTEGRAL, ent, dual.value, normalized=True)
 
 
 def _cotranslation(coext: Coextension) -> Witness:

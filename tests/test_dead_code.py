@@ -12,8 +12,9 @@ Four checks:
   calls them itself;
 - no function in src/entwine assigns a local variable that it never reads;
   `_` is the conventional throwaway and is exempt;
-- no module in src/entwine imports a name it never uses; the package's
-  `__init__.py` is exempt, since its imports are the public re-exports;
+- no module in src/entwine or tests imports a name it never uses; the
+  package's `__init__.py` is exempt, since its imports are the public
+  re-exports;
 - outside structures.py, no `if` whose test reads `.ok` or a `failures`
   list has a `raise` in its body: `CheckReport.require` is the one place
   a failed report becomes an exception.
@@ -25,6 +26,7 @@ import re
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "entwine")
+TESTS = os.path.join(ROOT, "tests")
 SCANNED = [os.path.join(ROOT, top) for top in ("src", "tests", "perfbench")]
 DOTTED = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -146,7 +148,7 @@ def unused_locals():
 
 def unused_imports():
     found = []
-    for path in _python_files(PACKAGE):
+    for path in [*_python_files(PACKAGE), *_python_files(TESTS)]:
         if os.path.basename(path) == "__init__.py":
             continue
         tree = _parse(path)

@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import pytest
 
-from entwine import GF, QQ, build_coextension, make_example, schema
+from entwine import (GF, QQ, build_coextension, dual_entwining,
+                     make_example, schema)
 from entwine.galois import cotranslation_map, pointed_kappa
 from entwine.separability import check_coseparable
 
@@ -190,6 +191,8 @@ def test_upsilon_is_a_normalised_colinear_functional(case):
 @pytest.mark.parametrize("case", CASES)
 def test_coseparable_iff_cointegral_system_is_feasible(case):
     x = _coextension(case)
+    assert dual_entwining(x.ent) == x.dual.ent and \
+        dual_entwining(dual_entwining(x.ent)) == x.ent
     data = _Data(x)
     dc, da, p = data.dc, data.da, data.p
     psi = x.ent.psi.entries          # psi[beta*dc+l][j*da+b]

@@ -8,7 +8,7 @@ from entwine import (Algebra, Bimodule, GF, LinMap, QQ, Subspace,
                      relative_complex)
 from entwine.hochschild import verify_bimodule
 from entwine.structures import verify_algebra
-from entwine.errors import DomainError, InputError
+from entwine.errors import DomainError
 from entwine.linalg import kron
 
 import oracle

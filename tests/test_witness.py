@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from entwine import (DomainError, GF, LinMap, QQ, WitnessKind,
+from entwine import (DomainError, GF, InputError, LinMap, QQ, WitnessKind,
                      check_witness, lambda_from_nu, make_example,
                      nu_from_lambda, solve_total_cointegrability,
                      solve_total_integrability, solve_witness,
@@ -10,7 +10,7 @@ from entwine import (DomainError, GF, LinMap, QQ, WitnessKind,
 from entwine.entmod import hom_AC, regular_module, standard_module
 from entwine.entwining import counit_morphism, unit_morphism
 from entwine.witness import (as_witness, frakz_witness, gamma_from_lambda,
-                             lambda_from_gamma, lambda_witness)
+                             lambda_from_gamma, lambda_witness, witness_shapes)
 import oracle
 
 
@@ -123,11 +123,13 @@ def test_solution_family_closure(c2_q):
 
 
 def test_witness_rejects_bad_candidate(c2_q):
-    bad = (q(1), q(0), q(0), q(0))
-    violations = check_witness(WitnessKind.INTEGRAL, c2_q.ent, bad, True)
-    assert violations
-    with pytest.raises(DomainError):
-        as_witness(WitnessKind.INTEGRAL, c2_q.ent, bad, True)
+    # the first basis vector of the unknown fails every kind's identities
+    for kind in WitnessKind:
+        dom, cod = witness_shapes(kind, c2_q.ent)
+        bad = (q(1),) + (q(0),) * (dom.total * cod.total - 1)
+        assert check_witness(kind, c2_q.ent, bad, True)
+        with pytest.raises(DomainError):
+            as_witness(kind, c2_q.ent, bad, True)
 
 
 # -- functor-level solvers -----------------------------------------------------
@@ -272,6 +274,23 @@ def test_invariant_element_hypothesis_failure():
                                action_c=entry.extras["action"],
                                eps_a=(q(1),) * 4,
                                invariant=(q(1), q(0)))
+
+
+def test_structural_witnesses_reject_a_character_of_the_wrong_length():
+    quot = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
+    com = make_example("comodule_algebra_entwining", {"field": QQ, "n": 3})
+    for n in (3, 5):
+        with pytest.raises(InputError):
+            witness_from_structure("invariant_element", ent=quot.payload.ent,
+                                   action_c=quot.extras["action"],
+                                   eps_a=(q(1),) * n,
+                                   invariant=quot.extras["invariant"])
+    unit = tuple(com.extras["c_unit"])
+    for one_c in (unit[:-1], unit + (q(0),)):
+        with pytest.raises(InputError):
+            witness_from_structure("casimir_functional", ent=com.payload,
+                                   coaction_a=com.extras["coactionA"],
+                                   one_c=one_c, kappa=com.extras["kappa"])
 
 
 def test_casimir_functional_witness():
