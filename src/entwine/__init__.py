@@ -8,7 +8,7 @@ defining identities before it is handed out.
 
 from .fields import Field, GF, QQ
 from .linalg import (AffineSolutionSet, LinMap, QuotientModule, Subspace,
-                     TensorShape, kernel_image, kron, solve_affine)
+                     kernel_image, kron, solve_affine)
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
 from .entwining import (Entwining, EntwiningMorphism, counit_morphism,

@@ -59,9 +59,9 @@ class EntwinedModule:
 
     def __post_init__(self):
         da, dc, dm = self.ent.alg.dim, self.ent.coalg.dim, self.dim
-        if self.action.domain.factors != (dm, da) or self.action.codomain.factors != (dm,):
+        if self.action.domain != (dm, da) or self.action.codomain != (dm,):
             raise InputError("action shape does not match the module")
-        if self.coaction.domain.factors != (dm,) or self.coaction.codomain.factors != (dm, dc):
+        if self.coaction.domain != (dm,) or self.coaction.codomain != (dm, dc):
             raise InputError("coaction shape does not match the module")
 
     @property
@@ -99,7 +99,7 @@ def check_right_comodule(coalg, m: RightComodule, failures):
 def verify_coaction(coalg: Coalgebra, coaction: LinMap) -> CheckReport:
     """Right coaction axioms for a map V -> V (x) C."""
     failures = []
-    check_right_comodule(coalg, RightComodule(coaction.domain.factors[0], coaction),
+    check_right_comodule(coalg, RightComodule(coaction.domain[0], coaction),
                          failures)
     return CheckReport("coaction", tuple(failures))
 
@@ -107,7 +107,7 @@ def verify_coaction(coalg: Coalgebra, coaction: LinMap) -> CheckReport:
 def verify_action(alg: Algebra, action: LinMap) -> CheckReport:
     """Right action axioms for a map V (x) A -> V."""
     failures = []
-    check_right_module(alg, RightModule(action.codomain.factors[0], action),
+    check_right_module(alg, RightModule(action.codomain[0], action),
                        failures)
     return CheckReport("action", tuple(failures))
 
@@ -186,8 +186,8 @@ def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
 def cotensor(x: RightComodule, y: LeftComodule) -> Subspace:
     """V [] W inside V (x) W: the kernel of the coaction equalising map."""
     f = x.coaction.field
-    xc = x.coaction.codomain.factors[1]
-    yc = y.coaction.codomain.factors[0]
+    xc = x.coaction.codomain[1]
+    yc = y.coaction.codomain[0]
     if xc != yc:
         raise InputError("cotensor factors do not share a coalgebra")
     idx = LinMap.identity(f, (x.dim,))
@@ -199,8 +199,8 @@ def cotensor(x: RightComodule, y: LeftComodule) -> Subspace:
 def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
     """M (x)_A N as an explicit quotient with projection and section."""
     f = m.action.field
-    ma = m.action.domain.factors[1]
-    na = n.action.domain.factors[0]
+    ma = m.action.domain[1]
+    na = n.action.domain[0]
     if ma != na:
         raise InputError("tensor factors do not share an algebra")
     idm = LinMap.identity(f, (m.dim,))
@@ -401,7 +401,7 @@ def _fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
     a in A, for action M (x) A -> M, coaction M -> M (x) C and rho_a
     A -> A (x) C.  For M = A this is the fixed subalgebra."""
     f = action.field
-    da, dc = rho_a.codomain.factors
+    da, dc = rho_a.codomain
     sys = LinearConstraints(f, SCALAR, action.codomain)
     # both sides as maps A -> M (x) C in the unknown element x: k -> M
     lhs = sys.term(LinMap.identity(f, (da,)), SCALAR, (da,),
@@ -438,8 +438,3 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
                        LinMap.identity(f, (n.dim, dc)))
     sys.require("C-colinearity", col_lhs, col_rhs)
     return sys.solve().homogeneous
-
-
-def hom_vector_as_map(field, vec, m_dim: int, n_dim: int) -> LinMap:
-    """Reshape a vector of the hom-space ambient back into a map M -> N."""
-    return LinMap.from_flat(field, (m_dim,), (n_dim,), vec)

@@ -25,7 +25,7 @@ class Entwining:
 
     def __post_init__(self):
         da, dc = self.alg.dim, self.coalg.dim
-        if self.psi.domain.factors != (dc, da) or self.psi.codomain.factors != (da, dc):
+        if self.psi.domain != (dc, da) or self.psi.codomain != (da, dc):
             raise InputError("psi does not match the algebra/coalgebra dimensions")
 
     @property

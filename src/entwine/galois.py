@@ -124,7 +124,7 @@ def build_galois(alg: Algebra, coalg: Coalgebra, rho_a: LinMap) -> GaloisExtensi
     """Assemble the whole extension; raises GaloisError when the canonical
     map is not bijective."""
     da, dc = alg.dim, coalg.dim
-    if rho_a.domain.factors != (da,) or rho_a.codomain.factors != (da, dc):
+    if rho_a.domain != (da,) or rho_a.codomain != (da, dc):
         raise InputError("coaction shape does not match algebra/coalgebra")
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_coaction(coalg, rho_a)):
@@ -229,7 +229,7 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
     the coextension is (Brzezinski-Hajac 1999); raises GaloisError when the
     canonical map C (x) A -> C []_B C is not bijective."""
     dc, da = coalg.dim, alg.dim
-    if rho_c.domain.factors != (dc, da) or rho_c.codomain.factors != (dc,):
+    if rho_c.domain != (dc, da) or rho_c.codomain != (dc,):
         raise InputError("action shape does not match coalgebra/algebra")
     for rep in (verify_algebra(alg), verify_coalgebra(coalg),
                 verify_action(alg, rho_c)):

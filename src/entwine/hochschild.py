@@ -18,12 +18,12 @@ largest space this library ever builds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .entmod import balanced_power
 from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
-                     TensorShape, SCALAR, descend, image, kernel, kron,
-                     kron_all)
+                     SCALAR, descend, image, kernel, kron, kron_all)
 from .structures import Algebra, CheckReport, law
 
 
@@ -76,8 +76,9 @@ class RelativeComplex:
 def _is_unital_subalgebra(alg: Algebra, b: Subspace) -> bool:
     if not b.contains(alg.unit):
         return False
-    for u in b.basis:
-        for v in b.basis:
+    basis = b.basis
+    for u in basis:
+        for v in basis:
             if not b.contains(alg.multiply(u, v)):
                 return False
     return True
@@ -92,9 +93,9 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
     bdim = b.dim
     dom_dim = power.dim
     first = kron(alg.mult.compose(kron(incl, alg.identity())),
-                 LinMap.identity(f, power.ambient.factors[1:]))
+                 LinMap.identity(f, power.ambient[1:]))
     left_act = descend(power.projection.compose(first), power, left=bdim)
-    last = kron(LinMap.identity(f, power.ambient.factors[:-1]),
+    last = kron(LinMap.identity(f, power.ambient[:-1]),
                 alg.mult.compose(kron(alg.identity(), incl)))
     right_act = descend(power.projection.compose(last), power, right=bdim)
     idm = LinMap.identity(f, (m.dim,))
@@ -136,7 +137,7 @@ def relative_complex(alg: Algebra, b: Subspace, m: Bimodule,
     if max_degree not in (1, 2):
         raise InputError("degree is capped at 2")
     verify_bimodule(alg, m).require()
-    if b.ambient.total != alg.dim:
+    if prod(b.ambient) != alg.dim:
         raise InputError("subalgebra does not lie in the algebra's space")
     if not _is_unital_subalgebra(alg, b):
         raise DomainError("relative complex needs a unital subalgebra")
@@ -209,5 +210,4 @@ def cohomology_dim(complex_: RelativeComplex, n: int):
             span = span.sum(Subspace.from_vectors(f, cycles.ambient, [v]))
     if len(reps) != dim:
         raise InconsistencyError("representative count mismatch")  # unreachable
-    return dim, Subspace.from_vectors(f, TensorShape((complex_.spaces[n].dim,)),
-                                      reps)
+    return dim, Subspace.from_vectors(f, (complex_.spaces[n].dim,), reps)

@@ -1,10 +1,11 @@
 """Exact linear algebra on tensor-shaped spaces.
 
 Everything here is immutable and pure.  Vectors are dense tuples of
-scalars; maps carry explicit tensor factorizations of their domain and
-codomain, and index flattening is row-major throughout (leftmost factor
-most significant).  There is no floating point anywhere; no tolerances,
-ever.
+scalars.  A tensor shape is a plain tuple of factor dimensions, () for the
+ground field: shapes concatenate with +, a shape's total dimension is
+math.prod of it, and maps carry the shapes of their domain and codomain.
+Index flattening is row-major throughout (leftmost factor most
+significant).  There is no floating point anywhere; no tolerances, ever.
 
 Matrices are stored once, as sparse rows: for each codomain row, the
 (column, value) pairs of its nonzero entries in increasing column order,
@@ -40,62 +41,16 @@ from .fields import Field
 # shapes
 
 
-@dataclass(frozen=True)
-class TensorShape:
-    """An ordered list of tensor factor dimensions; () is the ground field."""
-
-    factors: tuple
-
-    def __init__(self, factors=()):
-        factors = tuple(int(f) for f in factors)
-        if any(f < 0 for f in factors):
-            raise InputError(f"factor dimensions must be nonnegative: {factors}")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def total(self) -> int:
-        return prod(self.factors)
-
-    def flatten(self, index) -> int:
-        """Row-major flat position of a multi-index."""
-        index = tuple(index)
-        if len(index) != len(self.factors):
-            raise InputError(f"index {index} does not match shape {self.factors}")
-        flat = 0
-        for i, f in zip(index, self.factors):
-            if not 0 <= i < f:
-                raise InputError(f"index {index} out of range for shape {self.factors}")
-            flat = flat * f + i
-        return flat
-
-    def unflatten(self, flat: int) -> tuple:
-        if not 0 <= flat < self.total:
-            raise InputError(f"flat index {flat} out of range for shape {self.factors}")
-        out = []
-        for f in reversed(self.factors):
-            out.append(flat % f)
-            flat //= f
-        return tuple(reversed(out))
-
-    def concat(self, other: "TensorShape") -> "TensorShape":
-        return TensorShape(self.factors + other.factors)
-
-    def __iter__(self):
-        return iter(self.factors)
-
-    def __repr__(self):
-        return f"TensorShape{self.factors}"
+SCALAR = ()
 
 
-def shape(*factors) -> TensorShape:
-    return TensorShape(factors)
-
-
-SCALAR = TensorShape(())
-
-
-def _shape(shp) -> TensorShape:
-    return shp if isinstance(shp, TensorShape) else TensorShape(shp)
+def unflatten(shape, flat: int) -> tuple:
+    """The multi-index at row-major position flat of a tensor shape."""
+    out = []
+    for f in reversed(shape):
+        flat, i = divmod(flat, f)
+        out.append(i)
+    return tuple(reversed(out))
 
 
 def _sparse_row(row):
@@ -180,26 +135,25 @@ class LinMap:
     """
 
     field: Field
-    domain: TensorShape
-    codomain: TensorShape
+    domain: tuple
+    codomain: tuple
     nonzeros: tuple
 
     def __post_init__(self):
-        if len(self.nonzeros) != self.codomain.total:
+        if len(self.nonzeros) != prod(self.codomain):
             raise InputError(
-                f"{len(self.nonzeros)} rows for codomain of total {self.codomain.total}")
+                f"{len(self.nonzeros)} rows for codomain of total {prod(self.codomain)}")
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def from_rows(field, domain, codomain, rows) -> "LinMap":
         """The map with the given dense rows."""
-        domain, codomain = _shape(domain), _shape(codomain)
         rows = [tuple(r) for r in rows]
-        if len(rows) != codomain.total:
+        if len(rows) != prod(codomain):
             raise InputError(
-                f"{len(rows)} rows for codomain of total {codomain.total}")
-        n = domain.total
+                f"{len(rows)} rows for codomain of total {prod(codomain)}")
+        n = prod(domain)
         for length in set(map(len, rows)):
             if length != n:
                 raise InputError(f"row of length {length} for domain of total {n}")
@@ -207,60 +161,53 @@ class LinMap:
 
     @staticmethod
     def identity(field, shp) -> "LinMap":
-        shp = _shape(shp)
         one = field.one
-        return LinMap(field, shp, shp, tuple(((i, one),) for i in range(shp.total)))
+        return LinMap(field, shp, shp, tuple(((i, one),) for i in range(prod(shp))))
 
     @staticmethod
     def zero(field, domain, codomain) -> "LinMap":
-        domain, codomain = _shape(domain), _shape(codomain)
-        return LinMap(field, domain, codomain, ((),) * codomain.total)
+        return LinMap(field, domain, codomain, ((),) * prod(codomain))
 
     @staticmethod
     def element(field, shp, vec) -> "LinMap":
         """A vector as a map from the ground field, k -> V."""
-        shp = _shape(shp)
-        if len(vec) != shp.total:
+        if len(vec) != prod(shp):
             raise InputError("element length does not match shape")
         return LinMap(field, SCALAR, shp, tuple(((0, v),) if v else () for v in vec))
 
     @staticmethod
     def from_flat(field, domain, codomain, vec) -> "LinMap":
         """The map whose row-major vectorization is vec; inverse of flat."""
-        domain, codomain = _shape(domain), _shape(codomain)
-        w = domain.total
-        if len(vec) != w * codomain.total:
+        w, h = prod(domain), prod(codomain)
+        if len(vec) != w * h:
             raise InputError("vector length does not match the map shape")
         return LinMap(field, domain, codomain,
-                      tuple(_sparse_row(vec[r * w:(r + 1) * w])
-                            for r in range(codomain.total)))
+                      tuple(_sparse_row(vec[r * w:(r + 1) * w]) for r in range(h)))
 
     @staticmethod
     def functional(field, shp, covec) -> "LinMap":
         """A covector as a map to the ground field, V -> k."""
-        shp = _shape(shp)
-        if len(covec) != shp.total:
+        if len(covec) != prod(shp):
             raise InputError("functional length does not match shape")
         return LinMap(field, shp, SCALAR, (_sparse_row(covec),))
 
     @staticmethod
     def twist(field, left, right) -> "LinMap":
         """The flip V (x) W -> W (x) V on basis vectors."""
-        left, right = _shape(left), _shape(right)
-        nl, nr = left.total, right.total
+        nl, nr = prod(left), prod(right)
         one = field.one
         rows = tuple(((i * nr + j, one),) for j in range(nr) for i in range(nl))
-        return LinMap(field, left.concat(right), right.concat(left), rows)
+        return LinMap(field, left + right, right + left, rows)
 
     # -- basics --------------------------------------------------------------
 
     @property
     def rows(self) -> int:
-        return self.codomain.total
+        return prod(self.codomain)
 
     @property
     def cols(self) -> int:
-        return self.domain.total
+        return prod(self.domain)
 
     @property
     def entries(self) -> tuple:
@@ -270,9 +217,9 @@ class LinMap:
 
     def reshaped(self, domain=None, codomain=None) -> "LinMap":
         """Reinterpret the tensor factorization without touching entries."""
-        domain = self.domain if domain is None else _shape(domain)
-        codomain = self.codomain if codomain is None else _shape(codomain)
-        if domain.total != self.domain.total or codomain.total != self.codomain.total:
+        domain = self.domain if domain is None else domain
+        codomain = self.codomain if codomain is None else codomain
+        if prod(domain) != self.cols or prod(codomain) != self.rows:
             raise InputError("reshape must preserve total dimensions")
         return LinMap(self.field, domain, codomain, self.nonzeros)
 
@@ -402,14 +349,14 @@ class LinMap:
         return min(diffs, default=None)
 
     def __repr__(self):
-        return f"LinMap({self.field}, {self.domain.factors}->{self.codomain.factors})"
+        return f"LinMap({self.field}, {self.domain}->{self.codomain})"
 
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
     """Tensor product of maps; shapes concatenate, flattening is row-major."""
     if f.field != g.field:
         raise InputError("field mismatch in tensor product")
-    domain, codomain = f.domain.concat(g.domain), f.codomain.concat(g.codomain)
+    domain, codomain = f.domain + g.domain, f.codomain + g.codomain
     gc = g.cols
     one = f.field.one
     f_picked = _unit_selection(f.nonzeros, one)
@@ -577,16 +524,16 @@ class Subspace:
     bases."""
 
     field: Field
-    ambient: TensorShape
+    ambient: tuple
     reduced: tuple
     pivots: tuple
 
     @staticmethod
     def from_vectors(field, ambient, vectors) -> "Subspace":
-        ambient = _shape(ambient)
         vecs = [tuple(v) for v in vectors]
+        n = prod(ambient)
         for v in vecs:
-            if len(v) != ambient.total:
+            if len(v) != n:
                 raise InputError("spanning vector does not match ambient shape")
         return Subspace._span(field, ambient, [_sparse_row(v) for v in vecs])
 
@@ -598,13 +545,11 @@ class Subspace:
 
     @staticmethod
     def zero(field, ambient) -> "Subspace":
-        ambient = _shape(ambient)
         return Subspace(field, ambient, (), ())
 
     @staticmethod
     def full(field, ambient) -> "Subspace":
-        ambient = _shape(ambient)
-        n = ambient.total
+        n = prod(ambient)
         one = field.one
         return Subspace(field, ambient, tuple(((i, one),) for i in range(n)),
                         tuple(range(n)))
@@ -616,12 +561,14 @@ class Subspace:
     @property
     def basis(self) -> tuple:
         """The echelon basis as dense vectors, built on each read."""
-        return _dense_rows(self.reduced, self.ambient.total, self.field.zero)
+        return _dense_rows(self.reduced, prod(self.ambient), self.field.zero)
 
     def reduce(self, vec):
         """Remainder of vec after subtracting its span component."""
-        p = self.field.p
         v = list(vec)
+        if len(v) != prod(self.ambient):
+            raise InputError(f"vector of length {len(v)} for ambient {self.ambient}")
+        p = self.field.p
         for b, pc in zip(self.reduced, self.pivots):
             c = v[pc]
             if c:
@@ -644,23 +591,23 @@ class Subspace:
 
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
-        return LinMap(self.field, self.ambient, TensorShape((self.dim,)),
+        return LinMap(self.field, self.ambient, (self.dim,),
                       self.reduced).transpose()
 
     def retraction(self) -> LinMap:
         """ambient -> S, pivot-coordinate extraction; a left inverse of inclusion."""
         one = self.field.one
-        return LinMap(self.field, self.ambient, TensorShape((self.dim,)),
+        return LinMap(self.field, self.ambient, (self.dim,),
                       tuple(((pc, one),) for pc in self.pivots))
 
     def sum(self, other: "Subspace") -> "Subspace":
-        if self.ambient.total != other.ambient.total:
+        if prod(self.ambient) != prod(other.ambient):
             raise InputError("ambient mismatch in subspace sum")
         return Subspace._span(self.field, self.ambient,
                               list(self.reduced + other.reduced))
 
     def __repr__(self):
-        return f"Subspace(dim {self.dim} of {self.ambient.total})"
+        return f"Subspace(dim {self.dim} of {prod(self.ambient)})"
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +623,7 @@ class QuotientModule:
     projection . section is the identity on the quotient.
     """
 
-    ambient: TensorShape
+    ambient: tuple
     relations: Subspace
     projection: LinMap
     section: LinMap
@@ -686,17 +633,17 @@ class QuotientModule:
         return self.projection.rows
 
     def __repr__(self):
-        return f"QuotientModule({self.ambient.total} -> {self.dim})"
+        return f"QuotientModule({prod(self.ambient)} -> {self.dim})"
 
 
 def quotient_by(relations: Subspace) -> QuotientModule:
     f = relations.field
     ambient = relations.ambient
-    n = ambient.total
+    n = prod(ambient)
     pivot_set = set(relations.pivots)
     complement = [c for c in range(n) if c not in pivot_set]
     q = len(complement)
-    qshape = TensorShape((q,))
+    qshape = (q,)
     # projection: reduce modulo the relations, then read the complement
     # coords; a complement basis vector reduces to itself, and the pivot-p
     # vector of the echelon basis b reduces to e_p - b
@@ -723,8 +670,8 @@ def descend(raw: LinMap, src: QuotientModule, left=1, right=1) -> LinMap:
     surrounding factors); raises InconsistencyError otherwise.
     """
     f = raw.field
-    idl = LinMap.identity(f, TensorShape((left,)) if left != 1 else SCALAR)
-    idr = LinMap.identity(f, TensorShape((right,)) if right != 1 else SCALAR)
+    idl = LinMap.identity(f, (left,) if left != 1 else SCALAR)
+    idr = LinMap.identity(f, (right,) if right != 1 else SCALAR)
     if src.relations.dim and not raw.compose(
             kron_all(idl, src.relations.inclusion(), idr)).is_zero_map():
         raise InconsistencyError("map does not descend to the quotient")
@@ -738,8 +685,8 @@ def corestrict(raw: LinMap, sub: Subspace, left=1, right=1) -> LinMap:
     Asserts that the image really lies in L (x) S (x) R.
     """
     f = raw.field
-    idl = LinMap.identity(f, TensorShape((left,)) if left != 1 else SCALAR)
-    idr = LinMap.identity(f, TensorShape((right,)) if right != 1 else SCALAR)
+    idl = LinMap.identity(f, (left,) if left != 1 else SCALAR)
+    idr = LinMap.identity(f, (right,) if right != 1 else SCALAR)
     retr = kron_all(idl, sub.retraction(), idr)
     incl = kron_all(idl, sub.inclusion(), idr)
     squeezed = retr.compose(raw)
@@ -765,6 +712,9 @@ class AffineSolutionSet:
         return self.particular is not None
 
     def contains(self, vec) -> bool:
+        if len(vec) != prod(self.homogeneous.ambient):
+            raise InputError(
+                f"vector of length {len(vec)} for ambient {self.homogeneous.ambient}")
         if not self.feasible:
             return False
         f = self.homogeneous.field
@@ -778,8 +728,8 @@ class AffineSolutionSet:
         if not self.feasible:
             raise InputError("an infeasible solution set has no equations")
         h = self.homogeneous
-        rows = _kernel_from_rref(h.field, h.reduced, h.pivots, h.ambient.total)
-        m = LinMap(h.field, h.ambient, TensorShape((len(rows),)), tuple(rows))
+        rows = _kernel_from_rref(h.field, h.reduced, h.pivots, prod(h.ambient))
+        m = LinMap(h.field, h.ambient, (len(rows),), tuple(rows))
         return m, m.apply(self.particular)
 
     def members(self, coefficient_grids):
@@ -885,10 +835,8 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
     to that of the composite (shape (E, D)).
     """
     f = pre.field
-    left, right = _shape(left), _shape(right)
-    x_dom, x_cod = _shape(x_dom), _shape(x_cod)
-    lt, rt = left.total, right.total
-    xd, xc = x_dom.total, x_cod.total
+    lt, rt = prod(left), prod(right)
+    xd, xc = prod(x_dom), prod(x_cod)
     dd, ee = pre.cols, post.rows
     if pre.rows != lt * xd * rt:
         raise InputError("pre does not land in L (x) Xdom (x) R")
@@ -923,7 +871,7 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMa
                 cell[k] = v * w if x is None else x + v * w
         den = d_post * d_pre
         big.extend(_sparse_sums(cell, den, p) for cell in acc)
-    return LinMap(f, TensorShape((xc, xd)), TensorShape((ee, dd)), tuple(big))
+    return LinMap(f, (xc, xd), (ee, dd), tuple(big))
 
 
 @dataclass
@@ -941,7 +889,7 @@ class LinearConstraints:
 
     def __init__(self, field, x_dom, x_cod):
         self.field = field
-        self.x_dom, self.x_cod = _shape(x_dom), _shape(x_cod)
+        self.x_dom, self.x_cod = x_dom, x_cod
         self.blocks: list[_Block] = []
 
     def term(self, pre: LinMap, left, right, post: LinMap) -> LinMap:
@@ -955,9 +903,9 @@ class LinearConstraints:
         except lhs; lhs/rhs are operators on vec(X), usually built by term,
         target is a fixed map vectorized as the affine right-hand side."""
         op = lhs if rhs is None else lhs.sub(rhs)
-        if op.cols != self.x_cod.total * self.x_dom.total:
+        if op.cols != prod(self.x_cod) * prod(self.x_dom):
             raise InputError("constraint operator does not act on the unknown")
-        _, in_total = op.codomain.factors or (1, 1)
+        _, in_total = op.codomain or (1, 1)
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:
@@ -981,8 +929,7 @@ class LinearConstraints:
                     continue
                 rows.append(r)
                 rhs.append(t)
-        cod = TensorShape((len(rows),))
-        return (LinMap(self.field, self.x_cod.concat(self.x_dom), cod, tuple(rows)),
+        return (LinMap(self.field, self.x_cod + self.x_dom, (len(rows),), tuple(rows)),
                 tuple(rhs))
 
     def transposed(self) -> "LinearConstraints":
@@ -990,8 +937,7 @@ class LinearConstraints:
         block is composed with the flip vec(X^T) -> vec(X), a unit
         selection, so only its columns are renamed."""
         out = LinearConstraints(self.field, self.x_cod, self.x_dom)
-        flip = LinMap.twist(self.field, (self.x_dom.total,),
-                            (self.x_cod.total,))
+        flip = LinMap.twist(self.field, (prod(self.x_dom),), (prod(self.x_cod),))
         out.blocks = [_Block(blk.label, blk.matrix.compose(flip), blk.rhs,
                              blk.in_total) for blk in self.blocks]
         return out

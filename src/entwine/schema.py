@@ -10,10 +10,11 @@ F_p, and read in the grammar that `Field.parse` states.
 from __future__ import annotations
 
 import json
+from math import prod
 
 from .errors import InputError
 from .fields import Field, FieldError, GF, QQ
-from .linalg import LinMap, TensorShape
+from .linalg import LinMap
 from .structures import Algebra, Coalgebra
 from .entwining import Entwining, make_entwining
 from .hochschild import Bimodule
@@ -81,11 +82,9 @@ def parse_vector(f: Field, raw, length, where):
 
 
 def parse_matrix(f: Field, raw, domain, codomain, where) -> LinMap:
-    domain = TensorShape(domain)
-    codomain = TensorShape(codomain)
-    if not isinstance(raw, list) or len(raw) != codomain.total:
-        raise SchemaError(f"{where} must have {codomain.total} rows")
-    rows = [parse_vector(f, row, domain.total, f"a row of {where}")
+    if not isinstance(raw, list) or len(raw) != prod(codomain):
+        raise SchemaError(f"{where} must have {prod(codomain)} rows")
+    rows = [parse_vector(f, row, prod(domain), f"a row of {where}")
             for row in raw]
     return LinMap.from_rows(f, domain, codomain, rows)
 
@@ -274,8 +273,8 @@ def witness_document(field: Field, kind: str, normalized: bool,
                      matrix: LinMap, family=None) -> dict:
     doc = {"schema": SCHEMA, "kind": "witness", "field": field_to_json(field),
            "witness": {"kind": kind, "normalized": normalized,
-                       "domain_shape": list(matrix.domain.factors),
-                       "codomain_shape": list(matrix.codomain.factors),
+                       "domain_shape": list(matrix.domain),
+                       "codomain_shape": list(matrix.codomain),
                        "matrix": matrix_to_json(matrix)}}
     if family is not None:
         doc["family"] = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DomainError, InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, TensorShape, compose_all, kron, kron_all,
+                     SCALAR, compose_all, kron, kron_all,
                      op_in_unknown, solve_affine)
 from .witness import Witness, WitnessKind, as_witness, particular_witness, \
     witness_system
@@ -136,8 +136,7 @@ def split_system(g: GaloisExtension) -> LinearConstraints:
                         a.mult)
     sys.require("unit splitting", contract, target=a.unit_map())
     # b_alpha phi(c^alpha) = phi(c) b for b running over the fixed subalgebra
-    for t in range(g.fixed.dim):
-        b = g.fixed.basis[t]
+    for t, b in enumerate(g.fixed.basis):
         ins_b = LinMap.element(f, (da,), b)
         lhs = sys.term(psi.compose(kron(idc, ins_b)), (da,), SCALAR, a.mult)
         rhs = sys.term(idc, SCALAR, SCALAR, a.mult.compose(kron(ida, ins_b)))
@@ -274,7 +273,7 @@ def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
     def with_tau(m, tau_column):
         rows = [row + ((n - 1, t),) if t else row
                 for row, t in zip(m.nonzeros, tau_column)]
-        return LinMap(f, TensorShape((n,)), TensorShape((m.rows, 1)), tuple(rows))
+        return LinMap(f, (n,), (m.rows, 1), tuple(rows))
     sys = LinearConstraints(f, SCALAR, (n,))
     m, rhs = phi_family.equations()
     sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),

@@ -9,10 +9,11 @@ tuple (in lexicographic order) on which the two sides differ.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .errors import DomainError, InputError
 from .fields import Field
-from .linalg import LinMap, Subspace, compose_all, kron, quotient_by
+from .linalg import LinMap, Subspace, compose_all, kron, quotient_by, unflatten
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ def law(failures, name, lhs: LinMap, rhs: LinMap):
     index of the first differing column."""
     diff = lhs.first_difference(rhs)
     if diff is not None:
-        failures.append(CheckFailure(name, lhs.domain.unflatten(diff[0])))
+        failures.append(CheckFailure(name, unflatten(lhs.domain, diff[0])))
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class Algebra:
 
     def __post_init__(self):
         d = self.dim
-        if self.mult.domain.factors != (d, d) or self.mult.codomain.factors != (d,):
+        if self.mult.domain != (d, d) or self.mult.codomain != (d,):
             raise InputError("multiplication map does not match the dimension")
         if len(self.unit) != d:
             raise InputError("unit vector does not match the dimension")
@@ -102,7 +103,7 @@ class Coalgebra:
 
     def __post_init__(self):
         d = self.dim
-        if self.comult.domain.factors != (d,) or self.comult.codomain.factors != (d, d):
+        if self.comult.domain != (d,) or self.comult.codomain != (d, d):
             raise InputError("comultiplication map does not match the dimension")
         if len(self.counit) != d:
             raise InputError("counit covector does not match the dimension")
@@ -161,7 +162,7 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
     conditions are checked and a violating vector is reported on failure.
     """
     f = c.field
-    if i.ambient.total != c.dim:
+    if prod(i.ambient) != c.dim:
         raise InputError("subspace does not live in the coalgebra")
     for v in i.basis:
         val = c.counit_map().apply(v)[0]

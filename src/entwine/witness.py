@@ -31,7 +31,7 @@ from .entmod import (EntwinedModule, RightComodule, RightModule,
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
-                     QuotientModule, Subspace, TensorShape, SCALAR,
+                     QuotientModule, Subspace, SCALAR,
                      compose_all, corestrict, descend, kron,
                      kron_all, right_inverse)
 
@@ -59,13 +59,13 @@ def witness_shapes(kind: WitnessKind, e: Entwining):
     """(domain, codomain) of the witness seen as a linear map."""
     da, dc = e.alg.dim, e.coalg.dim
     if kind == WitnessKind.INTEGRAL:
-        return SCALAR, TensorShape((da, dc))
+        return SCALAR, (da, dc)
     if kind == WitnessKind.COINTEGRAL:
-        return TensorShape((dc, da)), SCALAR
+        return (dc, da), SCALAR
     if kind == WitnessKind.INTEGRAL_MAP:
-        return TensorShape((dc, dc)), TensorShape((da,))
+        return (dc, dc), (da,)
     if kind == WitnessKind.COINTEGRAL_MAP:
-        return TensorShape((dc,)), TensorShape((da, da))
+        return (dc,), (da, da)
     raise InputError(f"unknown witness kind {kind!r}")
 
 
@@ -450,7 +450,7 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     ac = standard_module("mod_tensor_c", regular_module(src.alg), src)
     fm, quot = induce(mor, ac)
     gfm, sub = coinduce(mor, fm)
-    if nu_on_ac.domain.total != gfm.dim or nu_on_ac.codomain.total != ac.dim:
+    if nu_on_ac.cols != gfm.dim or nu_on_ac.rows != ac.dim:
         raise InputError("splitting has the wrong shape for A (x) C")
     if not nu_on_ac.compose(adjunction_unit(mor, ac, quot, sub)).equals(ac.identity()):
         raise DomainError("candidate does not split the adjunction unit")

@@ -16,7 +16,7 @@ from entwine import (GF, LinMap, QQ, WitnessKind,
                      solve_witness, tensor_entwining, twist_entwining,
                      verify_entwining, verify_entwined_module,
                      witness_from_structure)
-from entwine.entmod import (coinduce, hom_AC, hom_vector_as_map, induce,
+from entwine.entmod import (coinduce, hom_AC, induce,
                             induce_morphism, coinduce_morphism,
                             regular_comodule, regular_module, standard_module)
 from entwine.entwining import counit_morphism, ground_entwining, unit_morphism
@@ -55,7 +55,7 @@ def announce(number, name):
 def test_criterion_1_axiom_suites():
     start = time.monotonic()
     base = {QQ: default_catalog(QQ), GF(2): default_catalog(GF(2))}
-    for field, entries in base.items():
+    for entries in base.values():
         for entry in entries:
             e = entwining_of(entry)
             assert verify_entwining(twist_entwining(e.alg, e.coalg)).ok
@@ -66,7 +66,7 @@ def test_criterion_1_axiom_suites():
         assert verify_entwining(tensor_entwining(e, ground_entwining(QQ))).ok
     assert verify_entwining(tensor_entwining(anchor, anchor)).ok
     # standard modules and both functors on every catalog entwining
-    for field, entries in base.items():
+    for entries in base.values():
         for entry in entries:
             e = entwining_of(entry)
             m = standard_module("mod_tensor_c", regular_module(e.alg), e)
@@ -232,7 +232,7 @@ def test_criterion_5_round_trip(c2_q):
     _, sa = coinduce(mor, fm_a)
     _, sac = coinduce(mor, fm_ac)
     for vec in hom_AC(ma, ac).basis:
-        phi = hom_vector_as_map(QQ, vec, ma.dim, ac.dim)
+        phi = LinMap.from_flat(QQ, (ma.dim,), (ac.dim,), vec)
         fphi = induce_morphism(mor, phi, qa, qac)
         gfphi = coinduce_morphism(mor, fphi, sa, sac)
         assert nu_ac.compose(gfphi).equals(phi.compose(nu_a))
@@ -284,7 +284,6 @@ def test_criterion_7_internal_consistency(c2_q, c2_f2, coext_q):
         assert lhs.equals(ext.mu_AB())
     # inverse canonical map is a two-sided module map on all basis triples
     for ext in (c2_q, c2_f2):
-        f = ext.field
         a = ext.alg
         left_ac = kron(a.mult, ext.coalg.identity())
         assert ext.can_inv.compose(left_ac.reshaped((2, 2, 2), (2, 2))) \

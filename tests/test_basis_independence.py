@@ -15,6 +15,7 @@ certificate must re-verify.
 """
 
 import functools
+import math
 import os
 import random
 import sys
@@ -146,7 +147,7 @@ def _family(build, mor):
     if sol.feasible:
         assert sys_.violations(sol.particular) == []
     nullity = sol.homogeneous.dim
-    return sol.feasible, nullity, sol.homogeneous.ambient.total - nullity
+    return sol.feasible, nullity, math.prod(sol.homogeneous.ambient) - nullity
 
 
 def answers(ext, with_lambda):

@@ -10,8 +10,8 @@ Four checks:
   a method counts as referenced only through an attribute or a string;
   docstrings do not count, and dunder methods are exempt because Python
   calls them itself;
-- no function in src/entwine assigns a local variable that it never reads;
-  `_` is the conventional throwaway and is exempt;
+- no function in src/entwine or tests assigns a local variable that it
+  never reads; `_` is the conventional throwaway and is exempt;
 - no module in src/entwine or tests imports a name it never uses; the
   package's `__init__.py` is exempt, since its imports are the public
   re-exports;
@@ -124,7 +124,7 @@ def _own_scope(fn):
 
 def unused_locals():
     found = []
-    for path in _python_files(PACKAGE):
+    for path in [*_python_files(PACKAGE), *_python_files(TESTS)]:
         for fn in ast.walk(_parse(path)):
             if not isinstance(fn, FUNCTIONS):
                 continue

@@ -41,7 +41,7 @@ def test_standard_modules_pass_on_catalog():
 def test_standard_module_over_trivial_algebra():
     # with the ground algebra the module-tensor construction returns the
     # coalgebra itself as an entwined module
-    e = ground_entwining(QQ)
+    _ = ground_entwining(QQ)
     from entwine.catalog import cyclic_group_hopf
     h = cyclic_group_hopf(2, QQ)
     from entwine.entwining import twist_entwining, ground_algebra
@@ -63,7 +63,6 @@ def test_cotensor_with_regular_comodule(c2_q):
 
 def test_cotensor_dimension_matches_oracle(c2_q):
     # assemble the coaction equalising map by hand for (A (x) C) [] C
-    e = c2_q.ent
     n = 2
     rows = []
     # basis of (A (x) C) (x) C indexed (a, c, c'); coaction A (x) Delta
@@ -166,11 +165,11 @@ def test_adjunction_unit_formula(c2_q):
     e = c2_q.ent
     mor = counit_morphism(e)
     m = c2_q.module_A()
-    phi, psi = adjunction_maps(mor, m, functor_apply("induce", mor, m))
+    phi, _ = adjunction_maps(mor, m, functor_apply("induce", mor, m))
     fm, quot = induce(mor, m)
     # embed M = M (x) 1 and compare against the coaction route
     embed = quot.projection.compose(kron(m.identity(), e.alg.unit_map()))
-    gfm, sub = coinduce(mor, fm)
+    _, sub = coinduce(mor, fm)
     expected = sub.retraction().compose(
         kron(embed, e.coalg.identity()).compose(m.coaction))
     assert phi.equals(expected)
@@ -182,9 +181,9 @@ def test_adjunction_counit_is_counit_contraction(c2_q):
     e = c2_q.ent
     mor = counit_morphism(e)
     mt = functor_apply("induce", mor, c2_q.module_A())
-    phi, psi = adjunction_maps(mor, c2_q.module_A(), mt)
+    _, psi = adjunction_maps(mor, c2_q.module_A(), mt)
     gmt, sub = coinduce(mor, mt)
-    fgmt, quot = induce(mor, gmt)
+    _, quot = induce(mor, gmt)
     embed = quot.projection.compose(kron(gmt.identity(), e.alg.unit_map()))
     composite = psi.compose(embed)
     expected = kron(LinMap.identity(QQ, (mt.dim,)), e.coalg.counit_map()) \
@@ -253,7 +252,6 @@ def test_hom_contains_coaction(c2_q):
 def test_hom_dim_matches_bruteforce(c2_q):
     # assemble the two commutation systems by hand and row-reduce them with
     # the oracle; unknowns are the 4 entries of a map A -> A
-    e = c2_q.ent
     m = c2_q.module_A()
     h = hom_AC(m, m)
     n = 2

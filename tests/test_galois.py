@@ -33,14 +33,14 @@ def test_fixed_subalgebra_trivial_coaction(hopf_c2_q):
     rho = LinMap.from_rows(QQ, (2,), (2, 2),
                            [[q(1), q(0)], [q(0), q(0)],
                             [q(0), q(1)], [q(0), q(0)]])
-    space, alg = fixed_subalgebra(a, rho)
+    space, _ = fixed_subalgebra(a, rho)
     assert space.dim == 2
 
 
 def test_fixed_subalgebra_ground_case():
     a = ground_algebra(QQ)
     rho = LinMap.from_rows(QQ, (1,), (1, 1), [[q(1)]])
-    space, alg = fixed_subalgebra(a, rho)
+    space, _ = fixed_subalgebra(a, rho)
     assert space.dim == 1
 
 
@@ -130,8 +130,8 @@ def test_can_inv_bimodule_property(c2_q):
     sq_right = c2_q.square_right_mult()
     sq_left = c2_q.square_left_mult()
     ida = a.identity()
-    idac = LinMap.identity(f, (4,))
-    idq = LinMap.identity(f, (4,))
+    _ = LinMap.identity(f, (4,))
+    _ = LinMap.identity(f, (4,))
     left_ac = compose_all(kron(a.mult, c2_q.coalg.identity()))
     # left: can_inv(a . z) = a . can_inv(z)
     lhs = c2_q.can_inv.compose(left_ac.reshaped((2, 2, 2), (2, 2)))

@@ -115,7 +115,7 @@ def test_h1_rational_vanishes(c2_q):
 def test_h0_is_centralizer(c2_q):
     cx = relative_complex(c2_q.alg, ground_line(QQ, c2_q.alg),
                           regular_bimodule(c2_q.alg), max_degree=1)
-    dim, reps = cohomology_dim(cx, 0)
+    dim, _ = cohomology_dim(cx, 0)
     assert dim == 2  # commutative algebra: everything centralises
 
 

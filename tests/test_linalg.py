@@ -1,14 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwine import GF, QQ, LinMap, Subspace, TensorShape, kernel_image, \
-    kron, solve_affine
+from entwine import GF, QQ, LinMap, Subspace, kernel_image, kron, \
+    solve_affine
 from entwine.linalg import invert, quotient_by, rref
 from entwine.errors import InputError
 from entwine.linalg import (LinearConstraints, SCALAR, op_in_unknown,
-                            right_inverse)
+                            right_inverse, unflatten)
 
 import oracle
 
@@ -127,10 +128,11 @@ def test_kron_composition(raw_f, raw_g, raw_f2, raw_g2):
     assert lhs.equals(rhs)
 
 
-def test_flatten_unflatten_inverse():
-    shape = TensorShape((2, 3, 4))
-    for flat in range(shape.total):
-        assert shape.flatten(shape.unflatten(flat)) == flat
+def test_unflatten_is_row_major():
+    shape = (2, 1, 3)
+    indices = list(itertools.product(*map(range, shape)))
+    assert [unflatten(shape, k) for k in range(len(indices))] == indices
+    assert unflatten((), 0) == ()
 
 
 def test_kron_associativity_shapes():
@@ -140,7 +142,7 @@ def test_kron_associativity_shapes():
     left = kron(kron(a, b), c)
     right = kron(a, kron(b, c))
     assert left.equals(right)
-    assert left.domain.factors == (2, 3, 2)
+    assert left.domain == (2, 3, 2)
 
 
 # -- subspaces and quotients ---------------------------------------------------
@@ -158,6 +160,18 @@ def test_subspace_membership_and_coords():
     assert s.contains((q(2), q(3), q(5)))
     assert s.coords((q(2), q(3), q(5))) == (2, 3)
     assert not s.contains((q(1), q(0), q(0)))
+
+
+def test_membership_rejects_wrong_length():
+    # x - y = 0 on a 2-dimensional space: a vector of another length is an
+    # input error, not judged on a prefix or indexed out of range
+    sol = solve_affine(qmat((2,), (1,), [[1, -1]]), (q(0),))
+    assert sol.contains((q(1), q(1)))
+    for vec in ((q(1), q(1), q(5)), (q(1),)):
+        for check in (sol.contains, sol.homogeneous.contains,
+                      sol.homogeneous.coords):
+            with pytest.raises(InputError):
+                check(vec)
 
 
 def test_quotient_projection_section():
