@@ -17,15 +17,15 @@ from .entwining import (Entwining, EntwiningMorphism, counit_morphism,
                         verify_entwining, verify_morphism)
 from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
                      RightModule, adjunction_maps, cotensor, fixed_part,
-                     functor_apply, hom_AC, standard_module, tensor_over_A,
+                     hom_AC, standard_module, tensor_over_A,
                      verify_entwined_module)
 from .galois import (Coextension, GaloisExtension, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
                      fixed_subalgebra, pointed_kappa)
 from .witness import (MorphismWitness, Witness, WitnessKind, check_witness,
-                      lambda_from_nu, nu_from_lambda, solve_total_cointegrability,
-                      solve_total_integrability, solve_witness,
-                      witness_from_structure)
+                      cointegral_from_casimir, cointegral_map_from_can_inv,
+                      integral_from_invariant, integral_map_from_cotranslation,
+                      lambda_from_nu, nu_from_lambda, solve_witness)
 from .separability import (CoseparabilityCertificate, SeparabilityCertificate,
                            SplitCertificate, StrongCertificate, StrongOutcome,
                            check_coseparable, check_separable, check_split,

@@ -162,35 +162,43 @@ def _char_warning(n: int, field: Field):
     return []
 
 
-def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
+def _order(params, key, default):
+    # a plain int only: int() would read 2.9 as 2 and True as 1
+    n = params.get(key, default)
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InputError(f"{key} must be an integer, got {n!r}")
+    return n
+
+
+def make_example(name: str, params: dict) -> CatalogEntry:
     """Build one catalog entry; every payload is verifier-clean."""
-    params = dict(params or {})
-    params.update(kw)
+    params = dict(params)
     field = params.get("field", None)
     if not isinstance(field, Field):
         raise InputError("params must include a field")
+    hopf = params.get("hopf")
+    if hopf is not None and (hopf != "sweedler" or name not in
+                             ("group_algebra", "hopf_self_galois")):
+        raise InputError(f"{name} does not take hopf {hopf!r}; only "
+                         "group_algebra and hopf_self_galois take 'sweedler'")
 
     if name == "group_algebra":
-        n = int(params.get("n", 2))
-        hopf = params.get("hopf")
-        if hopf == "sweedler":
-            payload = sweedler_hopf(field)
-            return CatalogEntry(name, params, payload)
+        if hopf:
+            return CatalogEntry(name, params, sweedler_hopf(field))
+        n = _order(params, "n", 2)
         payload = cyclic_group_hopf(n, field)
         return CatalogEntry(name, params, payload,
                             {"warnings": _char_warning(n, field)})
 
     if name == "group_function_coalgebra":
-        n = int(params.get("n", 2))
+        n = _order(params, "n", 2)
         payload = function_group_hopf(n, field)
         return CatalogEntry(name, params, payload,
                             {"warnings": _char_warning(n, field)})
 
     if name == "hopf_self_galois":
-        if params.get("hopf") == "sweedler":
-            h = sweedler_hopf(field)
-        else:
-            h = cyclic_group_hopf(int(params.get("n", 2)), field)
+        h = sweedler_hopf(field) if hopf else \
+            cyclic_group_hopf(_order(params, "n", 2), field)
         ext = build_galois(h.alg, h.coalg,
                            h.coalg.comult.reshaped((h.alg.dim,),
                                                    (h.alg.dim, h.coalg.dim)))
@@ -203,7 +211,7 @@ def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
         return _comodule_algebra_entwining(params, field)
 
     if name == "self_coextension":
-        n = int(params.get("n", 2))
+        n = _order(params, "n", 2)
         h = function_group_hopf(n, field) if params.get("dual") else \
             cyclic_group_hopf(n, field)
         coext = build_coextension(h.coalg, h.alg,
@@ -212,15 +220,15 @@ def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
         return CatalogEntry(name, params, coext, {"hopf": h})
 
     if name == "trivial_entwining":
-        n = int(params.get("n", 2))
+        n = _order(params, "n", 2)
         h = cyclic_group_hopf(n, field)
         ent = entwine_verified(h.alg, ground_coalgebra(field),
                                LinMap.twist(field, (1,), (n,)))
         return CatalogEntry(name, params, ent)
 
     if name == "flip_entwining":
-        na = int(params.get("na", 2))
-        nc = int(params.get("nc", 2))
+        na = _order(params, "na", 2)
+        nc = _order(params, "nc", 2)
         ha = cyclic_group_hopf(na, field)
         hc = cyclic_group_hopf(nc, field)
         ent = entwine_verified(ha.alg, hc.coalg,
@@ -231,8 +239,8 @@ def make_example(name: str, params: dict | None = None, **kw) -> CatalogEntry:
 
 
 def _hopf_quotient_galois(params, field) -> CatalogEntry:
-    n = int(params.get("n", 4))
-    d = int(params.get("d", 2))
+    n = _order(params, "n", 4)
+    d = _order(params, "d", 2)
     if n < 1 or d < 1 or n % d != 0:
         raise InputError("quotient data needs d dividing n")
     h = cyclic_group_hopf(n, field)
@@ -296,7 +304,7 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
 
 
 def _comodule_algebra_entwining(params, field) -> CatalogEntry:
-    n = int(params.get("n", 2))
+    n = _order(params, "n", 2)
     h = cyclic_group_hopf(n, field)
     f = field
     coaction = h.coalg.comult.reshaped((n,), (n, n))

@@ -341,16 +341,9 @@ def cmd_hochschild(args) -> int:
 
 def cmd_catalog(args) -> int:
     field = QQ if args.field == "Q" else GF(args.p)
-    params = {"field": field}
-    for key in ("n", "d", "na", "nc"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.hopf:
-        params["hopf"] = args.hopf
-    if args.dual:
-        params["dual"] = True
-    entry = make_example(args.name, params)
+    params = {key: getattr(args, key) for key in ("n", "d", "na", "nc", "hopf")
+              if getattr(args, key) is not None}
+    entry = make_example(args.name, dict(params, field=field, dual=args.dual))
     payload = entry.payload
     if isinstance(payload, GaloisExtension):
         doc = schema.entwining_document(payload.ent, coaction_a=payload.rho_a)

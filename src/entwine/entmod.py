@@ -315,15 +315,6 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
     return out, sub
 
 
-def functor_apply(direction: str, mor: EntwiningMorphism,
-                  m: EntwinedModule) -> EntwinedModule:
-    if direction == "induce":
-        return induce(mor, m)[0]
-    if direction == "coinduce":
-        return coinduce(mor, m)[0]
-    raise InputError(f"unknown functor direction {direction!r}")
-
-
 def induce_morphism(mor: EntwiningMorphism, phi: LinMap,
                     src_quot: QuotientModule, dst_quot: QuotientModule) -> LinMap:
     """phi (x)_A A~ between two induced modules."""
@@ -396,10 +387,11 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
 # fixed parts and morphism spaces
 
 
-def _fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
-    """Elements x of a module M with coaction(x . a) = x . rho_a(a) for every
-    a in A, for action M (x) A -> M, coaction M -> M (x) C and rho_a
-    A -> A (x) C.  For M = A this is the fixed subalgebra."""
+def fixed_part(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
+    """Elements x of M with coaction(x . a) = x . rho_a(a) for every a in A,
+    for the raw maps action M (x) A -> M, coaction M -> M (x) C and rho_a
+    A -> A (x) C, so no entwining need exist yet.  For M = A (action the
+    product, coaction rho_a) this is the fixed subalgebra."""
     f = action.field
     da, dc = rho_a.codomain
     sys = LinearConstraints(f, SCALAR, action.codomain)
@@ -410,12 +402,6 @@ def _fixed_space(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
                    kron(action, LinMap.identity(f, (dc,))))
     sys.require("fixed under the coaction", lhs, rhs)
     return sys.solve().homogeneous
-
-
-def fixed_part(m: EntwinedModule, rho_a: LinMap) -> Subspace:
-    """Elements whose coaction after any action agrees with acting through
-    the coaction of the algebra itself."""
-    return _fixed_space(m.action, m.coaction, rho_a)
 
 
 def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:

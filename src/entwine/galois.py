@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .errors import GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, dual_entwining, entwine_verified
-from .entmod import (EntwinedModule, _fixed_space, balanced_power,
-                     check_entwined_compatibility, verify_action,
+from .entmod import (EntwinedModule, balanced_power,
+                     check_entwined_compatibility, fixed_part, verify_action,
                      verify_coaction)
 from .linalg import (LinMap, QuotientModule, Subspace, compose_all, descend,
                      image, invert, kernel, kron, kron_all)
@@ -38,7 +38,7 @@ from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
 def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
     """The subalgebra of elements over which the coaction is left-linear,
     together with its induced algebra structure."""
-    space = _fixed_space(alg.mult, rho_a, rho_a)
+    space = fixed_part(alg.mult, rho_a, rho_a)
     if not space.contains(alg.unit):
         raise InconsistencyError("fixed subspace misses the unit")
     incl = space.inclusion()

@@ -879,7 +879,6 @@ class _Block:
     label: str
     matrix: LinMap      # operator on vec(X), rows indexed by (e, d)
     rhs: tuple          # target vector of length matrix.rows
-    in_total: int
 
 
 class LinearConstraints:
@@ -905,14 +904,13 @@ class LinearConstraints:
         op = lhs if rhs is None else lhs.sub(rhs)
         if op.cols != prod(self.x_cod) * prod(self.x_dom):
             raise InputError("constraint operator does not act on the unknown")
-        _, in_total = op.codomain or (1, 1)
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:
             tvec = target.flat()
             if len(tvec) != op.rows:
                 raise InputError("target does not match the constraint block")
-        self.blocks.append(_Block(label, op, tvec, in_total))
+        self.blocks.append(_Block(label, op, tvec))
 
     def assembled(self):
         """The deduplicated system on vec(X); its domain is x_cod (x) x_dom,
@@ -938,8 +936,8 @@ class LinearConstraints:
         selection, so only its columns are renamed."""
         out = LinearConstraints(self.field, self.x_cod, self.x_dom)
         flip = LinMap.twist(self.field, (prod(self.x_dom),), (prod(self.x_cod),))
-        out.blocks = [_Block(blk.label, blk.matrix.compose(flip), blk.rhs,
-                             blk.in_total) for blk in self.blocks]
+        out.blocks = [_Block(blk.label, blk.matrix.compose(flip), blk.rhs)
+                      for blk in self.blocks]
         return out
 
     def solve(self) -> AffineSolutionSet:
@@ -953,7 +951,7 @@ class LinearConstraints:
             got = blk.matrix.apply(xvec)
             for i, (g, t) in enumerate(zip(got, blk.rhs)):
                 if g != t:
-                    e, d = divmod(i, blk.in_total)
+                    e, d = divmod(i, blk.matrix.codomain[1])
                     out.append((blk.label, e, d))
                     break
         return out

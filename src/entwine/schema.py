@@ -172,10 +172,10 @@ def parse_bimodule(text, alg: Algebra) -> Bimodule:
     _strict(obj, {"schema", "field", "bimodule"}, "bimodule document")
     if obj.get("schema") != SCHEMA:
         raise SchemaError("unsupported schema in bimodule file")
-    f = parse_field(obj.get("field", {}))
+    f = parse_field(_need(obj, "field", "bimodule document"))
     if f != alg.field:
         raise SchemaError("bimodule field does not match the algebra")
-    sect = obj.get("bimodule")
+    sect = _need(obj, "bimodule", "bimodule document")
     _strict(sect, {"dim", "left", "right"}, "bimodule")
     dim = _need_int(sect, "dim", "bimodule")
     if dim < 1:
@@ -270,19 +270,16 @@ def entwining_document(e: Entwining, coaction_a: LinMap | None = None,
 
 
 def witness_document(field: Field, kind: str, normalized: bool,
-                     matrix: LinMap, family=None) -> dict:
-    doc = {"schema": SCHEMA, "kind": "witness", "field": field_to_json(field),
-           "witness": {"kind": kind, "normalized": normalized,
-                       "domain_shape": list(matrix.domain),
-                       "codomain_shape": list(matrix.codomain),
-                       "matrix": matrix_to_json(matrix)}}
-    if family is not None:
-        doc["family"] = {
-            "feasible": family.feasible,
-            "homogeneous_dim": family.homogeneous.dim,
-            "homogeneous": [vector_to_json(field, v)
-                            for v in family.homogeneous.basis]}
-    return doc
+                     matrix: LinMap, family) -> dict:
+    return {"schema": SCHEMA, "kind": "witness", "field": field_to_json(field),
+            "witness": {"kind": kind, "normalized": normalized,
+                        "domain_shape": list(matrix.domain),
+                        "codomain_shape": list(matrix.codomain),
+                        "matrix": matrix_to_json(matrix)},
+            "family": {"feasible": family.feasible,
+                       "homogeneous_dim": family.homogeneous.dim,
+                       "homogeneous": [vector_to_json(field, v)
+                                       for v in family.homogeneous.basis]}}
 
 
 def dumps(doc: dict) -> str:

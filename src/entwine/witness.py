@@ -15,6 +15,10 @@ per diagram.  Of the four kinds, only the integral side is written out: a
 cointegral (map) of (A, C, psi) is the transpose of an integral (map) of the
 dual entwining (C^*, A^*, psi^T), so its system is that integral system
 stated on the transposed unknown (Brzezinski-Hajac 1999).
+
+Four builders read a witness off structure and re-verify it instead:
+`integral_from_invariant`, `cointegral_from_casimir`,
+`integral_map_from_cotranslation` and `cointegral_map_from_can_inv`.
 """
 
 from __future__ import annotations
@@ -240,11 +244,6 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     return sys, ctx
 
 
-def solve_total_integrability(mor: EntwiningMorphism) -> AffineSolutionSet:
-    sys, _ = integrability_system(mor, total=True)
-    return sys.solve()
-
-
 @dataclass(frozen=True)
 class FrakzContext:
     """Carrier data for the frakz witness: the balanced quotient
@@ -342,17 +341,11 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
     return sys, ctx
 
 
-def solve_total_cointegrability(mor: EntwiningMorphism) -> AffineSolutionSet:
-    sys, _ = cointegrability_system(mor, total=True)
-    return sys.solve()
-
-
 @dataclass(frozen=True)
 class MorphismWitness:
     side: str                 # "lambda" or "frakz"
     mor: EntwiningMorphism
     matrix: LinMap
-    total: bool
     context: object
 
     @property
@@ -360,28 +353,25 @@ class MorphismWitness:
         return self.matrix.flat()
 
 
-def lambda_witness(mor: EntwiningMorphism, value, total: bool = True) -> MorphismWitness:
-    sys, ctx = integrability_system(mor, total=total)
+def _morphism_witness(side: str, build, mor: EntwiningMorphism,
+                      value) -> MorphismWitness:
+    """The candidate, once every identity of its side's system holds on it."""
+    sys, ctx = build(mor)
     value = tuple(value)
     bad = sys.violations(value)
     if bad:
-        raise DomainError(f"candidate fails the lambda identities: {bad}",
+        raise DomainError(f"candidate fails the {side} identities: {bad}",
                           witness=bad[0])
-    matrix = LinMap.from_flat(mor.src.field, (ctx.carrier.dim,),
-                              (mor.src.alg.dim,), value)
-    return MorphismWitness("lambda", mor, matrix, total, ctx)
+    matrix = LinMap.from_flat(mor.src.field, sys.x_dom, sys.x_cod, value)
+    return MorphismWitness(side, mor, matrix, ctx)
 
 
-def frakz_witness(mor: EntwiningMorphism, value, total: bool = True) -> MorphismWitness:
-    sys, ctx = cointegrability_system(mor, total=total)
-    value = tuple(value)
-    bad = sys.violations(value)
-    if bad:
-        raise DomainError(f"candidate fails the frakz identities: {bad}",
-                          witness=bad[0])
-    matrix = LinMap.from_flat(mor.src.field, (mor.dst.coalg.dim,),
-                              (ctx.carrier.dim,), value)
-    return MorphismWitness("frakz", mor, matrix, total, ctx)
+def lambda_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
+    return _morphism_witness("lambda", integrability_system, mor, value)
+
+
+def frakz_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
+    return _morphism_witness("frakz", cointegrability_system, mor, value)
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +390,6 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     """
     if lam.side != "lambda":
         raise InputError("expected a lambda witness")
-    if not lam.total:
-        raise DomainError("lambda witness is not total")
     mor = lam.mor
     ctx: LambdaContext = lam.context
     fm, quot = induce(mor, m)
@@ -466,7 +454,7 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
         sub)
     lam = compose_all(kron(LinMap.identity(f, (da,)), src.coalg.counit_map()),
                       nu_on_ac.reshaped(codomain=(da, dc)), lift)
-    return lambda_witness(mor, lam.flat(), total=True)
+    return lambda_witness(mor, lam.flat())
 
 
 def gamma_from_lambda(lam: MorphismWitness) -> LinMap:
@@ -493,37 +481,17 @@ def lambda_from_gamma(gamma: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     raw = compose_all(src.alg.mult, kron(src.alg.identity(), gamma),
                       kron(src.psi, src.coalg.identity()))
     lam = raw.compose(ctx.carrier.inclusion())
-    return lambda_witness(mor, lam.flat(), total=True)
+    return lambda_witness(mor, lam.flat())
 
 
 # ---------------------------------------------------------------------------
 # witnesses read off from structure
 
 
-def witness_from_structure(kind: str, **data) -> Witness:
-    """Build a witness from structural data and re-verify it from scratch.
-
-    Kinds: "invariant_element" (an invariant of the coalgebra under a right
-    action gives an integral 1 (x) L), "casimir_functional" (a functional
-    with the coaction-invariance property gives a cointegral eps (x) kappa),
-    "cotranslation" (the cotranslation map of a pointed coextension of the
-    ground field is a normalised integral map), "can_inv_unit" (the inverse
-    canonical map against 1 (x) C of a copointed extension of the ground
-    field is a normalised cointegral map).
-    """
-    if kind == "invariant_element":
-        return _invariant_element(**data)
-    if kind == "casimir_functional":
-        return _casimir_functional(**data)
-    if kind == "cotranslation":
-        return _cotranslation(**data)
-    if kind == "can_inv_unit":
-        return _can_inv_unit(**data)
-    raise InputError(f"unknown structural witness kind {kind!r}")
-
-
-def _invariant_element(ent: Entwining, action_c: LinMap, eps_a,
-                       invariant) -> Witness:
+def integral_from_invariant(ent: Entwining, action_c: LinMap, eps_a,
+                            invariant) -> Witness:
+    """An invariant L of the coalgebra under a right action (L . a =
+    eps_a(a) L, with eps(L) = 1) gives the normalised integral 1 (x) L."""
     f = ent.field
     da = ent.alg.dim
     lam = tuple(invariant)
@@ -544,24 +512,29 @@ def _invariant_element(ent: Entwining, action_c: LinMap, eps_a,
     return as_witness(WitnessKind.INTEGRAL, ent, value, normalized=True)
 
 
-def _casimir_functional(ent: Entwining, coaction_a: LinMap, one_c,
-                        kappa) -> Witness:
-    """kappa is invariant under the transposed coaction, a right action of
-    the dual algebra C^* on A^*, so 1 (x) kappa is an integral of the dual
-    entwining; read as a functional it is the cointegral eps (x) kappa."""
-    dual = _invariant_element(dual_entwining(ent), coaction_a.transpose(),
-                              one_c, kappa)
+def cointegral_from_casimir(ent: Entwining, coaction_a: LinMap, one_c,
+                            kappa) -> Witness:
+    """A functional kappa with the coaction-invariance property gives the
+    normalised cointegral eps (x) kappa: kappa is invariant under the
+    transposed coaction, a right action of C^* on A^*, so 1 (x) kappa is an
+    integral of the dual entwining, read here as a functional."""
+    dual = integral_from_invariant(dual_entwining(ent), coaction_a.transpose(),
+                                   one_c, kappa)
     return Witness(WitnessKind.COINTEGRAL, ent, dual.value, normalized=True)
 
 
-def _cotranslation(coext: Coextension) -> Witness:
+def integral_map_from_cotranslation(coext: Coextension) -> Witness:
+    """The cotranslation map of a pointed coextension of the ground field
+    is a normalised integral map."""
     if pointed_kappa(coext) is None:
         raise DomainError("coextension is not pointed", witness=("pointed",))
     return as_witness(WitnessKind.INTEGRAL_MAP, coext.ent,
                       cotranslation_map(coext).flat(), normalized=True)
 
 
-def _can_inv_unit(ext: GaloisExtension) -> Witness:
+def cointegral_map_from_can_inv(ext: GaloisExtension) -> Witness:
+    """The inverse canonical map against 1 (x) C of a copointed extension
+    of the ground field is a normalised cointegral map."""
     if ext.fixed.dim != 1:
         raise DomainError("extension is not over the ground field",
                           witness=("base",))

@@ -9,13 +9,13 @@ from fractions import Fraction
 
 from entwine import (GF, LinMap, QQ, WitnessKind,
                      check_separable, check_split, check_strongly_separable,
-                     check_witness, cohomology_dim, default_catalog,
-                     entwining_of, lambda_from_nu, make_example,
-                     nu_from_lambda, regular_bimodule, relative_complex,
-                     solve_total_cointegrability, solve_total_integrability,
-                     solve_witness, tensor_entwining, twist_entwining,
-                     verify_entwining, verify_entwined_module,
-                     witness_from_structure)
+                     check_witness, cohomology_dim, cointegral_from_casimir,
+                     cointegral_map_from_can_inv, default_catalog,
+                     entwining_of, integral_from_invariant,
+                     integral_map_from_cotranslation, lambda_from_nu,
+                     make_example, nu_from_lambda, regular_bimodule,
+                     relative_complex, solve_witness, tensor_entwining,
+                     twist_entwining, verify_entwining, verify_entwined_module)
 from entwine.entmod import (coinduce, hom_AC, induce,
                             induce_morphism, coinduce_morphism,
                             regular_comodule, regular_module, standard_module)
@@ -23,7 +23,8 @@ from entwine.entwining import counit_morphism, ground_entwining, unit_morphism
 from entwine.galois import cotranslation_map
 from entwine.linalg import Subspace, compose_all, kron, kron_all
 from entwine.separability import verify_idempotent, verify_strong
-from entwine.witness import integrability_system, lambda_witness
+from entwine.witness import (cointegrability_system, integrability_system,
+                             lambda_witness)
 from entwine import schema
 from entwine.cli import extension_report, coextension_report
 
@@ -183,16 +184,16 @@ def test_criterion_4_equivalences():
             e = entwining_of(entry)
             morc = counit_morphism(e)
             moru = unit_morphism(e)
-            frz_c = solve_total_cointegrability(morc)
+            frz_c = cointegrability_system(morc)[0].solve()
             intg = solve_witness(WitnessKind.INTEGRAL, e, True)
             assert frz_c.feasible == intg.feasible
-            lam_c = solve_total_integrability(morc)
+            lam_c = integrability_system(morc)[0].solve()
             gam = solve_witness(WitnessKind.INTEGRAL_MAP, e, True)
             assert lam_c.feasible == gam.feasible
-            lam_u = solve_total_integrability(moru)
+            lam_u = integrability_system(moru)[0].solve()
             coi = solve_witness(WitnessKind.COINTEGRAL, e, True)
             assert lam_u.feasible == coi.feasible
-            frz_u = solve_total_cointegrability(moru)
+            frz_u = cointegrability_system(moru)[0].solve()
             coim = solve_witness(WitnessKind.COINTEGRAL_MAP, e, True)
             assert frz_u.feasible == coim.feasible
             # the explicit correspondences biject the two solution sets
@@ -216,7 +217,7 @@ def test_criterion_4_equivalences():
 @announce(5, "main-theorem round trip")
 def test_criterion_5_round_trip(c2_q):
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     lamw = lambda_witness(mor, lam_sol.particular)
     ma = c2_q.module_A()
     ac = standard_module("mod_tensor_c", regular_module(c2_q.alg), c2_q.ent)
@@ -245,26 +246,26 @@ def test_criterion_6_example_theorems(c2_q, coext_q):
     gamma = cotranslation_map(coext_q)
     gvec = tuple(x for row in gamma.entries for x in row)
     assert not check_witness(WitnessKind.INTEGRAL_MAP, coext_q.ent, gvec, True)
-    w = witness_from_structure("cotranslation", coext=coext_q)
+    w = integral_map_from_cotranslation(coext_q)
     assert w.normalized
     # the inverse canonical map against 1 (x) C is a normalised cointegral map
-    zeta = witness_from_structure("can_inv_unit", ext=c2_q)
+    zeta = cointegral_map_from_can_inv(c2_q)
     assert not check_witness(WitnessKind.COINTEGRAL_MAP, c2_q.ent, zeta.value,
                              True)
     # invariant-element and functional-invariance witnesses pass the generic
     # identity checker
     entry = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
-    wi = witness_from_structure("invariant_element", ent=entry.payload.ent,
-                                action_c=entry.extras["action"],
-                                eps_a=(q(1),) * 4,
-                                invariant=entry.extras["invariant"])
+    wi = integral_from_invariant(ent=entry.payload.ent,
+                                 action_c=entry.extras["action"],
+                                 eps_a=(q(1),) * 4,
+                                 invariant=entry.extras["invariant"])
     assert not check_witness(WitnessKind.INTEGRAL, entry.payload.ent,
                              wi.value, True)
     com = make_example("comodule_algebra_entwining", {"field": QQ, "n": 3})
-    wk = witness_from_structure("casimir_functional", ent=com.payload,
-                                coaction_a=com.extras["coactionA"],
-                                one_c=com.extras["c_unit"],
-                                kappa=com.extras["kappa"])
+    wk = cointegral_from_casimir(ent=com.payload,
+                                 coaction_a=com.extras["coactionA"],
+                                 one_c=com.extras["c_unit"],
+                                 kappa=com.extras["kappa"])
     assert not check_witness(WitnessKind.COINTEGRAL, com.payload, wk.value,
                              True)
 

@@ -95,3 +95,21 @@ def test_payload_kinds():
     assert e3.payload.coalg.dim == 1
     e4 = make_example("flip_entwining", {"field": QQ, "na": 2, "nc": 3})
     assert e4.payload.alg.dim == 2 and e4.payload.coalg.dim == 3
+
+
+@pytest.mark.parametrize("name, params", [
+    ("group_algebra", {"hopf": "bogus"}),
+    ("hopf_self_galois", {"hopf": "Sweedler"}),
+    ("self_coextension", {"hopf": "sweedler"}),
+    ("hopf_quotient_galois", {"hopf": "sweedler"}),
+    ("group_algebra", {"n": 2.9}),
+    ("group_algebra", {"n": True}),
+    ("group_algebra", {"n": "2"}),
+    ("hopf_quotient_galois", {"n": 4, "d": 2.0}),
+    ("flip_entwining", {"na": 2, "nc": True}),
+])
+def test_parameters_are_not_coerced(name, params):
+    # int() would read 2.9 as 2 and True as 1, and an unread or unknown
+    # hopf value would silently give the cyclic group
+    with pytest.raises(InputError):
+        make_example(name, dict(params, field=QQ))

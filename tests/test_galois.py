@@ -124,14 +124,11 @@ def test_copointed_dim_one():
 
 def test_can_inv_bimodule_property(c2_q):
     # can_inv intertwines left multiplication and the entwined right action
-    f = QQ
     a = c2_q.alg
     ac_right = c2_q.ac_right_action()
     sq_right = c2_q.square_right_mult()
     sq_left = c2_q.square_left_mult()
     ida = a.identity()
-    _ = LinMap.identity(f, (4,))
-    _ = LinMap.identity(f, (4,))
     left_ac = compose_all(kron(a.mult, c2_q.coalg.identity()))
     # left: can_inv(a . z) = a . can_inv(z)
     lhs = c2_q.can_inv.compose(left_ac.reshaped((2, 2, 2), (2, 2)))

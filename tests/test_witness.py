@@ -4,14 +4,16 @@ from math import prod
 import pytest
 
 from entwine import (DomainError, GF, InputError, LinMap, QQ, WitnessKind,
-                     check_witness, lambda_from_nu, make_example,
-                     nu_from_lambda, solve_total_cointegrability,
-                     solve_total_integrability, solve_witness,
-                     witness_from_structure)
+                     check_witness, cointegral_from_casimir,
+                     cointegral_map_from_can_inv, integral_from_invariant,
+                     integral_map_from_cotranslation, lambda_from_nu,
+                     make_example, nu_from_lambda, solve_witness)
 from entwine.entmod import hom_AC, regular_module, standard_module
 from entwine.entwining import counit_morphism, unit_morphism
-from entwine.witness import (as_witness, frakz_witness, gamma_from_lambda,
-                             lambda_from_gamma, lambda_witness, witness_shapes)
+from entwine.witness import (as_witness, cointegrability_system,
+                             frakz_witness, gamma_from_lambda,
+                             integrability_system, lambda_from_gamma,
+                             lambda_witness, witness_shapes)
 import oracle
 
 
@@ -138,10 +140,10 @@ def test_witness_rejects_bad_candidate(c2_q):
 def test_counit_morphism_equivalences(c2_q, c2_f2):
     for ext in (c2_q, c2_f2):
         mor = counit_morphism(ext.ent)
-        frz = solve_total_cointegrability(mor)
+        frz = cointegrability_system(mor)[0].solve()
         integral = solve_witness(WitnessKind.INTEGRAL, ext.ent, True)
         assert frz.feasible == integral.feasible
-        lam = solve_total_integrability(mor)
+        lam = integrability_system(mor)[0].solve()
         gam = solve_witness(WitnessKind.INTEGRAL_MAP, ext.ent, True)
         assert lam.feasible == gam.feasible
 
@@ -149,17 +151,17 @@ def test_counit_morphism_equivalences(c2_q, c2_f2):
 def test_unit_morphism_equivalences(c2_q, c2_f2):
     for ext in (c2_q, c2_f2):
         mor = unit_morphism(ext.ent)
-        lam = solve_total_integrability(mor)
+        lam = integrability_system(mor)[0].solve()
         coi = solve_witness(WitnessKind.COINTEGRAL, ext.ent, True)
         assert lam.feasible == coi.feasible
-        frz = solve_total_cointegrability(mor)
+        frz = cointegrability_system(mor)[0].solve()
         coim = solve_witness(WitnessKind.COINTEGRAL_MAP, ext.ent, True)
         assert frz.feasible == coim.feasible
 
 
 def test_gamma_lambda_bijection(c2_q):
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     gam_sol = solve_witness(WitnessKind.INTEGRAL_MAP, c2_q.ent, True)
     assert lam_sol.homogeneous.dim == gam_sol.homogeneous.dim
     # particular and every homogeneous direction map into the other family
@@ -180,7 +182,7 @@ def test_gamma_lambda_bijection(c2_q):
 
 def test_nu_splits_phi(c2_q):
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     lamw = lambda_witness(mor, lam_sol.particular)
     for m in (c2_q.module_A(),
               standard_module("mod_tensor_c", regular_module(c2_q.alg),
@@ -191,7 +193,7 @@ def test_nu_splits_phi(c2_q):
 
 def test_nu_lambda_round_trip(c2_q):
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     lamw = lambda_witness(mor, lam_sol.particular)
     ac = standard_module("mod_tensor_c", regular_module(c2_q.alg), c2_q.ent)
     nu = nu_from_lambda(lamw, ac)
@@ -201,7 +203,7 @@ def test_nu_lambda_round_trip(c2_q):
 
 def test_lambda_from_nu_rejects_broken_candidate(c2_q):
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     lamw = lambda_witness(mor, lam_sol.particular)
     ac = standard_module("mod_tensor_c", regular_module(c2_q.alg), c2_q.ent)
     nu = nu_from_lambda(lamw, ac)
@@ -215,7 +217,7 @@ def test_lambda_from_nu_rejects_broken_candidate(c2_q):
 def test_nu_naturality(c2_q):
     # nu commutes with every entwined-module map generated by hom_AC
     mor = counit_morphism(c2_q.ent)
-    lam_sol = solve_total_integrability(mor)
+    lam_sol = integrability_system(mor)[0].solve()
     lamw = lambda_witness(mor, lam_sol.particular)
     m = c2_q.module_A()
     n = standard_module("mod_tensor_c", regular_module(c2_q.alg), c2_q.ent)
@@ -237,10 +239,26 @@ def test_nu_naturality(c2_q):
 
 def test_frakz_context_and_witness(c2_q):
     mor = counit_morphism(c2_q.ent)
-    sol = solve_total_cointegrability(mor)
+    sol = cointegrability_system(mor)[0].solve()
     assert sol.feasible
-    w = frakz_witness(mor, sol.particular)
-    assert w.total
+    frakz_witness(mor, sol.particular)
+
+
+def test_morphism_witnesses_reject_a_corrupted_candidate(c2_q):
+    mor = counit_morphism(c2_q.ent)
+    for side, build, wrap in (("lambda", integrability_system, lambda_witness),
+                              ("frakz", cointegrability_system, frakz_witness)):
+        sys_, _ = build(mor)
+        good = list(sys_.solve().particular)
+        good[0] = QQ.add(good[0], q(1))
+        bad = sys_.violations(tuple(good))
+        assert bad
+        with pytest.raises(DomainError, match=f"the {side} identities") as exc:
+            wrap(mor, good)
+        assert exc.value.witness == bad[0]
+    frz = frakz_witness(mor, cointegrability_system(mor)[0].solve().particular)
+    with pytest.raises(InputError):
+        nu_from_lambda(frz, c2_q.module_A())
 
 
 # -- witnesses from structure ---------------------------------------------------
@@ -248,10 +266,10 @@ def test_frakz_context_and_witness(c2_q):
 def test_invariant_element_witness():
     entry = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
     ext = entry.payload
-    w = witness_from_structure("invariant_element", ent=ext.ent,
-                               action_c=entry.extras["action"],
-                               eps_a=(q(1),) * 4,
-                               invariant=entry.extras["invariant"])
+    w = integral_from_invariant(ent=ext.ent,
+                                action_c=entry.extras["action"],
+                                eps_a=(q(1),) * 4,
+                                invariant=entry.extras["invariant"])
     assert w.kind == WitnessKind.INTEGRAL
     assert not check_witness(WitnessKind.INTEGRAL, ext.ent, w.value, True)
 
@@ -260,10 +278,10 @@ def test_invariant_element_trivial_quotient():
     entry = make_example("hopf_quotient_galois", {"field": QQ, "n": 2, "d": 1})
     ext = entry.payload
     assert ext.coalg.dim == 1
-    w = witness_from_structure("invariant_element", ent=ext.ent,
-                               action_c=entry.extras["action"],
-                               eps_a=(q(1),) * 2,
-                               invariant=entry.extras["invariant"])
+    w = integral_from_invariant(ent=ext.ent,
+                                action_c=entry.extras["action"],
+                                eps_a=(q(1),) * 2,
+                                invariant=entry.extras["invariant"])
     assert w.normalized
 
 
@@ -271,10 +289,10 @@ def test_invariant_element_hypothesis_failure():
     entry = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
     ext = entry.payload
     with pytest.raises(DomainError):
-        witness_from_structure("invariant_element", ent=ext.ent,
-                               action_c=entry.extras["action"],
-                               eps_a=(q(1),) * 4,
-                               invariant=(q(1), q(0)))
+        integral_from_invariant(ent=ext.ent,
+                                action_c=entry.extras["action"],
+                                eps_a=(q(1),) * 4,
+                                invariant=(q(1), q(0)))
 
 
 def test_structural_witnesses_reject_a_character_of_the_wrong_length():
@@ -282,47 +300,47 @@ def test_structural_witnesses_reject_a_character_of_the_wrong_length():
     com = make_example("comodule_algebra_entwining", {"field": QQ, "n": 3})
     for n in (3, 5):
         with pytest.raises(InputError):
-            witness_from_structure("invariant_element", ent=quot.payload.ent,
-                                   action_c=quot.extras["action"],
-                                   eps_a=(q(1),) * n,
-                                   invariant=quot.extras["invariant"])
+            integral_from_invariant(ent=quot.payload.ent,
+                                    action_c=quot.extras["action"],
+                                    eps_a=(q(1),) * n,
+                                    invariant=quot.extras["invariant"])
     unit = tuple(com.extras["c_unit"])
     for one_c in (unit[:-1], unit + (q(0),)):
         with pytest.raises(InputError):
-            witness_from_structure("casimir_functional", ent=com.payload,
-                                   coaction_a=com.extras["coactionA"],
-                                   one_c=one_c, kappa=com.extras["kappa"])
+            cointegral_from_casimir(ent=com.payload,
+                                    coaction_a=com.extras["coactionA"],
+                                    one_c=one_c, kappa=com.extras["kappa"])
 
 
 def test_casimir_functional_witness():
     for field in (QQ, GF(2)):
         entry = make_example("comodule_algebra_entwining",
                              {"field": field, "n": 2})
-        w = witness_from_structure("casimir_functional", ent=entry.payload,
-                                   coaction_a=entry.extras["coactionA"],
-                                   one_c=entry.extras["c_unit"],
-                                   kappa=entry.extras["kappa"])
+        w = cointegral_from_casimir(ent=entry.payload,
+                                    coaction_a=entry.extras["coactionA"],
+                                    one_c=entry.extras["c_unit"],
+                                    kappa=entry.extras["kappa"])
         assert w.kind == WitnessKind.COINTEGRAL
 
 
 def test_casimir_functional_failure():
     entry = make_example("comodule_algebra_entwining", {"field": QQ, "n": 2})
     with pytest.raises(DomainError):
-        witness_from_structure("casimir_functional", ent=entry.payload,
-                               coaction_a=entry.extras["coactionA"],
-                               one_c=entry.extras["c_unit"],
-                               kappa=(q(1), q(1)))
+        cointegral_from_casimir(ent=entry.payload,
+                                coaction_a=entry.extras["coactionA"],
+                                one_c=entry.extras["c_unit"],
+                                kappa=(q(1), q(1)))
 
 
 def test_cotranslation_witness(coext_q):
-    w = witness_from_structure("cotranslation", coext=coext_q)
+    w = integral_map_from_cotranslation(coext_q)
     assert w.kind == WitnessKind.INTEGRAL_MAP
     assert not check_witness(WitnessKind.INTEGRAL_MAP, coext_q.ent, w.value,
                              True)
 
 
 def test_can_inv_unit_witness(c2_q):
-    w = witness_from_structure("can_inv_unit", ext=c2_q)
+    w = cointegral_map_from_can_inv(c2_q)
     assert w.kind == WitnessKind.COINTEGRAL_MAP
     zeta = w.as_map()
     # zeta(s^j) = s^{-j} (x) s^j
@@ -383,16 +401,16 @@ def test_identity_morphism_on_ground_entwining():
     # both functor-level systems are trivially feasible on the unit object
     from entwine.entwining import ground_entwining, identity_morphism
     mor = identity_morphism(ground_entwining(QQ))
-    assert solve_total_integrability(mor).feasible
-    assert solve_total_cointegrability(mor).feasible
+    assert integrability_system(mor)[0].solve().feasible
+    assert cointegrability_system(mor)[0].solve().feasible
 
 
 def test_identity_morphism_on_c2(c2_q):
     # the identity functor is separable, so both witnesses exist
     from entwine.entwining import identity_morphism
     mor = identity_morphism(c2_q.ent)
-    assert solve_total_integrability(mor).feasible
-    assert solve_total_cointegrability(mor).feasible
+    assert integrability_system(mor)[0].solve().feasible
+    assert cointegrability_system(mor)[0].solve().feasible
 
 
 def test_integral_map_identities_by_explicit_loops(c2_q):
@@ -433,7 +451,7 @@ def test_nu_inverts_its_cover_with_one_reduction(monkeypatch):
     from entwine import linalg, witness
     ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
     mor = counit_morphism(ext.ent)
-    lam = lambda_witness(mor, solve_total_integrability(mor).particular)
+    lam = lambda_witness(mor, integrability_system(mor)[0].solve().particular)
     reductions = [0]
     calls = []                      # (cover rows, cover cols, reductions)
     rref, right_inverse = linalg.rref, witness.right_inverse
@@ -459,7 +477,7 @@ def test_nu_reduces_its_cover_once(monkeypatch):
     from entwine import linalg, witness
     ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
     mor = counit_morphism(ext.ent)
-    lam = lambda_witness(mor, solve_total_integrability(mor).particular)
+    lam = lambda_witness(mor, integrability_system(mor)[0].solve().particular)
     reduced = []                    # the input rows of every reduction
     covers = []
     rref, right_inverse = linalg.rref, witness.right_inverse
