@@ -170,17 +170,40 @@ def _order(params, key, default):
     return n
 
 
+# the parameters each family reads, besides field; with hopf given, the
+# two families that take it do not read n
+FAMILY_KEYS = {
+    "group_algebra": {"n", "hopf"},
+    "group_function_coalgebra": {"n"},
+    "hopf_self_galois": {"n", "hopf"},
+    "hopf_quotient_galois": {"n", "d"},
+    "comodule_algebra_entwining": {"n"},
+    "self_coextension": {"n", "dual"},
+    "trivial_entwining": {"n"},
+    "flip_entwining": {"na", "nc"},
+}
+
+
 def make_example(name: str, params: dict) -> CatalogEntry:
-    """Build one catalog entry; every payload is verifier-clean."""
+    """Build one catalog entry; every payload is verifier-clean.  A
+    parameter the family does not read is an InputError, not ignored."""
     params = dict(params)
     field = params.get("field", None)
     if not isinstance(field, Field):
         raise InputError("params must include a field")
+    if name not in FAMILY_KEYS:
+        raise InputError(f"unknown catalog name {name!r}")
     hopf = params.get("hopf")
-    if hopf is not None and (hopf != "sweedler" or name not in
-                             ("group_algebra", "hopf_self_galois")):
-        raise InputError(f"{name} does not take hopf {hopf!r}; only "
-                         "group_algebra and hopf_self_galois take 'sweedler'")
+    reads = FAMILY_KEYS[name] - ({"n"} if hopf is not None else set())
+    unread = sorted(params.keys() - reads - {"field"})
+    if unread:
+        raise InputError(f"{name} does not read {', '.join(unread)}"
+                         f"{' with hopf' if hopf is not None else ''} "
+                         f"(it reads {', '.join(sorted(reads))})")
+    if hopf is not None and hopf != "sweedler":
+        raise InputError(f"unknown hopf {hopf!r}; only 'sweedler' is known")
+    if not isinstance(params.get("dual", False), bool):
+        raise InputError(f"dual must be true or false, got {params['dual']!r}")
 
     if name == "group_algebra":
         if hopf:
@@ -226,16 +249,13 @@ def make_example(name: str, params: dict) -> CatalogEntry:
                                LinMap.twist(field, (1,), (n,)))
         return CatalogEntry(name, params, ent)
 
-    if name == "flip_entwining":
-        na = _order(params, "na", 2)
-        nc = _order(params, "nc", 2)
-        ha = cyclic_group_hopf(na, field)
-        hc = cyclic_group_hopf(nc, field)
-        ent = entwine_verified(ha.alg, hc.coalg,
-                               LinMap.twist(field, (nc,), (na,)))
-        return CatalogEntry(name, params, ent)
-
-    raise InputError(f"unknown catalog name {name!r}")
+    # flip_entwining, the last name in FAMILY_KEYS
+    na = _order(params, "na", 2)
+    nc = _order(params, "nc", 2)
+    ha = cyclic_group_hopf(na, field)
+    hc = cyclic_group_hopf(nc, field)
+    ent = entwine_verified(ha.alg, hc.coalg, LinMap.twist(field, (nc,), (na,)))
+    return CatalogEntry(name, params, ent)
 
 
 def _hopf_quotient_galois(params, field) -> CatalogEntry:

@@ -343,7 +343,9 @@ def cmd_catalog(args) -> int:
     field = QQ if args.field == "Q" else GF(args.p)
     params = {key: getattr(args, key) for key in ("n", "d", "na", "nc", "hopf")
               if getattr(args, key) is not None}
-    entry = make_example(args.name, dict(params, field=field, dual=args.dual))
+    if args.dual:
+        params["dual"] = True
+    entry = make_example(args.name, dict(params, field=field))
     payload = entry.payload
     if isinstance(payload, GaloisExtension):
         doc = schema.entwining_document(payload.ent, coaction_a=payload.rho_a)

@@ -20,10 +20,19 @@ Fraction is built per nonzero output entry.  A product with an identity or
 unit-selection factor (every row empty or a single 1, `_unit_selection`;
 on the right of a composite, no two rows picking one column) only
 re-indexes rows and reuses their values, with no arithmetic; its result is
-the same canonical rows, so outputs are byte-identical.  Every elimination
-goes through one Gauss-Jordan routine on sparse rows, `rref`, whose result
-is the unique reduced row echelon form, so every subspace, kernel, image
-and solution set is canonical however it was computed.
+the same canonical rows, so outputs are byte-identical.  `compose_all`
+multiplies the adjacent pair with the fewest multiply-adds first.  Every
+elimination goes through one Gauss-Jordan routine on sparse rows, `rref`,
+whose result is the unique reduced row echelon form, so every subspace,
+kernel, image and solution set is canonical however it was computed.
+
+A linear condition on an unknown matrix X says that signed sums of
+composites post . (1_L (x) X (x) 1_R) . pre agree.  `LinearConstraints`
+keeps each composite as its term (pre, L, R, post), and `op_in_unknown`
+assembles a condition's signed terms in one pass: their products are
+summed into only the output rows some term reaches, with one common
+denominator per row over Q, and one canonical sparse row is built per
+reached row; no operator is built for one side alone.
 """
 
 from __future__ import annotations
@@ -415,12 +424,32 @@ def kron_all(*maps) -> LinMap:
     return out
 
 
+def _product_cost(f: LinMap, g: LinMap) -> int:
+    """Multiply-adds of f . g read off the sparse rows: for each nonzero
+    (r, k) of f, the nonzeros of row k of g."""
+    sizes = [len(nz) for nz in g.nonzeros]
+    return sum([sizes[k] for nz in f.nonzeros for k, _ in nz])
+
+
 def compose_all(*maps) -> LinMap:
-    """compose_all(f, g, h) = f . g . h (rightmost applied first)."""
-    out = maps[0]
-    for m in maps[1:]:
-        out = out.compose(m)
-    return out
+    """compose_all(f, g, h) = f . g . h (rightmost applied first).
+
+    The shapes are checked left to right first, so a mismatch raises what
+    the left-to-right product would; then the adjacent pair with the
+    fewest multiply-adds (_product_cost) is multiplied first, until one
+    map is left.  Every order gives the same exact, canonical rows."""
+    for f, g in zip(maps, maps[1:]):
+        if f.field != g.field:
+            raise InputError("field mismatch in composition")
+        if f.cols != g.rows:
+            raise InputError(
+                f"composition shape mismatch: {f.domain} vs {g.codomain}")
+    maps = list(maps)
+    while len(maps) > 2:
+        costs = [_product_cost(f, g) for f, g in zip(maps, maps[1:])]
+        i = costs.index(min(costs))
+        maps[i:i + 2] = [maps[i].compose(maps[i + 1])]
+    return maps[0] if len(maps) == 1 else maps[0].compose(maps[1])
 
 
 # ---------------------------------------------------------------------------
@@ -827,50 +856,86 @@ def invert(m: LinMap) -> LinMap:
 # linear conditions on an unknown matrix
 
 
-def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap) -> LinMap:
-    """Matrix of the linear operator X |-> post . (1_L (x) X (x) 1_R) . pre.
+def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap,
+                  minus=()) -> LinMap:
+    """Matrix of the linear operator
 
-    pre maps D into L (x) Xdom (x) R and post maps L (x) Xcod (x) R into E.
-    The result sends the row-major vectorization of X (shape (Xcod, Xdom))
-    to that of the composite (shape (E, D)).
+        X |-> post . (1_L (x) X (x) 1_R) . pre
+              - sum of post' . (1_L' (x) X (x) 1_R') . pre'
+
+    over the terms (pre', L', R', post') in minus.  Each pre maps D into
+    L (x) Xdom (x) R and each post maps L (x) Xcod (x) R into E, with one D
+    and one E for every term.  The result sends the row-major
+    vectorization of X (shape (Xcod, Xdom)) to that of the composite
+    (shape (E, D)).
+
+    All terms are assembled in one pass: for each row e of E, every term's
+    products pre[(l,s,rho)][d] * post[e][(l,r,rho)] are summed, with their
+    signs, into the (e, d) cells they reach, and one canonical sparse row
+    is built per reached cell.  Over Q the sums are integers on one common
+    denominator per e (the lcm of each term's post-row and pre
+    denominators), with one Fraction per surviving entry; over F_p each
+    entry is reduced mod p once.  Rows no term reaches stay empty, and
+    entries that cancel are dropped.
     """
     f = pre.field
-    lt, rt = prod(left), prod(right)
     xd, xc = prod(x_dom), prod(x_cod)
+    nx = xc * xd
     dd, ee = pre.cols, post.rows
-    if pre.rows != lt * xd * rt:
-        raise InputError("pre does not land in L (x) Xdom (x) R")
-    if post.cols != lt * xc * rt:
-        raise InputError("post does not start from L (x) Xcod (x) R")
     p = f.p
-    pre_nz = pre.nonzeros
-    d_pre = _denominator(pre_nz, p)
-    # pre's nonzeros over d_pre, grouped by the surrounding factors:
-    # by_lr[l * rt + rho] = [(s, d, numerator of pre[(l,s,rho)][d]), ...]
-    by_lr = {}
-    for l in range(lt):
-        for s in range(xd):
-            base = (l * xd + s) * rt
-            for rho in range(rt):
-                _, nz = _integral(pre_nz[base + rho], p, d_pre)
-                if nz:
-                    by_lr.setdefault(l * rt + rho, []).extend(
-                        (s, d, w) for d, w in nz)
-    # big[(e,d)][(r,s)] = sum over (l,rho) of post[e][(l,r,rho)] * pre[(l,s,rho)][d]
-    big = []
-    for prow in post.nonzeros:
-        d_post, post_nz = _integral(prow, p)
-        acc = [{} for _ in range(dd)]
-        for col, v in post_nz:
-            lr, rho = divmod(col, rt)
-            l, r = divmod(lr, xc)
-            for s, d, w in by_lr.get(l * rt + rho, ()):
-                cell = acc[d]
-                k = r * xd + s
-                x = cell.get(k)
-                cell[k] = v * w if x is None else x + v * w
-        den = d_post * d_pre
-        big.extend(_sparse_sums(cell, den, p) for cell in acc)
+    terms = []                      # (sign, d_pre, by_lr, rt, post rows)
+    for sign, (t_pre, t_left, t_right, t_post) in itertools.chain(
+            [(1, (pre, left, right, post))], ((-1, t) for t in minus)):
+        if t_pre.field != f or t_post.field != f:
+            raise InputError("field mismatch in a linear condition")
+        lt, rt = prod(t_left), prod(t_right)
+        if t_pre.rows != lt * xd * rt:
+            raise InputError("pre does not land in L (x) Xdom (x) R")
+        if t_post.cols != lt * xc * rt:
+            raise InputError("post does not start from L (x) Xcod (x) R")
+        if t_pre.cols != dd or t_post.rows != ee:
+            raise InputError("the terms of a linear condition differ in "
+                             "domain or codomain")
+        d_pre = _denominator(t_pre.nonzeros, p)
+        # pre's nonzeros over d_pre, grouped by the surrounding factors:
+        # by_lr[l * rt + rho] = [(d * nx + s, numerator of pre[(l,s,rho)][d])]
+        by_lr = {}
+        for i, nz in enumerate(t_pre.nonzeros):
+            if nz:
+                ls, rho = divmod(i, rt)
+                l, s = divmod(ls, xd)
+                by_lr.setdefault(l * rt + rho, []).extend(
+                    (d * nx + s, w) for d, w in _integral(nz, p, d_pre)[1])
+        terms.append((sign, d_pre, by_lr, rt, t_post.nonzeros))
+    big = [()] * (ee * dd)
+    for e in range(ee):
+        reached = []
+        for sign, d_pre, by_lr, rt, post_nz in terms:
+            if post_nz[e]:
+                d_post, nz = _integral(post_nz[e], p)
+                reached.append((sign, d_post * d_pre, nz, by_lr, rt))
+        if not reached:
+            continue
+        den = lcm(*[dp for _, dp, _, _, _ in reached])
+        # acc[d * nx + r * xd + s] = numerator over den of cell (e, d) at (r, s)
+        acc = {}
+        for sign, dp, nz, by_lr, rt in reached:
+            scale = sign * (den // dp)
+            for col, v in nz:
+                lr, rho = divmod(col, rt)
+                l, r = divmod(lr, xc)
+                found = by_lr.get(l * rt + rho)
+                if found:
+                    v *= scale
+                    base = r * xd
+                    for key, w in found:
+                        key += base
+                        x = acc.get(key)
+                        acc[key] = v * w if x is None else x + v * w
+        for d, cell in itertools.groupby(_sparse_sums(acc, den, p),
+                                         lambda kx: kx[0] // nx):
+            off = d * nx
+            big[e * dd + d] = tuple([(k - off, x) for k, x in cell])
     return LinMap(f, (xc, xd), (ee, dd), tuple(big))
 
 
@@ -884,24 +949,38 @@ class _Block:
 class LinearConstraints:
     """Accumulates exact linear conditions on one unknown matrix X and solves
     or checks them; the same assembled system backs both, so solver and
-    verifier can never drift apart."""
+    verifier can never drift apart.
+
+    A condition is stated with terms, each a composite post . (1_L (x) X
+    (x) 1_R) . pre kept as the tuple (pre, L, R, post); `require` assembles
+    its two sides' difference in one op_in_unknown call, so no operator is
+    built for one side alone."""
 
     def __init__(self, field, x_dom, x_cod):
         self.field = field
         self.x_dom, self.x_cod = x_dom, x_cod
         self.blocks: list[_Block] = []
 
-    def term(self, pre: LinMap, left, right, post: LinMap) -> LinMap:
-        """The operator X |-> post . (1_L (x) X (x) 1_R) . pre on this
-        system's unknown (see op_in_unknown)."""
-        return op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post)
+    def term(self, pre: LinMap, left, right, post: LinMap) -> tuple:
+        """The composite X |-> post . (1_L (x) X (x) 1_R) . pre on this
+        system's unknown, as (pre, left, right, post); it is checked and
+        assembled by `require`."""
+        return pre, left, right, post
 
-    def require(self, label, lhs: LinMap, rhs: LinMap | None = None,
-                target: LinMap | None = None):
-        """Add the condition lhs(X) = rhs(X) + target, all sides optional
-        except lhs; lhs/rhs are operators on vec(X), usually built by term,
-        target is a fixed map vectorized as the affine right-hand side."""
-        op = lhs if rhs is None else lhs.sub(rhs)
+    def require(self, label, lhs, rhs=None, target: LinMap | None = None):
+        """Add the condition lhs(X) = rhs(X) + target.  lhs and rhs are
+        terms (see `term`) and rhs is optional; lhs - rhs is assembled in
+        one pass by op_in_unknown.  Without rhs, lhs may instead be a
+        ready operator on vec(X), a LinMap.  target is a fixed map
+        vectorized as the affine right-hand side (zero when omitted)."""
+        if isinstance(lhs, LinMap):
+            if rhs is not None:
+                raise InputError("a ready operator takes no right-hand term")
+            op = lhs
+        else:
+            pre, left, right, post = lhs
+            op = op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post,
+                               () if rhs is None else (rhs,))
         if op.cols != prod(self.x_cod) * prod(self.x_dom):
             raise InputError("constraint operator does not act on the unknown")
         if target is None:

@@ -113,3 +113,39 @@ def test_parameters_are_not_coerced(name, params):
     # hopf value would silently give the cyclic group
     with pytest.raises(InputError):
         make_example(name, dict(params, field=QQ))
+
+
+@pytest.mark.parametrize("name, params, unread", [
+    ("group_algebra", {"n": 2, "dual": True, "d": 7, "nc": 3}, "d, dual, nc"),
+    ("hopf_self_galois", {"n": 2, "dual": False}, "dual"),
+    ("hopf_self_galois", {"hopf": "sweedler", "n": 3}, "n"),
+    ("hopf_quotient_galois", {"n": 4, "d": 2, "na": 2}, "na"),
+    ("flip_entwining", {"na": 2, "nc": 2, "n": 2}, "n"),
+    ("trivial_entwining", {"n": 2, "p": 7}, "p"),
+])
+def test_unread_parameters_are_named_and_rejected(name, params, unread):
+    with pytest.raises(InputError, match=f"{name} does not read {unread}"):
+        make_example(name, dict(params, field=QQ))
+
+
+def test_dual_must_be_a_boolean():
+    with pytest.raises(InputError):
+        make_example("self_coextension", {"field": QQ, "n": 2, "dual": "yes"})
+
+
+@pytest.mark.parametrize("name, params", [
+    ("group_algebra", {"n": 3}),
+    ("group_algebra", {"hopf": "sweedler"}),
+    ("group_function_coalgebra", {"n": 2}),
+    ("hopf_self_galois", {"n": 2}),
+    ("hopf_self_galois", {"hopf": "sweedler"}),
+    ("hopf_quotient_galois", {"n": 4, "d": 2}),
+    ("comodule_algebra_entwining", {"n": 2}),
+    ("self_coextension", {"n": 2, "dual": True}),
+    ("self_coextension", {"n": 2, "dual": False}),
+    ("trivial_entwining", {"n": 2}),
+    ("flip_entwining", {"na": 2, "nc": 3}),
+])
+def test_every_read_parameter_is_accepted(name, params):
+    entry = make_example(name, dict(params, field=GF(7)))
+    assert entry.params == dict(params, field=GF(7))

@@ -433,6 +433,26 @@ def test_catalog_unread_or_unknown_hopf_is_input_error(capsys, args):
     _assert_input_error(["catalog", "--name", *args], capsys)
 
 
+def test_catalog_parameter_the_family_does_not_read_is_input_error(capsys):
+    assert main(["catalog", "--name", "group_algebra", "--n", "2", "--dual",
+                 "--d", "7", "--nc", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: group_algebra does not read d, dual, nc "
+                   "(it reads hopf, n)\n")
+
+
+@pytest.mark.parametrize("args", [
+    ["self_coextension", "--n", "2", "--dual"],
+    ["self_coextension", "--n", "3"],
+    ["hopf_self_galois", "--n", "3", "--field", "Fp", "--p", "7"],
+    ["hopf_self_galois", "--hopf", "sweedler"],
+    ["hopf_quotient_galois", "--n", "4", "--d", "2"],
+])
+def test_catalog_reads_every_parameter_it_is_given(args, capsys):
+    assert main(["catalog", "--name", *args]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_without_psi_is_input_error(tmp_path, c2_q_file, capsys):
     # the missing entwining is a SchemaError, which is also an InputError;
     # it must stay malformed input (2), not become a failed axiom (1)

@@ -8,8 +8,8 @@ from entwine import GF, QQ, LinMap, Subspace, kernel_image, kron, \
     solve_affine
 from entwine.linalg import invert, quotient_by, rref
 from entwine.errors import InputError
-from entwine.linalg import (LinearConstraints, SCALAR, op_in_unknown,
-                            right_inverse, unflatten)
+from entwine.linalg import (LinearConstraints, SCALAR, compose_all,
+                            op_in_unknown, right_inverse, unflatten)
 
 import oracle
 
@@ -571,3 +571,151 @@ def test_constraint_on_a_different_unknown_is_rejected():
     sys_ = LinearConstraints(QQ, (2,), (2,))
     with pytest.raises(InputError):
         sys_.require("wrong unknown", op)
+
+
+# -- one-pass assembly of a linear condition ----------------------------------
+
+def _one_term(term, x_dom, x_cod):
+    pre, left, right, post = term
+    return op_in_unknown(pre, left, x_dom, x_cod, right, post)
+
+
+def _assembled_block(field, x_dom, x_cod, lhs, rhs):
+    sys_ = LinearConstraints(field, x_dom, x_cod)
+    sys_.require("condition", sys_.term(*lhs), sys_.term(*rhs))
+    return sys_.blocks[0].matrix
+
+
+@st.composite
+def condition_terms(draw, field):
+    """(x_dom, x_cod, lhs, rhs): two terms (pre, L, R, post) on one unknown
+    with the same D and E, each side with its own L and R, and factors that
+    are unit selections or values (over Q with their own denominators)."""
+    xd, xc = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dd, ee = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    terms = []
+    for _ in range(2):
+        lt, rt = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        pre = draw(other_factors(field, lt * xd * rt, dd))
+        post = draw(other_factors(field, ee, lt * xc * rt))
+        terms.append((LinMap.from_rows(field, (dd,), (lt, xd, rt), pre),
+                      (lt,), (rt,),
+                      LinMap.from_rows(field, (lt, xc, rt), (ee,), post)))
+    return (xd,), (xc,), terms[0], terms[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SELECTION_FIELDS)), st.data())
+def test_signed_assembly_matches_the_difference_of_its_sides(p, data):
+    field = SELECTION_FIELDS[p]
+    x_dom, x_cod, lhs, rhs = data.draw(condition_terms(field))
+    expected = _one_term(lhs, x_dom, x_cod).sub(_one_term(rhs, x_dom, x_cod))
+    pre, left, right, post = lhs
+    got = op_in_unknown(pre, left, x_dom, x_cod, right, post, (rhs,))
+    block = _assembled_block(field, x_dom, x_cod, lhs, rhs)
+    for m in (got, block):
+        assert (m.domain, m.codomain) == (expected.domain, expected.codomain)
+        _assert_product(field, m, expected.entries)
+
+
+def test_signed_assembly_over_q_with_different_denominators():
+    # lhs: X |-> (1/3) X . diag(1, 1/2); rhs: X |-> (1/4) X, on 2x2 unknowns
+    third = LinMap.identity(QQ, (2,)).scale(Fraction(1, 3))
+    half = LinMap.from_rows(QQ, (2,), (2,), [[q(1), q(0)], [q(0), Fraction(1, 2)]])
+    quarter = LinMap.identity(QQ, (2,)).scale(Fraction(1, 4))
+    lhs = (half, SCALAR, SCALAR, third)
+    rhs = (LinMap.identity(QQ, (2,)), SCALAR, SCALAR, quarter)
+    block = _assembled_block(QQ, (2,), (2,), lhs, rhs)
+    expected = _one_term(lhs, (2,), (2,)).sub(_one_term(rhs, (2,), (2,)))
+    assert block.nonzeros == expected.nonzeros
+    # vec(X) entry (r, s) -> output (r, s) with (1/3) c_s - 1/4, c = (1, 1/2)
+    diagonal = {r * 2 + s: Fraction(1, 3) * (1, Fraction(1, 2))[s] - Fraction(1, 4)
+                for r in range(2) for s in range(2)}
+    assert block.nonzeros == tuple(((k, x),) for k, x in sorted(diagonal.items()))
+    _assert_canonical(block.entries)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)])
+def test_equal_sides_give_only_empty_rows(field):
+    pre = LinMap.from_rows(field, (3,), (2, 2, 1),
+                           [[field.of_int(v) for v in row] for row in
+                            [[1, 2, 0], [0, 1, 1], [2, 0, 3], [1, 1, 1]]])
+    post = LinMap.from_rows(field, (2, 2, 1), (2,),
+                            [[field.of_int(v) for v in row] for row in
+                             [[1, 0, 2, 1], [0, 3, 1, 1]]])
+    term = (pre, (2,), SCALAR, post)
+    # the same composite, with L and R written as other shapes
+    again = (pre.reshaped(codomain=(1, 2, 2)), (1, 2), (1,),
+             post.reshaped(domain=(1, 2, 2, 1)))
+    for rhs in (term, again):
+        block = _assembled_block(field, (2,), (2,), term, rhs)
+        assert block.nonzeros == ((),) * 6
+        assert block.codomain == (2, 3)
+
+
+def test_terms_of_different_shapes_are_rejected():
+    x = (2,)
+    ident = LinMap.identity(QQ, x)
+    wide = LinMap.from_rows(QQ, (3,), x, [[q(1), q(0), q(0)], [q(0), q(1), q(0)]])
+    tall = LinMap.from_rows(QQ, x, (3,), [[q(1), q(0)], [q(0), q(1)], [q(1), q(1)]])
+    sys_ = LinearConstraints(QQ, x, x)
+    # D differs: the lhs starts from 2 dimensions, the rhs from 3
+    with pytest.raises(InputError):
+        sys_.require("D", sys_.term(ident, SCALAR, SCALAR, ident),
+                     sys_.term(wide, SCALAR, SCALAR, ident))
+    # E differs: the lhs lands in 2 dimensions, the rhs in 3
+    with pytest.raises(InputError):
+        sys_.require("E", sys_.term(ident, SCALAR, SCALAR, ident),
+                     sys_.term(ident, SCALAR, SCALAR, tall))
+    # a term on the wrong unknown, and a ready operator with a second side
+    with pytest.raises(InputError):
+        sys_.require("X", sys_.term(tall, SCALAR, SCALAR, ident))
+    op = op_in_unknown(ident, SCALAR, x, x, SCALAR, ident)
+    with pytest.raises(InputError):
+        sys_.require("ready", op, sys_.term(ident, SCALAR, SCALAR, ident))
+    assert sys_.blocks == []
+
+
+# -- chains of products in any order ------------------------------------------
+
+@st.composite
+def chains(draw, field):
+    """2 to 5 composable maps, each a unit selection or values."""
+    dims = draw(st.lists(st.integers(0, 4), min_size=3, max_size=6))
+    return [LinMap.from_rows(field, (dims[i + 1],), (dims[i],),
+                             draw(other_factors(field, dims[i], dims[i + 1])))
+            for i in range(len(dims) - 1)]
+
+
+def _left_to_right(maps):
+    out = maps[0]
+    for m in maps[1:]:
+        out = out.compose(m)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(SELECTION_FIELDS)), st.data())
+def test_compose_all_matches_left_to_right(p, data):
+    field = SELECTION_FIELDS[p]
+    maps = data.draw(chains(field))
+    got, expected = compose_all(*maps), _left_to_right(maps)
+    assert (got.domain, got.codomain) == (expected.domain, expected.codomain)
+    _assert_product(field, got, expected.entries)
+
+
+def _error(fn, *args):
+    with pytest.raises(InputError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+def test_compose_all_mismatch_raises_the_left_to_right_error():
+    f = LinMap.identity(QQ, (2,))
+    g = LinMap.zero(QQ, (3,), (2,))
+    h = LinMap.zero(QQ, (2,), (4,))     # g's domain is 3, h's codomain 4
+    k = LinMap.zero(QQ, (5,), (3,))     # g's domain is 3, k's codomain 3
+    for maps in ([f, g, h], [f, g, h, k], [f, g, k, f], [g, f, h], [k, k, f]):
+        assert _error(compose_all, *maps) == _error(_left_to_right, maps)
+    other = LinMap.identity(GF(3), (2,))
+    assert _error(compose_all, f, f, other) == _error(_left_to_right, [f, f, other])

@@ -39,3 +39,29 @@ def test_every_counted_field_op_resolves():
     from entwine.fields import Field
     spans = _spans()
     assert [op for op in spans.FIELD_OPS if not callable(vars(Field).get(op))] == []
+
+
+def test_traced_solve_records_assembly_and_systems():
+    # one small system solved under the recorder: the spans and the system
+    # shapes read off the constraint blocks must be there, and uninstall
+    # must put the library back
+    import entwine.linalg
+    from entwine import QQ, WitnessKind, make_example, solve_witness
+    spans = _spans()
+    original = entwine.linalg.op_in_unknown
+    ext = make_example("hopf_self_galois", {"field": QQ, "n": 2}).payload
+    rec = spans.Recorder()
+    rec.install()
+    try:
+        assert entwine.linalg.op_in_unknown is not original
+        rec.active = True
+        sol = solve_witness(WitnessKind.INTEGRAL, ext.ent)
+        rec.active = False
+    finally:
+        rec.uninstall()
+    assert entwine.linalg.op_in_unknown is original
+    assert sol.feasible
+    metrics = rec.summary(1.0)
+    for key in ("linalg.system.count", "linalg.system.rows_raw",
+                "linalg.op_in_unknown.s"):
+        assert metrics[key] > 0, key
