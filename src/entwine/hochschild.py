@@ -10,8 +10,13 @@ M.  One formula gives the coboundary in every degree:
         + (-1)^(n+1) g(a0, ..., an-1) . an
 
 with g read on the n-fold power through its projection and delta g
-descended to the (n+1)-fold power.  Its square is asserted to vanish in
-every computed degree.  Degree is capped at two: the balanced cube is the
+descended to the (n+1)-fold power.  Each term is a composite post .
+(1_L (x) g (x) 1_R) . pre in the unknown cochain g, so one
+`linalg.op_in_unknown` call assembles delta on every cochain at once (a +
+sign after the first term is a negated post); the result must kill the
+relations of the (n+1)-fold power and land in the next cochain space, or
+InconsistencyError is raised.  Its square is asserted to vanish in every
+computed degree.  Degree is capped at two: the balanced cube is the
 largest space this library ever builds.
 """
 
@@ -23,7 +28,8 @@ from math import prod
 from .entmod import balanced_power
 from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
-                     SCALAR, descend, image, kernel, kron, kron_all)
+                     SCALAR, corestrict, descend, image, kernel, kron,
+                     kron_all, op_in_unknown)
 from .structures import Algebra, CheckReport, law
 
 
@@ -150,36 +156,34 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
     already checked: m a bimodule, b a unital subalgebra, max_degree 1 or 2.
     A balanced square the caller holds (A (x)_B A as `balanced_power`
     builds it) is used instead of being built again."""
-    f = alg.field
-    d = alg.dim
+    f, d = alg.field, alg.dim
     powers = [square if n == 2 and square is not None
               else balanced_power(alg, b, n) for n in range(max_degree + 2)]
     spaces = [_centralizer(alg, b, m)]
     spaces += [_cochain_space(alg, b, m, power) for power in powers[1:]]
     ida = alg.identity()
+    idm = LinMap.identity(f, (m.dim,))
     boundaries = []
     for n in range(max_degree + 1):
-        src = powers[n]
-        # the inner faces: a_i (x) a_(i+1) -> a_i a_(i+1) on A^(n+1)
-        faces = [kron_all(LinMap.identity(f, (d,) * i), alg.mult,
-                          LinMap.identity(f, (d,) * (n - 1 - i)))
-                 for i in range(n)]
-        coords = []
-        for vec in spaces[n].basis:
-            g = LinMap.from_flat(f, (src.dim,), (m.dim,), vec) \
-                .compose(src.projection)
-            terms = ([m.left.compose(kron(ida, g))]
-                     + [g.compose(face) for face in faces]
-                     + [m.right.compose(kron(g, ida))])
-            delta = terms[0]
-            for i, term in enumerate(terms[1:]):
-                delta = delta.add(term) if i % 2 else delta.sub(term)
-            coords.append(spaces[n + 1].coords(
-                descend(delta, powers[n + 1]).flat()))
-        if None in coords:
-            raise InconsistencyError("coboundary leaves the cochain space")
-        boundaries.append(LinMap.from_rows(f, (spaces[n + 1].dim,),
-                                           (spaces[n].dim,), coords).transpose())
+        proj = powers[n].projection
+        # delta g on A^(n+1) for the unknown cochain g: Q_n -> M.  Term i
+        # after a0 . g(a1, ..., an) carries the sign (-1)^(i+1); op_in_unknown
+        # subtracts those terms, so a + sign negates the term's post
+        rest = [(proj.compose(kron_all(LinMap.identity(f, (d,) * i), alg.mult,
+                                       LinMap.identity(f, (d,) * (n - 1 - i)))),
+                 SCALAR, SCALAR, idm) for i in range(n)]
+        rest.append((kron(proj, ida), SCALAR, (d,), m.right))
+        minus = [(pre, left, right, post.scale(f.neg(f.one)) if i % 2 else post)
+                 for i, (pre, left, right, post) in enumerate(rest)]
+        raw = op_in_unknown(kron(ida, proj), (d,), (powers[n].dim,), (m.dim,),
+                            SCALAR, m.left, minus).compose(spaces[n].inclusion())
+        target = powers[n + 1]
+        # on vectorized maps, precomposing with r is 1_M (x) r^T
+        if not kron(idm, target.relations.inclusion().transpose()) \
+                .compose(raw).is_zero_map():
+            raise InconsistencyError("coboundary does not descend")
+        boundaries.append(corestrict(
+            kron(idm, target.section.transpose()).compose(raw), spaces[n + 1]))
     complex_ = RelativeComplex(alg, b, m, tuple(spaces), tuple(boundaries))
     for lower, upper in zip(boundaries, boundaries[1:]):
         if not upper.compose(lower).is_zero_map():

@@ -32,7 +32,9 @@ keeps each composite as its term (pre, L, R, post), and `op_in_unknown`
 assembles a condition's signed terms in one pass: their products are
 summed into only the output rows some term reaches, with one common
 denominator per row over Q, and one canonical sparse row is built per
-reached row; no operator is built for one side alone.
+reached row; no operator is built for one side alone.  The Hochschild
+coboundaries of `hochschild` are assembled by the same call, on the
+unknown cochain, each + sign after the first term a negated post.
 """
 
 from __future__ import annotations
@@ -294,14 +296,8 @@ class LinMap:
             out.append(_sparse_sums(acc, d * d_other, p))
         return LinMap(f, other.domain, self.codomain, tuple(out))
 
-    def add(self, other: "LinMap") -> "LinMap":
-        return self._merge(other, 1)
-
     def sub(self, other: "LinMap") -> "LinMap":
-        return self._merge(other, -1)
-
-    def _merge(self, other, sign):
-        """self + sign * other, row by row."""
+        """self - other, row by row."""
         self._require_parallel(other)
         p = self.field.p
         rows = []
@@ -309,7 +305,7 @@ class LinMap:
             if r2:
                 acc = dict(r1)
                 for j, b in r2:
-                    x = acc.get(j, 0) + sign * b
+                    x = acc.get(j, 0) - b
                     acc[j] = x if p is None else x % p
                 r1 = tuple((j, x) for j, x in sorted(acc.items()) if x)
             rows.append(r1)

@@ -135,12 +135,11 @@ def split_system(g: GaloisExtension) -> LinearConstraints:
     contract = sys.term(LinMap.element(f, (da, dc), rho_one), (da,), SCALAR,
                         a.mult)
     sys.require("unit splitting", contract, target=a.unit_map())
-    # b_alpha phi(c^alpha) = phi(c) b for b running over the fixed subalgebra
-    for t, b in enumerate(g.fixed.basis):
-        ins_b = LinMap.element(f, (da,), b)
-        lhs = sys.term(psi.compose(kron(idc, ins_b)), (da,), SCALAR, a.mult)
-        rhs = sys.term(idc, SCALAR, SCALAR, a.mult.compose(kron(ida, ins_b)))
-        sys.require(f"fixed-element commutation {t}", lhs, rhs)
+    # b_alpha phi(c^alpha) = phi(c) b on C (x) B, B the fixed subalgebra
+    ins = kron(idc, g.fixed.inclusion())
+    lhs = sys.term(psi.compose(ins), (da,), SCALAR, a.mult)
+    rhs = sys.term(ins, SCALAR, (da,), a.mult)
+    sys.require("fixed-element commutation", lhs, rhs)
     return sys
 
 
