@@ -122,6 +122,18 @@ def test_copointed_dim_one():
     assert copointed_grouplike(ext) == (q(1),)
 
 
+def test_copointed_reads_e_off_the_first_nonzero_unit_coordinate(c2_q):
+    # a unit 2s (first nonzero coordinate 2, at index 1) with rho(2s) =
+    # 2s (x) s gives e = s; a zero coaction gives e = 0, which has counit 0
+    import dataclasses
+    from entwine import Algebra
+    scaled = dataclasses.replace(c2_q, alg=Algebra(2, c2_q.alg.mult,
+                                                   (q(0), q(2))))
+    assert copointed_grouplike(scaled) == (q(0), q(1))
+    silent = dataclasses.replace(c2_q, rho_a=LinMap.zero(QQ, (2,), (2, 2)))
+    assert copointed_grouplike(silent) is None
+
+
 def test_can_inv_bimodule_property(c2_q):
     # can_inv intertwines left multiplication and the entwined right action
     a = c2_q.alg

@@ -158,6 +158,19 @@ def test_non_subalgebra_rejected(c2_q):
         relative_complex(c2_q.alg, bad, regular_bimodule(c2_q.alg))
 
 
+def test_unital_subalgebra_check():
+    alg = make_example("group_algebra", {"field": QQ, "n": 3}).payload.alg
+
+    def span(*vectors):
+        return Subspace.from_vectors(QQ, (3,), [tuple(map(q, v)) for v in vectors])
+    # no unit
+    assert not hochschild._is_unital_subalgebra(alg, span((0, 1, 0)))
+    # the unit, but s . s = s^2 leaves span{1, s}
+    assert not hochschild._is_unital_subalgebra(alg, span((1, 0, 0), (0, 1, 0)))
+    assert hochschild._is_unital_subalgebra(alg, span((2, 0, 0)))
+    assert hochschild._is_unital_subalgebra(alg, span((2, 0, 0), (0, 1, 1)))
+
+
 def test_invalid_bimodule_rejected(c2_q):
     a = c2_q.alg
     broken = Bimodule(2, LinMap.zero(QQ, (2, 2), (2,)),

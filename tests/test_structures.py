@@ -121,6 +121,22 @@ def test_non_coideal_rejected_with_witness():
     assert err.value.witness is not None
 
 
+def test_coideal_failures_name_the_first_failing_basis_vector():
+    # the witness is the first vector of I's echelon basis that breaks the
+    # condition, not merely the first basis vector
+    h = cyclic_group_hopf(4, QQ)
+    counit_bad = Subspace.from_vectors(QQ, (4,), [(q(1), q(-1), q(0), q(0)),
+                                                  (q(0), q(0), q(1), q(0))])
+    with pytest.raises(DomainError, match="counit") as err:
+        quotient_coalgebra(h.coalg, counit_bad)
+    assert err.value.witness == (q(0), q(0), q(1), q(0))
+    comult_bad = Subspace.from_vectors(QQ, (4,), [(q(1), q(0), q(-1), q(0)),
+                                                  (q(0), q(1), q(1), q(-2))])
+    with pytest.raises(DomainError, match="comultiplication") as err:
+        quotient_coalgebra(h.coalg, comult_bad)
+    assert err.value.witness == (q(0), q(1), q(1), q(-2))
+
+
 def test_dual_of_broken_structure_fails_too():
     # duality transports axiom failures: a broken counit becomes a broken
     # unit on the other side

@@ -295,6 +295,25 @@ def test_invariant_element_hypothesis_failure():
                                 invariant=(q(1), q(0)))
 
 
+def test_invariant_element_failure_names_the_first_failing_basis_element():
+    entry = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
+    ext = entry.payload
+    with pytest.raises(DomainError) as err:
+        integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
+                                eps_a=(q(1),) * 4, invariant=(q(1), q(0)))
+    assert err.value.witness == ("invariance", 1)
+    # the true invariant, against a character that is wrong only on s^3
+    with pytest.raises(DomainError) as err:
+        integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
+                                eps_a=(q(1), q(1), q(1), q(2)),
+                                invariant=entry.extras["invariant"])
+    assert err.value.witness == ("invariance", 3)
+    with pytest.raises(DomainError) as err:
+        integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
+                                eps_a=(q(1),) * 4, invariant=(q(1), q(1)))
+    assert err.value.witness == ("normalisation",)
+
+
 def test_structural_witnesses_reject_a_character_of_the_wrong_length():
     quot = make_example("hopf_quotient_galois", {"field": QQ, "n": 4, "d": 2})
     com = make_example("comodule_algebra_entwining", {"field": QQ, "n": 3})
