@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
-                     kron, kron_all, quotient_by)
+                     descend, kron, kron_all, quotient_by)
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap, law,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
 from .entwining import Entwining, entwine_verified, ground_coalgebra
@@ -276,16 +276,9 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
             spanners.append(tuple(v))
     ideal = Subspace.from_vectors(f, (n,), spanners)
     quot_coalg, proj = quotient_coalgebra(h.coalg, ideal)
-    section = quotient_by(ideal).section
-    # quotient action [x].a = [x a], well defined because the span is a right ideal
-    rho_c_raw = proj.compose(h.alg.mult)
-    for v in ideal.basis:
-        for j in range(n):
-            a = tuple(one if t == j else zero for t in range(n))
-            moved = rho_c_raw.apply(tuple(f.mul(p, q) for p in v for q in a))
-            if any(x != 0 for x in moved):
-                raise InputError("span is not a right ideal")  # unreachable
-    rho_c = rho_c_raw.compose(kron(section, h.alg.identity()))
+    # quotient action [x].a = [x a], well defined because the span is a
+    # right ideal; descend checks that
+    rho_c = descend(proj.compose(h.alg.mult), quotient_by(ideal), right=n)
     verify_action(h.alg, rho_c).require()
     rho_a = kron(h.alg.identity(), proj).compose(h.coalg.comult)
     ext = build_galois(h.alg, quot_coalg, rho_a)

@@ -26,7 +26,8 @@ from .galois import (Coextension, GaloisExtension, build_coextension,
                      verify_coaction)
 from .hochschild import (_assemble_complex, cohomology_dim, regular_bimodule,
                          verify_bimodule)
-from .separability import check_coseparable, check_strongly_separable
+from .separability import (STRATEGIES, check_coseparable,
+                           check_strongly_separable)
 from .witness import (WitnessKind, witness_system, integrability_system,
                       cointegrability_system)
 from . import schema
@@ -401,8 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     esubs = p.add_subparsers(dest="subcommand", required=True)
     pr = esubs.add_parser("report")
     pr.add_argument("file")
-    pr.add_argument("--strategy", default="fixed_integral",
-                    choices=["fixed_integral", "search"])
+    pr.add_argument("--strategy", default="fixed_integral", choices=STRATEGIES)
     pr.add_argument("--json", action="store_true")
     pr.add_argument("-o", "--output")
     pr.set_defaults(func=cmd_extension)

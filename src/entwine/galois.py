@@ -25,8 +25,8 @@ from .entwining import Entwining, dual_entwining, entwine_verified
 from .entmod import (EntwinedModule, balanced_power,
                      check_entwined_compatibility, fixed_part, verify_action,
                      verify_coaction)
-from .linalg import (LinMap, QuotientModule, Subspace, compose_all, descend,
-                     image, invert, kernel, kron, kron_all)
+from .linalg import (LinMap, QuotientModule, SCALAR, Subspace, compose_all,
+                     descend, image, invert, kernel, kron, kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
                          verify_algebra, verify_coalgebra)
 
@@ -170,30 +170,20 @@ def _assemble_galois(alg: Algebra, coalg: Coalgebra,
 def copointed_grouplike(g: GaloisExtension):
     """The group-like element e with coaction(1) = 1 (x) e, if one exists."""
     f = g.field
-    da, dc = g.alg.dim, g.coalg.dim
-    rho_one = g.rho_a.apply(g.alg.unit)
-    # pick a coordinate functional with xi(1) = 1
-    pivot = None
-    for i, x in enumerate(g.alg.unit):
-        if x != 0:
-            pivot = i
-            break
-    scale = f.inv(g.alg.unit[pivot])
-    e = tuple(f.mul(scale, rho_one[pivot * dc + j]) for j in range(dc))
-    # check rho(1) = 1 (x) e exactly
-    expect = []
-    for i in range(da):
-        for j in range(dc):
-            expect.append(f.mul(g.alg.unit[i], e[j]))
-    if tuple(expect) != tuple(rho_one):
+    a, c = g.alg, g.coalg
+    # the coordinate functional xi at the first nonzero entry of 1, with
+    # xi(1) = 1, reads e off rho(1) = 1 (x) e
+    pivot, x = next((i, x) for i, x in enumerate(a.unit) if x != 0)
+    xi = LinMap.functional(f, (a.dim,), tuple(f.inv(x) if i == pivot else f.zero
+                                              for i in range(a.dim)))
+    rho_one = g.rho_a.compose(a.unit_map())
+    e = kron(xi, c.identity()).compose(rho_one)     # k -> C
+    # rho(1) = 1 (x) e, and e group-like: Delta e = e (x) e, eps(e) = 1
+    if not (rho_one.equals(kron(a.unit_map(), e))
+            and c.comult.compose(e).equals(kron(e, e))
+            and c.counit_map().compose(e).equals(LinMap.identity(f, SCALAR))):
         return None
-    # group-like: comult e = e (x) e and counit e = 1
-    ee = tuple(f.mul(a, b) for a in e for b in e)
-    if g.coalg.comult.apply(e) != ee:
-        return None
-    if g.coalg.counit_map().apply(e)[0] != f.one:
-        return None
-    return e
+    return e.flat()
 
 
 # ---------------------------------------------------------------------------

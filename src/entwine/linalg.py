@@ -966,19 +966,12 @@ class LinearConstraints:
     def require(self, label, lhs, rhs=None, target: LinMap | None = None):
         """Add the condition lhs(X) = rhs(X) + target.  lhs and rhs are
         terms (see `term`) and rhs is optional; lhs - rhs is assembled in
-        one pass by op_in_unknown.  Without rhs, lhs may instead be a
-        ready operator on vec(X), a LinMap.  target is a fixed map
-        vectorized as the affine right-hand side (zero when omitted)."""
-        if isinstance(lhs, LinMap):
-            if rhs is not None:
-                raise InputError("a ready operator takes no right-hand term")
-            op = lhs
-        else:
-            pre, left, right, post = lhs
-            op = op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post,
-                               () if rhs is None else (rhs,))
-        if op.cols != prod(self.x_cod) * prod(self.x_dom):
-            raise InputError("constraint operator does not act on the unknown")
+        one pass by op_in_unknown, which checks every term against the
+        unknown.  target is a fixed map vectorized as the affine right-hand
+        side (zero when omitted)."""
+        pre, left, right, post = lhs
+        op = op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post,
+                           () if rhs is None else (rhs,))
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:

@@ -5,9 +5,11 @@ the canonical entwining and pulling it back through the inverse canonical
 map to a separability idempotent.  Splitness is a linear system on a map
 phi: C -> A from which the conditional expectation a -> a0 phi(a1) is
 rebuilt and re-verified.  Strong separability couples the two certificates
-through a scalar tau; since the coupling is bilinear in the pair, three
-bounded strategies are offered instead of a general bilinear solver, and a
-failed search is reported as inconclusive rather than as absence.
+through a scalar tau; since the coupling is bilinear in the pair, two
+bounded strategies (`STRATEGIES`) are offered instead of a general bilinear
+solver.  A "no" is exact only when it does not depend on a choice the
+strategy made: "fixed_integral" answers no only when the normalised
+integral is unique, and an exhausted "search" is inconclusive, not absence.
 
 Each certificate is solved once and re-verified once: the particular
 integral on the system that was solved, then u against `verify_idempotent`;
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, InconsistencyError, InputError
+from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, compose_all, kron, kron_all,
@@ -51,7 +53,7 @@ class StrongCertificate:
 @dataclass(frozen=True)
 class StrongOutcome:
     certificate: StrongCertificate | None
-    inconclusive: bool          # search exhausted without deciding
+    inconclusive: bool          # nothing found, but absence is not proved
     free_basis_found: bool      # heuristic check that A is free over B
     note: str = ""              # diagnostic for a negative or open outcome
     separability: SeparabilityCertificate | None = None   # check_separable
@@ -263,45 +265,52 @@ def _extract_tau(g: GaloisExtension, u, expectation: LinMap):
 def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
     """Conditions on the vector (phi entries, then tau) for a fixed integral
     z = sum a_i (x) c_i: sum a_i phi(c_i) = tau 1, and the equations of the
-    solved split family (same solutions as the split system) on phi."""
+    solved split family (same solutions as the split system) on phi.  Both
+    are terms on the unknown X: k -> k^(dim A dim C + 1) whose post is the
+    condition's matrix with a tau column appended."""
     f = g.field
     a = g.alg
     da, dc = a.dim, g.coalg.dim
     n = da * dc + 1
+    sys = LinearConstraints(f, SCALAR, (n,))
+    one = LinMap.identity(f, SCALAR)
 
     def with_tau(m, tau_column):
         rows = [row + ((n - 1, t),) if t else row
                 for row, t in zip(m.nonzeros, tau_column)]
-        return LinMap(f, (n,), (m.rows, 1), tuple(rows))
-    sys = LinearConstraints(f, SCALAR, (n,))
+        return sys.term(one, SCALAR, SCALAR,
+                        LinMap(f, (n,), (m.rows,), tuple(rows)))
     m, rhs = phi_family.equations()
     sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),
-                target=LinMap.element(f, (m.rows, 1), rhs))
+                target=LinMap.element(f, (m.rows,), rhs))
     contract = op_in_unknown(LinMap.element(f, (da, dc), zvec), (da,), (dc,),
                              (da,), SCALAR, a.mult)
     sys.require("coupling", with_tau(contract, tuple(f.neg(x) for x in a.unit)))
     return sys
 
 
-def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral",
-                             witnesses=None) -> StrongOutcome:
-    """Decide strong separability by one of three bounded strategies.
+STRATEGIES = ("fixed_integral", "search")
 
-    "given": verify a supplied (u, E, tau) triple (witnesses = (u, E, tau)
-    with tau None to extract it).  "search": iterate the integral and phi
-    solution families over the coefficient grid (0, 1, -1) in each
-    coordinate and test every pair; exhaustion is inconclusive, not absence.
+
+def check_strongly_separable(g: GaloisExtension,
+                             strategy: str = "fixed_integral") -> StrongOutcome:
+    """Decide strong separability by one of the two bounded `STRATEGIES`.
+
     "fixed_integral": fix the particular normalised integral, then solve for
     phi with the extra affine rows forcing sum a_i phi(c_i) into the span of
-    the unit, reading tau off the solution.
+    the unit, reading tau off the solution.  Its "no" is exact only when
+    the normalised integral is unique; otherwise the outcome is
+    inconclusive, since another integral of the family may couple.
+    "search": iterate the integral and phi solution families over the
+    coefficient grid (0, 1, -1) in each coordinate and test every pair;
+    exhaustion is inconclusive, not absence.  "not separable" and "not
+    split" are exact under either strategy.
 
     Whatever the strategy, check_separable(g) and check_split(g) run once
     and the outcome carries both (.separability, .split).
     """
-    if strategy not in ("given", "search", "fixed_integral"):
+    if strategy not in STRATEGIES:
         raise InputError(f"unknown strategy {strategy!r}")
-    if strategy == "given" and not witnesses:
-        raise InputError("strategy 'given' needs (u, expectation, tau)")
     f = g.field
     sep = check_separable(g)
     split = check_split(g)
@@ -313,27 +322,6 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
     def found(sep_cert, phi, expectation, tau):
         split_cert = SplitCertificate(phi, expectation)
         return outcome("", StrongCertificate(sep_cert, split_cert, tau))
-
-    if strategy == "given":
-        u, expectation, tau = witnesses
-        if verify_idempotent(g, u) or expectation_violations(g, expectation):
-            return outcome("supplied witnesses fail their conditions")
-        if tau is None:
-            tau = _extract_tau(g, u, expectation)
-        if tau is None or tau == 0:
-            return outcome("coupling scalar is not invertible")
-        if verify_strong(g, u, expectation, tau):
-            return outcome("compatibility identities fail")
-        # re-check the pair on the families check_separable/check_split solved
-        zvec = g.can.apply(u)
-        if sep is None or not sep.family.contains(zvec):
-            raise DomainError("candidate fails witness identities: can(u) is "
-                              "not a normalised integral")
-        phi = phi_from_expectation(g, expectation)
-        if split is None or not split[1].contains(phi.flat()):
-            raise InconsistencyError("reconstructed phi fails the split conditions")
-        z = Witness(WitnessKind.INTEGRAL, g.ent, tuple(zvec), True)
-        return found(SeparabilityCertificate(tuple(u), z), phi, expectation, tau)
 
     if sep is None:
         return outcome("not separable")
@@ -361,17 +349,26 @@ def check_strongly_separable(g: GaloisExtension, strategy: str = "fixed_integral
                              expectation, tau)
         return outcome("search grid exhausted", inconclusive=True)
 
-    # fixed_integral
+    # fixed_integral: a "no" for the particular integral decides only when
+    # it is the one normalised integral
+    nullity = sep.family.homogeneous.dim
+
+    def refuted(note):
+        if not nullity:
+            return outcome(note)
+        return outcome(f"{note} for the particular integral; only it was "
+                       f"tried, and the normalised integrals form a family "
+                       f"of dimension {nullity}", inconclusive=True)
     sol = coupled_system(g, sep.source_integral.value, phi_family).solve()
     if not sol.feasible:
-        return outcome("coupled linear system is infeasible")
+        return refuted("coupled linear system is infeasible")
     pick = sol.particular
     shift = next((h for h in sol.homogeneous.basis if h[-1] != 0), None)
     if pick[-1] == 0 and shift is not None:
         pick = tuple(f.add(x, y) for x, y in zip(pick, shift))
     tau = pick[-1]
     if tau == 0:
-        return outcome("coupling scalar is forced to zero")
+        return refuted("coupling scalar is forced to zero")
     phi = _phi_as_map(g, pick[:-1])
     expectation = expectation_from_phi(g, phi)
     if verify_strong(g, sep.u, expectation, tau):

@@ -494,21 +494,20 @@ def integral_from_invariant(ent: Entwining, action_c: LinMap, eps_a,
     eps_a(a) L, with eps(L) = 1) gives the normalised integral 1 (x) L."""
     f = ent.field
     da = ent.alg.dim
-    lam = tuple(invariant)
     eps_a = tuple(eps_a)
     if len(eps_a) != da:
         raise InputError("character length does not match the algebra")
-    for j in range(da):
-        a = tuple(f.one if t == j else f.zero for t in range(da))
-        acted = action_c.apply(tuple(f.mul(x, y) for x in lam for y in a))
-        scaled = tuple(f.mul(eps_a[j], x) for x in lam)
-        if acted != scaled:
-            raise DomainError("element is not invariant under the action",
-                              witness=("invariance", j))
-    if ent.coalg.counit_map().apply(lam)[0] != f.one:
+    lam = LinMap.element(f, (ent.coalg.dim,), tuple(invariant))   # k -> C
+    # L . a = eps_a(a) L, as maps A -> C
+    acted = action_c.compose(kron(lam, ent.alg.identity()))
+    diff = acted.first_difference(lam.compose(LinMap.functional(f, (da,), eps_a)))
+    if diff is not None:
+        raise DomainError("element is not invariant under the action",
+                          witness=("invariance", diff[0]))
+    if ent.coalg.counit_map().apply(lam.flat())[0] != f.one:
         raise DomainError("invariant element is not counit-normalised",
                           witness=("normalisation",))
-    value = tuple(f.mul(u, x) for u in ent.alg.unit for x in lam)
+    value = kron(ent.alg.unit_map(), lam).flat()
     return as_witness(WitnessKind.INTEGRAL, ent, value, normalized=True)
 
 

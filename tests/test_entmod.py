@@ -203,7 +203,7 @@ def test_fixed_part_closed_under_product(c2_q):
     assert fp.contains(a.unit)
     for u in fp.basis:
         for v in fp.basis:
-            assert fp.contains(a.multiply(u, v))
+            assert fp.contains(a.mult.apply(tuple(x * y for x in u for y in v)))
 
 
 def test_fixed_part_trivial_entwining():

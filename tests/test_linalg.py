@@ -564,15 +564,6 @@ def test_equations_have_the_same_solution_set(system):
     assert again.homogeneous == sol.homogeneous
 
 
-def test_constraint_on_a_different_unknown_is_rejected():
-    # an operator built for a 3x3 unknown, offered to a 2x2 one
-    op = op_in_unknown(LinMap.identity(QQ, (3,)), SCALAR, (3,), (3,), SCALAR,
-                       LinMap.identity(QQ, (3,)))
-    sys_ = LinearConstraints(QQ, (2,), (2,))
-    with pytest.raises(InputError):
-        sys_.require("wrong unknown", op)
-
-
 # -- one-pass assembly of a linear condition ----------------------------------
 
 def _one_term(term, x_dom, x_cod):
@@ -667,12 +658,9 @@ def test_terms_of_different_shapes_are_rejected():
     with pytest.raises(InputError):
         sys_.require("E", sys_.term(ident, SCALAR, SCALAR, ident),
                      sys_.term(ident, SCALAR, SCALAR, tall))
-    # a term on the wrong unknown, and a ready operator with a second side
+    # a term on the wrong unknown
     with pytest.raises(InputError):
         sys_.require("X", sys_.term(tall, SCALAR, SCALAR, ident))
-    op = op_in_unknown(ident, SCALAR, x, x, SCALAR, ident)
-    with pytest.raises(InputError):
-        sys_.require("ready", op, sys_.term(ident, SCALAR, SCALAR, ident))
     assert sys_.blocks == []
 
 

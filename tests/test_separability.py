@@ -1,15 +1,19 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entwine import (GF, LinMap, QQ, WitnessKind, check_coseparable,
+from entwine import (Algebra, Coalgebra, GF, LinMap, QQ, Subspace, WitnessKind,
+                     build_galois, check_coseparable,
                      check_separable, check_split, check_strongly_separable,
-                     make_example, separability_from_integral,
+                     kron, make_example, quotient_coalgebra,
+                     separability_from_integral,
                      split_from_integral_map, solve_witness)
-from entwine.separability import (phi_from_expectation, verify_strong,
-                                  verify_idempotent)
-from entwine.errors import DomainError
+from entwine.separability import (STRATEGIES, phi_from_expectation,
+                                  verify_strong, verify_idempotent)
+from entwine.errors import DomainError, InputError
+from entwine.linalg import compose_all, invert
 from entwine.witness import Witness, as_witness
 
 import oracle
@@ -127,17 +131,96 @@ def test_strong_trivial_extension():
     assert out.found and out.certificate.tau == q(1)
 
 
-def test_strong_given_strategy(c2_q):
+def test_strong_identities_reject_a_wrong_tau(c2_q):
     base = check_strongly_separable(c2_q, "fixed_integral").certificate
-    out = check_strongly_separable(
-        c2_q, "given",
-        witnesses=(base.separability.u, base.split.expectation, None))
-    assert out.found and out.certificate.tau == Fraction(1, 2)
-    # a wrong tau is rejected
-    out2 = check_strongly_separable(
-        c2_q, "given",
-        witnesses=(base.separability.u, base.split.expectation, q(3)))
-    assert not out2.found
+    assert base.tau == Fraction(1, 2)
+    assert verify_strong(c2_q, base.separability.u, base.split.expectation,
+                         q(3))
+
+
+def test_only_the_listed_strategies_are_accepted(c2_q):
+    assert STRATEGIES == ("fixed_integral", "search")
+    for strategy in STRATEGIES:
+        assert check_strongly_separable(c2_q, strategy).found
+    for strategy in ("given", "Search", ""):
+        with pytest.raises(InputError, match="unknown strategy"):
+            check_strongly_separable(c2_q, strategy)
+
+
+def dihedral_homogeneous_space(field, m=3):
+    """k[D_m] -> k[D_m]/K+k[D_m] for K = {1, s}: the group algebra, the
+    quotient of the group coalgebra by span{(s - 1) h}, and the coaction
+    (1 (x) pi) Delta.  Basis element r^i s^a sits at index i + m a."""
+    n = 2 * m
+    one, zero = field.one, field.zero
+
+    def index(i, a):
+        return i % m + m * (a % 2)
+    product = {(index(i, a), index(k, b)): index(i + (-1) ** a * k, a + b)
+               for i in range(m) for a in range(2)
+               for k in range(m) for b in range(2)}
+    rows = [[one if product[x, y] == out else zero
+             for x in range(n) for y in range(n)] for out in range(n)]
+    alg = Algebra(n, LinMap.from_rows(field, (n, n), (n,), rows),
+                  tuple(one if t == 0 else zero for t in range(n)))
+    comult = LinMap.from_rows(field, (n,), (n, n),
+                              [[one if t == x * n + x else zero
+                                for x in range(n)] for t in range(n * n)])
+    coalg = Coalgebra(n, comult, (one,) * n)
+    s = index(0, 1)
+    spanners = []
+    for h in range(n):
+        v = [zero] * n
+        v[product[s, h]] = field.add(v[product[s, h]], one)
+        v[h] = field.sub(v[h], one)
+        spanners.append(tuple(v))
+    quot, pi = quotient_coalgebra(coalg, Subspace.from_vectors(field, (n,),
+                                                               spanners))
+    return alg, quot, kron(alg.identity(), pi).compose(comult)
+
+
+def in_random_bases(field, alg, coalg, rho, rng):
+    """(alg, coalg, rho) transported along seeded random changes of basis
+    P of A and Q of C."""
+    def random_invertible(n):
+        while True:
+            m = LinMap.from_rows(field, (n,), (n,),
+                                 [[field.of_int(rng.randint(-2, 2))
+                                   for _ in range(n)] for _ in range(n)])
+            try:
+                return m, invert(m)
+            except InputError:
+                continue
+    p, p_inv = random_invertible(alg.dim)
+    c, c_inv = random_invertible(coalg.dim)
+    return (Algebra(alg.dim, compose_all(p_inv, alg.mult, kron(p, p)),
+                    p_inv.apply(alg.unit)),
+            Coalgebra(coalg.dim, compose_all(kron(c_inv, c_inv), coalg.comult, c),
+                      coalg.counit_map().compose(c).flat()),
+            compose_all(kron(p_inv, c_inv), rho, p))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_fixed_integral_says_no_only_for_a_unique_integral(field):
+    # the homogeneous space has a one-dimensional family of normalised
+    # integrals, and whether the particular one couples to some phi depends
+    # on the basis; a basis where it does not must not answer "no"
+    outcomes = []
+    for seed in range(8):
+        data = in_random_bases(field, *dihedral_homogeneous_space(field),
+                               random.Random(seed))
+        ext = build_galois(*data)
+        out = check_strongly_separable(ext, "fixed_integral")
+        assert out.separability.family.homogeneous.dim == 1
+        assert out.found or out.inconclusive, (seed, out.note)
+        if out.found:
+            cert = out.certificate
+            assert verify_strong(ext, cert.separability.u,
+                                 cert.split.expectation, cert.tau) == []
+        else:
+            assert "dimension 1" in out.note
+        outcomes.append(out.found)
+    assert not all(outcomes)
 
 
 def test_strong_search_strategy(c2_q):
@@ -340,32 +423,3 @@ def test_strong_outcome_carries_separability_and_split(c2_q, c2_f2):
         out = check_strongly_separable(c2_f2, strategy)
         assert out.separability is None and out.note == "not separable"
         assert out.split == check_split(c2_f2)
-
-
-def test_given_strategy_builds_each_system_once(monkeypatch):
-    # the supplied pair is re-checked on the integral and phi families that
-    # check_separable and check_split solved, not on rebuilt systems
-    from entwine import separability, witness
-    ext = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload
-    base = check_strongly_separable(ext, "fixed_integral").certificate
-    builds = {"integral": 0, "split": 0}
-    build_witness_system = witness.witness_system
-    build_split_system = separability.split_system
-
-    def counted_witness_system(kind, e, normalized):
-        if kind == WitnessKind.INTEGRAL:
-            builds["integral"] += 1
-        return build_witness_system(kind, e, normalized)
-
-    def counted_split_system(g):
-        builds["split"] += 1
-        return build_split_system(g)
-    monkeypatch.setattr(witness, "witness_system", counted_witness_system)
-    monkeypatch.setattr(separability, "split_system", counted_split_system)
-    out = check_strongly_separable(
-        ext, "given", witnesses=(base.separability.u, base.split.expectation,
-                                 None))
-    assert out.found and out.certificate.tau == Fraction(1, 3)
-    assert out.certificate.separability.source_integral.value == \
-        ext.can.apply(base.separability.u)
-    assert builds == {"integral": 1, "split": 1}
