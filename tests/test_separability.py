@@ -147,11 +147,11 @@ def test_only_the_listed_strategies_are_accepted(c2_q):
             check_strongly_separable(c2_q, strategy)
 
 
-def dihedral_homogeneous_space(field, m=3):
-    """k[D_m] -> k[D_m]/K+k[D_m] for K = {1, s}: the group algebra, the
+def dihedral_homogeneous_space(field):
+    """k[D_3] -> k[D_3]/K+k[D_3] for K = {1, s}: the group algebra, the
     quotient of the group coalgebra by span{(s - 1) h}, and the coaction
-    (1 (x) pi) Delta.  Basis element r^i s^a sits at index i + m a."""
-    n = 2 * m
+    (1 (x) pi) Delta.  Basis element r^i s^a sits at index i + 3 a."""
+    m, n = 3, 6
     one, zero = field.one, field.zero
 
     def index(i, a):
