@@ -28,8 +28,8 @@ from .hochschild import (_assemble_complex, cohomology_dim, regular_bimodule,
                          verify_bimodule)
 from .separability import (STRATEGIES, check_coseparable,
                            check_strongly_separable)
-from .witness import (WitnessKind, witness_system, integrability_system,
-                      cointegrability_system)
+from .witness import (WitnessKind, checked_solve, witness_system,
+                      integrability_system, cointegrability_system)
 from . import schema
 from .catalog import make_example
 
@@ -153,7 +153,7 @@ def cmd_solve(args) -> int:
         sys_, _ = build(mor, total=True)
         label = args.kind
         normalized = True  # the functor-level systems are always total
-    sol = sys_.solve()
+    sol = checked_solve(sys_)
     if not sol.feasible:
         print(f"{label}: infeasible")
         return FAIL
@@ -237,7 +237,9 @@ def cmd_extension(args) -> int:
         print(f"split: {str(report['split']).lower()}")
         strong = report["strong"]
         tau = f'"{strong["tau"]}"' if strong["tau"] is not None else "null"
-        print(f"strong: {{found: {str(strong['found']).lower()}, tau: {tau}}}")
+        undecided = ", inconclusive: true" if strong["inconclusive"] else ""
+        print(f"strong: {{found: {str(strong['found']).lower()}, tau: {tau}"
+              f"{undecided}}}")
         print(f"hochschild H1: {report['hochschild']['h1_dim']}")
     _emit(report, args.output, args.json)
     return OK

@@ -5,15 +5,15 @@ the canonical entwining and pulling it back through the inverse canonical
 map to a separability idempotent.  Splitness is a linear system on a map
 phi: C -> A from which the conditional expectation a -> a0 phi(a1) is
 rebuilt and re-verified.  Strong separability couples the two certificates
-through a scalar tau; since the coupling is bilinear in the pair, two
-bounded strategies (`STRATEGIES`) are offered instead of a general bilinear
-solver.  A "no" is exact only when it does not depend on a choice the
-strategy made: "fixed_integral" answers no only when the normalised
-integral is unique, and an exhausted "search" is inconclusive, not absence.
+through a scalar tau.  The coupling is bilinear in the pair but linear in
+(phi, tau) for a fixed integral, so each tried normalised integral gets one
+exact solve; a strategy (`STRATEGIES`) only names the integrals tried.  A
+"no" is exact only when they are the whole family, else inconclusive.
 
 Each certificate is solved once and re-verified once: the particular
-integral on the system that was solved, then u against `verify_idempotent`;
-phi through `expectation_violations`; a strong pair through `verify_strong`.
+integral on the system that was solved (another one through
+`separability_from_integral`), then u against `verify_idempotent`; phi
+through `expectation_violations`; a strong pair through `verify_strong`.
 A strong outcome carries the separability and split results it used.
 """
 
@@ -24,10 +24,8 @@ from dataclasses import dataclass
 from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, compose_all, kron, kron_all,
-                     op_in_unknown, solve_affine)
-from .witness import Witness, WitnessKind, as_witness, particular_witness, \
-    witness_system
+                     SCALAR, compose_all, kron, kron_all, op_in_unknown)
+from .witness import Witness, WitnessKind, as_witness, particular_witness
 
 
 @dataclass(frozen=True)
@@ -250,24 +248,12 @@ def verify_strong(g: GaloisExtension, u, expectation: LinMap, tau) -> list:
     return bad
 
 
-def _extract_tau(g: GaloisExtension, u, expectation: LinMap):
-    """tau from a = 1: u_i E(u^i) must be a multiple of the unit."""
-    f = g.field
-    a = g.alg
-    reps = g.square.section.apply(u)
-    acc = a.mult.apply(kron(a.identity(), expectation).apply(reps))
-    sol = solve_affine(LinMap.element(f, (a.dim,), a.unit), tuple(acc))
-    if not sol.feasible:
-        return None
-    return sol.particular[0]
-
-
-def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
+def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstraints:
     """Conditions on the vector (phi entries, then tau) for a fixed integral
-    z = sum a_i (x) c_i: sum a_i phi(c_i) = tau 1, and the equations of the
-    solved split family (same solutions as the split system) on phi.  Both
-    are terms on the unknown X: k -> k^(dim A dim C + 1) whose post is the
-    condition's matrix with a tau column appended."""
+    z = sum a_i (x) c_i: sum a_i phi(c_i) = tau 1, and split_equations, the
+    solved split family's `equations()` (same solutions as the split
+    system), on phi.  Both are terms on the unknown X: k -> k^(dim A dim C
+    + 1) whose post is the condition's matrix with a tau column appended."""
     f = g.field
     a = g.alg
     da, dc = a.dim, g.coalg.dim
@@ -280,7 +266,7 @@ def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
                 for row, t in zip(m.nonzeros, tau_column)]
         return sys.term(one, SCALAR, SCALAR,
                         LinMap(f, (n,), (m.rows,), tuple(rows)))
-    m, rhs = phi_family.equations()
+    m, rhs = split_equations
     sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),
                 target=LinMap.element(f, (m.rows,), rhs))
     contract = op_in_unknown(LinMap.element(f, (da, dc), zvec), (da,), (dc,),
@@ -291,20 +277,23 @@ def coupled_system(g: GaloisExtension, zvec, phi_family) -> LinearConstraints:
 
 STRATEGIES = ("fixed_integral", "search")
 
+# Over GF(p), "search" tries all p^k normalised integrals (k the family's
+# nullity) when p^k is at most this; the homogeneous spaces of D_3, D_4 and
+# D_5 by K = {1, s} need 5, 7 and 49 over GF(5) and GF(7).
+SEARCH_ENUMERATION_CAP = 343
+
 
 def check_strongly_separable(g: GaloisExtension,
                              strategy: str = "fixed_integral") -> StrongOutcome:
-    """Decide strong separability by one of the two bounded `STRATEGIES`.
-
-    "fixed_integral": fix the particular normalised integral, then solve for
-    phi with the extra affine rows forcing sum a_i phi(c_i) into the span of
-    the unit, reading tau off the solution.  Its "no" is exact only when
-    the normalised integral is unique; otherwise the outcome is
-    inconclusive, since another integral of the family may couple.
-    "search": iterate the integral and phi solution families over the
-    coefficient grid (0, 1, -1) in each coordinate and test every pair;
-    exhaustion is inconclusive, not absence.  "not separable" and "not
-    split" are exact under either strategy.
+    """Decide strong separability by one `coupled_system` solve for
+    (phi, tau) per tried normalised integral; the first with tau != 0 gives
+    the certificate.  "fixed_integral" tries the particular integral;
+    "search" tries family members in `AffineSolutionSet.members` order,
+    particular first, with every coefficient of GF(p) up to
+    `SEARCH_ENUMERATION_CAP` members, else the grid (0, 1, -1).  A "no" is
+    exact only when the tried integrals are the whole family (nullity 0, or
+    the grid is all of GF(p)), otherwise inconclusive.  "not separable" and
+    "not split" are exact.
 
     Whatever the strategy, check_separable(g) and check_split(g) run once
     and the outcome carries both (.separability, .split).
@@ -319,61 +308,54 @@ def check_strongly_separable(g: GaloisExtension,
     def outcome(note, certificate=None, inconclusive=False):
         return StrongOutcome(certificate, inconclusive, free_basis, note, sep, split)
 
-    def found(sep_cert, phi, expectation, tau):
-        split_cert = SplitCertificate(phi, expectation)
-        return outcome("", StrongCertificate(sep_cert, split_cert, tau))
-
     if sep is None:
         return outcome("not separable")
     if split is None:
         return outcome("not split")
     _, phi_family = split
-
-    if strategy == "search":
-        coeffs = (f.zero, f.one, f.neg(f.one))
-        integrals = witness_system(WitnessKind.INTEGRAL, g.ent, normalized=True)
-        z_grid = [coeffs] * sep.family.homogeneous.dim
-        phi_grid = [coeffs] * phi_family.homogeneous.dim
-        for zvec in sep.family.members(z_grid):
-            if integrals.violations(zvec):
-                continue
-            u = g.can_inv.apply(zvec)
-            for pvec in phi_family.members(phi_grid):
-                phi = _phi_as_map(g, pvec)
-                expectation = expectation_from_phi(g, phi)
-                tau = _extract_tau(g, u, expectation)
-                if tau is None or tau == 0 or verify_strong(g, u, expectation, tau):
-                    continue
-                z = Witness(WitnessKind.INTEGRAL, g.ent, zvec, True)
-                return found(SeparabilityCertificate(tuple(u), z), phi,
-                             expectation, tau)
-        return outcome("search grid exhausted", inconclusive=True)
-
-    # fixed_integral: a "no" for the particular integral decides only when
-    # it is the one normalised integral
     nullity = sep.family.homogeneous.dim
-
-    def refuted(note):
-        if not nullity:
-            return outcome(note)
-        return outcome(f"{note} for the particular integral; only it was "
-                       f"tried, and the normalised integrals form a family "
-                       f"of dimension {nullity}", inconclusive=True)
-    sol = coupled_system(g, sep.source_integral.value, phi_family).solve()
-    if not sol.feasible:
-        return refuted("coupled linear system is infeasible")
-    pick = sol.particular
-    shift = next((h for h in sol.homogeneous.basis if h[-1] != 0), None)
-    if pick[-1] == 0 and shift is not None:
-        pick = tuple(f.add(x, y) for x, y in zip(pick, shift))
-    tau = pick[-1]
-    if tau == 0:
-        return refuted("coupling scalar is forced to zero")
-    phi = _phi_as_map(g, pick[:-1])
-    expectation = expectation_from_phi(g, phi)
-    if verify_strong(g, sep.u, expectation, tau):
-        raise InconsistencyError("coupled solution failed the strong identities")
-    return found(sep, phi, expectation, tau)
+    particular = sep.source_integral.value
+    if strategy == "fixed_integral":
+        tried, whole = (particular,), nullity == 0
+    else:
+        if f.kind == "Fp" and f.p ** nullity <= SEARCH_ENUMERATION_CAP:
+            grid = tuple(f.of_int(i) for i in range(f.p))
+        else:
+            grid = tuple(dict.fromkeys((f.zero, f.one, f.neg(f.one))))
+        tried = sep.family.members([grid] * nullity)
+        whole = nullity == 0 or len(grid) == f.p
+    equations = phi_family.equations()
+    count = 0
+    for zvec in tried:
+        count += 1
+        sol = coupled_system(g, zvec, equations).solve()
+        if not sol.feasible:
+            reason = "coupled linear system is infeasible"
+            continue
+        pick = sol.particular
+        shift = next((h for h in sol.homogeneous.basis if h[-1] != 0), None)
+        if pick[-1] == 0 and shift is not None:
+            pick = tuple(f.add(x, y) for x, y in zip(pick, shift))
+        tau = pick[-1]
+        if tau == 0:
+            reason = "coupling scalar is forced to zero"
+            continue
+        sep_cert = sep if zvec == particular else separability_from_integral(
+            g, Witness(WitnessKind.INTEGRAL, g.ent, zvec, True))
+        phi = _phi_as_map(g, pick[:-1])
+        expectation = expectation_from_phi(g, phi)
+        if verify_strong(g, sep_cert.u, expectation, tau):
+            raise InconsistencyError("coupled solution failed the strong identities")
+        split_cert = SplitCertificate(phi, expectation)
+        return outcome("", StrongCertificate(sep_cert, split_cert, tau))
+    if count > 1:
+        reason = (f"no coupling for any of the {count} normalised integrals "
+                  f"tried, in a family of dimension {nullity}")
+    elif nullity:
+        reason = (f"{reason} for the particular integral; only it was tried, "
+                  f"and the normalised integrals form a family of dimension "
+                  f"{nullity}")
+    return outcome(reason, inconclusive=not whole)
 
 
 def _right_free_basis(g: GaloisExtension):

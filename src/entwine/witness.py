@@ -123,17 +123,24 @@ def solve_witness(kind: WitnessKind, e: Entwining,
     return witness_system(kind, e, normalized).solve()
 
 
+def checked_solve(sys: LinearConstraints) -> AffineSolutionSet:
+    """sys.solve(), with its particular solution, if any, re-checked
+    exactly on the system that was solved."""
+    sol = sys.solve()
+    if sol.feasible:
+        bad = sys.violations(sol.particular)
+        if bad:
+            raise InconsistencyError(f"particular solution fails its own system: {bad}")
+    return sol
+
+
 def particular_witness(kind: WitnessKind, e: Entwining, normalized: bool = True):
     """(solution set, its particular solution as a Witness), or None when
     the system is infeasible: one build, one solve, and one exact re-check
     of the particular solution on the system that was solved."""
-    sys = witness_system(kind, e, normalized)
-    sol = sys.solve()
+    sol = checked_solve(witness_system(kind, e, normalized))
     if not sol.feasible:
         return None
-    bad = sys.violations(sol.particular)
-    if bad:
-        raise InconsistencyError(f"particular solution fails its own system: {bad}")
     return sol, Witness(kind, e, sol.particular, normalized)
 
 

@@ -260,6 +260,28 @@ def test_morphism_section_checked(tmp_path, c2_q_file, capsys):
                  str(path)]) == 0
 
 
+@pytest.mark.parametrize("kind", ["integral", "cointegral", "integral-map",
+                                  "cointegral-map", "lambda", "frakz"])
+def test_solve_rechecks_the_solution_it_prints(c2_q_file, capsys, monkeypatch,
+                                              kind):
+    # a solver that hands back a wrong particular solution is caught by the
+    # re-check on the system that was solved: one error line, exit 1
+    from dataclasses import replace
+    from entwine.linalg import LinearConstraints
+    solve = LinearConstraints.solve
+
+    def corrupted(self):
+        sol = solve(self)
+        wrong = (QQ.add(sol.particular[0], QQ.one),) + sol.particular[1:]
+        return replace(sol, particular=wrong)
+    monkeypatch.setattr(LinearConstraints, "solve", corrupted)
+    assert main(["solve", "--kind", kind, "--normalized", c2_q_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: particular solution")
+
+
 def test_solve_lambda_roundtrip(c2_q_file, tmp_path):
     out = tmp_path / "lambda.json"
     assert main(["solve", "--kind", "lambda", c2_q_file, "-o", str(out)]) == 0

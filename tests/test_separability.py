@@ -14,7 +14,7 @@ from entwine.separability import (STRATEGIES, phi_from_expectation,
                                   verify_strong, verify_idempotent)
 from entwine.errors import DomainError, InputError
 from entwine.linalg import compose_all, invert
-from entwine.witness import Witness, as_witness
+from entwine.witness import Witness, as_witness, check_witness
 
 import oracle
 
@@ -147,11 +147,11 @@ def test_only_the_listed_strategies_are_accepted(c2_q):
             check_strongly_separable(c2_q, strategy)
 
 
-def dihedral_homogeneous_space(field):
-    """k[D_3] -> k[D_3]/K+k[D_3] for K = {1, s}: the group algebra, the
+def dihedral_homogeneous_space(field, m=3):
+    """k[D_m] -> k[D_m]/K+k[D_m] for K = {1, s}: the group algebra, the
     quotient of the group coalgebra by span{(s - 1) h}, and the coaction
-    (1 (x) pi) Delta.  Basis element r^i s^a sits at index i + 3 a."""
-    m, n = 3, 6
+    (1 (x) pi) Delta.  Basis element r^i s^a sits at index i + m a."""
+    n = 2 * m
     one, zero = field.one, field.zero
 
     def index(i, a):
@@ -221,6 +221,76 @@ def test_fixed_integral_says_no_only_for_a_unique_integral(field):
             assert "dimension 1" in out.note
         outcomes.append(out.found)
     assert not all(outcomes)
+
+
+def search_agrees_with_fixed_integral(ext):
+    """The search outcome, after checking that wherever fixed_integral
+    couples, search (which tries the particular integral first) answers
+    with the very same certificate."""
+    fixed = check_strongly_separable(ext, "fixed_integral")
+    out = check_strongly_separable(ext, "search")
+    if fixed.found:
+        assert out.certificate == fixed.certificate
+    return out
+
+
+def test_search_returns_the_fixed_integral_certificate_over_q():
+    # seeds 0-5 hold the three bases (2, 4, 5) where fixed_integral couples
+    # in the D3 loop over Q
+    for seed in range(6):
+        data = in_random_bases(QQ, *dihedral_homogeneous_space(QQ),
+                               random.Random(seed))
+        out = search_agrees_with_fixed_integral(build_galois(*data))
+        assert out.found or out.inconclusive, seed
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), GF(7)], ids=str)
+@pytest.mark.parametrize("m, bases", [(3, 8), (4, 4)], ids=["D3", "D4"])
+def test_search_decides_small_prime_fields(field, m, bases):
+    # over GF(p) the normalised-integral family of these homogeneous spaces
+    # (nullity at most 1) is enumerated whole, so the answer is exact and
+    # cannot depend on the basis
+    found, other_integral = set(), []
+    for seed in range(bases):
+        data = in_random_bases(field, *dihedral_homogeneous_space(field, m),
+                               random.Random(seed))
+        ext = build_galois(*data)
+        out = (search_agrees_with_fixed_integral(ext) if m == 3
+               else check_strongly_separable(ext, "search"))
+        assert not out.inconclusive, (seed, out.note)
+        found.add(out.found)
+        if out.found:
+            cert = out.certificate
+            assert verify_strong(ext, cert.separability.u,
+                                 cert.split.expectation, cert.tau) == []
+            z = cert.separability.source_integral.value
+            if z != out.separability.source_integral.value:
+                assert check_witness(WitnessKind.INTEGRAL, ext.ent, z) == []
+                assert verify_idempotent(ext, cert.separability.u) == []
+                other_integral.append(seed)
+    assert len(found) == 1
+    if (m, field) == (3, GF(5)):
+        # a basis where only a member other than the particular one couples
+        assert 1 in other_integral
+
+
+def test_report_text_line_says_inconclusive(tmp_path, capsys):
+    # D3 over Q in basis seed 0: the particular integral does not couple,
+    # so the default strategy leaves strong separability undecided, and the
+    # text line must say so just as --json does
+    import json
+    from entwine import schema
+    from entwine.cli import main
+    ext = build_galois(*in_random_bases(QQ, *dihedral_homogeneous_space(QQ),
+                                        random.Random(0)))
+    path, out = tmp_path / "d3.json", tmp_path / "report.json"
+    path.write_text(schema.dumps(schema.entwining_document(ext.ent, ext.rho_a)))
+    # one run prints the text lines and writes the --json report to out
+    assert main(["extension", "report", str(path), "-o", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    strong = json.loads(out.read_text())["strong"]
+    assert (strong["found"], strong["inconclusive"]) == (False, True)
+    assert "strong: {found: false, tau: null, inconclusive: true}" in printed
 
 
 def test_strong_search_strategy(c2_q):
