@@ -217,7 +217,12 @@ def extension_report(ext: GaloisExtension, strategy: str) -> dict:
         certs["phi_family_dim"] = family.homogeneous.dim
         report["hypothesis_flags"]["faithfully_flat_left_module"] = True
     if strong.found:
-        certs["strong_phi"] = schema.matrix_to_json(strong.certificate.split.phi)
+        coupled = strong.certificate
+        certs["strong_phi"] = schema.matrix_to_json(coupled.split.phi)
+        if coupled.separability is not sep:
+            # search coupled on another integral: tau and strong_phi are its
+            certs["strong_integral"] = schema.vector_to_json(
+                f, coupled.separability.source_integral.value)
     return report
 
 

@@ -293,6 +293,60 @@ def test_report_text_line_says_inconclusive(tmp_path, capsys):
     assert "strong: {found: false, tau: null, inconclusive: true}" in printed
 
 
+def test_search_tries_a_unique_integral_alone(monkeypatch):
+    # a unique normalised integral (k = 0) is the whole family, so search
+    # makes the one coupled solve fixed_integral makes and builds no
+    # coefficient grid, however large the field
+    from entwine import separability
+    from entwine.fields import Field
+    field = GF(2 ** 61 - 1)
+    ext = make_example("hopf_self_galois", {"field": field, "n": 3}).payload
+    tried = []
+    coupled = separability.coupled_system
+    of_int = Field.of_int
+
+    def counted(g, zvec, equations):
+        tried.append(zvec)
+        return coupled(g, zvec, equations)
+
+    def bounded_of_int(self, n):
+        # a grid over all of GF(p) calls this p times: stop it early
+        assert n < 1000, "a coefficient grid over the field is being built"
+        return of_int(self, n)
+    monkeypatch.setattr(separability, "coupled_system", counted)
+    monkeypatch.setattr(Field, "of_int", bounded_of_int)
+    out = check_strongly_separable(ext, "search")
+    assert out.found and not out.inconclusive
+    assert field.mul(out.certificate.tau, 3) == field.one
+    assert tried == [out.separability.source_integral.value]
+
+
+def test_report_names_the_integral_search_coupled_on():
+    # D3 over GF(5), basis seed 1: search couples on an integral other than
+    # the particular one, and the report's (strong_integral, strong_phi, tau)
+    # re-verify from the JSON alone
+    import json
+    from entwine import schema
+    from entwine.cli import extension_report
+    from entwine.separability import expectation_from_phi
+    field = GF(5)
+    ext = build_galois(*in_random_bases(field, *dihedral_homogeneous_space(field),
+                                        random.Random(1)))
+    blob = json.loads(schema.dumps(extension_report(ext, "search")))
+    certs = blob["certificates"]
+    z = tuple(field.parse(x) for x in certs["strong_integral"])
+    assert z != tuple(field.parse(x) for x in certs["integral"])
+    assert check_witness(WitnessKind.INTEGRAL, ext.ent, z, True) == []
+    phi = schema.parse_matrix(field, certs["strong_phi"], (ext.coalg.dim,),
+                              (ext.alg.dim,), "strong phi")
+    tau = field.parse(blob["strong"]["tau"])
+    assert verify_strong(ext, ext.can_inv.apply(z),
+                         expectation_from_phi(ext, phi), tau) == []
+    # the default strategy couples on the reported integral or not at all
+    assert "strong_integral" not in extension_report(
+        ext, "fixed_integral")["certificates"]
+
+
 def test_strong_search_strategy(c2_q):
     out = check_strongly_separable(c2_q, "search")
     assert out.found
