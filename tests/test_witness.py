@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction
 from math import prod
 
@@ -524,3 +526,37 @@ def test_nu_reduces_its_cover_once(monkeypatch):
                 or [tuple((j, x) for j, x in r if j < cover.cols)
                     for r in m] == rows)
     assert sum(1 for m in reduced if of_the_cover(m)) == 1
+
+
+# -- the canonical lambda and frakz families, pinned ---------------------------
+
+def canonical_families():
+    """The lambda and frakz solution sets of hopf_self_galois on the counit
+    morphism, n = 1..5 over Q, GF(2), GF(3), GF(5) and GF(7), as plain
+    data: the particular solution and the reduced basis of the homogeneous
+    part with its pivots."""
+    out = []
+    for field in (QQ, GF(2), GF(3), GF(5), GF(7)):
+        for n in range(1, 6):
+            ext = make_example("hopf_self_galois",
+                               {"field": field, "n": n}).payload
+            mor = counit_morphism(ext.ent)
+            for kind, build in (("lambda", integrability_system),
+                                ("frakz", cointegrability_system)):
+                sol = build(mor)[0].solve()
+                h = sol.homogeneous
+                particular = None if sol.particular is None else \
+                    [str(x) for x in sol.particular]
+                out.append([str(field), n, kind, particular,
+                            [[[j, str(x)] for j, x in row]
+                             for row in h.reduced], list(h.pivots)])
+    return out
+
+
+def test_lambda_and_frakz_families_are_pinned():
+    """The solution sets are canonical (particular from the reduced row
+    echelon form, homogeneous part by its reduced basis), so any change to
+    elimination must leave this hash unchanged."""
+    digest = hashlib.sha256(json.dumps(canonical_families()).encode())
+    assert digest.hexdigest() == \
+        "21888d9cd7291023aaf75b0517dc1f593308c0c54304db7d1616ec8c3d9339b1"
