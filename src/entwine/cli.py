@@ -9,6 +9,7 @@ system is infeasible (including non-Galois data for the report commands),
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -446,7 +447,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _ReaderGone:
+    """Standard output for one command that outlives its reader: when a
+    write or flush finds the pipe closed, fd 1 is pointed at os.devnull and
+    the rest of the output is dropped, so the command runs to its end and
+    exits with its own code, without a traceback."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def write(self, text):
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._drop()
+            return len(text)
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._drop()
+
+    def _drop(self):
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv=None) -> int:
+    stdout = sys.stdout
+    sys.stdout = _ReaderGone(stdout)
+    try:
+        return _run(argv)
+    finally:
+        sys.stdout.flush()
+        sys.stdout = stdout
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

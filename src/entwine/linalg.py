@@ -24,7 +24,15 @@ the same canonical rows, so outputs are byte-identical.  `compose_all`
 multiplies the adjacent pair with the fewest multiply-adds first.  Every
 elimination goes through one Gauss-Jordan routine on sparse rows, `rref`,
 whose result is the unique reduced row echelon form, so every subspace,
-kernel, image and solution set is canonical however it was computed.
+kernel, image and solution set is canonical however it was computed.  Over
+Q it eliminates fraction-free: each input row is cleared of denominators,
+each pivot row is kept as the primitive integer multiple of its reduced
+row, every row operation is plain int arithmetic followed by division by
+the row's gcd, and one canonical Fraction is built per output entry; over
+F_p the row operations are modular.  A column index names the pivot rows
+that may hold each column, so a new pivot is cleared only from those rows.
+Neither changes a result: the reduced row echelon form does not depend on
+how the rows were scaled or in which order they were cleared.
 
 A linear condition on an unknown matrix X says that signed sums of
 composites post . (1_L (x) X (x) 1_R) . pre agree.  `LinearConstraints`
@@ -40,9 +48,10 @@ unknown cochain, each + sign after the first term a negated post.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .errors import InputError, InconsistencyError
 from .fields import Field
@@ -453,28 +462,68 @@ def compose_all(*maps) -> LinMap:
 
 
 def _row_ops(field):
-    """(axpy, scale) on sparse rows {column: nonzero value}, with the
-    field's arithmetic chosen once: axpy(row, a, other) adds a * other to
-    row in place, scale(row, a) returns a * row."""
+    """(load, eliminate, pivot, finish) on sparse rows {column: nonzero
+    value}, with the field's arithmetic chosen once.
+
+    load(sparse) is the row rref stores for an input row; eliminate(row, c,
+    piv) is row with its column c cleared by the pivot row piv of pivot
+    column c; pivot(row) is the stored form of a new pivot row; finish(row,
+    c) is the reduced row of the pivot row of column c, as (column, value)
+    pairs with the pivot value 1.
+
+    Over Q every stored row is the primitive integer multiple of its
+    reduced row (integer entries with gcd 1, the pivot left unscaled), in
+    the manner of fraction-free elimination (Bareiss 1968): load clears the
+    input row of denominators (`_integral`), eliminate replaces row by
+    (piv[c] row - row[c] piv) / g in plain ints, g the gcd of the result,
+    and finish builds one canonical Fraction per entry, value / pivot.
+    Over F_p a stored row is its reduced row itself, pivot 1, updated with
+    modular row operations."""
     p = field.p
     if p is None:
-        def axpy(row, a, other):
-            for j, v in other.items():
+        def load(sparse):
+            return dict(_integral(sparse, None)[1])
+
+        def eliminate(row, c, piv):
+            a, b = piv[c], row[c]
+            g = gcd(a, b)
+            if a < 0:
+                # a positive multiplier, so a pivot of -1 also skips the
+                # rescale below
+                g = -g
+            if g != 1:
+                a, b = a // g, b // g
+            if a != 1:
+                row = {j: a * x for j, x in row.items()}
+            b = -b
+            for j, v in piv.items():
                 x = row.get(j)
                 if x is None:
-                    row[j] = a * v
+                    row[j] = b * v
                 else:
-                    x += a * v
+                    x += b * v
                     if x:
                         row[j] = x
                     else:
                         del row[j]
+            return pivot(row)
 
-        def scale(row, a):
-            return {j: a * x for j, x in row.items()}
+        def pivot(row):
+            g = gcd(*row.values())
+            if g == 1:
+                return row
+            return {j: x // g for j, x in row.items()}
+
+        def finish(row, c):
+            d = row[c]
+            return tuple((j, Fraction(row[j], d)) for j in sorted(row))
     else:
-        def axpy(row, a, other):
-            for j, v in other.items():
+        def load(sparse):
+            return dict(sparse)
+
+        def eliminate(row, c, piv):
+            a = p - row[c]
+            for j, v in piv.items():
                 x = row.get(j)
                 if x is None:
                     row[j] = a * v % p
@@ -484,16 +533,24 @@ def _row_ops(field):
                         row[j] = x
                     else:
                         del row[j]
+            return row
 
-        def scale(row, a):
+        def pivot(row):
+            c = min(row)
+            if row[c] == 1:
+                return row
+            a = field.inv(row[c])
             return {j: a * x % p for j, x in row.items()}
-    return axpy, scale
+
+        def finish(row, c):
+            return tuple(sorted(row.items()))
+    return load, eliminate, pivot, finish
 
 
 def rref(field, rows):
     """Reduced row echelon form over an exact field.
 
-    rows is a list of sparse rows, each an iterable of (column, nonzero
+    rows is a list of sparse rows, each a sequence of (column, nonzero
     value) pairs.  Returns (rows, pivot_columns) with the reduced rows as
     tuples of (column, value) pairs in increasing column order; zero rows
     are dropped and every pivot is normalized to 1 with zeros above and
@@ -502,28 +559,47 @@ def rref(field, rows):
     Gauss-Jordan: each input row is reduced by the pivot rows found so far;
     its leftmost remaining entry becomes a new pivot, and that column is
     cleared from the earlier pivot rows, so the pivot rows stay fully
-    reduced throughout.  The reduced row echelon form of a row space is
-    unique, so the result does not depend on the order of the input rows.
+    reduced throughout.  Over Q the rows are eliminated fraction-free, as
+    primitive integer rows (`_row_ops`), and one Fraction is built per
+    output entry at the end; over F_p with modular row operations.
+
+    A column index, holders[j], names the pivot rows that may hold the
+    non-pivot column j: it may name extra rows (an entry can cancel) but
+    never misses one.  A new pivot c is cleared only from the rows
+    holders.pop(c) names, and each of them may then hold every column of
+    the new pivot row (fill-in), as that row itself does.
+
+    The reduced row echelon form of a row space is unique, so the result
+    does not depend on the order of the input rows, on how they were
+    scaled, or on the order in which pivot rows are cleared.
     """
-    axpy, scale = _row_ops(field)
-    neg = field.neg
-    reduced = {}                     # pivot column -> {column: value}, pivot 1
+    load, eliminate, pivot, finish = _row_ops(field)
+    reduced = {}                     # pivot column -> stored pivot row
+    holders = defaultdict(set)       # column -> pivot columns that may hold it
     for sparse in rows:
-        row = dict(sparse)
+        row = load(sparse)
         for c in row.keys() & reduced.keys():
-            axpy(row, neg(row[c]), reduced[c])
+            row = eliminate(row, c, reduced[c])
         if not row:
             continue
         c = min(row)
-        if row[c] != 1:
-            row = scale(row, field.inv(row[c]))
-        for other in reduced.values():
-            x = other.get(c)
-            if x:
-                axpy(other, neg(x), row)
+        row = pivot(row)
+        held = holders.pop(c, None)
+        if held:
+            for k in held:
+                other = reduced[k]
+                if c in other:
+                    reduced[k] = eliminate(other, c, row)
+            held.add(c)
+            for j in row:
+                holders[j] |= held
+        else:
+            for j in row:
+                holders[j].add(c)
+        del holders[c]
         reduced[c] = row
     pivots = sorted(reduced)
-    return [tuple(sorted(reduced[c].items())) for c in pivots], pivots
+    return [finish(reduced[c], c) for c in pivots], pivots
 
 
 def _kernel_from_rref(field, reduced, pivots, ncols):

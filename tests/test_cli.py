@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -684,3 +687,48 @@ def test_each_command_runs_each_law_once(tmp_path, law_calls, capsys):
         assert main(argv) == 0
         assert len(law_calls) == laws, argv
     capsys.readouterr()
+
+
+# -- a reader that closes standard output early -------------------------------
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _run_with_closed_stdout(args, unbuffered):
+    """(exit code, stderr) of entwine args in a child process whose
+    standard output is a pipe with its read end already closed.  Unbuffered,
+    the first write finds the pipe closed; buffered, the final flush."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run([sys.executable, "-m", "entwine.cli", *args],
+                               stdout=write_end, stderr=subprocess.PIPE,
+                               env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    return child.returncode, child.stderr.decode()
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_keeps_the_commands_exit_code(unbuffered):
+    assert _run_with_closed_stdout(
+        ["catalog", "--name", "hopf_self_galois", "--n", "2"],
+        unbuffered) == (0, "")
+    assert _run_with_closed_stdout(["--help"], unbuffered) == (0, "")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_stdout_keeps_a_failing_exit_code(tmp_path, c2_q_file,
+                                                   unbuffered):
+    doc = json.load(open(c2_q_file))
+    doc["psi"][0][0] = "2"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert _run_with_closed_stdout(["check", str(bad)],
+                                   unbuffered) == (1, "")

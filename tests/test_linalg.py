@@ -286,6 +286,155 @@ def test_elimination_matches_oracle(system, rnd):
     assert (a.basis, a.pivots) == (b.basis, b.pivots)
 
 
+def _oracle_rref(rows, p=None):
+    """The reduced row echelon form from oracle.echelon, by clearing the
+    entries above each pivot (the oracle leaves them)."""
+    m, pivots = oracle.echelon(rows, p)
+    for i in reversed(range(len(m))):
+        for r in range(i):
+            x = m[r][pivots[i]]
+            if x:
+                m[r] = [a - x * b if p is None else (a - x * b) % p
+                        for a, b in zip(m[r], m[i])]
+    return m, pivots
+
+
+def _dense_rref(field, rows):
+    """rref of dense rows, its reduced rows made dense again."""
+    n_cols = len(rows[0])
+    sparse = [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
+    reduced, pivots = rref(field, sparse)
+    return ([[dict(row).get(j, field.zero) for j in range(n_cols)]
+             for row in reduced], list(pivots))
+
+
+@st.composite
+def hard_rational_rows(draw):
+    """Dense rational rows with numerators up to 10^40 and denominators up
+    to 10^20, tall, wide or square, with zero entries, zero rows, duplicate
+    rows and rows that are rational combinations of others, shuffled."""
+    small, large = draw(st.sampled_from([(1, 4), (4, 12)]))
+    n_rows, n_cols = draw(st.sampled_from(
+        [(large, small), (small, large), (small, small)]).flatmap(
+        lambda shape: st.tuples(st.integers(1, shape[0]),
+                                st.integers(1, shape[1]))))
+    big = st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+                    st.integers(1, 10 ** 20))
+    entry = st.one_of(st.just(Fraction(0)), big)
+    rows = draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                         min_size=n_rows, max_size=n_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        a, b = draw(big), draw(big)
+        rows.append([a * x + b * y for x, y in zip(rows[i], rows[j])])
+    rows += [list(rows[i]) for i in draw(st.lists(
+        st.integers(0, n_rows - 1), max_size=2))]
+    rows += [[Fraction(0)] * n_cols for _ in range(draw(st.integers(0, 2)))]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=120, deadline=None)
+@given(hard_rational_rows(), st.randoms(use_true_random=False))
+def test_rational_elimination_matches_the_oracle_entry_by_entry(rows, rnd):
+    n_cols = len(rows[0])
+    sparse = [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
+    reduced, pivots = rref(QQ, sparse)
+    assert all(type(x) is Fraction for row in reduced for _, x in row)
+    dense = [[dict(row).get(j, 0) for j in range(n_cols)] for row in reduced]
+    expected, expected_pivots = _oracle_rref(rows)
+    assert list(pivots) == expected_pivots
+    assert dense == expected
+    # the same row space, reordered and rescaled, has the same form
+    rescaled = [tuple((j, x * (k + 1)) for j, x in row)
+                for k, row in enumerate(sparse)]
+    rnd.shuffle(rescaled)
+    assert rref(QQ, rescaled) == (reduced, pivots)
+
+
+def test_rational_elimination_builds_one_fraction_per_output_entry(
+        monkeypatch):
+    """Over Q the row operations run on ints: the only Fractions rref
+    builds are its output entries."""
+    # 20 rational combinations of 5 rows of width 12: rank 5, so the
+    # reduced rows carry entries beyond their pivots
+    base = [[Fraction((3 * k + 5 * j) % 11 - 5, 1 + (k * j) % 7)
+             for j in range(12)] for k in range(5)]
+    rows = []
+    for i in range(20):
+        coeffs = [Fraction((i * k) % 5 - 2, 1 + (i + k) % 3) for k in range(5)]
+        row = [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(12)]
+        rows.append(tuple((j, x) for j, x in enumerate(row) if x))
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    reduced, pivots = rref(QQ, rows)
+    monkeypatch.undo()
+    assert len(pivots) == 5
+    assert len(built) == sum(map(len, reduced))
+
+
+# -- the column index: clearing a new pivot fills in earlier rows -------------
+
+FILL_IN_FIELDS = {None: QQ, 2: GF(2), 7: GF(7)}
+
+
+@pytest.mark.parametrize("p", list(FILL_IN_FIELDS))
+def test_a_new_pivot_is_cleared_from_rows_that_hold_it(p):
+    """Rows a_i e_i + b_i e_(i+1), i < 6, in this order, then e_6 + e_7.
+    Row i's pivot is i; it holds column i + 1 from its own entries, and
+    clearing pivot i + 1 from it fills it in at column i + 2, then i + 3,
+    and so on: each later pivot must be cleared from every earlier row,
+    found through the pivot row's own support (column i + 1) or through
+    fill-in (the columns beyond)."""
+    field = FILL_IN_FIELDS[p]
+    # odd and prime to 7, so nonzero in every field here
+    a, b = (3, 5, 9, 11, 13, 15), (-1, 3, 5, -3, 9, 11)
+    n = len(a)
+    rows = []
+    for i in range(n):
+        row = [field.zero] * (n + 2)
+        row[i], row[i + 1] = field.of_int(a[i]), field.of_int(b[i])
+        rows.append(row)
+    rows.append([field.zero] * n + [field.one, field.one])
+    expected = _oracle_rref(rows, p)
+    assert expected[1] == list(range(n + 1))
+    assert _dense_rref(field, rows) == expected
+
+
+@st.composite
+def staircase_systems(draw):
+    """(p, rows): rows whose leading columns increase down the list, each
+    with a few entries to the right of its lead, so that every new pivot
+    is cleared from earlier rows and fills them in with its own entries."""
+    p = draw(st.sampled_from(list(FILL_IN_FIELDS)))
+    field = FILL_IN_FIELDS[p]
+    if p is None:
+        nonzero = st.fractions(-5, 5, max_denominator=4).filter(bool)
+    else:
+        nonzero = st.integers(1, p - 1)
+    n_cols = draw(st.integers(2, 14))
+    rows, lead = [], 0
+    while lead < n_cols:
+        row = [field.zero] * n_cols
+        row[lead] = draw(nonzero)
+        for j in draw(st.lists(st.integers(lead, n_cols - 1), max_size=3)):
+            row[j] = draw(nonzero)
+        rows.append(row)
+        lead += draw(st.integers(1, 3))
+    return p, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(staircase_systems())
+def test_staircase_elimination_matches_the_oracle(system):
+    p, rows = system
+    assert _dense_rref(FILL_IN_FIELDS[p], rows) == _oracle_rref(rows, p)
+
+
 def _naive_product(field, a, b, m=None):
     """a . b by plain loops; m is the width of b, needed when b has no rows."""
     out = []
