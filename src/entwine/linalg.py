@@ -25,14 +25,10 @@ multiplies the adjacent pair with the fewest multiply-adds first.  Every
 elimination goes through one Gauss-Jordan routine on sparse rows, `rref`,
 whose result is the unique reduced row echelon form, so every subspace,
 kernel, image and solution set is canonical however it was computed.  Over
-Q it eliminates fraction-free: each input row is cleared of denominators,
-each pivot row is kept as the primitive integer multiple of its reduced
-row, every row operation is plain int arithmetic followed by division by
-the row's gcd, and one canonical Fraction is built per output entry; over
-F_p the row operations are modular.  A column index names the pivot rows
-that may hold each column, so a new pivot is cleared only from those rows.
-Neither changes a result: the reduced row echelon form does not depend on
-how the rows were scaled or in which order they were cleared.
+Q it eliminates on primitive integer rows and builds one Fraction per
+output entry, and a column index clears each new pivot only from the rows
+that hold it; neither changes a result, since the reduced row echelon form
+does not depend on how the rows were scaled or cleared.
 
 A linear condition on an unknown matrix X says that signed sums of
 composites post . (1_L (x) X (x) 1_R) . pre agree.  `LinearConstraints`
@@ -559,9 +555,8 @@ def rref(field, rows):
     Gauss-Jordan: each input row is reduced by the pivot rows found so far;
     its leftmost remaining entry becomes a new pivot, and that column is
     cleared from the earlier pivot rows, so the pivot rows stay fully
-    reduced throughout.  Over Q the rows are eliminated fraction-free, as
-    primitive integer rows (`_row_ops`), and one Fraction is built per
-    output entry at the end; over F_p with modular row operations.
+    reduced throughout.  `_row_ops` supplies the row arithmetic: primitive
+    integer rows over Q, modular rows over F_p.
 
     A column index, holders[j], names the pivot rows that may hold the
     non-pivot column j: it may name extra rows (an entry can cancel) but
@@ -571,7 +566,7 @@ def rref(field, rows):
 
     The reduced row echelon form of a row space is unique, so the result
     does not depend on the order of the input rows, on how they were
-    scaled, or on the order in which pivot rows are cleared.
+    scaled, or on which rows were cleared in which order.
     """
     load, eliminate, pivot, finish = _row_ops(field)
     reduced = {}                     # pivot column -> stored pivot row
