@@ -174,6 +174,55 @@ def test_membership_rejects_wrong_length():
                 check(vec)
 
 
+MEMBERSHIP_FIELDS = {None: QQ, 2: GF(2), 7: GF(7)}
+
+
+@st.composite
+def spanning_sets(draw):
+    """(p, n, rows, coefficients): 0 to 4 spanning vectors of length n, 1
+    to 6, some repeated or zero, and the coefficients of one member."""
+    p = draw(st.sampled_from(list(MEMBERSHIP_FIELDS)))
+    field = MEMBERSHIP_FIELDS[p]
+    n = draw(st.integers(1, 6))
+    scalars = _RATIONALS if p is None else st.integers(0, p - 1)
+    rows = draw(st.lists(st.lists(scalars, min_size=n, max_size=n), max_size=4))
+    rows = [[field.zero if x == 0 else x for x in row] for row in rows]
+    if rows and draw(st.booleans()):
+        rows.append(list(rows[0]))
+    coefficients = draw(st.lists(scalars, min_size=len(rows),
+                                 max_size=len(rows)))
+    return p, n, rows, coefficients
+
+
+@settings(max_examples=200, deadline=None)
+@given(spanning_sets(), st.data())
+def test_membership_matches_the_oracle_rank(system, data):
+    p, n, rows, coefficients = system
+    field = MEMBERSHIP_FIELDS[p]
+    s = Subspace.from_vectors(field, (n,), rows)
+    assert s.dim == oracle.rank(rows, p)
+    member = [field.zero] * n
+    for c, row in zip(coefficients, rows):
+        member = [field.add(x, field.mul(c, y)) for x, y in zip(member, row)]
+    candidates = [tuple(member)]
+    # the member moved at one pivot column and at one other column
+    free = [j for j in range(n) if j not in s.pivots]
+    for columns in (s.pivots, free):
+        if columns:
+            j = data.draw(st.sampled_from(columns))
+            moved = list(member)
+            moved[j] = field.add(moved[j], field.one)
+            candidates.append(tuple(moved))
+    for v in candidates:
+        inside = oracle.rank(rows + [list(v)], p) == s.dim
+        assert s.contains(v) == inside
+        coords = s.coords(v)
+        assert (coords is not None) == inside
+        if inside:
+            assert s.inclusion().apply(coords) == v
+    assert s.contains(candidates[0])
+
+
 def test_quotient_projection_section():
     rel = Subspace.from_vectors(QQ, (3,), [(q(1), q(-1), q(0))])
     quot = quotient_by(rel)
