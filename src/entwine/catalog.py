@@ -300,13 +300,12 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
     # x . a = eps(a) x for every a in H, and eps(x) = 1
     qshape = (quot_coalg.dim,)
     sys = LinearConstraints(f, SCALAR, qshape)
-    acted = sys.term(h.alg.identity(), SCALAR, (n,), rho_c)
-    kept = sys.term(h.coalg.counit_map(), SCALAR, SCALAR,
-                    LinMap.identity(f, qshape))
+    acted = (h.alg.identity(), SCALAR, (n,), rho_c)
+    kept = (h.coalg.counit_map(), SCALAR, SCALAR, LinMap.identity(f, qshape))
     sys.require("invariance", acted, kept)
     sys.require("normalisation",
-                sys.term(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
-                         quot_coalg.counit_map()),
+                (LinMap.identity(f, SCALAR), SCALAR, SCALAR,
+                 quot_coalg.counit_map()),
                 target=LinMap.identity(f, SCALAR))
     sol = sys.solve()
     extras = {"hopf": h, "projection": proj, "action": rho_c,

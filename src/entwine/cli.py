@@ -28,7 +28,7 @@ from .galois import (Coextension, GaloisExtension, build_coextension,
 from .hochschild import (_assemble_complex, cohomology_dim, regular_bimodule,
                          verify_bimodule)
 from .separability import (STRATEGIES, check_coseparable,
-                           check_strongly_separable)
+                           check_strongly_separable, right_free_basis)
 from .witness import (WitnessKind, checked_solve, witness_system,
                       integrability_system, cointegrability_system)
 from . import schema
@@ -200,8 +200,8 @@ def extension_report(ext: GaloisExtension, strategy: str) -> dict:
         "certificates": {},
         "hochschild": {"h1_dim": h1},
         "hypothesis_flags": {
-            "free_right_module": "verified" if strong.free_basis_found
-            else "unverified",
+            "free_right_module": "unverified" if right_free_basis(ext) is None
+            else "verified",
         },
     }
     copointed = copointed_grouplike(ext)

@@ -396,10 +396,8 @@ def fixed_part(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
     da, dc = rho_a.codomain
     sys = LinearConstraints(f, SCALAR, action.codomain)
     # both sides as maps A -> M (x) C in the unknown element x: k -> M
-    lhs = sys.term(LinMap.identity(f, (da,)), SCALAR, (da,),
-                   coaction.compose(action))
-    rhs = sys.term(rho_a, SCALAR, (da, dc),
-                   kron(action, LinMap.identity(f, (dc,))))
+    lhs = (LinMap.identity(f, (da,)), SCALAR, (da,), coaction.compose(action))
+    rhs = (rho_a, SCALAR, (da, dc), kron(action, LinMap.identity(f, (dc,))))
     sys.require("fixed under the coaction", lhs, rhs)
     return sys.solve().homogeneous
 
@@ -414,13 +412,11 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
     da, dc = e.alg.dim, e.coalg.dim
     sys = LinearConstraints(f, (m.dim,), (n.dim,))
     # A-linearity: X . action_M = action_N . (X (x) id_A)
-    lin_lhs = sys.term(m.action, SCALAR, SCALAR, n.identity())
-    lin_rhs = sys.term(LinMap.identity(f, (m.dim, da)), SCALAR, (da,),
-                       n.action)
+    lin_lhs = (m.action, SCALAR, SCALAR, n.identity())
+    lin_rhs = (LinMap.identity(f, (m.dim, da)), SCALAR, (da,), n.action)
     sys.require("A-linearity", lin_lhs, lin_rhs)
     # C-colinearity: coaction_N . X = (X (x) id_C) . coaction_M
-    col_lhs = sys.term(m.identity(), SCALAR, SCALAR, n.coaction)
-    col_rhs = sys.term(m.coaction, SCALAR, (dc,),
-                       LinMap.identity(f, (n.dim, dc)))
+    col_lhs = (m.identity(), SCALAR, SCALAR, n.coaction)
+    col_rhs = (m.coaction, SCALAR, (dc,), LinMap.identity(f, (n.dim, dc)))
     sys.require("C-colinearity", col_lhs, col_rhs)
     return sys.solve().homogeneous

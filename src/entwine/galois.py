@@ -28,7 +28,7 @@ from .entmod import (EntwinedModule, balanced_power,
 from .linalg import (LinMap, QuotientModule, SCALAR, Subspace, compose_all,
                      descend, image, invert, kernel, kron, kron_all)
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
-                         verify_algebra, verify_coalgebra)
+                         subalgebra_product, verify_algebra, verify_coalgebra)
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +41,11 @@ def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
     space = fixed_part(alg.mult, rho_a, rho_a)
     if not space.contains(alg.unit):
         raise InconsistencyError("fixed subspace misses the unit")
-    incl = space.inclusion()
-    retr = space.retraction()
-    raw_mult = alg.mult.compose(kron(incl, incl))
     # closure: the product of fixed elements is fixed (assert, cannot fail)
-    back = incl.compose(retr.compose(raw_mult))
-    if not back.equals(raw_mult):
+    mult = subalgebra_product(alg, space)
+    if mult is None:
         raise InconsistencyError("fixed subspace is not closed under product")
-    sub_alg = Algebra(space.dim, retr.compose(raw_mult), space.coords(alg.unit))
+    sub_alg = Algebra(space.dim, mult, space.coords(alg.unit))
     verify_algebra(sub_alg).require(InconsistencyError)
     return space, sub_alg
 

@@ -12,12 +12,12 @@ M.  One formula gives the coboundary in every degree:
 with g read on the n-fold power through its projection and delta g
 descended to the (n+1)-fold power.  Each term is a composite post .
 (1_L (x) g (x) 1_R) . pre in the unknown cochain g, so one
-`linalg.op_in_unknown` call assembles delta on every cochain at once (a +
-sign after the first term is a negated post); the result must kill the
-relations of the (n+1)-fold power and land in the next cochain space, or
-InconsistencyError is raised.  Its square is asserted to vanish in every
-computed degree.  Degree is capped at two: the balanced cube is the
-largest space this library ever builds.
+`linalg.op_in_unknown` call assembles delta on every cochain at once, each
+term with its sign +1 or -1; the result must kill the relations of the
+(n+1)-fold power and land in the next cochain space, or InconsistencyError
+is raised.  Its square is asserted to vanish in every computed degree.
+Degree is capped at two: the balanced cube is the largest space this
+library ever builds.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, corestrict, descend, image, kernel, kron,
                      kron_all, op_in_unknown)
-from .structures import Algebra, CheckReport, law
+from .structures import Algebra, CheckReport, law, subalgebra_product
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,9 @@ class RelativeComplex:
 
 
 def _is_unital_subalgebra(alg: Algebra, b: Subspace) -> bool:
-    """1 lies in B, and B is closed under the product: the products P of
-    pairs in B satisfy incl . retr . P = P."""
-    if not b.contains(alg.unit):
-        return False
-    incl = b.inclusion()
-    products = alg.mult.compose(kron(incl, incl))
-    return incl.compose(b.retraction().compose(products)).equals(products)
+    """1 lies in B, and B is closed under the product
+    (`structures.subalgebra_product`)."""
+    return b.contains(alg.unit) and subalgebra_product(alg, b) is not None
 
 
 def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
@@ -106,14 +102,14 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
     idm = LinMap.identity(f, (m.dim,))
     sys = LinearConstraints(f, (dom_dim,), (m.dim,))
     # X(b . x) = b . X(x)
-    lhs = sys.term(left_act, SCALAR, SCALAR, idm)
-    rhs = sys.term(LinMap.identity(f, (bdim, dom_dim)), (bdim,), SCALAR,
-                   m.left.compose(kron(incl, idm)))
+    lhs = (left_act, SCALAR, SCALAR, idm)
+    rhs = (LinMap.identity(f, (bdim, dom_dim)), (bdim,), SCALAR,
+           m.left.compose(kron(incl, idm)))
     sys.require("left B-linearity", lhs, rhs)
     # X(x . b) = X(x) . b
-    lhs = sys.term(right_act, SCALAR, SCALAR, idm)
-    rhs = sys.term(LinMap.identity(f, (dom_dim, bdim)), SCALAR, (bdim,),
-                   m.right.compose(kron(idm, incl)))
+    lhs = (right_act, SCALAR, SCALAR, idm)
+    rhs = (LinMap.identity(f, (dom_dim, bdim)), SCALAR, (bdim,),
+           m.right.compose(kron(idm, incl)))
     sys.require("right B-linearity", lhs, rhs)
     return sys.solve().homogeneous
 
@@ -123,8 +119,8 @@ def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
     sys = LinearConstraints(alg.field, SCALAR, (m.dim,))
     # both sides as maps B -> M in the unknown element x: k -> M
     incl = b.inclusion()
-    lhs = sys.term(incl, (alg.dim,), SCALAR, m.left)
-    rhs = sys.term(incl, SCALAR, (alg.dim,), m.right)
+    lhs = (incl, (alg.dim,), SCALAR, m.left)
+    rhs = (incl, SCALAR, (alg.dim,), m.right)
     sys.require("centrality", lhs, rhs)
     return sys.solve().homogeneous
 
@@ -165,17 +161,16 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
     boundaries = []
     for n in range(max_degree + 1):
         proj = powers[n].projection
-        # delta g on A^(n+1) for the unknown cochain g: Q_n -> M.  Term i
-        # after a0 . g(a1, ..., an) carries the sign (-1)^(i+1); op_in_unknown
-        # subtracts those terms, so a + sign negates the term's post
-        rest = [(proj.compose(kron_all(LinMap.identity(f, (d,) * i), alg.mult,
-                                       LinMap.identity(f, (d,) * (n - 1 - i)))),
-                 SCALAR, SCALAR, idm) for i in range(n)]
-        rest.append((kron(proj, ida), SCALAR, (d,), m.right))
-        minus = [(pre, left, right, post.scale(f.neg(f.one)) if i % 2 else post)
-                 for i, (pre, left, right, post) in enumerate(rest)]
-        raw = op_in_unknown(kron(ida, proj), (d,), (powers[n].dim,), (m.dim,),
-                            SCALAR, m.left, minus).compose(spaces[n].inclusion())
+        # delta g on A^(n+1) for the unknown cochain g: Q_n -> M; term i
+        # after a0 . g(a1, ..., an) carries the sign (-1)^(i+1)
+        terms = [(1, (kron(ida, proj), (d,), SCALAR, m.left))]
+        terms += [((-1) ** (i + 1),
+                   (proj.compose(kron_all(LinMap.identity(f, (d,) * i), alg.mult,
+                                          LinMap.identity(f, (d,) * (n - 1 - i)))),
+                    SCALAR, SCALAR, idm)) for i in range(n)]
+        terms.append(((-1) ** (n + 1), (kron(proj, ida), SCALAR, (d,), m.right)))
+        raw = op_in_unknown((powers[n].dim,), (m.dim,), terms) \
+            .compose(spaces[n].inclusion())
         target = powers[n + 1]
         # on vectorized maps, precomposing with r is 1_M (x) r^T
         if not kron(idm, target.relations.inclusion().transpose()) \

@@ -31,14 +31,18 @@ that hold it; neither changes a result, since the reduced row echelon form
 does not depend on how the rows were scaled or cleared.
 
 A linear condition on an unknown matrix X says that signed sums of
-composites post . (1_L (x) X (x) 1_R) . pre agree.  `LinearConstraints`
-keeps each composite as its term (pre, L, R, post), and `op_in_unknown`
-assembles a condition's signed terms in one pass: their products are
+composites post . (1_L (x) X (x) 1_R) . pre agree.  Each composite is
+written as the tuple (pre, L, R, post), and `op_in_unknown` assembles a
+condition's list of (+1 or -1, composite) in one pass: their products are
 summed into only the output rows some term reaches, with one common
 denominator per row over Q, and one canonical sparse row is built per
 reached row; no operator is built for one side alone.  The Hochschild
 coboundaries of `hochschild` are assembled by the same call, on the
-unknown cochain, each + sign after the first term a negated post.
+unknown cochain, with their alternating signs.
+
+A vector or a map lies in a subspace S exactly when incl . retr fixes it,
+incl and retr S's inclusion and pivot-coordinate retraction; membership
+is tested by that identity and nothing else.
 """
 
 from __future__ import annotations
@@ -659,31 +663,17 @@ class Subspace:
         """The echelon basis as dense vectors, built on each read."""
         return _dense_rows(self.reduced, prod(self.ambient), self.field.zero)
 
-    def reduce(self, vec):
-        """Remainder of vec after subtracting its span component."""
-        v = list(vec)
-        if len(v) != prod(self.ambient):
-            raise InputError(f"vector of length {len(v)} for ambient {self.ambient}")
-        p = self.field.p
-        for b, pc in zip(self.reduced, self.pivots):
-            c = v[pc]
-            if c:
-                if p is None:
-                    for j, y in b:
-                        v[j] -= c * y
-                else:
-                    for j, y in b:
-                        v[j] = (v[j] - c * y) % p
-        return tuple(v)
-
     def contains(self, vec) -> bool:
-        return not any(self.reduce(vec))
+        """Whether vec lies in S: incl . retr fixes it (`coords`)."""
+        return self.coords(vec) is not None
 
     def coords(self, vec):
-        """Coordinates of vec in the echelon basis; None if not a member."""
-        if not self.contains(vec):
+        """Coordinates of vec in the echelon basis, retr(vec); None unless
+        incl(retr(vec)) = vec, that is, unless vec is a member."""
+        coords = self.retraction().apply(vec)
+        if self.inclusion().apply(coords) != tuple(vec):
             return None
-        return tuple(vec[p] for p in self.pivots)
+        return coords
 
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
@@ -923,18 +913,16 @@ def invert(m: LinMap) -> LinMap:
 # linear conditions on an unknown matrix
 
 
-def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap,
-                  minus=()) -> LinMap:
+def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
     """Matrix of the linear operator
 
-        X |-> post . (1_L (x) X (x) 1_R) . pre
-              - sum of post' . (1_L' (x) X (x) 1_R') . pre'
+        X |-> sum of sign * post . (1_L (x) X (x) 1_R) . pre
 
-    over the terms (pre', L', R', post') in minus.  Each pre maps D into
-    L (x) Xdom (x) R and each post maps L (x) Xcod (x) R into E, with one D
-    and one E for every term.  The result sends the row-major
-    vectorization of X (shape (Xcod, Xdom)) to that of the composite
-    (shape (E, D)).
+    over the (sign, (pre, L, R, post)) in terms, each sign +1 or -1.  Each
+    pre maps D into L (x) Xdom (x) R and each post maps L (x) Xcod (x) R
+    into E, with one D and one E for every term.  The result sends the
+    row-major vectorization of X (shape (Xcod, Xdom)) to that of the
+    composite (shape (E, D)).
 
     All terms are assembled in one pass: for each row e of E, every term's
     products pre[(l,s,rho)][d] * post[e][(l,r,rho)] are summed, with their
@@ -945,14 +933,14 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap,
     entry is reduced mod p once.  Rows no term reaches stay empty, and
     entries that cancel are dropped.
     """
+    _, (pre, _, _, post) = terms[0]
     f = pre.field
     xd, xc = prod(x_dom), prod(x_cod)
     nx = xc * xd
     dd, ee = pre.cols, post.rows
     p = f.p
-    terms = []                      # (sign, d_pre, by_lr, rt, post rows)
-    for sign, (t_pre, t_left, t_right, t_post) in itertools.chain(
-            [(1, (pre, left, right, post))], ((-1, t) for t in minus)):
+    parts = []                      # (sign, d_pre, by_lr, rt, post rows)
+    for sign, (t_pre, t_left, t_right, t_post) in terms:
         if t_pre.field != f or t_post.field != f:
             raise InputError("field mismatch in a linear condition")
         lt, rt = prod(t_left), prod(t_right)
@@ -973,11 +961,11 @@ def op_in_unknown(pre: LinMap, left, x_dom, x_cod, right, post: LinMap,
                 l, s = divmod(ls, xd)
                 by_lr.setdefault(l * rt + rho, []).extend(
                     (d * nx + s, w) for d, w in _integral(nz, p, d_pre)[1])
-        terms.append((sign, d_pre, by_lr, rt, t_post.nonzeros))
+        parts.append((sign, d_pre, by_lr, rt, t_post.nonzeros))
     big = [()] * (ee * dd)
     for e in range(ee):
         reached = []
-        for sign, d_pre, by_lr, rt, post_nz in terms:
+        for sign, d_pre, by_lr, rt, post_nz in parts:
             if post_nz[e]:
                 d_post, nz = _integral(post_nz[e], p)
                 reached.append((sign, d_post * d_pre, nz, by_lr, rt))
@@ -1019,30 +1007,23 @@ class LinearConstraints:
     verifier can never drift apart.
 
     A condition is stated with terms, each a composite post . (1_L (x) X
-    (x) 1_R) . pre kept as the tuple (pre, L, R, post); `require` assembles
-    its two sides' difference in one op_in_unknown call, so no operator is
-    built for one side alone."""
+    (x) 1_R) . pre written as the tuple (pre, L, R, post); `require`
+    assembles its two sides' difference in one op_in_unknown call, so no
+    operator is built for one side alone."""
 
     def __init__(self, field, x_dom, x_cod):
         self.field = field
         self.x_dom, self.x_cod = x_dom, x_cod
         self.blocks: list[_Block] = []
 
-    def term(self, pre: LinMap, left, right, post: LinMap) -> tuple:
-        """The composite X |-> post . (1_L (x) X (x) 1_R) . pre on this
-        system's unknown, as (pre, left, right, post); it is checked and
-        assembled by `require`."""
-        return pre, left, right, post
-
     def require(self, label, lhs, rhs=None, target: LinMap | None = None):
         """Add the condition lhs(X) = rhs(X) + target.  lhs and rhs are
-        terms (see `term`) and rhs is optional; lhs - rhs is assembled in
-        one pass by op_in_unknown, which checks every term against the
+        terms (pre, L, R, post) and rhs is optional; lhs - rhs is assembled
+        in one pass by op_in_unknown, which checks every term against the
         unknown.  target is a fixed map vectorized as the affine right-hand
         side (zero when omitted)."""
-        pre, left, right, post = lhs
-        op = op_in_unknown(pre, left, self.x_dom, self.x_cod, right, post,
-                           () if rhs is None else (rhs,))
+        terms = [(1, lhs)] if rhs is None else [(1, lhs), (-1, rhs)]
+        op = op_in_unknown(self.x_dom, self.x_cod, terms)
         if target is None:
             tvec = (self.field.zero,) * op.rows
         else:

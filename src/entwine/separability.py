@@ -52,7 +52,6 @@ class StrongCertificate:
 class StrongOutcome:
     certificate: StrongCertificate | None
     inconclusive: bool          # nothing found, but absence is not proved
-    free_basis_found: bool      # heuristic check that A is free over B
     note: str = ""              # diagnostic for a negative or open outcome
     separability: SeparabilityCertificate | None = None   # check_separable
     split: tuple | None = None  # check_split: (certificate, phi family)
@@ -126,19 +125,18 @@ def split_system(g: GaloisExtension) -> LinearConstraints:
     sys = LinearConstraints(f, (dc,), (da,))
     rho_one = g.rho_a.apply(a.unit)
     # psi(c1 (x) phi(c2)) = phi(c) . rho(1)
-    coh_l = sys.term(c.comult, (dc,), SCALAR, psi)
+    coh_l = (c.comult, (dc,), SCALAR, psi)
     mult_by_rho_one = compose_all(kron(a.mult, idc),
                                   kron(ida, LinMap.element(f, (da, dc), rho_one)))
-    coh_r = sys.term(idc, SCALAR, SCALAR, mult_by_rho_one)
+    coh_r = (idc, SCALAR, SCALAR, mult_by_rho_one)
     sys.require("coaction coherence", coh_l, coh_r)
     # sum a^i phi(c_i) = 1 where rho(1) = sum a^i (x) c_i
-    contract = sys.term(LinMap.element(f, (da, dc), rho_one), (da,), SCALAR,
-                        a.mult)
+    contract = (LinMap.element(f, (da, dc), rho_one), (da,), SCALAR, a.mult)
     sys.require("unit splitting", contract, target=a.unit_map())
     # b_alpha phi(c^alpha) = phi(c) b on C (x) B, B the fixed subalgebra
     ins = kron(idc, g.fixed.inclusion())
-    lhs = sys.term(psi.compose(ins), (da,), SCALAR, a.mult)
-    rhs = sys.term(ins, SCALAR, (da,), a.mult)
+    lhs = (psi.compose(ins), (da,), SCALAR, a.mult)
+    rhs = (ins, SCALAR, (da,), a.mult)
     sys.require("fixed-element commutation", lhs, rhs)
     return sys
 
@@ -150,11 +148,12 @@ def expectation_violations(g: GaloisExtension, expectation: LinMap) -> list:
     bad = []
     if expectation.apply(a.unit) != tuple(a.unit):
         bad.append(("unitality",))
-    for j in range(a.dim):
-        if not g.fixed.contains(expectation.column(j)):
-            bad.append(("image", j))
-            break
+    # E lands in B: the inclusion of B fixes E
     incl = g.fixed.inclusion()
+    diff = compose_all(incl, g.fixed.retraction(), expectation) \
+        .first_difference(expectation)
+    if diff is not None:
+        bad.append(("image", diff[0]))
     ida = a.identity()
     lhs = compose_all(expectation, a.mult, kron(a.mult, ida),
                       kron_all(incl, ida, incl))
@@ -252,8 +251,8 @@ def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstrain
     """Conditions on the vector (phi entries, then tau) for a fixed integral
     z = sum a_i (x) c_i: sum a_i phi(c_i) = tau 1, and split_equations, the
     solved split family's `equations()` (same solutions as the split
-    system), on phi.  Both are terms on the unknown X: k -> k^(dim A dim C
-    + 1) whose post is the condition's matrix with a tau column appended."""
+    system), on phi.  Every side is a term on the unknown X: k -> k^(dim A
+    dim C + 1) whose post reads phi alone or tau alone."""
     f = g.field
     a = g.alg
     da, dc = a.dim, g.coalg.dim
@@ -261,17 +260,16 @@ def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstrain
     sys = LinearConstraints(f, SCALAR, (n,))
     one = LinMap.identity(f, SCALAR)
 
-    def with_tau(m, tau_column):
-        rows = [row + ((n - 1, t),) if t else row
-                for row, t in zip(m.nonzeros, tau_column)]
-        return sys.term(one, SCALAR, SCALAR,
-                        LinMap(f, (n,), (m.rows,), tuple(rows)))
+    def on_phi(m):
+        return one, SCALAR, SCALAR, LinMap(f, (n,), (m.rows,), m.nonzeros)
     m, rhs = split_equations
-    sys.require("split conditions", with_tau(m, (f.zero,) * m.rows),
+    sys.require("split conditions", on_phi(m),
                 target=LinMap.element(f, (m.rows,), rhs))
-    contract = op_in_unknown(LinMap.element(f, (da, dc), zvec), (da,), (dc,),
-                             (da,), SCALAR, a.mult)
-    sys.require("coupling", with_tau(contract, tuple(f.neg(x) for x in a.unit)))
+    contract = op_in_unknown((dc,), (da,), [
+        (1, (LinMap.element(f, (da, dc), zvec), (da,), SCALAR, a.mult))])
+    tau = LinMap.functional(f, (n,), (f.zero,) * (n - 1) + (f.one,))
+    sys.require("coupling", on_phi(contract),
+                (one, SCALAR, SCALAR, a.unit_map().compose(tau)))
     return sys
 
 
@@ -306,10 +304,9 @@ def check_strongly_separable(g: GaloisExtension,
     f = g.field
     sep = check_separable(g)
     split = check_split(g)
-    free_basis = _right_free_basis(g) is not None
 
     def outcome(note, certificate=None, inconclusive=False):
-        return StrongOutcome(certificate, inconclusive, free_basis, note, sep, split)
+        return StrongOutcome(certificate, inconclusive, note, sep, split)
 
     if sep is None:
         return outcome("not separable")
@@ -361,7 +358,7 @@ def check_strongly_separable(g: GaloisExtension,
     return outcome(reason, inconclusive=not whole)
 
 
-def _right_free_basis(g: GaloisExtension):
+def right_free_basis(g: GaloisExtension):
     """Greedy attempt at a basis of A as a free right module over the fixed
     subalgebra; None when the heuristic fails (which is not a proof of
     non-freeness)."""

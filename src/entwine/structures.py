@@ -145,6 +145,18 @@ def dual_swap(x):
     raise InputError("dual_swap expects an Algebra or a Coalgebra")
 
 
+def subalgebra_product(alg: Algebra, b: Subspace):
+    """The product of A on a subspace B, retr . mult . (incl (x) incl), when
+    B is closed under it: the products P of pairs in B satisfy incl . retr
+    . P = P.  None when B is not closed."""
+    incl = b.inclusion()
+    products = alg.mult.compose(kron(incl, incl))
+    squeezed = b.retraction().compose(products)
+    if not incl.compose(squeezed).equals(products):
+        return None
+    return squeezed
+
+
 def quotient_coalgebra(c: Coalgebra, i: Subspace):
     """Quotient C/I by a coideal, with the projection C -> C/I.
 

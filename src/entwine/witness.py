@@ -89,28 +89,27 @@ def witness_system(kind: WitnessKind, e: Entwining,
     sys = LinearConstraints(f, dom, cod)
     if kind == WitnessKind.INTEGRAL:
         # a . z = z . a for every a, as maps A -> A (x) C in the unknown z
-        left = sys.term(ida, (da,), SCALAR, kron(a.mult, idc))
-        right = sys.term(ida, SCALAR, (da,),
-                         compose_all(kron(a.mult, idc), kron(ida, psi)))
+        left = (ida, (da,), SCALAR, kron(a.mult, idc))
+        right = (ida, SCALAR, (da,),
+                 compose_all(kron(a.mult, idc), kron(ida, psi)))
         sys.require("centrality", left, right)
         if normalized:
-            norm = sys.term(LinMap.identity(f, SCALAR), SCALAR, SCALAR,
-                            kron(ida, c.counit_map()))
+            norm = (LinMap.identity(f, SCALAR), SCALAR, SCALAR,
+                    kron(ida, c.counit_map()))
             sys.require("normalisation", norm, target=a.unit_map())
     elif kind == WitnessKind.INTEGRAL_MAP:
         # gamma(c (x) c'1) (x) c'2 = psi(c1 (x) gamma(c2 (x) c'))
-        co_l = sys.term(kron(idc, c.comult), SCALAR, (dc,),
-                        LinMap.identity(f, (da, dc)))
-        co_r = sys.term(kron(c.comult, idc), (dc,), SCALAR, psi)
+        co_l = (kron(idc, c.comult), SCALAR, (dc,),
+                LinMap.identity(f, (da, dc)))
+        co_r = (kron(c.comult, idc), (dc,), SCALAR, psi)
         sys.require("comodule compatibility", co_l, co_r)
         # gamma(c (x) c') a = a_{alpha beta} gamma(c^beta (x) c'^alpha)
-        mo_l = sys.term(LinMap.identity(f, (dc, dc, da)), SCALAR, (da,),
-                        a.mult)
-        mo_r = sys.term(compose_all(kron(psi, idc), kron(idc, psi)), (da,),
-                        SCALAR, a.mult)
+        mo_l = (LinMap.identity(f, (dc, dc, da)), SCALAR, (da,), a.mult)
+        mo_r = (compose_all(kron(psi, idc), kron(idc, psi)), (da,),
+                SCALAR, a.mult)
         sys.require("module compatibility", mo_l, mo_r)
         if normalized:
-            norm = sys.term(c.comult, SCALAR, SCALAR, ida)
+            norm = (c.comult, SCALAR, SCALAR, ida)
             sys.require("normalisation", norm,
                         target=a.unit_map().compose(c.counit_map()))
     else:
@@ -221,8 +220,8 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     s = ctx.carrier.dim
     sys = LinearConstraints(f, (s,), (da,))
     # right A-linearity: lambda(x . a) = lambda(x) a
-    lin_l = sys.term(ctx.action, SCALAR, SCALAR, ida)
-    lin_r = sys.term(LinMap.identity(f, (s, da)), SCALAR, (da,), src.alg.mult)
+    lin_l = (ctx.action, SCALAR, SCALAR, ida)
+    lin_r = (LinMap.identity(f, (s, da)), SCALAR, (da,), src.alg.mult)
     sys.require("module map", lin_l, lin_r)
     # multiplicativity: lambda(c (x) f(a)a~ (x) c') = a_alpha lambda(c^alpha (x) a~ (x) c')
     push = compose_all(kron_all(idc, dst.alg.mult, idc),
@@ -231,8 +230,8 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     push = corestrict(push, ctx.carrier)                      # S2 -> S
     pull = compose_all(kron_all(src.psi, ida2, idc), ctx.aux.inclusion())
     pull = corestrict(pull, ctx.carrier, left=da)             # S2 -> A (x) S
-    mult_l = sys.term(push, SCALAR, SCALAR, ida)
-    mult_r = sys.term(pull, (da,), SCALAR, src.alg.mult)
+    mult_l = (push, SCALAR, SCALAR, ida)
+    mult_r = (pull, (da,), SCALAR, src.alg.mult)
     sys.require("multiplicativity", mult_l, mult_r)
     # colinearity: lambda(c (x) a~ (x) c'1) (x) c'2 = psi(c1 (x) lambda(c2 (x) a~ (x) c'))
     spread_r = corestrict(compose_all(kron_all(idc, ida2, src.coalg.comult),
@@ -241,11 +240,11 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     spread_l = corestrict(compose_all(kron_all(src.coalg.comult, ida2, idc),
                                       ctx.carrier.inclusion()),
                           ctx.carrier, left=dc)               # S -> C (x) S
-    col_l = sys.term(spread_r, SCALAR, (dc,), LinMap.identity(f, (da, dc)))
-    col_r = sys.term(spread_l, (dc,), SCALAR, src.psi)
+    col_l = (spread_r, SCALAR, (dc,), LinMap.identity(f, (da, dc)))
+    col_r = (spread_l, (dc,), SCALAR, src.psi)
     sys.require("colinearity", col_l, col_r)
     if total:
-        norm = sys.term(ctx.unit_insert, SCALAR, SCALAR, ida)
+        norm = (ctx.unit_insert, SCALAR, SCALAR, ida)
         sys.require("normalisation", norm,
                     target=src.alg.unit_map().compose(src.coalg.counit_map()))
     return sys, ctx
@@ -328,21 +327,19 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
     sys = LinearConstraints(f, (dc2,), (qd,))
     idc2 = dst.coalg.identity()
     # right C~-colinearity
-    col_l = sys.term(idc2, SCALAR, SCALAR, ctx.coaction)
-    col_r = sys.term(dst.coalg.comult, SCALAR, (dc2,),
-                     LinMap.identity(f, (qd, dc2)))
+    col_l = (idc2, SCALAR, SCALAR, ctx.coaction)
+    col_r = (dst.coalg.comult, SCALAR, (dc2,), LinMap.identity(f, (qd, dc2)))
     sys.require("colinearity", col_l, col_r)
     # coaction compatibility through Q3
-    ca_l = sys.term(idc2, SCALAR, SCALAR, ctx.spread)
-    ca_r = sys.term(dst.coalg.comult, (dc2,), SCALAR, ctx.entwine_left)
+    ca_l = (idc2, SCALAR, SCALAR, ctx.spread)
+    ca_r = (dst.coalg.comult, (dc2,), SCALAR, ctx.entwine_left)
     sys.require("coaction compatibility", ca_l, ca_r)
     # action compatibility: multiply on the left after psi~, or on the right
-    ac_l = sys.term(dst.psi, (da2,), SCALAR, ctx.mult_left)
-    ac_r = sys.term(LinMap.identity(f, (dc2, da2)), SCALAR, (da2,),
-                    ctx.mult_right)
+    ac_l = (dst.psi, (da2,), SCALAR, ctx.mult_left)
+    ac_r = (LinMap.identity(f, (dc2, da2)), SCALAR, (da2,), ctx.mult_right)
     sys.require("action compatibility", ac_l, ac_r)
     if total:
-        norm = sys.term(idc2, SCALAR, SCALAR, ctx.counit_collapse)
+        norm = (idc2, SCALAR, SCALAR, ctx.counit_collapse)
         sys.require("normalisation", norm,
                     target=dst.alg.unit_map().compose(dst.coalg.counit_map()))
     return sys, ctx

@@ -170,10 +170,11 @@ def _conversion_maps(e, ctx_carrier):
     from entwine.linalg import corestrict, op_in_unknown, SCALAR
     ins = corestrict(kron_all(idc, e.alg.unit_map(), idc), ctx_carrier)
     s = ctx_carrier.dim
-    to_gamma = op_in_unknown(ins, SCALAR, (s,), (da,), SCALAR,
-                             e.alg.identity())
+    to_gamma = op_in_unknown((s,), (da,),
+                             [(1, (ins, SCALAR, SCALAR, e.alg.identity()))])
     pre = compose_all(kron(e.psi, idc), ctx_carrier.inclusion())
-    to_lambda = op_in_unknown(pre, (da,), (dc, dc), (da,), SCALAR, e.alg.mult)
+    to_lambda = op_in_unknown((dc, dc), (da,),
+                              [(1, (pre, (da,), SCALAR, e.alg.mult))])
     return to_gamma, to_lambda
 
 

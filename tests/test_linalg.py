@@ -626,7 +626,7 @@ def test_rational_op_in_unknown_matches_fraction_loops(lt, rt, xd, xc, dd, ee,
         post[0][xc * rt:] = [-x for x in post[0][:xc * rt]]
     fpre = LinMap.from_rows(QQ, (dd,), (lt, xd, rt), pre)
     fpost = LinMap.from_rows(QQ, (lt, xc, rt), (ee,), post)
-    op = op_in_unknown(fpre, (lt,), (xd,), (xc,), (rt,), fpost).entries
+    op = op_in_unknown((xd,), (xc,), [(1, (fpre, (lt,), (rt,), fpost))]).entries
     assert op == _fraction_op_in_unknown(pre, post, lt, xd, xc, rt)
     _assert_canonical(op)
     if cancel and lt == 2:
@@ -765,13 +765,12 @@ def test_equations_have_the_same_solution_set(system):
 # -- one-pass assembly of a linear condition ----------------------------------
 
 def _one_term(term, x_dom, x_cod):
-    pre, left, right, post = term
-    return op_in_unknown(pre, left, x_dom, x_cod, right, post)
+    return op_in_unknown(x_dom, x_cod, [(1, term)])
 
 
 def _assembled_block(field, x_dom, x_cod, lhs, rhs):
     sys_ = LinearConstraints(field, x_dom, x_cod)
-    sys_.require("condition", sys_.term(*lhs), sys_.term(*rhs))
+    sys_.require("condition", lhs, rhs)
     return sys_.blocks[0].matrix
 
 
@@ -799,8 +798,7 @@ def test_signed_assembly_matches_the_difference_of_its_sides(p, data):
     field = SELECTION_FIELDS[p]
     x_dom, x_cod, lhs, rhs = data.draw(condition_terms(field))
     expected = _one_term(lhs, x_dom, x_cod).sub(_one_term(rhs, x_dom, x_cod))
-    pre, left, right, post = lhs
-    got = op_in_unknown(pre, left, x_dom, x_cod, right, post, (rhs,))
+    got = op_in_unknown(x_dom, x_cod, [(1, lhs), (-1, rhs)])
     block = _assembled_block(field, x_dom, x_cod, lhs, rhs)
     for m in (got, block):
         assert (m.domain, m.codomain) == (expected.domain, expected.codomain)
@@ -822,6 +820,33 @@ def test_signed_assembly_over_q_with_different_denominators():
                 for r in range(2) for s in range(2)}
     assert block.nonzeros == tuple(((k, x),) for k, x in sorted(diagonal.items()))
     _assert_canonical(block.entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([None, 5]), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 3), st.integers(1, 3), st.data())
+def test_mixed_signs_match_the_signed_sum_of_one_term_references(p, xd, xc, dd,
+                                                                 ee, data):
+    # three terms signed +, -, +, each with its own L and R; over Q each
+    # term's pre carries one more denominator of its own (2, 3 or 5)
+    field = QQ if p is None else GF(p)
+    terms = []
+    expected = [[0] * (xc * xd) for _ in range(ee * dd)]
+    for sign, (lt, rt), den in zip((1, -1, 1), ((1, 2), (2, 1), (2, 2)),
+                                   (2, 3, 5)):
+        pre = data.draw(other_factors(field, lt * xd * rt, dd))
+        post = data.draw(other_factors(field, ee, lt * xc * rt))
+        if p is None:
+            pre = [[x / den for x in row] for row in pre]
+        terms.append((sign, (LinMap.from_rows(field, (dd,), (lt, xd, rt), pre),
+                             (lt,), (rt,),
+                             LinMap.from_rows(field, (lt, xc, rt), (ee,), post))))
+        reference = _fraction_op_in_unknown(pre, post, lt, xd, xc, rt)
+        for row, ref in zip(expected, reference):
+            row[:] = [x + sign * y for x, y in zip(row, ref)]
+    if p is not None:
+        expected = [[int(x) % p for x in row] for row in expected]
+    _assert_product(field, op_in_unknown((xd,), (xc,), terms), expected)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])
@@ -850,15 +875,15 @@ def test_terms_of_different_shapes_are_rejected():
     sys_ = LinearConstraints(QQ, x, x)
     # D differs: the lhs starts from 2 dimensions, the rhs from 3
     with pytest.raises(InputError):
-        sys_.require("D", sys_.term(ident, SCALAR, SCALAR, ident),
-                     sys_.term(wide, SCALAR, SCALAR, ident))
+        sys_.require("D", (ident, SCALAR, SCALAR, ident),
+                     (wide, SCALAR, SCALAR, ident))
     # E differs: the lhs lands in 2 dimensions, the rhs in 3
     with pytest.raises(InputError):
-        sys_.require("E", sys_.term(ident, SCALAR, SCALAR, ident),
-                     sys_.term(ident, SCALAR, SCALAR, tall))
+        sys_.require("E", (ident, SCALAR, SCALAR, ident),
+                     (ident, SCALAR, SCALAR, tall))
     # a term on the wrong unknown
     with pytest.raises(InputError):
-        sys_.require("X", sys_.term(tall, SCALAR, SCALAR, ident))
+        sys_.require("X", (tall, SCALAR, SCALAR, ident))
     assert sys_.blocks == []
 
 

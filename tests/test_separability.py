@@ -10,7 +10,8 @@ from entwine import (Algebra, Coalgebra, GF, LinMap, QQ, Subspace, WitnessKind,
                      kron, make_example, quotient_coalgebra,
                      separability_from_integral,
                      split_from_integral_map, solve_witness)
-from entwine.separability import (STRATEGIES, phi_from_expectation,
+from entwine.separability import (STRATEGIES, expectation_violations,
+                                  phi_from_expectation, right_free_basis,
                                   verify_strong, verify_idempotent)
 from entwine.errors import DomainError, InputError
 from entwine.linalg import compose_all, invert
@@ -369,9 +370,30 @@ def test_strong_outcome_order_independent(c2_q):
     assert violations == []
 
 
+@pytest.mark.parametrize("name", ["c2_q", "c2_f2"])
+def test_expectation_image_witness_is_the_first_column_outside_b(name,
+                                                                 request):
+    g = request.getfixturevalue(name)
+    f, n = g.field, g.alg.dim
+    expectation = check_split(g)[0].expectation
+    units = [tuple(f.one if i == r else f.zero for i in range(n))
+             for r in range(n)]
+    r = next(r for r in range(n) if not g.fixed.contains(units[r]))
+
+    def image_violations(e):
+        return [v for v in expectation_violations(g, e) if v[0] == "image"]
+    assert image_violations(expectation) == []
+    for j in range(n):
+        # column j moved out of B by e_r; the columns before it stay in B
+        rows = [list(row) for row in expectation.entries]
+        rows[r][j] = f.add(rows[r][j], f.one)
+        moved = LinMap.from_rows(f, (n,), (n,), rows)
+        assert image_violations(moved) == [("image", j)]
+
+
 def test_free_basis_heuristic(c2_q, c2_f2):
-    assert check_strongly_separable(c2_q, "fixed_integral").free_basis_found
-    assert check_strongly_separable(c2_f2, "fixed_integral").free_basis_found
+    assert right_free_basis(c2_q) is not None
+    assert right_free_basis(c2_f2) is not None
 
 
 def test_coseparable_self_coextension(coext_q):
