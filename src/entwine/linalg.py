@@ -253,7 +253,7 @@ class LinMap:
         for j, x in vec_nz:
             ints[j] = x
         sums = {i: sum([a * ints[j] for j, a in _integral(nz, p, d)[1]])
-                for i, nz in enumerate(self.nonzeros)}
+                for i, nz in enumerate(self.nonzeros) if nz}
         return _dense_rows((_sparse_sums(sums, d * dv, p),), self.rows,
                            self.field.zero)[0]
 
