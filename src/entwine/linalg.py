@@ -933,6 +933,8 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
     entry is reduced mod p once.  Rows no term reaches stay empty, and
     entries that cancel are dropped.
     """
+    if not terms:
+        raise InputError("a linear condition needs at least one term")
     _, (pre, _, _, post) = terms[0]
     f = pre.field
     xd, xc = prod(x_dom), prod(x_cod)

@@ -267,9 +267,9 @@ def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstrain
                 target=LinMap.element(f, (m.rows,), rhs))
     contract = op_in_unknown((dc,), (da,), [
         (1, (LinMap.element(f, (da, dc), zvec), (da,), SCALAR, a.mult))])
-    tau = LinMap.functional(f, (n,), (f.zero,) * (n - 1) + (f.one,))
+    read_tau = LinMap.functional(f, (n,), (f.zero,) * (n - 1) + (f.one,))
     sys.require("coupling", on_phi(contract),
-                (one, SCALAR, SCALAR, a.unit_map().compose(tau)))
+                (one, SCALAR, SCALAR, a.unit_map().compose(read_tau)))
     return sys
 
 

@@ -885,6 +885,9 @@ def test_terms_of_different_shapes_are_rejected():
     with pytest.raises(InputError):
         sys_.require("X", (tall, SCALAR, SCALAR, ident))
     assert sys_.blocks == []
+    # no term at all
+    with pytest.raises(InputError):
+        op_in_unknown(x, x, [])
 
 
 # -- chains of products in any order ------------------------------------------
