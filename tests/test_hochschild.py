@@ -13,7 +13,7 @@ from entwine.entmod import balanced_power
 from entwine.hochschild import _assemble_complex, verify_bimodule
 from entwine.structures import verify_algebra
 from entwine.errors import DomainError, InconsistencyError
-from entwine.linalg import descend, kron, kron_all
+from entwine.linalg import descend, kernel, kron, kron_all
 
 import oracle
 
@@ -334,6 +334,27 @@ def per_cochain_boundary(cx, n):
     return columns
 
 
+def assert_representatives_match_the_oracle(cx, n):
+    """cohomology_dim(cx, n) against a greedy reference on oracle ranks
+    alone: walk the cycle basis in order and keep each vector that raises
+    the rank of the coboundaries and of the vectors kept before it."""
+    rank = functools.partial(oracle.rank, p=cx.alg.field.p)
+    delta = cx.boundaries[n]
+    cycles = [list(v) for v in kernel(delta).basis]
+    assert len(cycles) == oracle.kernel_dim(delta.entries, p=cx.alg.field.p)
+    assert all(not any(delta.apply(v)) for v in cycles)
+    before = cx.boundaries[n - 1] if n else None
+    coboundaries = [list(before.column(j)) for j in range(before.cols)] if n else []
+    kept = []
+    for v in cycles:
+        if rank(coboundaries + kept + [v]) > rank(coboundaries + kept):
+            kept.append(v)
+    dim, reps = cohomology_dim(cx, n)
+    assert dim == len(kept) == rank(cycles) - rank(coboundaries)
+    reps = [list(v) for v in reps.basis]
+    assert rank(reps) == rank(kept) == rank(reps + kept)
+
+
 # the outer bimodule of the six-dimensional algebra is left out: its
 # degree-three cochain space alone is a 1944-unknown system over Q
 @pytest.mark.parametrize("basis", ["catalog", "random"])
@@ -355,6 +376,19 @@ def test_boundaries_match_the_per_cochain_formula(case, bimodule, field, basis):
         assert None not in expected
         assert [cx.boundaries[n].column(j)
                 for j in range(cx.spaces[n].dim)] == expected
+        assert_representatives_match_the_oracle(cx, n)
+
+
+@pytest.mark.parametrize("n, field", [(2, GF(2)), (3, GF(3))],
+                         ids=["C2-GF2", "C3-GF3"])
+def test_representatives_match_the_oracle_where_cohomology_is_nonzero(n, field):
+    alg = make_example("hopf_self_galois", {"field": field, "n": n}).payload.alg
+    rng = random.Random(f"hopf_self_galois:{n}:{field}")
+    alg, line = _in_basis(alg, [alg.unit], *_random_basis(field, alg.dim, rng))
+    cx = relative_complex(alg, line, regular_bimodule(alg), max_degree=2)
+    assert [cohomology_dim(cx, k)[0] for k in range(3)] == [n, n, n]
+    for k in range(3):
+        assert_representatives_match_the_oracle(cx, k)
 
 
 def test_assembly_checks_raise_inconsistency(monkeypatch):
