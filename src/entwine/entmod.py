@@ -16,7 +16,6 @@ landing and descent assertions on each individual map still run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
@@ -217,14 +216,15 @@ def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
     if n < 2:
         return quotient_by(Subspace.zero(f, (alg.dim,) * n))
     ida = alg.identity()
-    incl = b.inclusion()
+    incl = b.inclusion
     # move: A (x) B (x) A -> A (x) A, the balancing defect at one junction
     move = kron(alg.mult.compose(kron(ida, incl)), ida).sub(
         kron(ida, alg.mult.compose(kron(incl, ida))))
-    return quotient_by(reduce(Subspace.sum, [
-        image(kron_all(LinMap.identity(f, (alg.dim,) * pos), move,
-                       LinMap.identity(f, (alg.dim,) * (n - 2 - pos))))
-        for pos in range(n - 1)]))
+    return quotient_by(Subspace.span(f, (alg.dim,) * n, [
+        col for pos in range(n - 1)
+        for col in kron_all(LinMap.identity(f, (alg.dim,) * pos), move,
+                            LinMap.identity(f, (alg.dim,) * (n - 2 - pos)))
+        .transpose().nonzeros]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +299,13 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
     idmt = mt.identity()
     idc = src.coalg.identity()
     # coaction Sum m~ (x) c -> Sum m~ (x) c1 (x) c2
-    coact_raw = kron(idmt, src.coalg.comult).compose(sub.inclusion())
+    coact_raw = kron(idmt, src.coalg.comult).compose(sub.inclusion)
     coaction = corestrict(coact_raw, sub, right=dc)
     # action Sum m~ (x) c . a = Sum m~ f(a_alpha) (x) c^alpha
     mult_f = mt.action.compose(kron(idmt, mor.f))
     act_raw = compose_all(kron(mult_f, idc),
                           kron(idmt, src.psi),
-                          kron(sub.inclusion(), src.alg.identity()))
+                          kron(sub.inclusion, src.alg.identity()))
     action = corestrict(act_raw, sub)
     sd = sub.dim
     out = EntwinedModule(src, sd,
@@ -327,7 +327,7 @@ def coinduce_morphism(mor: EntwiningMorphism, phi: LinMap,
                       src_sub: Subspace, dst_sub: Subspace) -> LinMap:
     """phi [] C between two coinduced modules."""
     dc = mor.src.coalg.dim
-    raw = kron(phi, LinMap.identity(phi.field, (dc,))).compose(src_sub.inclusion())
+    raw = kron(phi, LinMap.identity(phi.field, (dc,))).compose(src_sub.inclusion)
     return corestrict(raw, dst_sub)
 
 
@@ -349,7 +349,7 @@ def adjunction_counit(mor: EntwiningMorphism, mt: EntwinedModule,
     ida2 = mor.dst.alg.identity()
     raw = compose_all(mt.action,
                       kron_all(mt.identity(), mor.src.coalg.counit_map(), ida2),
-                      kron(sub.inclusion(), ida2))
+                      kron(sub.inclusion, ida2))
     return descend(raw, quot)
 
 

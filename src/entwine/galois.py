@@ -235,8 +235,8 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
                           actual_dim=exc.actual_dim, rank=exc.rank) from None
     # I annihilates the fixed subalgebra B^* inside C^*, and C []_B C the
     # balancing relations inside C^* (x) C^*
-    coideal = kernel(dual.fixed.inclusion().transpose())
-    cosquare = kernel(dual.square.relations.inclusion().transpose())
+    coideal = kernel(dual.fixed.inclusion.transpose())
+    cosquare = kernel(dual.square.relations.inclusion.transpose())
     # psi's four laws and C's entwined compatibility are the transposes of
     # the dual's, which its build checked
     ent = dual_entwining(dual.ent)

@@ -28,8 +28,8 @@ from math import prod
 from .entmod import balanced_power
 from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
-                     SCALAR, corestrict, descend, image, kernel, kron,
-                     kron_all, op_in_unknown)
+                     SCALAR, corestrict, descend, kernel, kron, kron_all,
+                     op_in_unknown, rref)
 from .structures import Algebra, CheckReport, law, subalgebra_product
 
 
@@ -90,7 +90,7 @@ def _cochain_space(alg: Algebra, b: Subspace, m: Bimodule,
     """Two-sided B-linear maps out of a balanced power with at least one
     factor, as a subspace of the full matrix space."""
     f = alg.field
-    incl = b.inclusion()
+    incl = b.inclusion
     bdim = b.dim
     dom_dim = power.dim
     first = kron(alg.mult.compose(kron(incl, alg.identity())),
@@ -118,7 +118,7 @@ def _centralizer(alg: Algebra, b: Subspace, m: Bimodule) -> Subspace:
     """Elements x of M with b . x = x . b for every b in B."""
     sys = LinearConstraints(alg.field, SCALAR, (m.dim,))
     # both sides as maps B -> M in the unknown element x: k -> M
-    incl = b.inclusion()
+    incl = b.inclusion
     lhs = (incl, (alg.dim,), SCALAR, m.left)
     rhs = (incl, SCALAR, (alg.dim,), m.right)
     sys.require("centrality", lhs, rhs)
@@ -170,10 +170,10 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
                     SCALAR, SCALAR, idm)) for i in range(n)]
         terms.append(((-1) ** (n + 1), (kron(proj, ida), SCALAR, (d,), m.right)))
         raw = op_in_unknown((powers[n].dim,), (m.dim,), terms) \
-            .compose(spaces[n].inclusion())
+            .compose(spaces[n].inclusion)
         target = powers[n + 1]
         # on vectorized maps, precomposing with r is 1_M (x) r^T
-        if not kron(idm, target.relations.inclusion().transpose()) \
+        if not kron(idm, target.relations.inclusion.transpose()) \
                 .compose(raw).is_zero_map():
             raise InconsistencyError("coboundary does not descend")
         boundaries.append(corestrict(
@@ -188,24 +188,23 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
 def cohomology_dim(complex_: RelativeComplex, n: int):
     """(dimension, representatives) of the degree-n cohomology.
 
-    Representatives are cocycles spanning a complement of the coboundaries,
-    in cochain coordinates.
-    """
+    The representatives, in cochain coordinates, are the cycle-basis
+    vectors (the kernel's echelon basis, in order) outside the span of the
+    coboundaries and of the cycles before them: the pivot columns past
+    delta_(n-1) of one elimination of [delta_(n-1) | cycle basis]."""
     if n < 0 or n > complex_.max_degree:
         raise InputError(f"degree {n} exceeds the computed complex")
-    f = complex_.alg.field
     cycles = kernel(complex_.boundaries[n])
-    if n == 0:
-        boundaries = Subspace.zero(f, cycles.ambient)
-    else:
-        boundaries = image(complex_.boundaries[n - 1])
-    dim = cycles.dim - boundaries.dim
-    reps = []
-    span = boundaries
-    for v in cycles.basis:
-        if not span.contains(v):
-            reps.append(v)
-            span = span.sum(Subspace.from_vectors(f, cycles.ambient, [v]))
-    if len(reps) != dim:
-        raise InconsistencyError("representative count mismatch")  # unreachable
-    return dim, Subspace.from_vectors(f, (complex_.spaces[n].dim,), reps)
+    into = complex_.boundaries[n - 1] if n else \
+        LinMap.zero(cycles.field, (0,), cycles.ambient)
+    k = into.cols
+    _, pivots = rref(cycles.field, [
+        b + tuple((k + j, x) for j, x in z)
+        for b, z in zip(into.nonzeros, cycles.inclusion.nonzeros)])
+    if len(pivots) != cycles.dim:
+        raise InconsistencyError("coboundaries leave the cycles")  # unreachable
+    picked = [c - k for c in pivots if c >= k]
+    # rows of a reduced echelon basis are a reduced echelon basis themselves
+    return len(picked), Subspace(cycles.field, cycles.ambient,
+                                 tuple(cycles.reduced[i] for i in picked),
+                                 tuple(cycles.pivots[i] for i in picked))

@@ -40,9 +40,10 @@ reached row; no operator is built for one side alone.  The Hochschild
 coboundaries of `hochschild` are assembled by the same call, on the
 unknown cochain, with their alternating signs.
 
-A vector or a map lies in a subspace S exactly when incl . retr fixes it,
-incl and retr S's inclusion and pivot-coordinate retraction; membership
-is tested by that identity and nothing else.
+A subspace is one `rref` of all its generators, sums included.  A vector
+or a map lies in it exactly when incl . retr fixes it, incl and retr its
+inclusion and pivot-coordinate retraction, each built once; membership is
+tested by that identity and nothing else.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -621,7 +623,7 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
 class Subspace:
     """A subspace given by its reduced row echelon basis, held as sparse
     rows; the canonical form makes equality of subspaces plain equality of
-    bases."""
+    bases.  Each span is one `rref`; incl and retr are built once."""
 
     field: Field
     ambient: tuple
@@ -635,11 +637,11 @@ class Subspace:
         for v in vecs:
             if len(v) != n:
                 raise InputError("spanning vector does not match ambient shape")
-        return Subspace._span(field, ambient, [_sparse_row(v) for v in vecs])
+        return Subspace.span(field, ambient, [_sparse_row(v) for v in vecs])
 
     @staticmethod
-    def _span(field, ambient, rows) -> "Subspace":
-        """The span of a list of sparse rows."""
+    def span(field, ambient, rows) -> "Subspace":
+        """The span of a list of sparse rows, by one elimination."""
         reduced, pivots = rref(field, rows)
         return Subspace(field, ambient, tuple(reduced), tuple(pivots))
 
@@ -670,27 +672,21 @@ class Subspace:
     def coords(self, vec):
         """Coordinates of vec in the echelon basis, retr(vec); None unless
         incl(retr(vec)) = vec, that is, unless vec is a member."""
-        coords = self.retraction().apply(vec)
-        if self.inclusion().apply(coords) != tuple(vec):
-            return None
-        return coords
+        coords = self.retraction.apply(vec)
+        return coords if self.inclusion.apply(coords) == tuple(vec) else None
 
+    @cached_property
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
         return LinMap(self.field, self.ambient, (self.dim,),
                       self.reduced).transpose()
 
+    @cached_property
     def retraction(self) -> LinMap:
         """ambient -> S, pivot-coordinate extraction; a left inverse of inclusion."""
         one = self.field.one
         return LinMap(self.field, self.ambient, (self.dim,),
                       tuple(((pc, one),) for pc in self.pivots))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if prod(self.ambient) != prod(other.ambient):
-            raise InputError("ambient mismatch in subspace sum")
-        return Subspace._span(self.field, self.ambient,
-                              list(self.reduced + other.reduced))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {prod(self.ambient)})"
@@ -759,7 +755,7 @@ def descend(raw: LinMap, src: QuotientModule, left=1, right=1) -> LinMap:
     idl = LinMap.identity(f, (left,) if left != 1 else SCALAR)
     idr = LinMap.identity(f, (right,) if right != 1 else SCALAR)
     if src.relations.dim and not raw.compose(
-            kron_all(idl, src.relations.inclusion(), idr)).is_zero_map():
+            kron_all(idl, src.relations.inclusion, idr)).is_zero_map():
         raise InconsistencyError("map does not descend to the quotient")
     sec = kron_all(idl, src.section, idr)
     return raw.compose(sec)
@@ -773,8 +769,8 @@ def corestrict(raw: LinMap, sub: Subspace, left=1, right=1) -> LinMap:
     f = raw.field
     idl = LinMap.identity(f, (left,) if left != 1 else SCALAR)
     idr = LinMap.identity(f, (right,) if right != 1 else SCALAR)
-    retr = kron_all(idl, sub.retraction(), idr)
-    incl = kron_all(idl, sub.inclusion(), idr)
+    retr = kron_all(idl, sub.retraction, idr)
+    incl = kron_all(idl, sub.inclusion, idr)
     squeezed = retr.compose(raw)
     if not incl.compose(squeezed).equals(raw):
         raise InconsistencyError("image does not lie in the subspace")
@@ -860,21 +856,21 @@ def solve_affine(m: LinMap, b) -> AffineSolutionSet:
         particular = tuple(part)
     # the remaining rows' coefficient blocks are the reduced form of m
     basis = _kernel_from_rref(f, reduced, pivots, ncols)
-    return AffineSolutionSet(particular, Subspace._span(f, m.domain, basis))
+    return AffineSolutionSet(particular, Subspace.span(f, m.domain, basis))
 
 
 def kernel(m: LinMap) -> Subspace:
     """The kernel of a map, as a canonical subspace of its domain."""
     f = m.field
     reduced, pivots = rref(f, list(m.nonzeros))
-    return Subspace._span(f, m.domain,
+    return Subspace.span(f, m.domain,
                           _kernel_from_rref(f, reduced, pivots, m.cols))
 
 
 def image(m: LinMap) -> Subspace:
     """The image of a map, as a canonical subspace of its codomain: the
     reduced span of its columns."""
-    return Subspace._span(m.field, m.codomain, list(m.transpose().nonzeros))
+    return Subspace.span(m.field, m.codomain, list(m.transpose().nonzeros))
 
 
 def kernel_image(m: LinMap):

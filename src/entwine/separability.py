@@ -134,7 +134,7 @@ def split_system(g: GaloisExtension) -> LinearConstraints:
     contract = (LinMap.element(f, (da, dc), rho_one), (da,), SCALAR, a.mult)
     sys.require("unit splitting", contract, target=a.unit_map())
     # b_alpha phi(c^alpha) = phi(c) b on C (x) B, B the fixed subalgebra
-    ins = kron(idc, g.fixed.inclusion())
+    ins = kron(idc, g.fixed.inclusion)
     lhs = (psi.compose(ins), (da,), SCALAR, a.mult)
     rhs = (ins, SCALAR, (da,), a.mult)
     sys.require("fixed-element commutation", lhs, rhs)
@@ -149,8 +149,8 @@ def expectation_violations(g: GaloisExtension, expectation: LinMap) -> list:
     if expectation.apply(a.unit) != tuple(a.unit):
         bad.append(("unitality",))
     # E lands in B: the inclusion of B fixes E
-    incl = g.fixed.inclusion()
-    diff = compose_all(incl, g.fixed.retraction(), expectation) \
+    incl = g.fixed.inclusion
+    diff = compose_all(incl, g.fixed.retraction, expectation) \
         .first_difference(expectation)
     if diff is not None:
         bad.append(("image", diff[0]))
@@ -368,18 +368,16 @@ def right_free_basis(g: GaloisExtension):
     if bdim == 0 or a.dim % bdim != 0:
         return None
     blocks_needed = a.dim // bdim
-    incl = g.fixed.inclusion()
+    incl = g.fixed.inclusion
     chosen = []
-    vectors = []
-    span = Subspace.from_vectors(f, (a.dim,), [])
+    span = Subspace.zero(f, (a.dim,))
     # 1, then the basis
     for cand in [tuple(a.unit), *map(a.identity().column, range(a.dim))]:
         block = a.mult.compose(kron(LinMap.element(f, (a.dim,), cand), incl))
-        block_vectors = [block.column(t) for t in range(bdim)]
-        trial = Subspace.from_vectors(f, (a.dim,), vectors + block_vectors)
+        trial = Subspace.span(f, (a.dim,),
+                              [*span.reduced, *block.transpose().nonzeros])
         if trial.dim == span.dim + bdim:
             chosen.append(cand)
-            vectors.extend(block_vectors)
             span = trial
             if len(chosen) == blocks_needed:
                 return chosen
@@ -402,6 +400,6 @@ def check_coseparable(x: Coextension):
         return None
     pair_u = LinMap.functional(x.field, x.cosquare.ambient,
                                x.dual.square.section.apply(sep.u))
-    upsilon = pair_u.compose(x.cosquare.inclusion())
+    upsilon = pair_u.compose(x.cosquare.inclusion)
     y = Witness(WitnessKind.COINTEGRAL, x.ent, sep.source_integral.value, True)
     return CoseparabilityCertificate(upsilon.flat(), y)

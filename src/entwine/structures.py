@@ -13,7 +13,7 @@ from math import prod
 
 from .errors import DomainError, InputError
 from .fields import Field
-from .linalg import (LinMap, Subspace, compose_all, image, kron, quotient_by,
+from .linalg import (LinMap, Subspace, compose_all, kron, quotient_by,
                      unflatten)
 
 
@@ -149,9 +149,9 @@ def subalgebra_product(alg: Algebra, b: Subspace):
     """The product of A on a subspace B, retr . mult . (incl (x) incl), when
     B is closed under it: the products P of pairs in B satisfy incl . retr
     . P = P.  None when B is not closed."""
-    incl = b.inclusion()
+    incl = b.inclusion
     products = alg.mult.compose(kron(incl, incl))
-    squeezed = b.retraction().compose(products)
+    squeezed = b.retraction.compose(products)
     if not incl.compose(squeezed).equals(products):
         return None
     return squeezed
@@ -166,7 +166,7 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
     """
     if prod(i.ambient) != c.dim:
         raise InputError("subspace does not live in the coalgebra")
-    incl = i.inclusion()
+    incl = i.inclusion
     counit_on_i = c.counit_map().compose(incl)
     diff = counit_on_i.first_difference(
         LinMap.zero(c.field, counit_on_i.domain, counit_on_i.codomain))
@@ -175,9 +175,11 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
                           witness=i.basis[diff[0]])
     # Delta(I) lies in I (x) C + C (x) I: its inclusion fixes Delta . incl
     idc = c.identity()
-    mixed = image(kron(incl, idc)).sum(image(kron(idc, incl)))
+    left, right = kron(incl, idc), kron(idc, incl)
+    mixed = Subspace.span(c.field, left.codomain, [*left.transpose().nonzeros,
+                                                   *right.transpose().nonzeros])
     comult_on_i = c.comult.compose(incl)
-    diff = compose_all(mixed.inclusion(), mixed.retraction(),
+    diff = compose_all(mixed.inclusion, mixed.retraction,
                        comult_on_i).first_difference(comult_on_i)
     if diff is not None:
         raise DomainError("comultiplication leaves the coideal",

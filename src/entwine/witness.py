@@ -194,7 +194,7 @@ def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
     mult_f = dst.alg.mult.compose(kron(ida2, mor.f))
     act_raw = compose_all(kron_all(idc, mult_f, idc),
                           kron_all(idc, ida2, src.psi),
-                          kron(carrier.inclusion(), ida))
+                          kron(carrier.inclusion, ida))
     action = corestrict(act_raw, carrier)
     # auxiliary cotensor on (C (x) A) (x) A~, C (x) A entwined over the source
     aux = _cotensor_with_c(mor, RightComodule(dc * da, compose_all(
@@ -226,19 +226,19 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     # multiplicativity: lambda(c (x) f(a)a~ (x) c') = a_alpha lambda(c^alpha (x) a~ (x) c')
     push = compose_all(kron_all(idc, dst.alg.mult, idc),
                        kron_all(idc, mor.f, ida2, idc),
-                       ctx.aux.inclusion())
+                       ctx.aux.inclusion)
     push = corestrict(push, ctx.carrier)                      # S2 -> S
-    pull = compose_all(kron_all(src.psi, ida2, idc), ctx.aux.inclusion())
+    pull = compose_all(kron_all(src.psi, ida2, idc), ctx.aux.inclusion)
     pull = corestrict(pull, ctx.carrier, left=da)             # S2 -> A (x) S
     mult_l = (push, SCALAR, SCALAR, ida)
     mult_r = (pull, (da,), SCALAR, src.alg.mult)
     sys.require("multiplicativity", mult_l, mult_r)
     # colinearity: lambda(c (x) a~ (x) c'1) (x) c'2 = psi(c1 (x) lambda(c2 (x) a~ (x) c'))
     spread_r = corestrict(compose_all(kron_all(idc, ida2, src.coalg.comult),
-                                      ctx.carrier.inclusion()),
+                                      ctx.carrier.inclusion),
                           ctx.carrier, right=dc)              # S -> S (x) C
     spread_l = corestrict(compose_all(kron_all(src.coalg.comult, ida2, idc),
-                                      ctx.carrier.inclusion()),
+                                      ctx.carrier.inclusion),
                           ctx.carrier, left=dc)               # S -> C (x) S
     col_l = (spread_r, SCALAR, (dc,), LinMap.identity(f, (da, dc)))
     col_r = (spread_l, (dc,), SCALAR, src.psi)
@@ -404,10 +404,10 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     # the cotensor on representatives, before dividing by the balancing relations
     upstairs = _cotensor_with_c(mor, m.as_comodule())
     into_carrier = corestrict(
-        kron_all(m.coaction, ida2, idc).compose(upstairs.inclusion()),
+        kron_all(m.coaction, ida2, idc).compose(upstairs.inclusion),
         ctx.carrier, left=m.dim)
     raw = compose_all(m.action, kron(idm, lam.matrix), into_carrier)
-    cover = corestrict(kron(quot.projection, idc).compose(upstairs.inclusion()),
+    cover = corestrict(kron(quot.projection, idc).compose(upstairs.inclusion),
                        sub)
     try:
         section = right_inverse(cover)
@@ -454,7 +454,7 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     front = kron(LinMap.element(f, (da,), src.alg.unit),
                  LinMap.identity(f, (dc, da2, dc)))
     lift = corestrict(
-        compose_all(kron(quot.projection, idc), front, ctx.carrier.inclusion()),
+        compose_all(kron(quot.projection, idc), front, ctx.carrier.inclusion),
         sub)
     lam = compose_all(kron(LinMap.identity(f, (da,)), src.coalg.counit_map()),
                       nu_on_ac.reshaped(codomain=(da, dc)), lift)
@@ -484,7 +484,7 @@ def lambda_from_gamma(gamma: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     ctx = lambda_context(mor)
     raw = compose_all(src.alg.mult, kron(src.alg.identity(), gamma),
                       kron(src.psi, src.coalg.identity()))
-    lam = raw.compose(ctx.carrier.inclusion())
+    lam = raw.compose(ctx.carrier.inclusion)
     return lambda_witness(mor, lam.flat())
 
 

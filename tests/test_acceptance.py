@@ -172,7 +172,7 @@ def _conversion_maps(e, ctx_carrier):
     s = ctx_carrier.dim
     to_gamma = op_in_unknown((s,), (da,),
                              [(1, (ins, SCALAR, SCALAR, e.alg.identity()))])
-    pre = compose_all(kron(e.psi, idc), ctx_carrier.inclusion())
+    pre = compose_all(kron(e.psi, idc), ctx_carrier.inclusion)
     to_lambda = op_in_unknown((dc, dc), (da,),
                               [(1, (pre, (da,), SCALAR, e.alg.mult))])
     return to_gamma, to_lambda

@@ -93,7 +93,7 @@ def test_tensor_over_A_unit_law(c2_q):
 
 def test_tensor_over_ground_subalgebra(c2_q):
     a = c2_q.alg
-    incl = c2_q.fixed.inclusion()
+    incl = c2_q.fixed.inclusion
     right = RightModule(2, a.mult.compose(kron(a.identity(), incl)))
     left = LeftModule(2, a.mult.compose(kron(incl, a.identity())))
     assert tensor_over_A(right, left).dim == 4
@@ -170,7 +170,7 @@ def test_adjunction_unit_formula(c2_q):
     # embed M = M (x) 1 and compare against the coaction route
     embed = quot.projection.compose(kron(m.identity(), e.alg.unit_map()))
     _, sub = coinduce(mor, fm)
-    expected = sub.retraction().compose(
+    expected = sub.retraction.compose(
         kron(embed, e.coalg.identity()).compose(m.coaction))
     assert phi.equals(expected)
 
@@ -187,7 +187,7 @@ def test_adjunction_counit_is_counit_contraction(c2_q):
     embed = quot.projection.compose(kron(gmt.identity(), e.alg.unit_map()))
     composite = psi.compose(embed)
     expected = kron(LinMap.identity(QQ, (mt.dim,)), e.coalg.counit_map()) \
-        .compose(sub.inclusion())
+        .compose(sub.inclusion)
     assert composite.equals(expected)
 
 
@@ -286,9 +286,9 @@ def test_cotensor_unit_iso_explicit(c2_q):
     e = c2_q.ent
     v = standard_module("mod_tensor_c", regular_module(e.alg), e)
     sub = cotensor(v.as_comodule(), LeftComodule(2, e.coalg.comult))
-    fwd = sub.retraction().compose(v.coaction)
+    fwd = sub.retraction.compose(v.coaction)
     idv = LinMap.identity(QQ, (v.dim,))
-    back = kron(idv, e.coalg.counit_map()).compose(sub.inclusion())
+    back = kron(idv, e.coalg.counit_map()).compose(sub.inclusion)
     assert back.compose(fwd).equals(idv)
     assert fwd.compose(back).equals(LinMap.identity(QQ, (sub.dim,)))
 

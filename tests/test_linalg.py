@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from entwine import GF, QQ, LinMap, Subspace, kernel_image, kron, \
 from entwine.linalg import invert, quotient_by, rref
 from entwine.errors import InputError
 from entwine.linalg import (LinearConstraints, SCALAR, compose_all,
-                            op_in_unknown, right_inverse, unflatten)
+                            corestrict, op_in_unknown, right_inverse,
+                            unflatten)
 
 import oracle
 
@@ -213,13 +215,24 @@ def test_membership_matches_the_oracle_rank(system, data):
             moved = list(member)
             moved[j] = field.add(moved[j], field.one)
             candidates.append(tuple(moved))
-    for v in candidates:
-        inside = oracle.rank(rows + [list(v)], p) == s.dim
-        assert s.contains(v) == inside
-        coords = s.coords(v)
-        assert (coords is not None) == inside
-        if inside:
-            assert s.inclusion().apply(coords) == v
+    transposes = []
+    transpose = LinMap.transpose
+    with mock.patch.object(LinMap, "transpose",
+                           lambda m: transposes.append(m) or transpose(m)):
+        # ten membership questions, then one corestriction
+        for v in itertools.islice(itertools.cycle(candidates), 5):
+            inside = oracle.rank(rows + [list(v)], p) == s.dim
+            assert s.contains(v) == inside
+            coords = s.coords(v)
+            assert (coords is not None) == inside
+            if inside:
+                assert s.inclusion.apply(coords) == v
+        squeezed = corestrict(LinMap.element(field, (n,), candidates[0]), s)
+    # the subspace builds its inclusion once, however often it is asked
+    assert len(transposes) <= 1
+    assert squeezed.flat() == s.coords(candidates[0])
+    assert s.retraction.compose(s.inclusion).equals(
+        LinMap.identity(field, (s.dim,)))
     assert s.contains(candidates[0])
 
 
