@@ -135,6 +135,8 @@ def _morphism_from(doc, ent, choice) -> EntwiningMorphism:
 
 
 def cmd_solve(args) -> int:
+    if args.kind in _KIND_MAP and args.morphism is not None:
+        raise InputError(f"--kind {args.kind} does not read --morphism")
     doc = _load(args.file)
     try:
         ent = doc.entwining()
@@ -148,7 +150,7 @@ def cmd_solve(args) -> int:
         sys_ = witness_system(kind, ent, normalized)
         label = kind.value
     else:
-        mor = _morphism_from(doc, ent, args.morphism)
+        mor = _morphism_from(doc, ent, args.morphism or "counit")
         build = {"lambda": integrability_system,
                  "frakz": cointegrability_system}[args.kind]
         sys_, _ = build(mor, total=True)
@@ -349,7 +351,9 @@ def cmd_hochschild(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    field = QQ if args.field == "Q" else GF(args.p)
+    if args.field == "Q" and args.p is not None:
+        raise InputError("--field Q does not read --p (only --field Fp does)")
+    field = QQ if args.field == "Q" else GF(2 if args.p is None else args.p)
     params = {key: getattr(args, key) for key in ("n", "d", "na", "nc", "hopf")
               if getattr(args, key) is not None}
     if args.dual:
@@ -399,8 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=[*_KIND_MAP, "lambda", "frakz"])
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--morphism", choices=["counit", "unit", "doc"],
-                   default="counit",
-                   help="morphism for lambda/frakz solves")
+                   help="morphism for lambda/frakz solves (default counit)")
     p.add_argument("--json", action="store_true")
     p.add_argument("-o", "--output")
     p.add_argument("file")
@@ -434,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("catalog", help="emit a catalog example")
     p.add_argument("--name", required=True)
     p.add_argument("--field", choices=["Q", "Fp"], default="Q")
-    p.add_argument("--p", type=int, default=2)
+    p.add_argument("--p", type=int, help="modulus for --field Fp (default 2)")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--na", type=int)

@@ -466,6 +466,31 @@ def test_catalog_parameter_the_family_does_not_read_is_input_error(capsys):
                    "(it reads hopf, n)\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--name", "group_algebra", "--field", "Q", "--p", "4"],
+    ["catalog", "--name", "group_algebra", "--p", "2"],
+    ["solve", "--kind", "integral", "--morphism", "doc", "DOC"],
+    ["solve", "--kind", "cointegral-map", "--morphism", "counit", "DOC"],
+])
+def test_an_option_the_command_does_not_read_is_input_error(c2_q_file, capsys,
+                                                            argv):
+    _assert_input_error([c2_q_file if a == "DOC" else a for a in argv], capsys)
+
+
+def test_omitted_modulus_and_morphism_keep_their_defaults(c2_q_file, capsys):
+    outputs = []
+    for argv in (["catalog", "--name", "group_algebra", "--field", "Fp"],
+                 ["catalog", "--name", "group_algebra", "--field", "Fp",
+                  "--p", "2"],
+                 ["solve", "--kind", "lambda", c2_q_file],
+                 ["solve", "--kind", "lambda", "--morphism", "counit",
+                  c2_q_file]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert json.loads(outputs[0].out)["field"] == {"kind": "Fp", "p": 2}
+
+
 @pytest.mark.parametrize("args", [
     ["self_coextension", "--n", "2", "--dual"],
     ["self_coextension", "--n", "3"],
