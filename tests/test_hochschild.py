@@ -343,8 +343,7 @@ def assert_representatives_match_the_oracle(cx, n):
     cycles = [list(v) for v in kernel(delta).basis]
     assert len(cycles) == oracle.kernel_dim(delta.entries, p=cx.alg.field.p)
     assert all(not any(delta.apply(v)) for v in cycles)
-    before = cx.boundaries[n - 1] if n else None
-    coboundaries = [list(before.column(j)) for j in range(before.cols)] if n else []
+    coboundaries = [list(c) for c in zip(*cx.boundaries[n - 1].entries)] if n else []
     kept = []
     for v in cycles:
         if rank(coboundaries + kept + [v]) > rank(coboundaries + kept):
