@@ -57,10 +57,15 @@ def _load(path: str, parse=schema.parse_document):
 
 
 def _emit(doc: dict, out: str | None, as_json: bool):
+    """Write doc as JSON to the file out, if given, and to standard output
+    if as_json; a file that cannot be written is an input error."""
     text = schema.dumps(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     if as_json:
         sys.stdout.write(text)
 
@@ -373,13 +378,9 @@ def cmd_catalog(args) -> int:
                "coalgebra": schema.coalgebra_to_json(payload.coalg)}
     for w in entry.extras.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
-    text = schema.dumps(doc)
+    _emit(doc, args.output, not args.output)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"wrote {args.output}")
-    else:
-        sys.stdout.write(text)
     return OK
 
 

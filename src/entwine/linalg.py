@@ -13,22 +13,26 @@ every value a canonical nonzero scalar.  Products, sums, elimination and
 the solvers read those rows directly and choose their scalar arithmetic
 once per call; dense rows are built only on request (`LinMap.entries`,
 `flat`, `Subspace.basis`) for printing, JSON and callers that index
-vectors.  Products over Q run in integers on a common denominator: each
-factor's nonzeros are rewritten as integer numerators over one denominator
-(`_integral`), sums of products are plain int arithmetic, and one canonical
-Fraction is built per nonzero output entry.  A product with an identity or
-unit-selection factor (every row empty or a single 1, `_unit_selection`;
-on the right of a composite, no two rows picking one column) only
-re-indexes rows and reuses their values, with no arithmetic; its result is
-the same canonical rows, so outputs are byte-identical.  `compose_all`
-multiplies the adjacent pair with the fewest multiply-adds first.  Every
-elimination goes through one Gauss-Jordan routine on sparse rows, `rref`,
-whose result is the unique reduced row echelon form, so every subspace,
-kernel, image and solution set is canonical however it was computed.  Over
-Q it eliminates on primitive integer rows and builds one Fraction per
-output entry, and a column index clears each new pivot only from the rows
-that hold it; neither changes a result, since the reduced row echelon form
-does not depend on how the rows were scaled or cleared.
+vectors.  `LinMap.compose` is the one product of maps that multiplies
+scalars: `apply` composes with the vector as a one-column map, and a
+tensor product of two factors that both hold values is (f (x) 1) . (1 (x)
+g), two moves and one composition.  Over Q compose runs in integers on a
+common denominator: each factor's nonzeros are rewritten as integer
+numerators over one denominator (`_integral`), sums of products are plain
+int arithmetic, and one canonical Fraction is built per nonzero output
+entry.  A product with an identity or unit-selection factor (every row
+empty or a single 1, `_unit_selection`; on the right of a composite, no
+two rows picking one column) only re-indexes rows and reuses their values,
+with no arithmetic; its result is the same canonical rows, so outputs are
+byte-identical.  `compose_all` multiplies the adjacent pair with the
+fewest multiply-adds first.  Every elimination goes through one
+Gauss-Jordan routine on sparse rows, `rref`, whose result is the unique
+reduced row echelon form, so every subspace, kernel, image and solution
+set is canonical however it was computed.  Over Q it eliminates on
+primitive integer rows and builds one Fraction per output entry, and a
+column index clears each new pivot only from the rows that hold it;
+neither changes a result, since the reduced row echelon form does not
+depend on how the rows were scaled or cleared.
 
 A linear condition on an unknown matrix X says that signed sums of
 composites post . (1_L (x) X (x) 1_R) . pre agree.  Each composite is
@@ -246,18 +250,14 @@ class LinMap:
         return LinMap(self.field, domain, codomain, self.nonzeros)
 
     def apply(self, vec):
+        """The image of vec: `compose`, the one product that multiplies,
+        with vec as a one-column map (`LinMap.element`), and the single
+        column read off the rows."""
         if len(vec) != self.cols:
             raise InputError(f"vector of length {len(vec)} for domain {self.cols}")
-        p = self.field.p
-        d = _denominator(self.nonzeros, p)
-        dv, vec_nz = _integral(_sparse_row(vec), p)
-        ints = [0] * len(vec)
-        for j, x in vec_nz:
-            ints[j] = x
-        sums = {i: sum([a * ints[j] for j, a in _integral(nz, p, d)[1]])
-                for i, nz in enumerate(self.nonzeros) if nz}
-        return _dense_rows((_sparse_sums(sums, d * dv, p),), self.rows,
-                           self.field.zero)[0]
+        image = self.compose(LinMap.element(self.field, self.domain, vec))
+        zero = self.field.zero
+        return tuple(nz[0][1] if nz else zero for nz in image.nonzeros)
 
     def flat(self) -> tuple:
         """Row-major vectorization of the matrix; inverse of from_flat."""
@@ -298,6 +298,9 @@ class LinMap:
             other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
         out = []
         for nz in self.nonzeros:
+            if not nz:
+                out.append(())
+                continue
             d, row_nz = _integral(nz, p)
             acc = {}
             for k, a in row_nz:
@@ -321,14 +324,6 @@ class LinMap:
                 r1 = tuple((j, x) for j, x in sorted(acc.items()) if x)
             rows.append(r1)
         return LinMap(self.field, self.domain, self.codomain, tuple(rows))
-
-    def scale(self, scalar) -> "LinMap":
-        f = self.field
-        if not scalar:
-            return LinMap.zero(f, self.domain, self.codomain)
-        rows = tuple(tuple((j, f.mul(scalar, a)) for j, a in nz)
-                     for nz in self.nonzeros)
-        return LinMap(f, self.domain, self.codomain, rows)
 
     def transpose(self) -> "LinMap":
         cols = [[] for _ in range(self.cols)]
@@ -369,7 +364,11 @@ class LinMap:
 
 
 def kron(f: LinMap, g: LinMap) -> LinMap:
-    """Tensor product of maps; shapes concatenate, flattening is row-major."""
+    """Tensor product of maps; shapes concatenate, flattening is row-major.
+
+    With a unit-selection factor the entries of the other are moved, with
+    no arithmetic; otherwise it is (f (x) 1) . (1 (x) g), and `compose`,
+    the one product that multiplies, does the products."""
     if f.field != g.field:
         raise InputError("field mismatch in tensor product")
     domain, codomain = f.domain + g.domain, f.codomain + g.codomain
@@ -403,25 +402,9 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
                          else tuple([(j1 * gc + j2, a) for j1, a in fnz])
                          for j2 in g_picked])
         return LinMap(f.field, domain, codomain, tuple(rows))
-    p = f.field.p
-    g_nz = [_integral(nz, p) for nz in g.nonzeros]
-    out = []
-    for fnz in f.nonzeros:
-        df, f_nz = _integral(fnz, p)
-        f_nz = [(j1 * gc, a) for j1, a in f_nz]
-        for dg, grow in g_nz:
-            if p is not None:
-                row = tuple((base + j2, a * b % p)
-                            for base, a in f_nz for j2, b in grow)
-            elif df * dg == 1:
-                row = tuple((base + j2, Fraction(a * b))
-                            for base, a in f_nz for j2, b in grow)
-            else:
-                d = df * dg
-                row = tuple((base + j2, Fraction(a * b, d))
-                            for base, a in f_nz for j2, b in grow)
-            out.append(row)
-    return LinMap(f.field, domain, codomain, tuple(out))
+    # each factor of (f (x) 1) . (1 (x) g) is a move above
+    return kron(f, LinMap.identity(f.field, g.codomain)).compose(
+        kron(LinMap.identity(f.field, f.domain), g))
 
 
 def kron_all(*maps) -> LinMap:

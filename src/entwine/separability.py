@@ -239,7 +239,7 @@ def verify_strong(g: GaloisExtension, u, expectation: LinMap, tau) -> list:
     lhs2 = compose_all(a.mult, kron(ida, expectation),
                        kron(ida, a.mult),
                        kron_all(rep_map, ida))
-    target = ida.scale(tau)
+    target = kron(LinMap.element(f, SCALAR, (tau,)), ida)   # tau 1_A
     if not lhs1.equals(target):
         bad.append(("expectation-first", lhs1.first_difference(target)))
     if not lhs2.equals(target):

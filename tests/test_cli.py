@@ -491,6 +491,40 @@ def test_omitted_modulus_and_morphism_keep_their_defaults(c2_q_file, capsys):
     assert json.loads(outputs[0].out)["field"] == {"kind": "Fp", "p": 2}
 
 
+@pytest.mark.parametrize("target", ["missing", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kind", "integral", "DOC"],
+    ["extension", "report", "DOC"],
+    ["coextension", "report", "COEXT"],
+    ["hochschild", "DOC"],
+    ["catalog", "--name", "group_algebra"],
+])
+def test_an_unwritable_output_is_input_error(tmp_path, c2_q_file, capsys,
+                                             argv, target):
+    coext = tmp_path / "coext.json"
+    assert main(["catalog", "--name", "self_coextension", "--n", "2",
+                 "-o", str(coext)]) == 0
+    out = tmp_path / "missing" / "out.json" if target == "missing" else tmp_path
+    capsys.readouterr()
+    argv = [{"DOC": c2_q_file, "COEXT": str(coext)}.get(a, a) for a in argv]
+    assert main(argv + ["-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_an_unwritable_output_gives_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-m", "entwine.cli", "catalog", "--name",
+         "group_algebra", "-o", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert child.returncode == 2
+    assert child.stderr.startswith(f"input error: cannot write {tmp_path}: ")
+    assert child.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ["self_coextension", "--n", "2", "--dual"],
     ["self_coextension", "--n", "3"],

@@ -543,6 +543,9 @@ def test_products_match_naive_loops(p, n, k, m, data):
     assert kron(fa, fb).entries == _naive_kron(field, a, b)
     assert fa.sub(fc).entries == tuple(
         tuple(field.sub(x, y) for x, y in zip(r, s)) for r, s in zip(a, c))
+    vec = data.draw(zero_heavy(p, 1, k))[0]
+    assert fa.apply(vec) == tuple(
+        r[0] for r in _naive_product(field, a, [[v] for v in vec]))
 
 
 # -- products over Q with denominators: integer kernels vs Fraction loops ----
@@ -738,6 +741,25 @@ def test_products_with_unit_selections_match_naive_loops(p, m, n, data):
     _assert_product(field, kron(fc, s), _naive_kron(field, c, sel))
 
 
+def test_compose_is_the_one_product_that_multiplies():
+    field = GF(5)
+    fa = LinMap.from_rows(field, (2,), (2,), [[1, 2], [3, 0]])
+    fb = LinMap.from_rows(field, (3,), (2,), [[0, 4, 1], [2, 2, 0]])
+    calls = []
+    compose = LinMap.compose
+    with mock.patch.object(LinMap, "compose",
+                           lambda m, other: calls.append(m) or compose(m, other)):
+        assert fa.apply((1, 4)) == (4, 3)
+        assert len(calls) == 1
+        calls.clear()
+        assert kron(fa, fb).entries == _naive_kron(field, fa.entries, fb.entries)
+        assert len(calls) == 1
+        calls.clear()
+        kron(fa, LinMap.twist(field, (2,), (3,)))
+        kron(LinMap.identity(field, (2,)), fb)
+        assert not calls
+
+
 # -- right inverses and equations of a solution set ---------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -820,9 +842,11 @@ def test_signed_assembly_matches_the_difference_of_its_sides(p, data):
 
 def test_signed_assembly_over_q_with_different_denominators():
     # lhs: X |-> (1/3) X . diag(1, 1/2); rhs: X |-> (1/4) X, on 2x2 unknowns
-    third = LinMap.identity(QQ, (2,)).scale(Fraction(1, 3))
+    third = kron(LinMap.element(QQ, SCALAR, (Fraction(1, 3),)),
+                 LinMap.identity(QQ, (2,)))
     half = LinMap.from_rows(QQ, (2,), (2,), [[q(1), q(0)], [q(0), Fraction(1, 2)]])
-    quarter = LinMap.identity(QQ, (2,)).scale(Fraction(1, 4))
+    quarter = kron(LinMap.element(QQ, SCALAR, (Fraction(1, 4),)),
+                   LinMap.identity(QQ, (2,)))
     lhs = (half, SCALAR, SCALAR, third)
     rhs = (LinMap.identity(QQ, (2,)), SCALAR, SCALAR, quarter)
     block = _assembled_block(QQ, (2,), (2,), lhs, rhs)
