@@ -10,12 +10,11 @@ available as an extra stress instance behind hopf="sweedler".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
                      descend, kron, kron_all, quotient_by)
+from .records import Record, _set
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap, law,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
 from .entwining import Entwining, entwine_verified, ground_coalgebra
@@ -23,26 +22,31 @@ from .galois import (Coextension, GaloisExtension, build_coextension,
                      build_galois, verify_action)
 
 
-@dataclass(frozen=True)
-class HopfData:
+class HopfData(Record):
     """An algebra and a coalgebra on the same space with an antipode; the
     bialgebra and antipode laws are verified at construction."""
 
-    alg: Algebra
-    coalg: Coalgebra
-    antipode: LinMap
+    _fields = ("alg", "coalg", "antipode")
+
+    def __init__(self, alg: Algebra, coalg: Coalgebra, antipode: LinMap):
+        _set(self, "alg", alg)
+        _set(self, "coalg", coalg)
+        _set(self, "antipode", antipode)
 
     @property
     def field(self):
         return self.alg.field
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    params: dict
-    payload: object
-    extras: dict = dc_field(default_factory=dict)
+class CatalogEntry(Record):
+    _fields = ("name", "params", "payload", "extras")
+
+    def __init__(self, name: str, params: dict, payload: object,
+                 extras: dict | None = None):
+        _set(self, "name", name)
+        _set(self, "params", params)
+        _set(self, "payload", payload)
+        _set(self, "extras", {} if extras is None else extras)
 
 
 def _verify_hopf(h: HopfData) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
 from .fields import GF, QQ, FieldError
@@ -57,8 +56,10 @@ def _load(path: str, parse=schema.parse_document):
 
 
 def _emit(doc: dict, out: str | None, as_json: bool):
-    """Write doc as JSON to the file out, if given, and to standard output
-    if as_json; a file that cannot be written is an input error."""
+    """Write doc as JSON to the file out, if given, and then to standard
+    output if as_json; a file that cannot be written is an input error.
+    Commands emit before they print anything else, so a failed write
+    leaves standard output empty."""
     text = schema.dumps(doc)
     if out:
         try:
@@ -108,7 +109,7 @@ def cmd_check(args) -> int:
                         verify_morphism(EntwiningMorphism(ent, dst, fmap,
                                                           gmap))))
     for name, rep in reports:
-        print(replace(rep, subject=name))
+        print(rep.replace(subject=name))
     if not reports:
         print("nothing to check")
     return OK if all(rep.ok for _, rep in reports) else FAIL
@@ -166,13 +167,13 @@ def cmd_solve(args) -> int:
         print(f"{label}: infeasible")
         return FAIL
     matrix = LinMap.from_flat(f, sys_.x_dom, sys_.x_cod, sol.particular)
+    out_doc = schema.witness_document(f, label, normalized, matrix, sol)
+    _emit(out_doc, args.output, args.json)
     if not args.json:
         print(f"{label}: found; solution family dimension "
               f"{sol.homogeneous.dim}")
         for row in matrix.entries:
             print("  [" + ", ".join(str(f.fmt(x)) for x in row) + "]")
-    out_doc = schema.witness_document(f, label, normalized, matrix, sol)
-    _emit(out_doc, args.output, args.json)
     return OK
 
 
@@ -245,6 +246,7 @@ def cmd_extension(args) -> int:
         print(f"not a coalgebra-Galois extension: {exc}")
         return FAIL
     report = extension_report(ext, args.strategy)
+    _emit(report, args.output, args.json)
     if not args.json:
         print(f"separable: {str(report['separable']).lower()}")
         print(f"split: {str(report['split']).lower()}")
@@ -254,7 +256,6 @@ def cmd_extension(args) -> int:
         print(f"strong: {{found: {str(strong['found']).lower()}, tau: {tau}"
               f"{undecided}}}")
         print(f"hochschild H1: {report['hochschild']['h1_dim']}")
-    _emit(report, args.output, args.json)
     return OK
 
 
@@ -295,10 +296,10 @@ def cmd_coextension(args) -> int:
         print(f"not an algebra-Galois coextension: {exc}")
         return FAIL
     report = coextension_report(coext)
+    _emit(report, args.output, args.json)
     if not args.json:
         print(f"coseparable: {str(report['coseparable']).lower()}")
         print(f"pointed: {str(report['pointed']).lower()}")
-    _emit(report, args.output, args.json)
     return OK
 
 
@@ -335,12 +336,6 @@ def cmd_hochschild(args) -> int:
         sub = Subspace.from_vectors(f, (alg.dim,), [tuple(alg.unit)])
     cx = _assemble_complex(alg, sub, bimod, max(1, args.degree))
     dim, reps = cohomology_dim(cx, args.degree)
-    if not args.json:
-        print(f"H^{args.degree} dimension: {dim}")
-        if dim > 0:
-            print("representative cocycle (cochain coordinates): "
-                  + "[" + ", ".join(str(f.fmt(x)) for x in reps.basis[0])
-                  + "]")
     out = {"schema": schema.SCHEMA, "kind": "hochschild",
            "field": schema.field_to_json(f),
            "degree": args.degree, "dim": dim,
@@ -348,6 +343,12 @@ def cmd_hochschild(args) -> int:
            "representatives": [schema.vector_to_json(f, v)
                                for v in reps.basis]}
     _emit(out, args.output, args.json)
+    if not args.json:
+        print(f"H^{args.degree} dimension: {dim}")
+        if dim > 0:
+            print("representative cocycle (cochain coordinates): "
+                  + "[" + ", ".join(str(f.fmt(x)) for x in reps.basis[0])
+                  + "]")
     return OK
 
 

@@ -15,53 +15,61 @@ landing and descent assertions on each individual map still run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, InputError
 from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, compose_all, corestrict, descend, image, kernel,
                      kron, kron_all, quotient_by)
+from .records import Record, _set
 from .structures import Algebra, CheckReport, Coalgebra, law
 
 
-@dataclass(frozen=True)
-class RightModule:
-    dim: int
-    action: LinMap  # (dim, dimA) -> (dim)
+class RightModule(Record):
+    _fields = ("dim", "action")
+
+    def __init__(self, dim: int, action: LinMap):
+        _set(self, "dim", dim)
+        _set(self, "action", action)  # (dim, dimA) -> (dim)
 
 
-@dataclass(frozen=True)
-class LeftModule:
-    dim: int
-    action: LinMap  # (dimA, dim) -> (dim)
+class LeftModule(Record):
+    _fields = ("dim", "action")
+
+    def __init__(self, dim: int, action: LinMap):
+        _set(self, "dim", dim)
+        _set(self, "action", action)  # (dimA, dim) -> (dim)
 
 
-@dataclass(frozen=True)
-class RightComodule:
-    dim: int
-    coaction: LinMap  # (dim) -> (dim, dimC)
+class RightComodule(Record):
+    _fields = ("dim", "coaction")
+
+    def __init__(self, dim: int, coaction: LinMap):
+        _set(self, "dim", dim)
+        _set(self, "coaction", coaction)  # (dim) -> (dim, dimC)
 
 
-@dataclass(frozen=True)
-class LeftComodule:
-    dim: int
-    coaction: LinMap  # (dim) -> (dimC, dim)
+class LeftComodule(Record):
+    _fields = ("dim", "coaction")
+
+    def __init__(self, dim: int, coaction: LinMap):
+        _set(self, "dim", dim)
+        _set(self, "coaction", coaction)  # (dim) -> (dimC, dim)
 
 
-@dataclass(frozen=True)
-class EntwinedModule:
-    ent: Entwining
-    dim: int
-    action: LinMap    # (dim, dimA) -> (dim)
-    coaction: LinMap  # (dim) -> (dim, dimC)
+class EntwinedModule(Record):
+    _fields = ("ent", "dim", "action", "coaction")
 
-    def __post_init__(self):
-        da, dc, dm = self.ent.alg.dim, self.ent.coalg.dim, self.dim
-        if self.action.domain != (dm, da) or self.action.codomain != (dm,):
+    def __init__(self, ent: Entwining, dim: int, action: LinMap,
+                 coaction: LinMap):
+        da, dc = ent.alg.dim, ent.coalg.dim
+        if action.domain != (dim, da) or action.codomain != (dim,):
             raise InputError("action shape does not match the module")
-        if self.coaction.domain != (dm,) or self.coaction.codomain != (dm, dc):
+        if coaction.domain != (dim,) or coaction.codomain != (dim, dc):
             raise InputError("coaction shape does not match the module")
+        _set(self, "ent", ent)
+        _set(self, "dim", dim)
+        _set(self, "action", action)      # (dim, dimA) -> (dim)
+        _set(self, "coaction", coaction)  # (dim) -> (dim, dimC)
 
     @property
     def field(self):

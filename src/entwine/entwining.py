@@ -8,25 +8,24 @@ of C.  Verification is exact; a failing identity is reported with the first
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InputError
 from .fields import Field
 from .linalg import LinMap, compose_all, kron, kron_all
+from .records import Record, _set
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
                          verify_algebra, verify_coalgebra)
 
 
-@dataclass(frozen=True)
-class Entwining:
-    alg: Algebra
-    coalg: Coalgebra
-    psi: LinMap  # (dimC, dimA) -> (dimA, dimC)
+class Entwining(Record):
+    _fields = ("alg", "coalg", "psi")
 
-    def __post_init__(self):
-        da, dc = self.alg.dim, self.coalg.dim
-        if self.psi.domain != (dc, da) or self.psi.codomain != (da, dc):
+    def __init__(self, alg: Algebra, coalg: Coalgebra, psi: LinMap):
+        da, dc = alg.dim, coalg.dim
+        if psi.domain != (dc, da) or psi.codomain != (da, dc):
             raise InputError("psi does not match the algebra/coalgebra dimensions")
+        _set(self, "alg", alg)
+        _set(self, "coalg", coalg)
+        _set(self, "psi", psi)  # (dimC, dimA) -> (dimA, dimC)
 
     @property
     def field(self) -> Field:
@@ -74,15 +73,17 @@ def dual_entwining(e: Entwining) -> Entwining:
     return Entwining(dual_swap(e.coalg), dual_swap(e.alg), e.psi.transpose())
 
 
-@dataclass(frozen=True)
-class EntwiningMorphism:
+class EntwiningMorphism(Record):
     """A pair (f, g) of an algebra map and a coalgebra map intertwining the
     two psi maps."""
 
-    src: Entwining
-    dst: Entwining
-    f: LinMap  # src algebra -> dst algebra
-    g: LinMap  # src coalgebra -> dst coalgebra
+    _fields = ("src", "dst", "f", "g")
+
+    def __init__(self, src: Entwining, dst: Entwining, f: LinMap, g: LinMap):
+        _set(self, "src", src)
+        _set(self, "dst", dst)
+        _set(self, "f", f)  # src algebra -> dst algebra
+        _set(self, "g", g)  # src coalgebra -> dst coalgebra
 
 
 def verify_morphism(m: EntwiningMorphism) -> CheckReport:

@@ -9,8 +9,9 @@ equality of scalars is plain `==` and comparisons are bit-exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+
+from .records import Record, _set
 
 
 class FieldError(ValueError):
@@ -56,26 +57,38 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """The rationals (kind "Q") or the integers modulo a prime (kind "Fp")."""
 
-    kind: str
-    p: int | None = None
+    _fields = ("kind", "p")
 
-    def __post_init__(self):
-        if self.kind == "Q":
-            if self.p is not None:
+    def __init__(self, kind: str, p: int | None = None):
+        if kind == "Q":
+            if p is not None:
                 raise FieldError("rational field takes no modulus")
-        elif self.kind == "Fp":
-            if not isinstance(self.p, int) or isinstance(self.p, bool):
-                raise FieldError(f"modulus must be an integer, got {self.p!r}")
-            if self.p >= MAX_MODULUS:
-                raise FieldError(f"modulus must be below 2**64, got {self.p!r}")
-            if not _is_prime(self.p):
-                raise FieldError(f"modulus must be prime, got {self.p!r}")
+        elif kind == "Fp":
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise FieldError(f"modulus must be an integer, got {p!r}")
+            if p >= MAX_MODULUS:
+                raise FieldError(f"modulus must be below 2**64, got {p!r}")
+            if not _is_prime(p):
+                raise FieldError(f"modulus must be prime, got {p!r}")
         else:
-            raise FieldError(f"unknown field kind {self.kind!r}")
+            raise FieldError(f"unknown field kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "p", p)
+
+    # products compare the fields of their factors, which are most often
+    # the same object
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is Field:
+            return self.kind == other.kind and self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.kind, self.p))
 
     # -- constants ---------------------------------------------------------
 

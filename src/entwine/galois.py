@@ -18,8 +18,6 @@ subalgebra and of the balancing relations, and psi is the transposed psi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import GaloisError, InconsistencyError, InputError
 from .entwining import Entwining, dual_entwining, entwine_verified
 from .entmod import (EntwinedModule, balanced_power,
@@ -27,6 +25,7 @@ from .entmod import (EntwinedModule, balanced_power,
                      verify_coaction)
 from .linalg import (LinMap, QuotientModule, SCALAR, Subspace, compose_all,
                      descend, image, invert, kernel, kron, kron_all)
+from .records import Record, _set
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
                          subalgebra_product, verify_algebra, verify_coalgebra)
 
@@ -54,17 +53,22 @@ def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
 # extensions
 
 
-@dataclass(frozen=True)
-class GaloisExtension:
-    alg: Algebra
-    coalg: Coalgebra
-    rho_a: LinMap            # A -> A (x) C
-    fixed: Subspace          # B inside A
-    fixed_alg: Algebra       # B with its induced structure
-    square: QuotientModule   # A (x)_B A
-    can: LinMap              # A (x)_B A -> A (x) C
-    can_inv: LinMap
-    ent: Entwining           # the canonical entwining
+class GaloisExtension(Record):
+    _fields = ("alg", "coalg", "rho_a", "fixed", "fixed_alg", "square", "can",
+               "can_inv", "ent")
+
+    def __init__(self, alg: Algebra, coalg: Coalgebra, rho_a: LinMap,
+                 fixed: Subspace, fixed_alg: Algebra, square: QuotientModule,
+                 can: LinMap, can_inv: LinMap, ent: Entwining):
+        _set(self, "alg", alg)
+        _set(self, "coalg", coalg)
+        _set(self, "rho_a", rho_a)          # A -> A (x) C
+        _set(self, "fixed", fixed)          # B inside A
+        _set(self, "fixed_alg", fixed_alg)  # B with its induced structure
+        _set(self, "square", square)        # A (x)_B A
+        _set(self, "can", can)              # A (x)_B A -> A (x) C
+        _set(self, "can_inv", can_inv)
+        _set(self, "ent", ent)              # the canonical entwining
 
     @property
     def field(self):
@@ -187,18 +191,25 @@ def copointed_grouplike(g: GaloisExtension):
 # coextensions
 
 
-@dataclass(frozen=True)
-class Coextension:
+class Coextension(Record):
     """An algebra-Galois coextension (C, A, C (x) A -> C), held with the
     coalgebra-Galois extension of its transposed data that built it."""
-    coalg: Coalgebra
-    alg: Algebra
-    rho_c: LinMap            # C (x) A -> C
-    coideal: Subspace        # I inside C
-    base: Coalgebra          # B = C/I, the transpose of the dual's B^*
-    cosquare: Subspace       # C []_B C inside C (x) C
-    ent: Entwining
-    dual: GaloisExtension    # (C^*, A^*, rho_c^T)
+
+    _fields = ("coalg", "alg", "rho_c", "coideal", "base", "cosquare", "ent",
+               "dual")
+
+    def __init__(self, coalg: Coalgebra, alg: Algebra, rho_c: LinMap,
+                 coideal: Subspace, base: Coalgebra, cosquare: Subspace,
+                 ent: Entwining, dual: GaloisExtension):
+        _set(self, "coalg", coalg)
+        _set(self, "alg", alg)
+        _set(self, "rho_c", rho_c)        # C (x) A -> C
+        _set(self, "coideal", coideal)    # I inside C
+        # B = C/I, the transpose of the dual's B^*
+        _set(self, "base", base)
+        _set(self, "cosquare", cosquare)  # C []_B C inside C (x) C
+        _set(self, "ent", ent)
+        _set(self, "dual", dual)          # (C^*, A^*, rho_c^T)
 
     @property
     def field(self):
@@ -235,8 +246,8 @@ def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextens
                           actual_dim=exc.actual_dim, rank=exc.rank) from None
     # I annihilates the fixed subalgebra B^* inside C^*, and C []_B C the
     # balancing relations inside C^* (x) C^*
-    coideal = kernel(dual.fixed.inclusion.transpose())
-    cosquare = kernel(dual.square.relations.inclusion.transpose())
+    coideal = kernel(dual.fixed.echelon)
+    cosquare = kernel(dual.square.relations.echelon)
     # psi's four laws and C's entwined compatibility are the transposes of
     # the dual's, which its build checked
     ent = dual_entwining(dual.ent)

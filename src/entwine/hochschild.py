@@ -22,7 +22,6 @@ library ever builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .entmod import balanced_power
@@ -30,14 +29,17 @@ from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, corestrict, descend, kernel, kron, kron_all,
                      op_in_unknown, rref)
+from .records import Record, _set
 from .structures import Algebra, CheckReport, law, subalgebra_product
 
 
-@dataclass(frozen=True)
-class Bimodule:
-    dim: int
-    left: LinMap    # (dimA, dim) -> (dim)
-    right: LinMap   # (dim, dimA) -> (dim)
+class Bimodule(Record):
+    _fields = ("dim", "left", "right")
+
+    def __init__(self, dim: int, left: LinMap, right: LinMap):
+        _set(self, "dim", dim)
+        _set(self, "left", left)    # (dimA, dim) -> (dim)
+        _set(self, "right", right)  # (dim, dimA) -> (dim)
 
 
 def verify_bimodule(alg: Algebra, m: Bimodule) -> CheckReport:
@@ -66,13 +68,18 @@ def regular_bimodule(alg: Algebra) -> Bimodule:
                     alg.mult)
 
 
-@dataclass(frozen=True)
-class RelativeComplex:
-    alg: Algebra
-    sub: Subspace              # B inside A
-    bimodule: Bimodule
-    spaces: tuple              # cochain Subspaces, degree 0 upward
-    boundaries: tuple          # coboundary maps on cochain coordinates
+class RelativeComplex(Record):
+    _fields = ("alg", "sub", "bimodule", "spaces", "boundaries")
+
+    def __init__(self, alg: Algebra, sub: Subspace, bimodule: Bimodule,
+                 spaces: tuple, boundaries: tuple):
+        _set(self, "alg", alg)
+        _set(self, "sub", sub)                # B inside A
+        _set(self, "bimodule", bimodule)
+        # cochain Subspaces, degree 0 upward, and the coboundary maps on
+        # their coordinates
+        _set(self, "spaces", spaces)
+        _set(self, "boundaries", boundaries)
 
     @property
     def max_degree(self) -> int:
@@ -173,7 +180,7 @@ def _assemble_complex(alg: Algebra, b: Subspace, m: Bimodule, max_degree: int,
             .compose(spaces[n].inclusion)
         target = powers[n + 1]
         # on vectorized maps, precomposing with r is 1_M (x) r^T
-        if not kron(idm, target.relations.inclusion.transpose()) \
+        if not kron(idm, target.relations.echelon) \
                 .compose(raw).is_zero_map():
             raise InconsistencyError("coboundary does not descend")
         boundaries.append(corestrict(

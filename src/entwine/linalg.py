@@ -54,13 +54,13 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 
 from .errors import InputError, InconsistencyError
 from .fields import Field
+from .records import Record, _set
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +150,7 @@ def _sparse_sums(sums, d, p):
 # linear maps
 
 
-@dataclass(frozen=True)
-class LinMap:
+class LinMap(Record):
     """An exact matrix with tensor-shaped domain and codomain.
 
     nonzeros[r] holds the nonzero entries of codomain row r as (column,
@@ -160,15 +159,17 @@ class LinMap:
     vector c.  Every scalar is canonical, so equal maps have equal rows.
     """
 
-    field: Field
-    domain: tuple
-    codomain: tuple
-    nonzeros: tuple
+    _fields = ("field", "domain", "codomain", "nonzeros")
 
-    def __post_init__(self):
-        if len(self.nonzeros) != prod(self.codomain):
+    def __init__(self, field: Field, domain: tuple, codomain: tuple,
+                 nonzeros: tuple):
+        if len(nonzeros) != prod(codomain):
             raise InputError(
-                f"{len(self.nonzeros)} rows for codomain of total {prod(self.codomain)}")
+                f"{len(nonzeros)} rows for codomain of total {prod(codomain)}")
+        _set(self, "field", field)
+        _set(self, "domain", domain)
+        _set(self, "codomain", codomain)
+        _set(self, "nonzeros", nonzeros)
 
     # -- constructors -------------------------------------------------------
 
@@ -602,16 +603,19 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
 # subspaces
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """A subspace given by its reduced row echelon basis, held as sparse
     rows; the canonical form makes equality of subspaces plain equality of
     bases.  Each span is one `rref`; incl and retr are built once."""
 
-    field: Field
-    ambient: tuple
-    reduced: tuple
-    pivots: tuple
+    _fields = ("field", "ambient", "reduced", "pivots")
+
+    def __init__(self, field: Field, ambient: tuple, reduced: tuple,
+                 pivots: tuple):
+        _set(self, "field", field)
+        _set(self, "ambient", ambient)
+        _set(self, "reduced", reduced)
+        _set(self, "pivots", pivots)
 
     @staticmethod
     def from_vectors(field, ambient, vectors) -> "Subspace":
@@ -659,10 +663,15 @@ class Subspace:
         return coords if self.inclusion.apply(coords) == tuple(vec) else None
 
     @cached_property
+    def echelon(self) -> LinMap:
+        """ambient -> k^dim, the echelon basis vectors as rows; the
+        transpose of inclusion."""
+        return LinMap(self.field, self.ambient, (self.dim,), self.reduced)
+
+    @cached_property
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
-        return LinMap(self.field, self.ambient, (self.dim,),
-                      self.reduced).transpose()
+        return self.echelon.transpose()
 
     @cached_property
     def retraction(self) -> LinMap:
@@ -679,8 +688,7 @@ class Subspace:
 # quotients
 
 
-@dataclass(frozen=True)
-class QuotientModule:
+class QuotientModule(Record):
     """A quotient of a tensor-shaped space by a subspace of relations.
 
     Carries an explicit projection and a section (built from the echelon
@@ -688,10 +696,14 @@ class QuotientModule:
     projection . section is the identity on the quotient.
     """
 
-    ambient: tuple
-    relations: Subspace
-    projection: LinMap
-    section: LinMap
+    _fields = ("ambient", "relations", "projection", "section")
+
+    def __init__(self, ambient: tuple, relations: Subspace, projection: LinMap,
+                 section: LinMap):
+        _set(self, "ambient", ambient)
+        _set(self, "relations", relations)
+        _set(self, "projection", projection)
+        _set(self, "section", section)
 
     @property
     def dim(self) -> int:
@@ -764,13 +776,15 @@ def corestrict(raw: LinMap, sub: Subspace, left=1, right=1) -> LinMap:
 # affine systems
 
 
-@dataclass(frozen=True)
-class AffineSolutionSet:
+class AffineSolutionSet(Record):
     """particular + homogeneous describes every solution of an affine system;
     particular is None exactly when the system is infeasible."""
 
-    particular: tuple | None
-    homogeneous: Subspace
+    _fields = ("particular", "homogeneous")
+
+    def __init__(self, particular: tuple | None, homogeneous: Subspace):
+        _set(self, "particular", particular)
+        _set(self, "homogeneous", homogeneous)
 
     @property
     def feasible(self) -> bool:
@@ -975,11 +989,19 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
     return LinMap(f, (xc, xd), (ee, dd), tuple(big))
 
 
-@dataclass
-class _Block:
-    label: str
-    matrix: LinMap      # operator on vec(X), rows indexed by (e, d)
-    rhs: tuple          # target vector of length matrix.rows
+class _Block(Record):
+    """One labelled condition of a `LinearConstraints` system: a record
+    whose attributes may be set, and so has no hash."""
+
+    _fields = ("label", "matrix", "rhs")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, label: str, matrix: LinMap, rhs: tuple):
+        self.label = label
+        self.matrix = matrix    # operator on vec(X), rows indexed by (e, d)
+        self.rhs = rhs          # target vector of length matrix.rows
 
 
 class LinearConstraints:

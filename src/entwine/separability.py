@@ -19,52 +19,70 @@ A strong outcome carries the separability and split results it used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, compose_all, kron, kron_all, op_in_unknown)
+from .records import Record, _set
 from .witness import Witness, WitnessKind, as_witness, particular_witness
 
 
-@dataclass(frozen=True)
-class SeparabilityCertificate:
-    u: tuple                    # coordinates in A (x)_B A
-    source_integral: Witness
-    family: AffineSolutionSet | None = None   # all integrals, when solved for
+class SeparabilityCertificate(Record):
+    _fields = ("u", "source_integral", "family")
+
+    def __init__(self, u: tuple, source_integral: Witness,
+                 family: AffineSolutionSet | None = None):
+        _set(self, "u", u)                # coordinates in A (x)_B A
+        _set(self, "source_integral", source_integral)
+        _set(self, "family", family)      # all integrals, when solved for
 
 
-@dataclass(frozen=True)
-class SplitCertificate:
-    phi: LinMap                 # C -> A
-    expectation: LinMap         # A -> A with image inside B
+class SplitCertificate(Record):
+    _fields = ("phi", "expectation")
+
+    def __init__(self, phi: LinMap, expectation: LinMap):
+        _set(self, "phi", phi)                  # C -> A
+        _set(self, "expectation", expectation)  # A -> A with image inside B
 
 
-@dataclass(frozen=True)
-class StrongCertificate:
-    separability: SeparabilityCertificate
-    split: SplitCertificate
-    tau: object                 # an invertible scalar
+class StrongCertificate(Record):
+    _fields = ("separability", "split", "tau")
+
+    def __init__(self, separability: SeparabilityCertificate,
+                 split: SplitCertificate, tau: object):
+        _set(self, "separability", separability)
+        _set(self, "split", split)
+        _set(self, "tau", tau)            # an invertible scalar
 
 
-@dataclass(frozen=True)
-class StrongOutcome:
-    certificate: StrongCertificate | None
-    inconclusive: bool          # nothing found, but absence is not proved
-    note: str = ""              # diagnostic for a negative or open outcome
-    separability: SeparabilityCertificate | None = None   # check_separable
-    split: tuple | None = None  # check_split: (certificate, phi family)
+class StrongOutcome(Record):
+    _fields = ("certificate", "inconclusive", "note", "separability", "split")
+
+    def __init__(self, certificate: StrongCertificate | None,
+                 inconclusive: bool, note: str = "",
+                 separability: SeparabilityCertificate | None = None,
+                 split: tuple | None = None):
+        _set(self, "certificate", certificate)
+        # nothing found, but absence is not proved
+        _set(self, "inconclusive", inconclusive)
+        # diagnostic for a negative or open outcome
+        _set(self, "note", note)
+        _set(self, "separability", separability)  # check_separable
+        # check_split: (certificate, phi family)
+        _set(self, "split", split)
 
     @property
     def found(self) -> bool:
         return self.certificate is not None
 
 
-@dataclass(frozen=True)
-class CoseparabilityCertificate:
-    upsilon: tuple              # covector on the cotensor square coordinates
-    source_cointegral: Witness
+class CoseparabilityCertificate(Record):
+    _fields = ("upsilon", "source_cointegral")
+
+    def __init__(self, upsilon: tuple, source_cointegral: Witness):
+        # covector on the cotensor square coordinates
+        _set(self, "upsilon", upsilon)
+        _set(self, "source_cointegral", source_cointegral)
 
 
 # ---------------------------------------------------------------------------

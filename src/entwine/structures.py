@@ -8,28 +8,32 @@ tuple (in lexicographic order) on which the two sides differ.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from .errors import DomainError, InputError
 from .fields import Field
 from .linalg import (LinMap, Subspace, compose_all, kron, quotient_by,
                      unflatten)
+from .records import Record, _set
 
 
-@dataclass(frozen=True)
-class CheckFailure:
-    law: str
-    at: tuple
+class CheckFailure(Record):
+    _fields = ("law", "at")
+
+    def __init__(self, law: str, at: tuple):
+        _set(self, "law", law)
+        _set(self, "at", at)
 
     def __repr__(self):
         return f"{self.law} fails at basis index {self.at}"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    subject: str
-    failures: tuple
+class CheckReport(Record):
+    _fields = ("subject", "failures")
+
+    def __init__(self, subject: str, failures: tuple):
+        _set(self, "subject", subject)
+        _set(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -60,18 +64,17 @@ def law(failures, name, lhs: LinMap, rhs: LinMap):
         failures.append(CheckFailure(name, unflatten(lhs.domain, diff[0])))
 
 
-@dataclass(frozen=True)
-class Algebra:
-    dim: int
-    mult: LinMap   # (dim, dim) -> (dim)
-    unit: tuple    # vector of length dim
+class Algebra(Record):
+    _fields = ("dim", "mult", "unit")
 
-    def __post_init__(self):
-        d = self.dim
-        if self.mult.domain != (d, d) or self.mult.codomain != (d,):
+    def __init__(self, dim: int, mult: LinMap, unit: tuple):
+        if mult.domain != (dim, dim) or mult.codomain != (dim,):
             raise InputError("multiplication map does not match the dimension")
-        if len(self.unit) != d:
+        if len(unit) != dim:
             raise InputError("unit vector does not match the dimension")
+        _set(self, "dim", dim)
+        _set(self, "mult", mult)  # (dim, dim) -> (dim)
+        _set(self, "unit", unit)  # vector of length dim
 
     @property
     def field(self) -> Field:
@@ -85,18 +88,17 @@ class Algebra:
         return LinMap.identity(self.field, (self.dim,))
 
 
-@dataclass(frozen=True)
-class Coalgebra:
-    dim: int
-    comult: LinMap  # (dim) -> (dim, dim)
-    counit: tuple   # covector of length dim
+class Coalgebra(Record):
+    _fields = ("dim", "comult", "counit")
 
-    def __post_init__(self):
-        d = self.dim
-        if self.comult.domain != (d,) or self.comult.codomain != (d, d):
+    def __init__(self, dim: int, comult: LinMap, counit: tuple):
+        if comult.domain != (dim,) or comult.codomain != (dim, dim):
             raise InputError("comultiplication map does not match the dimension")
-        if len(self.counit) != d:
+        if len(counit) != dim:
             raise InputError("counit covector does not match the dimension")
+        _set(self, "dim", dim)
+        _set(self, "comult", comult)  # (dim) -> (dim, dim)
+        _set(self, "counit", counit)  # covector of length dim
 
     @property
     def field(self) -> Field:

@@ -23,7 +23,6 @@ Four builders read a witness off structure and re-verify it instead:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, InconsistencyError, InputError
@@ -38,6 +37,7 @@ from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
                      QuotientModule, Subspace, SCALAR,
                      compose_all, corestrict, descend, kron,
                      kron_all, right_inverse)
+from .records import Record, _set
 
 
 class WitnessKind(str, Enum):
@@ -47,12 +47,15 @@ class WitnessKind(str, Enum):
     COINTEGRAL_MAP = "cointegral_map"
 
 
-@dataclass(frozen=True)
-class Witness:
-    kind: WitnessKind
-    ent: Entwining
-    value: tuple       # row-major vectorization of the witness
-    normalized: bool
+class Witness(Record):
+    _fields = ("kind", "ent", "value", "normalized")
+
+    def __init__(self, kind: WitnessKind, ent: Entwining, value: tuple,
+                 normalized: bool):
+        _set(self, "kind", kind)
+        _set(self, "ent", ent)
+        _set(self, "value", value)  # row-major vectorization of the witness
+        _set(self, "normalized", normalized)
 
     def as_map(self) -> LinMap:
         dom, cod = witness_shapes(self.kind, self.ent)
@@ -162,17 +165,20 @@ def as_witness(kind: WitnessKind, e: Entwining, value,
 # morphism-level witnesses
 
 
-@dataclass(frozen=True)
-class LambdaContext:
+class LambdaContext(Record):
     """Carrier data for the lambda witness of a morphism: the cotensor
     (C (x) A~) [] C with its right action, and the auxiliary cotensor on
     C (x) A (x) A~ used by the multiplicativity constraint."""
 
-    mor: EntwiningMorphism
-    carrier: Subspace           # S inside C (x) A~ (x) C
-    action: LinMap              # S (x) A -> S
-    aux: Subspace               # S2 inside C (x) A (x) A~ (x) C
-    unit_insert: LinMap         # C -> S, c -> c1 (x) 1 (x) c2
+    _fields = ("mor", "carrier", "action", "aux", "unit_insert")
+
+    def __init__(self, mor: EntwiningMorphism, carrier: Subspace,
+                 action: LinMap, aux: Subspace, unit_insert: LinMap):
+        _set(self, "mor", mor)
+        _set(self, "carrier", carrier)          # S inside C (x) A~ (x) C
+        _set(self, "action", action)            # S (x) A -> S
+        _set(self, "aux", aux)                  # S2 in C (x) A (x) A~ (x) C
+        _set(self, "unit_insert", unit_insert)  # C -> S, c -> c1 (x) 1 (x) c2
 
 
 def _cotensor_with_c(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
@@ -250,20 +256,28 @@ def integrability_system(mor: EntwiningMorphism, total: bool = True):
     return sys, ctx
 
 
-@dataclass(frozen=True)
-class FrakzContext:
+class FrakzContext(Record):
     """Carrier data for the frakz witness: the balanced quotient
     (A~ (x) C) (x)_A A~ with its right target-coalgebra coaction, plus
     Q3 = (A~ (x) C~ (x) C) (x)_A A~ and the maps the constraints use."""
 
-    mor: EntwiningMorphism
-    carrier: QuotientModule      # Q on ambient A~ (x) C (x) A~
-    coaction: LinMap             # Q -> Q (x) C~
-    spread: LinMap               # Q -> Q3 (the comultiplication-then-g route)
-    entwine_left: LinMap         # C~ (x) Q -> Q3 (the psi~ route)
-    mult_left: LinMap            # A~ (x) Q -> Q
-    mult_right: LinMap           # Q (x) A~ -> Q
-    counit_collapse: LinMap      # Q -> A~
+    _fields = ("mor", "carrier", "coaction", "spread", "entwine_left",
+               "mult_left", "mult_right", "counit_collapse")
+
+    def __init__(self, mor: EntwiningMorphism, carrier: QuotientModule,
+                 coaction: LinMap, spread: LinMap, entwine_left: LinMap,
+                 mult_left: LinMap, mult_right: LinMap,
+                 counit_collapse: LinMap):
+        _set(self, "mor", mor)
+        _set(self, "carrier", carrier)        # Q on ambient A~ (x) C (x) A~
+        _set(self, "coaction", coaction)      # Q -> Q (x) C~
+        # Q -> Q3 by the comultiplication-then-g route, and C~ (x) Q -> Q3
+        # by the psi~ route
+        _set(self, "spread", spread)
+        _set(self, "entwine_left", entwine_left)
+        _set(self, "mult_left", mult_left)    # A~ (x) Q -> Q
+        _set(self, "mult_right", mult_right)  # Q (x) A~ -> Q
+        _set(self, "counit_collapse", counit_collapse)  # Q -> A~
 
 
 def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
@@ -345,12 +359,15 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
     return sys, ctx
 
 
-@dataclass(frozen=True)
-class MorphismWitness:
-    side: str                 # "lambda" or "frakz"
-    mor: EntwiningMorphism
-    matrix: LinMap
-    context: object
+class MorphismWitness(Record):
+    _fields = ("side", "mor", "matrix", "context")
+
+    def __init__(self, side: str, mor: EntwiningMorphism, matrix: LinMap,
+                 context: object):
+        _set(self, "side", side)        # "lambda" or "frakz"
+        _set(self, "mor", mor)
+        _set(self, "matrix", matrix)
+        _set(self, "context", context)
 
     @property
     def value(self):

@@ -269,14 +269,13 @@ def test_solve_rechecks_the_solution_it_prints(c2_q_file, capsys, monkeypatch,
                                               kind):
     # a solver that hands back a wrong particular solution is caught by the
     # re-check on the system that was solved: one error line, exit 1
-    from dataclasses import replace
     from entwine.linalg import LinearConstraints
     solve = LinearConstraints.solve
 
     def corrupted(self):
         sol = solve(self)
         wrong = (QQ.add(sol.particular[0], QQ.one),) + sol.particular[1:]
-        return replace(sol, particular=wrong)
+        return sol.replace(particular=wrong)
     monkeypatch.setattr(LinearConstraints, "solve", corrupted)
     assert main(["solve", "--kind", kind, "--normalized", c2_q_file]) == 1
     captured = capsys.readouterr()
@@ -511,6 +510,30 @@ def test_an_unwritable_output_is_input_error(tmp_path, c2_q_file, capsys,
     err = capsys.readouterr().err
     assert err.startswith(f"input error: cannot write {out}: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--kind", "integral", "DOC"],
+    ["extension", "report", "DOC"],
+    ["coextension", "report", "COEXT"],
+    ["hochschild", "DOC"],
+])
+def test_an_unwritable_output_prints_no_answer(tmp_path, c2_q_file, capsys,
+                                               argv, as_json):
+    # the file is written before anything is printed, so a command whose
+    # -o target cannot be written leaves standard output empty
+    coext = tmp_path / "coext.json"
+    assert main(["catalog", "--name", "self_coextension", "--n", "2",
+                 "-o", str(coext)]) == 0
+    capsys.readouterr()
+    argv = [{"DOC": c2_q_file, "COEXT": str(coext)}.get(a, a) for a in argv]
+    flags = ["--json"] if as_json else []
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + flags + ["-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: cannot write {out}: ")
 
 
 def test_an_unwritable_output_gives_no_traceback(tmp_path):
