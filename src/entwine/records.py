@@ -22,10 +22,7 @@ _set = object.__setattr__
 class Record:
     """Base of the immutable records; see the module docstring."""
 
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
         # one C-level getter per class reads the fields as a tuple
         cls._values = attrgetter(*cls._fields)
 
