@@ -58,8 +58,8 @@ def _load(path: str, parse=schema.parse_document):
 def _emit(doc: dict, out: str | None, as_json: bool):
     """Write doc as JSON to the file out, if given, and then to standard
     output if as_json; a file that cannot be written is an input error.
-    Commands emit before they print anything else, so a failed write
-    leaves standard output empty."""
+    Commands emit before they print anything else to standard output, so
+    a failed write leaves it empty."""
     text = schema.dumps(doc)
     if out:
         try:
