@@ -14,7 +14,7 @@ from .errors import InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
                      descend, kron, kron_all, quotient_by)
-from .records import Record, _set
+from .records import Record
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap, law,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
 from .entwining import Entwining, entwine_verified, ground_coalgebra
@@ -28,11 +28,6 @@ class HopfData(Record):
 
     _fields = ("alg", "coalg", "antipode")
 
-    def __init__(self, alg: Algebra, coalg: Coalgebra, antipode: LinMap):
-        _set(self, "alg", alg)
-        _set(self, "coalg", coalg)
-        _set(self, "antipode", antipode)
-
     @property
     def field(self):
         return self.alg.field
@@ -43,10 +38,8 @@ class CatalogEntry(Record):
 
     def __init__(self, name: str, params: dict, payload: object,
                  extras: dict | None = None):
-        _set(self, "name", name)
-        _set(self, "params", params)
-        _set(self, "payload", payload)
-        _set(self, "extras", {} if extras is None else extras)
+        super().__init__(name, params, payload,
+                         {} if extras is None else extras)
 
 
 def _verify_hopf(h: HopfData) -> None:

@@ -20,44 +20,29 @@ from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, compose_all, corestrict, descend, image, kernel,
                      kron, kron_all, quotient_by)
-from .records import Record, _set
+from .records import Record
 from .structures import Algebra, CheckReport, Coalgebra, law
 
 
 class RightModule(Record):
-    _fields = ("dim", "action")
-
-    def __init__(self, dim: int, action: LinMap):
-        _set(self, "dim", dim)
-        _set(self, "action", action)  # (dim, dimA) -> (dim)
+    _fields = ("dim", "action")  # action: (dim, dimA) -> (dim)
 
 
 class LeftModule(Record):
-    _fields = ("dim", "action")
-
-    def __init__(self, dim: int, action: LinMap):
-        _set(self, "dim", dim)
-        _set(self, "action", action)  # (dimA, dim) -> (dim)
+    _fields = ("dim", "action")  # action: (dimA, dim) -> (dim)
 
 
 class RightComodule(Record):
-    _fields = ("dim", "coaction")
-
-    def __init__(self, dim: int, coaction: LinMap):
-        _set(self, "dim", dim)
-        _set(self, "coaction", coaction)  # (dim) -> (dim, dimC)
+    _fields = ("dim", "coaction")  # coaction: (dim) -> (dim, dimC)
 
 
 class LeftComodule(Record):
-    _fields = ("dim", "coaction")
-
-    def __init__(self, dim: int, coaction: LinMap):
-        _set(self, "dim", dim)
-        _set(self, "coaction", coaction)  # (dim) -> (dimC, dim)
+    _fields = ("dim", "coaction")  # coaction: (dim) -> (dimC, dim)
 
 
 class EntwinedModule(Record):
-    _fields = ("ent", "dim", "action", "coaction")
+    _fields = ("ent", "dim", "action",  # (dim, dimA) -> (dim)
+               "coaction")              # (dim) -> (dim, dimC)
 
     def __init__(self, ent: Entwining, dim: int, action: LinMap,
                  coaction: LinMap):
@@ -66,10 +51,7 @@ class EntwinedModule(Record):
             raise InputError("action shape does not match the module")
         if coaction.domain != (dim,) or coaction.codomain != (dim, dc):
             raise InputError("coaction shape does not match the module")
-        _set(self, "ent", ent)
-        _set(self, "dim", dim)
-        _set(self, "action", action)      # (dim, dimA) -> (dim)
-        _set(self, "coaction", coaction)  # (dim) -> (dim, dimC)
+        super().__init__(ent, dim, action, coaction)
 
     @property
     def field(self):

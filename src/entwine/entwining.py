@@ -11,21 +11,19 @@ from __future__ import annotations
 from .errors import InputError
 from .fields import Field
 from .linalg import LinMap, compose_all, kron, kron_all
-from .records import Record, _set
+from .records import Record
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
                          verify_algebra, verify_coalgebra)
 
 
 class Entwining(Record):
-    _fields = ("alg", "coalg", "psi")
+    _fields = ("alg", "coalg", "psi")  # psi: (dimC, dimA) -> (dimA, dimC)
 
     def __init__(self, alg: Algebra, coalg: Coalgebra, psi: LinMap):
         da, dc = alg.dim, coalg.dim
         if psi.domain != (dc, da) or psi.codomain != (da, dc):
             raise InputError("psi does not match the algebra/coalgebra dimensions")
-        _set(self, "alg", alg)
-        _set(self, "coalg", coalg)
-        _set(self, "psi", psi)  # (dimC, dimA) -> (dimA, dimC)
+        super().__init__(alg, coalg, psi)
 
     @property
     def field(self) -> Field:
@@ -77,13 +75,8 @@ class EntwiningMorphism(Record):
     """A pair (f, g) of an algebra map and a coalgebra map intertwining the
     two psi maps."""
 
-    _fields = ("src", "dst", "f", "g")
-
-    def __init__(self, src: Entwining, dst: Entwining, f: LinMap, g: LinMap):
-        _set(self, "src", src)
-        _set(self, "dst", dst)
-        _set(self, "f", f)  # src algebra -> dst algebra
-        _set(self, "g", g)  # src coalgebra -> dst coalgebra
+    _fields = ("src", "dst", "f",  # src algebra -> dst algebra
+               "g")                # src coalgebra -> dst coalgebra
 
 
 def verify_morphism(m: EntwiningMorphism) -> CheckReport:

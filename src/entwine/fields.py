@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .records import Record, _set
+from .records import Record
 
 
 class FieldError(ValueError):
@@ -75,8 +75,7 @@ class Field(Record):
                 raise FieldError(f"modulus must be prime, got {p!r}")
         else:
             raise FieldError(f"unknown field kind {kind!r}")
-        _set(self, "kind", kind)
-        _set(self, "p", p)
+        super().__init__(kind, p)
 
     # products compare the fields of their factors, which are most often
     # the same object

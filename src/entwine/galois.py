@@ -19,13 +19,13 @@ subalgebra and of the balancing relations, and psi is the transposed psi.
 from __future__ import annotations
 
 from .errors import GaloisError, InconsistencyError, InputError
-from .entwining import Entwining, dual_entwining, entwine_verified
+from .entwining import dual_entwining, entwine_verified
 from .entmod import (EntwinedModule, balanced_power,
                      check_entwined_compatibility, fixed_part, verify_action,
                      verify_coaction)
-from .linalg import (LinMap, QuotientModule, SCALAR, Subspace, compose_all,
-                     descend, image, invert, kernel, kron, kron_all)
-from .records import Record, _set
+from .linalg import (LinMap, QuotientModule, SCALAR, compose_all, descend,
+                     image, invert, kernel, kron, kron_all)
+from .records import Record
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
                          subalgebra_product, verify_algebra, verify_coalgebra)
 
@@ -54,21 +54,12 @@ def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
 
 
 class GaloisExtension(Record):
-    _fields = ("alg", "coalg", "rho_a", "fixed", "fixed_alg", "square", "can",
-               "can_inv", "ent")
-
-    def __init__(self, alg: Algebra, coalg: Coalgebra, rho_a: LinMap,
-                 fixed: Subspace, fixed_alg: Algebra, square: QuotientModule,
-                 can: LinMap, can_inv: LinMap, ent: Entwining):
-        _set(self, "alg", alg)
-        _set(self, "coalg", coalg)
-        _set(self, "rho_a", rho_a)          # A -> A (x) C
-        _set(self, "fixed", fixed)          # B inside A
-        _set(self, "fixed_alg", fixed_alg)  # B with its induced structure
-        _set(self, "square", square)        # A (x)_B A
-        _set(self, "can", can)              # A (x)_B A -> A (x) C
-        _set(self, "can_inv", can_inv)
-        _set(self, "ent", ent)              # the canonical entwining
+    _fields = ("alg", "coalg", "rho_a",  # A -> A (x) C
+               "fixed",                  # B inside A
+               "fixed_alg",              # B with its induced structure
+               "square",                 # A (x)_B A
+               "can",                    # A (x)_B A -> A (x) C
+               "can_inv", "ent")         # the canonical entwining
 
     @property
     def field(self):
@@ -195,21 +186,11 @@ class Coextension(Record):
     """An algebra-Galois coextension (C, A, C (x) A -> C), held with the
     coalgebra-Galois extension of its transposed data that built it."""
 
-    _fields = ("coalg", "alg", "rho_c", "coideal", "base", "cosquare", "ent",
-               "dual")
-
-    def __init__(self, coalg: Coalgebra, alg: Algebra, rho_c: LinMap,
-                 coideal: Subspace, base: Coalgebra, cosquare: Subspace,
-                 ent: Entwining, dual: GaloisExtension):
-        _set(self, "coalg", coalg)
-        _set(self, "alg", alg)
-        _set(self, "rho_c", rho_c)        # C (x) A -> C
-        _set(self, "coideal", coideal)    # I inside C
-        # B = C/I, the transpose of the dual's B^*
-        _set(self, "base", base)
-        _set(self, "cosquare", cosquare)  # C []_B C inside C (x) C
-        _set(self, "ent", ent)
-        _set(self, "dual", dual)          # (C^*, A^*, rho_c^T)
+    _fields = ("coalg", "alg", "rho_c",  # C (x) A -> C
+               "coideal",                # I inside C
+               "base",  # B = C/I, the transpose of the dual's B^*
+               "cosquare",               # C []_B C inside C (x) C
+               "ent", "dual")            # (C^*, A^*, rho_c^T)
 
     @property
     def field(self):

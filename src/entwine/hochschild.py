@@ -29,17 +29,13 @@ from .errors import DomainError, InputError, InconsistencyError
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, corestrict, descend, kernel, kron, kron_all,
                      op_in_unknown, rref)
-from .records import Record, _set
+from .records import Record
 from .structures import Algebra, CheckReport, law, subalgebra_product
 
 
 class Bimodule(Record):
-    _fields = ("dim", "left", "right")
-
-    def __init__(self, dim: int, left: LinMap, right: LinMap):
-        _set(self, "dim", dim)
-        _set(self, "left", left)    # (dimA, dim) -> (dim)
-        _set(self, "right", right)  # (dim, dimA) -> (dim)
+    _fields = ("dim", "left",  # (dimA, dim) -> (dim)
+               "right")        # (dim, dimA) -> (dim)
 
 
 def verify_bimodule(alg: Algebra, m: Bimodule) -> CheckReport:
@@ -69,17 +65,10 @@ def regular_bimodule(alg: Algebra) -> Bimodule:
 
 
 class RelativeComplex(Record):
-    _fields = ("alg", "sub", "bimodule", "spaces", "boundaries")
-
-    def __init__(self, alg: Algebra, sub: Subspace, bimodule: Bimodule,
-                 spaces: tuple, boundaries: tuple):
-        _set(self, "alg", alg)
-        _set(self, "sub", sub)                # B inside A
-        _set(self, "bimodule", bimodule)
-        # cochain Subspaces, degree 0 upward, and the coboundary maps on
-        # their coordinates
-        _set(self, "spaces", spaces)
-        _set(self, "boundaries", boundaries)
+    _fields = ("alg", "sub",           # B inside A
+               "bimodule", "spaces",  # cochain Subspaces, degree 0 upward,
+               "boundaries")          # and the coboundary maps on their
+                                      # coordinates
 
     @property
     def max_degree(self) -> int:

@@ -610,13 +610,6 @@ class Subspace(Record):
 
     _fields = ("field", "ambient", "reduced", "pivots")
 
-    def __init__(self, field: Field, ambient: tuple, reduced: tuple,
-                 pivots: tuple):
-        _set(self, "field", field)
-        _set(self, "ambient", ambient)
-        _set(self, "reduced", reduced)
-        _set(self, "pivots", pivots)
-
     @staticmethod
     def from_vectors(field, ambient, vectors) -> "Subspace":
         vecs = [tuple(v) for v in vectors]
@@ -698,13 +691,6 @@ class QuotientModule(Record):
 
     _fields = ("ambient", "relations", "projection", "section")
 
-    def __init__(self, ambient: tuple, relations: Subspace, projection: LinMap,
-                 section: LinMap):
-        _set(self, "ambient", ambient)
-        _set(self, "relations", relations)
-        _set(self, "projection", projection)
-        _set(self, "section", section)
-
     @property
     def dim(self) -> int:
         return self.projection.rows
@@ -781,10 +767,6 @@ class AffineSolutionSet(Record):
     particular is None exactly when the system is infeasible."""
 
     _fields = ("particular", "homogeneous")
-
-    def __init__(self, particular: tuple | None, homogeneous: Subspace):
-        _set(self, "particular", particular)
-        _set(self, "homogeneous", homogeneous)
 
     @property
     def feasible(self) -> bool:
@@ -990,18 +972,10 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
 
 
 class _Block(Record):
-    """One labelled condition of a `LinearConstraints` system: a record
-    whose attributes may be set, and so has no hash."""
+    """One labelled condition of a `LinearConstraints` system."""
 
-    _fields = ("label", "matrix", "rhs")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, label: str, matrix: LinMap, rhs: tuple):
-        self.label = label
-        self.matrix = matrix    # operator on vec(X), rows indexed by (e, d)
-        self.rhs = rhs          # target vector of length matrix.rows
+    _fields = ("label", "matrix",  # operator on vec(X), rows indexed by (e, d)
+               "rhs")              # target vector of length matrix.rows
 
 
 class LinearConstraints:

@@ -1,12 +1,13 @@
 """Immutable value records, written as plain classes.
 
-A record class names its fields, in constructor order, in the class
-attribute `_fields`, and its hand-written `__init__` runs its checks and
-then stores each field with `_set` (object.__setattr__).  The base class
-supplies the rest: value equality and hashing over the fields, the
-`Name(field=value, ...)` repr, a `replace` that re-runs `__init__` (and so
-every check), and immutability, since setting or deleting an attribute
-raises AttributeError.
+A record class names its fields, in order, in the class attribute
+`_fields`.  The base `__init__` stores one value per field, given by
+position, with `_set` (object.__setattr__).  A class whose constructor
+also runs checks has its own `__init__`, with parameters named and ordered
+as `_fields`.  The base class supplies the rest: value equality and
+hashing over the fields, the `Name(field=value, ...)` repr, a `replace`
+that re-runs `__init__` (and so every check), and immutability, since
+setting or deleting an attribute raises AttributeError.
 
 Nothing is generated: the standard library's record decorator writes the
 source of each method and compiles it when a module is imported, and its
@@ -25,6 +26,13 @@ class Record:
     def __init_subclass__(cls):
         # one C-level getter per class reads the fields as a tuple
         cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{self.__class__.__qualname__} takes "
+                            f"{len(self._fields)} values, got {len(values)}")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -47,6 +55,9 @@ class Record:
 
     def replace(self, **changes):
         """A copy with the given fields changed, built by `__init__`."""
-        values = {name: getattr(self, name) for name in self._fields}
-        values.update(changes)
-        return self.__class__(**values)
+        values = [changes.pop(name, getattr(self, name))
+                  for name in self._fields]
+        if changes:
+            raise TypeError(f"{self.__class__.__qualname__} has no field "
+                            f"{next(iter(changes))!r}")
+        return self.__class__(*values)

@@ -21,55 +21,32 @@ from __future__ import annotations
 
 from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
-from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, compose_all, kron, kron_all, op_in_unknown)
-from .records import Record, _set
+from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
+                     kron, kron_all, op_in_unknown)
+from .records import Record
 from .witness import Witness, WitnessKind, as_witness, particular_witness
 
 
 class SeparabilityCertificate(Record):
-    _fields = ("u", "source_integral", "family")
-
-    def __init__(self, u: tuple, source_integral: Witness,
-                 family: AffineSolutionSet | None = None):
-        _set(self, "u", u)                # coordinates in A (x)_B A
-        _set(self, "source_integral", source_integral)
-        _set(self, "family", family)      # all integrals, when solved for
+    _fields = ("u",                         # coordinates in A (x)_B A
+               "source_integral", "family")  # all integrals, when solved for
 
 
 class SplitCertificate(Record):
-    _fields = ("phi", "expectation")
-
-    def __init__(self, phi: LinMap, expectation: LinMap):
-        _set(self, "phi", phi)                  # C -> A
-        _set(self, "expectation", expectation)  # A -> A with image inside B
+    _fields = ("phi",          # C -> A
+               "expectation")  # A -> A with image inside B
 
 
 class StrongCertificate(Record):
-    _fields = ("separability", "split", "tau")
-
-    def __init__(self, separability: SeparabilityCertificate,
-                 split: SplitCertificate, tau: object):
-        _set(self, "separability", separability)
-        _set(self, "split", split)
-        _set(self, "tau", tau)            # an invertible scalar
+    _fields = ("separability", "split", "tau")  # tau: an invertible scalar
 
 
 class StrongOutcome(Record):
-    _fields = ("certificate", "inconclusive", "note", "separability", "split")
-
-    def __init__(self, certificate: StrongCertificate | None,
-                 inconclusive: bool, note: str = "",
-                 separability: SeparabilityCertificate | None = None,
-                 split: tuple | None = None):
-        _set(self, "certificate", certificate)
-        # nothing found, but absence is not proved
-        _set(self, "inconclusive", inconclusive)
-        # diagnostic for a negative or open outcome
-        _set(self, "note", note)
-        _set(self, "separability", separability)  # check_separable
-        # check_split: (certificate, phi family)
-        _set(self, "split", split)
+    _fields = ("certificate",
+               "inconclusive",  # nothing found, but absence is not proved
+               "note",          # diagnostic for a negative or open outcome
+               "separability",  # check_separable
+               "split")         # check_split: (certificate, phi family)
 
     @property
     def found(self) -> bool:
@@ -77,12 +54,8 @@ class StrongOutcome(Record):
 
 
 class CoseparabilityCertificate(Record):
-    _fields = ("upsilon", "source_cointegral")
-
-    def __init__(self, upsilon: tuple, source_cointegral: Witness):
-        # covector on the cotensor square coordinates
-        _set(self, "upsilon", upsilon)
-        _set(self, "source_cointegral", source_cointegral)
+    _fields = ("upsilon",   # covector on the cotensor square coordinates
+               "source_cointegral")
 
 
 # ---------------------------------------------------------------------------

@@ -14,15 +14,11 @@ from .errors import DomainError, InputError
 from .fields import Field
 from .linalg import (LinMap, Subspace, compose_all, kron, quotient_by,
                      unflatten)
-from .records import Record, _set
+from .records import Record
 
 
 class CheckFailure(Record):
     _fields = ("law", "at")
-
-    def __init__(self, law: str, at: tuple):
-        _set(self, "law", law)
-        _set(self, "at", at)
 
     def __repr__(self):
         return f"{self.law} fails at basis index {self.at}"
@@ -30,10 +26,6 @@ class CheckFailure(Record):
 
 class CheckReport(Record):
     _fields = ("subject", "failures")
-
-    def __init__(self, subject: str, failures: tuple):
-        _set(self, "subject", subject)
-        _set(self, "failures", failures)
 
     @property
     def ok(self) -> bool:
@@ -65,16 +57,15 @@ def law(failures, name, lhs: LinMap, rhs: LinMap):
 
 
 class Algebra(Record):
-    _fields = ("dim", "mult", "unit")
+    _fields = ("dim", "mult",  # (dim, dim) -> (dim)
+               "unit")         # vector of length dim
 
     def __init__(self, dim: int, mult: LinMap, unit: tuple):
         if mult.domain != (dim, dim) or mult.codomain != (dim,):
             raise InputError("multiplication map does not match the dimension")
         if len(unit) != dim:
             raise InputError("unit vector does not match the dimension")
-        _set(self, "dim", dim)
-        _set(self, "mult", mult)  # (dim, dim) -> (dim)
-        _set(self, "unit", unit)  # vector of length dim
+        super().__init__(dim, mult, unit)
 
     @property
     def field(self) -> Field:
@@ -89,16 +80,15 @@ class Algebra(Record):
 
 
 class Coalgebra(Record):
-    _fields = ("dim", "comult", "counit")
+    _fields = ("dim", "comult",  # (dim) -> (dim, dim)
+               "counit")         # covector of length dim
 
     def __init__(self, dim: int, comult: LinMap, counit: tuple):
         if comult.domain != (dim,) or comult.codomain != (dim, dim):
             raise InputError("comultiplication map does not match the dimension")
         if len(counit) != dim:
             raise InputError("counit covector does not match the dimension")
-        _set(self, "dim", dim)
-        _set(self, "comult", comult)  # (dim) -> (dim, dim)
-        _set(self, "counit", counit)  # covector of length dim
+        super().__init__(dim, comult, counit)
 
     @property
     def field(self) -> Field:

@@ -33,11 +33,10 @@ from .entmod import (EntwinedModule, RightComodule, RightModule,
                      standard_module, regular_module)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
-from .linalg import (AffineSolutionSet, LinMap, LinearConstraints,
-                     QuotientModule, Subspace, SCALAR,
-                     compose_all, corestrict, descend, kron,
+from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
+                     SCALAR, compose_all, corestrict, descend, kron,
                      kron_all, right_inverse)
-from .records import Record, _set
+from .records import Record
 
 
 class WitnessKind(str, Enum):
@@ -48,14 +47,8 @@ class WitnessKind(str, Enum):
 
 
 class Witness(Record):
-    _fields = ("kind", "ent", "value", "normalized")
-
-    def __init__(self, kind: WitnessKind, ent: Entwining, value: tuple,
-                 normalized: bool):
-        _set(self, "kind", kind)
-        _set(self, "ent", ent)
-        _set(self, "value", value)  # row-major vectorization of the witness
-        _set(self, "normalized", normalized)
+    _fields = ("kind", "ent", "value",  # row-major vectorization of the witness
+               "normalized")
 
     def as_map(self) -> LinMap:
         dom, cod = witness_shapes(self.kind, self.ent)
@@ -170,15 +163,10 @@ class LambdaContext(Record):
     (C (x) A~) [] C with its right action, and the auxiliary cotensor on
     C (x) A (x) A~ used by the multiplicativity constraint."""
 
-    _fields = ("mor", "carrier", "action", "aux", "unit_insert")
-
-    def __init__(self, mor: EntwiningMorphism, carrier: Subspace,
-                 action: LinMap, aux: Subspace, unit_insert: LinMap):
-        _set(self, "mor", mor)
-        _set(self, "carrier", carrier)          # S inside C (x) A~ (x) C
-        _set(self, "action", action)            # S (x) A -> S
-        _set(self, "aux", aux)                  # S2 in C (x) A (x) A~ (x) C
-        _set(self, "unit_insert", unit_insert)  # C -> S, c -> c1 (x) 1 (x) c2
+    _fields = ("mor", "carrier",  # S inside C (x) A~ (x) C
+               "action",          # S (x) A -> S
+               "aux",             # S2 in C (x) A (x) A~ (x) C
+               "unit_insert")     # C -> S, c -> c1 (x) 1 (x) c2
 
 
 def _cotensor_with_c(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
@@ -261,23 +249,14 @@ class FrakzContext(Record):
     (A~ (x) C) (x)_A A~ with its right target-coalgebra coaction, plus
     Q3 = (A~ (x) C~ (x) C) (x)_A A~ and the maps the constraints use."""
 
-    _fields = ("mor", "carrier", "coaction", "spread", "entwine_left",
-               "mult_left", "mult_right", "counit_collapse")
-
-    def __init__(self, mor: EntwiningMorphism, carrier: QuotientModule,
-                 coaction: LinMap, spread: LinMap, entwine_left: LinMap,
-                 mult_left: LinMap, mult_right: LinMap,
-                 counit_collapse: LinMap):
-        _set(self, "mor", mor)
-        _set(self, "carrier", carrier)        # Q on ambient A~ (x) C (x) A~
-        _set(self, "coaction", coaction)      # Q -> Q (x) C~
-        # Q -> Q3 by the comultiplication-then-g route, and C~ (x) Q -> Q3
-        # by the psi~ route
-        _set(self, "spread", spread)
-        _set(self, "entwine_left", entwine_left)
-        _set(self, "mult_left", mult_left)    # A~ (x) Q -> Q
-        _set(self, "mult_right", mult_right)  # Q (x) A~ -> Q
-        _set(self, "counit_collapse", counit_collapse)  # Q -> A~
+    _fields = ("mor", "carrier",  # Q on ambient A~ (x) C (x) A~
+               "coaction",        # Q -> Q (x) C~
+               # Q -> Q3 by the comultiplication-then-g route, and
+               # C~ (x) Q -> Q3 by the psi~ route
+               "spread", "entwine_left",
+               "mult_left",       # A~ (x) Q -> Q
+               "mult_right",      # Q (x) A~ -> Q
+               "counit_collapse")  # Q -> A~
 
 
 def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
@@ -360,14 +339,8 @@ def cointegrability_system(mor: EntwiningMorphism, total: bool = True):
 
 
 class MorphismWitness(Record):
-    _fields = ("side", "mor", "matrix", "context")
-
-    def __init__(self, side: str, mor: EntwiningMorphism, matrix: LinMap,
-                 context: object):
-        _set(self, "side", side)        # "lambda" or "frakz"
-        _set(self, "mor", mor)
-        _set(self, "matrix", matrix)
-        _set(self, "context", context)
+    _fields = ("side",   # "lambda" or "frakz"
+               "mor", "matrix", "context")
 
     @property
     def value(self):
@@ -540,7 +513,7 @@ def cointegral_from_casimir(ent: Entwining, coaction_a: LinMap, one_c,
     integral of the dual entwining, read here as a functional."""
     dual = integral_from_invariant(dual_entwining(ent), coaction_a.transpose(),
                                    one_c, kappa)
-    return Witness(WitnessKind.COINTEGRAL, ent, dual.value, normalized=True)
+    return Witness(WitnessKind.COINTEGRAL, ent, dual.value, True)
 
 
 def integral_map_from_cotranslation(coext: Coextension) -> Witness:

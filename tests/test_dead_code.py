@@ -1,6 +1,6 @@
 """Dead-code scan of the package with the stdlib `ast` module.
 
-Four checks:
+Five checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
@@ -17,7 +17,11 @@ Four checks:
   re-exports;
 - outside structures.py, no `if` whose test reads `.ok` or a `failures`
   list has a `raise` in its body: `CheckReport.require` is the one place
-  a failed report becomes an exception.
+  a failed report becomes an exception;
+- no class in src/entwine defines an `__init__` whose body only calls
+  `_set(self, "name", name)` on its own parameters: the `Record` base
+  constructor stores the values of `_fields`, so a record declares its
+  fields once.
 """
 
 import ast
@@ -185,6 +189,35 @@ def raising_report_checks():
     return found
 
 
+def _stores_a_parameter(stmt, params):
+    """Whether stmt is `_set(self, "name", name)` for a parameter name."""
+    call = stmt.value if isinstance(stmt, ast.Expr) else None
+    if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == "_set" and len(call.args) == 3
+            and not call.keywords):
+        return False
+    target, name, value = call.args
+    return (isinstance(target, ast.Name) and target.id == "self"
+            and isinstance(name, ast.Constant) and isinstance(value, ast.Name)
+            and name.value == value.id and value.id in params)
+
+
+def store_only_constructors():
+    found = []
+    for path in _python_files(PACKAGE):
+        for cls in ast.walk(_parse(path)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if not (isinstance(fn, FUNCTIONS) and fn.name == "__init__"):
+                    continue
+                params = {a.arg for a in fn.args.args[1:]}
+                if all(_stores_a_parameter(stmt, params) for stmt in fn.body):
+                    found.append(f"{os.path.relpath(path, ROOT)}:{fn.lineno} "
+                                 f"{cls.name}.__init__")
+    return found
+
+
 def test_every_definition_is_referenced():
     assert dead_definitions() == []
 
@@ -201,7 +234,11 @@ def test_only_require_raises_on_a_failed_report():
     assert raising_report_checks() == []
 
 
+def test_no_constructor_only_stores_its_arguments():
+    assert store_only_constructors() == []
+
+
 if __name__ == "__main__":
     for line in (dead_definitions() + unused_locals() + unused_imports()
-                 + raising_report_checks()):
+                 + raising_report_checks() + store_only_constructors()):
         print(line)

@@ -86,8 +86,8 @@ def test_equal_fields_give_equal_records_and_hashes(samples):
     for cls, obj in samples.items():
         copy = obj.replace()
         assert copy is not obj and copy == obj and not copy != obj, cls
-        if cls.__name__ in ("CatalogEntry", "_Block"):
-            continue  # a dict field, or a record whose fields may change
+        if cls.__name__ == "CatalogEntry":
+            continue  # a dict field
         assert hash(copy) == hash(obj), cls
 
 
@@ -99,11 +99,11 @@ def test_unhashable_records():
     cons.require("one", (LinMap.identity(QQ, SCALAR), SCALAR, SCALAR,
                          LinMap.identity(QQ, SCALAR)))
     block = cons.blocks[0]
-    with pytest.raises(TypeError):
-        hash(block)
-    # a block stays mutable, as an unfrozen record
-    block.label = "two"
-    assert block.label == "two"
+    # a block is an ordinary record: hashable, and its fields stay put
+    assert hash(block) == hash(block.replace())
+    with pytest.raises(AttributeError):
+        block.label = "two"
+    assert block.label == "one"
 
 
 def test_a_changed_field_or_another_class_is_unequal(c2_q):
@@ -115,8 +115,6 @@ def test_a_changed_field_or_another_class_is_unequal(c2_q):
 
 def test_records_are_immutable(samples):
     for cls, obj in samples.items():
-        if cls.__name__ == "_Block":
-            continue
         name = cls._fields[0]
         value = getattr(obj, name)
         with pytest.raises(AttributeError):
@@ -139,6 +137,26 @@ def test_replace_reruns_the_constructor_checks():
     with pytest.raises(TypeError):
         m.replace(rows=2)
     assert m.replace(domain=(2, 1)).domain == (2, 1)
+
+
+def test_own_constructors_take_the_fields_in_order():
+    own = {cls for cls in _record_classes() if "__init__" in vars(cls)}
+    assert {cls.__name__ for cls in own} == {
+        "LinMap", "Field", "Algebra", "Coalgebra", "Entwining",
+        "EntwinedModule", "CatalogEntry"}
+    for cls in own:
+        params = list(inspect.signature(cls.__init__).parameters)
+        assert params == ["self", *cls._fields], cls
+
+
+def test_the_base_constructor_takes_one_value_per_field():
+    assert RightModule(1, "m").action == "m"
+    with pytest.raises(TypeError, match="RightModule takes 2 values, got 1"):
+        RightModule(1)
+    with pytest.raises(TypeError, match="got 3"):
+        RightModule(1, "m", None)
+    with pytest.raises(TypeError, match="no field 'nope'"):
+        RightModule(1, "m").replace(nope=1)
 
 
 def test_fields_compare_by_value():
