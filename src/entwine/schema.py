@@ -1,10 +1,10 @@
 """The shared JSON schema ("entwine/1") for structures, witnesses, reports.
 
-Documents are strict: an unknown key anywhere is an error, so a certificate
-can never silently carry unvalidated data.  All matrices are row-major with
-codomain-rows x domain-columns; scalars are written as "num/den" strings
-over Q (the denominator omitted when 1) and plain integers in [0, p) over
-F_p, and read in the grammar that `Field.parse` states.
+Documents are strict: an unknown or repeated key anywhere is an error, so a
+certificate can never silently carry unvalidated data.  All matrices are
+row-major with codomain-rows x domain-columns; scalars are written as
+"num/den" strings over Q (the denominator omitted when 1) and plain integers
+in [0, p) over F_p, and read in the grammar that `Field.parse` states.
 """
 
 from __future__ import annotations
@@ -39,6 +39,17 @@ def _need_int(obj, key, where):
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{key} in {where} must be an integer, got {value!r}")
     return value
+
+
+def _unique_keys(pairs):
+    """The object of json.loads's key-value pairs; json.loads alone would
+    keep the last value of a repeated key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise SchemaError(f"repeated key {repeated!r}")
+    return obj
 
 
 def _strict(obj, allowed, where):
@@ -125,7 +136,8 @@ class InputDocument:
 
 def parse_document(text) -> InputDocument:
     try:
-        obj = json.loads(text) if isinstance(text, (str, bytes)) else text
+        obj = json.loads(text, object_pairs_hook=_unique_keys) \
+            if isinstance(text, (str, bytes)) else text
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
@@ -165,7 +177,7 @@ def parse_document(text) -> InputDocument:
 def parse_bimodule(text, alg: Algebra) -> Bimodule:
     """The (A,A)-bimodule M of a `--bimodule` document over alg."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal past Python's digit limit
         raise SchemaError(f"cannot read bimodule file: {exc}") from exc

@@ -9,6 +9,8 @@ code 0, 1 or 2 and no traceback, and exit 2 must print exactly one line,
 unmutated source, and every mutant that `check` accepts) also runs through
 every other command, and none of those runs may raise `InconsistencyError`,
 which always signals a bug. The seed is fixed, so a failure reproduces.
+Fixed cases add a key repeated in an object, which JSON allows and the
+contract rejects.
 
     PYTHONPATH=src python tests/test_cli_fuzz.py SEED COUNT
 
@@ -213,6 +215,34 @@ def fuzz(seed, count, workdir):
 def test_mutated_documents_keep_the_input_contract(tmp_path):
     failures = fuzz(SEED, COUNT, str(tmp_path))
     assert not failures, "\n".join(failures)
+
+
+def test_a_repeated_key_is_an_input_error(tmp_path):
+    source = str(tmp_path / "ext_q2.json")
+    assert run(["catalog"] + DOCS["ext_q2"] + ["-o", source])[0] == 0
+    with open(source, encoding="utf-8") as fh:
+        text = json.dumps(json.load(fh))
+    # a 1-dimensional algebra first: json.loads alone keeps the real one
+    one_dim = '{"dim": 1, "mult": [["1"]], "unit": ["1"]}'
+    top = text.replace('"algebra": ', f'"algebra": {one_dim}, "algebra": ', 1)
+    nested = text.replace('"kind": "Q"', '"kind": "Q", "kind": "Q"', 1)
+    bimodule = ('{"schema": "entwine/1", "field": {"kind": "Q"}, "bimodule": '
+                '{"dim": 1, "left": [["1", "1"]], "left": [["1", "1"]], '
+                '"right": [["1", "1"]]}}')
+    paths = {}
+    for name, data in [("top", top), ("nested", nested),
+                       ("bimodule", bimodule)]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(data)
+    cases = [(CHECK + [paths["top"]], "algebra"),
+             (["extension", "report", paths["top"]], "algebra"),
+             (CHECK + [paths["nested"]], "kind"),
+             (["hochschild", "--n", "1", "--bimodule", paths["bimodule"],
+               source], "left")]
+    for argv, key in cases:
+        code, err, _ = run(argv)
+        assert (code, err) == (2, f"input error: repeated key {key!r}\n"), argv
 
 
 if __name__ == "__main__":
