@@ -3,11 +3,11 @@
 A record class names its fields, in order, in the class attribute
 `_fields`.  The base `__init__` stores one value per field, given by
 position, with `_set` (object.__setattr__).  A class whose constructor
-also runs checks has its own `__init__`, with parameters named and ordered
-as `_fields`.  The base class supplies the rest: value equality and
-hashing over the fields, the `Name(field=value, ...)` repr, a `replace`
-that re-runs `__init__` (and so every check), and immutability, since
-setting or deleting an attribute raises AttributeError.
+also runs checks or fills a default has its own `__init__`, with parameters
+named and ordered as `_fields`.  The base class supplies the rest: value
+equality and hashing over the fields, the `Name(field=value, ...)` repr, a
+`replace` that re-runs `__init__` (and so every check), and immutability,
+since setting or deleting an attribute raises AttributeError.
 
 Nothing is generated: the standard library's record decorator writes the
 source of each method and compiles it when a module is imported, and its

@@ -222,24 +222,22 @@ def test_a_repeated_key_is_an_input_error(tmp_path):
     assert run(["catalog"] + DOCS["ext_q2"] + ["-o", source])[0] == 0
     with open(source, encoding="utf-8") as fh:
         text = json.dumps(json.load(fh))
+    top, nested, bimodule = (tmp_path / f"{name}.json"
+                             for name in ("top", "nested", "bimodule"))
     # a 1-dimensional algebra first: json.loads alone keeps the real one
     one_dim = '{"dim": 1, "mult": [["1"]], "unit": ["1"]}'
-    top = text.replace('"algebra": ', f'"algebra": {one_dim}, "algebra": ', 1)
-    nested = text.replace('"kind": "Q"', '"kind": "Q", "kind": "Q"', 1)
-    bimodule = ('{"schema": "entwine/1", "field": {"kind": "Q"}, "bimodule": '
-                '{"dim": 1, "left": [["1", "1"]], "left": [["1", "1"]], '
-                '"right": [["1", "1"]]}}')
-    paths = {}
-    for name, data in [("top", top), ("nested", nested),
-                       ("bimodule", bimodule)]:
-        paths[name] = str(tmp_path / f"{name}.json")
-        with open(paths[name], "w", encoding="utf-8") as fh:
-            fh.write(data)
-    cases = [(CHECK + [paths["top"]], "algebra"),
-             (["extension", "report", paths["top"]], "algebra"),
-             (CHECK + [paths["nested"]], "kind"),
-             (["hochschild", "--n", "1", "--bimodule", paths["bimodule"],
-               source], "left")]
+    top.write_text(text.replace('"algebra": ',
+                                f'"algebra": {one_dim}, "algebra": ', 1))
+    nested.write_text(text.replace('"kind": "Q"', '"kind": "Q", "kind": "Q"',
+                                   1))
+    bimodule.write_text('{"schema": "entwine/1", "field": {"kind": "Q"}, '
+                        '"bimodule": {"dim": 1, "left": [["1", "1"]], '
+                        '"left": [["1", "1"]], "right": [["1", "1"]]}}')
+    cases = [(CHECK + [str(top)], "algebra"),
+             (["extension", "report", str(top)], "algebra"),
+             (CHECK + [str(nested)], "kind"),
+             (["hochschild", "--n", "1", "--bimodule", str(bimodule), source],
+              "left")]
     for argv, key in cases:
         code, err, _ = run(argv)
         assert (code, err) == (2, f"input error: repeated key {key!r}\n"), argv
