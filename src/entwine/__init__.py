@@ -34,7 +34,7 @@ from .separability import (CoseparabilityCertificate, SeparabilityCertificate,
 from .hochschild import (Bimodule, RelativeComplex, cohomology_dim,
                          regular_bimodule, relative_complex)
 from .catalog import CatalogEntry, default_catalog, entwining_of, make_example
-from .errors import (DomainError, EntwineError, GaloisError,
+from .errors import (CheckFailure, DomainError, EntwineError, GaloisError,
                      InconsistencyError, InputError)
 
 __version__ = "0.1.0"

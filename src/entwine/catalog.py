@@ -10,7 +10,7 @@ available as an extra stress instance behind hopf="sweedler".
 
 from __future__ import annotations
 
-from .errors import InputError
+from .errors import InconsistencyError, InputError
 from .fields import Field
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
                      descend, kron, kron_all, quotient_by)
@@ -291,8 +291,9 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
                                     h.alg.identity()),
                                kron(LinMap.identity(f, (quot_coalg.dim,)),
                                     h.coalg.comult))
-    if not ext.ent.psi.equals(expected_psi):
-        raise InputError("canonical entwining mismatch for the quotient datum")
+    failures = []
+    law(failures, "canonical entwining", ext.ent.psi, expected_psi)
+    CheckReport("quotient datum", tuple(failures)).require(InconsistencyError)
     # invariant of the quotient coalgebra, when the characteristic allows it:
     # x . a = eps(a) x for every a in H, and eps(x) = 1
     qshape = (quot_coalg.dim,)

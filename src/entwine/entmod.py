@@ -361,15 +361,15 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
     # counit(F m) . F(unit_m) = id on F m
     q_fgfm = _induced_carrier(mor, gfm.as_module())
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
-    left = adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi)
-    if not left.equals(fm.identity()):
-        raise DomainError("adjunction triangle (counit . F unit) failed")
+    failures = []
+    law(failures, "counit . F unit",
+        adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi), fm.identity())
     # G(counit_m~) . unit(G m~) = id on G m~
     s_gfgmt = _coinduced_carrier(mor, fgmt.as_comodule())
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
-    right = g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt))
-    if not right.equals(gmt.identity()):
-        raise DomainError("adjunction triangle (G counit . unit) failed")
+    law(failures, "G counit . unit",
+        g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt)), gmt.identity())
+    CheckReport("adjunction triangles", tuple(failures)).require()
     return phi, psi
 
 
@@ -392,9 +392,9 @@ def fixed_part(action: LinMap, coaction: LinMap, rho_a: LinMap) -> Subspace:
     return sys.solve().homogeneous
 
 
-def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
-    """All maps commuting with both the actions and the coactions, as a
-    subspace of the full matrix space with ambient (dim N, dim M)."""
+def hom_AC_system(m: EntwinedModule, n: EntwinedModule) -> LinearConstraints:
+    """The conditions on a map M -> N to commute with both the actions and
+    the coactions."""
     if m.ent != n.ent:
         raise InputError("modules live over different entwinings")
     f = m.field
@@ -409,4 +409,10 @@ def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
     col_lhs = (m.identity(), SCALAR, SCALAR, n.coaction)
     col_rhs = (m.coaction, SCALAR, (dc,), LinMap.identity(f, (n.dim, dc)))
     sys.require("C-colinearity", col_lhs, col_rhs)
-    return sys.solve().homogeneous
+    return sys
+
+
+def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
+    """All maps commuting with both the actions and the coactions, as a
+    subspace of the full matrix space with ambient (dim N, dim M)."""
+    return hom_AC_system(m, n).solve().homogeneous

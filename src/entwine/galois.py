@@ -26,7 +26,7 @@ from .entmod import (EntwinedModule, balanced_power,
 from .linalg import (LinMap, QuotientModule, SCALAR, compose_all, descend,
                      image, invert, kernel, kron, kron_all)
 from .records import Record
-from .structures import (Algebra, Coalgebra, CheckReport, dual_swap,
+from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
                          subalgebra_product, verify_algebra, verify_coalgebra)
 
 
@@ -251,20 +251,17 @@ def cotranslation_map(x: Coextension) -> LinMap:
         raise InputError("cotranslation map needs a coextension of the ground field")
     gamma = x.dual.translation_map().transpose()
     idc, ida = x.coalg.identity(), x.alg.identity()
+    failures = []
     # multiplicativity against the action
-    lhs = x.alg.mult.compose(kron(gamma, ida))
-    rhs = gamma.compose(kron(idc, x.rho_c))
-    if not lhs.equals(rhs):
-        raise InconsistencyError("cotranslation map fails its action law")
+    law(failures, "action law", x.alg.mult.compose(kron(gamma, ida)),
+        gamma.compose(kron(idc, x.rho_c)))
     # comultiplicative contraction law
-    lhs2 = compose_all(x.alg.mult, kron(gamma, gamma),
-                       kron_all(idc, x.coalg.comult, idc))
-    rhs2 = gamma.compose(kron_all(idc, x.coalg.counit_map(), idc))
-    if not lhs2.equals(rhs2):
-        raise InconsistencyError("cotranslation map fails its contraction law")
+    law(failures, "contraction law",
+        compose_all(x.alg.mult, kron(gamma, gamma),
+                    kron_all(idc, x.coalg.comult, idc)),
+        gamma.compose(kron_all(idc, x.coalg.counit_map(), idc)))
     # normalisation gamma . Delta = unit . eps
-    norm = gamma.compose(x.coalg.comult)
-    target = x.alg.unit_map().compose(x.coalg.counit_map())
-    if not norm.equals(target):
-        raise InconsistencyError("cotranslation map is not normalised")
+    law(failures, "normalisation", gamma.compose(x.coalg.comult),
+        x.alg.unit_map().compose(x.coalg.counit_map()))
+    CheckReport("cotranslation map", tuple(failures)).require(InconsistencyError)
     return gamma

@@ -58,7 +58,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import InputError, InconsistencyError
+from .errors import CheckFailure, InputError, InconsistencyError
 from .fields import Field
 from .records import Record, _set
 
@@ -352,6 +352,8 @@ class LinMap(Record):
         """First (column, row) where the matrices differ, scanning columns
         lexicographically; None if equal."""
         self._require_parallel(other)
+        if self.nonzeros == other.nonzeros:
+            return None
         diffs = []
         for r, (a, b) in enumerate(zip(self.nonzeros, other.nonzeros)):
             if a != b:
@@ -1041,14 +1043,15 @@ class LinearConstraints:
         m, b = self.assembled()
         return solve_affine(m, b)
 
-    def violations(self, xvec):
-        """Per-block first violation: (label, output index, input index)."""
+    def violations(self, xvec) -> list:
+        """Per-block first violation, CheckFailure(label, (output index,
+        input index)); empty when xvec satisfies every condition."""
         out = []
         for blk in self.blocks:
             got = blk.matrix.apply(xvec)
             for i, (g, t) in enumerate(zip(got, blk.rhs)):
                 if g != t:
-                    e, d = divmod(i, blk.matrix.codomain[1])
-                    out.append((blk.label, e, d))
+                    out.append(CheckFailure(blk.label,
+                                            unflatten(blk.matrix.codomain, i)))
                     break
         return out

@@ -14,7 +14,10 @@ Each certificate is solved once and re-verified once: the particular
 integral on the system that was solved (another one through
 `separability_from_integral`), then u against `verify_idempotent`; phi
 through `expectation_violations`; a strong pair through `verify_strong`.
-A strong outcome carries the separability and split results it used.
+Each checker lists the CheckFailure of every failed `law`, and
+`CheckReport.require` raises them as an InconsistencyError.  A strong
+outcome carries the separability and split results it used, and reuses
+the split certificate when its phi is the split one.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .galois import Coextension, GaloisExtension
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
                      kron, kron_all, op_in_unknown)
 from .records import Record
+from .structures import CheckReport, law
 from .witness import Witness, WitnessKind, as_witness, particular_witness
 
 
@@ -63,15 +67,14 @@ class CoseparabilityCertificate(Record):
 
 
 def verify_idempotent(g: GaloisExtension, u) -> list:
-    """Violations of the two separability-idempotent conditions."""
+    """Failures of the two separability-idempotent conditions."""
     ida = g.alg.identity()
     um = LinMap.element(g.field, (g.square.dim,), tuple(u))
-    lm = g.square_left_mult().compose(kron(ida, um))     # a -> a u
-    rm = g.square_right_mult().compose(kron(um, ida))    # a -> u a
-    diff = lm.first_difference(rm)
-    bad = [] if diff is None else [("centrality", diff[0])]
-    if g.mu_AB().apply(um.flat()) != tuple(g.alg.unit):
-        bad.append(("unit image",))
+    bad = []
+    law(bad, "centrality",
+        g.square_left_mult().compose(kron(ida, um)),     # a -> a u
+        g.square_right_mult().compose(kron(um, ida)))    # a -> u a
+    law(bad, "unit image", g.mu_AB().compose(um), g.alg.unit_map())
     return bad
 
 
@@ -86,9 +89,8 @@ def separability_from_integral(g: GaloisExtension, z: Witness) -> SeparabilityCe
 def _separability_certificate(g: GaloisExtension, z: Witness,
                               family=None) -> SeparabilityCertificate:
     u = g.can_inv.apply(z.value)
-    bad = verify_idempotent(g, u)
-    if bad:
-        raise InconsistencyError(f"idempotent conditions failed: {bad}")
+    CheckReport("separability idempotent",
+                tuple(verify_idempotent(g, u))).require(InconsistencyError)
     return SeparabilityCertificate(tuple(u), z, family)
 
 
@@ -136,23 +138,19 @@ def expectation_violations(g: GaloisExtension, expectation: LinMap) -> list:
     """Failures of the conditional-expectation conditions: unital, image in
     the fixed subalgebra, two-sided fixed-module map."""
     a = g.alg
+    one = a.unit_map()
     bad = []
-    if expectation.apply(a.unit) != tuple(a.unit):
-        bad.append(("unitality",))
+    law(bad, "unitality", expectation.compose(one), one)
     # E lands in B: the inclusion of B fixes E
     incl = g.fixed.inclusion
-    diff = compose_all(incl, g.fixed.retraction, expectation) \
-        .first_difference(expectation)
-    if diff is not None:
-        bad.append(("image", diff[0]))
+    law(bad, "image", compose_all(incl, g.fixed.retraction, expectation),
+        expectation)
     ida = a.identity()
-    lhs = compose_all(expectation, a.mult, kron(a.mult, ida),
-                      kron_all(incl, ida, incl))
-    rhs = compose_all(a.mult, kron(a.mult, ida),
-                      kron_all(incl, expectation, incl))
-    diff = lhs.first_difference(rhs)
-    if diff is not None:
-        bad.append(("bimodule", diff[0]))
+    law(bad, "bimodule",
+        compose_all(expectation, a.mult, kron(a.mult, ida),
+                    kron_all(incl, ida, incl)),
+        compose_all(a.mult, kron(a.mult, ida),
+                    kron_all(incl, expectation, incl)))
     return bad
 
 
@@ -161,9 +159,8 @@ def expectation_from_phi(g: GaloisExtension, phi: LinMap) -> LinMap:
     subalgebra commuting with its two-sided action."""
     a = g.alg
     expectation = compose_all(a.mult, kron(a.identity(), phi), g.rho_a)
-    bad = expectation_violations(g, expectation)
-    if bad:
-        raise InconsistencyError(f"expectation conditions failed: {bad}")
+    CheckReport("conditional expectation", tuple(
+        expectation_violations(g, expectation))).require(InconsistencyError)
     return expectation
 
 
@@ -203,9 +200,8 @@ def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertific
     phi = compose_all(a.mult, kron(a.identity(), gmap),
                       kron(g.ent.psi, c.identity()),
                       kron(c.identity(), LinMap.element(f, (da, dc), rho_one)))
-    bad = split_system(g).violations(phi.flat())
-    if bad:
-        raise InconsistencyError(f"derived phi fails the split conditions: {bad}")
+    CheckReport("split map from the integral map", tuple(
+        split_system(g).violations(phi.flat()))).require(InconsistencyError)
     return SplitCertificate(phi, expectation_from_phi(g, phi))
 
 
@@ -214,11 +210,10 @@ def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertific
 
 
 def verify_strong(g: GaloisExtension, u, expectation: LinMap, tau) -> list:
-    """Violations of the two strong-separability identities for all basis a."""
+    """Failures of the two strong-separability identities for all basis a."""
     f = g.field
     a = g.alg
     da = a.dim
-    bad = []
     reps = g.square.section.apply(u)   # representatives in A (x) A
     rep_map = LinMap.element(f, (da, da), reps)
     ida = a.identity()
@@ -231,10 +226,9 @@ def verify_strong(g: GaloisExtension, u, expectation: LinMap, tau) -> list:
                        kron(ida, a.mult),
                        kron_all(rep_map, ida))
     target = kron(LinMap.element(f, SCALAR, (tau,)), ida)   # tau 1_A
-    if not lhs1.equals(target):
-        bad.append(("expectation-first", lhs1.first_difference(target)))
-    if not lhs2.equals(target):
-        bad.append(("expectation-second", lhs2.first_difference(target)))
+    bad = []
+    law(bad, "expectation-first", lhs1, target)
+    law(bad, "expectation-second", lhs2, target)
     return bad
 
 
@@ -303,7 +297,7 @@ def check_strongly_separable(g: GaloisExtension,
         return outcome("not separable")
     if split is None:
         return outcome("not split")
-    _, phi_family = split
+    split_cert, phi_family = split
     nullity = sep.family.homogeneous.dim
     particular = sep.source_integral.value
     if strategy == "fixed_integral" or not nullity:
@@ -334,11 +328,11 @@ def check_strongly_separable(g: GaloisExtension,
         sep_cert = sep if zvec == particular else separability_from_integral(
             g, Witness(WitnessKind.INTEGRAL, g.ent, zvec, True))
         phi = _phi_as_map(g, pick[:-1])
-        expectation = expectation_from_phi(g, phi)
-        if verify_strong(g, sep_cert.u, expectation, tau):
-            raise InconsistencyError("coupled solution failed the strong identities")
-        split_cert = SplitCertificate(phi, expectation)
-        return outcome("", StrongCertificate(sep_cert, split_cert, tau))
+        pair = split_cert if phi == split_cert.phi else SplitCertificate(
+            phi, expectation_from_phi(g, phi))
+        CheckReport("strong pair", tuple(verify_strong(
+            g, sep_cert.u, pair.expectation, tau))).require(InconsistencyError)
+        return outcome("", StrongCertificate(sep_cert, pair, tau))
     if count > 1:
         reason = (f"no coupling for any of the {count} normalised integrals "
                   f"tried, in a family of dimension {nullity}")

@@ -10,18 +10,11 @@ from __future__ import annotations
 
 from math import prod
 
-from .errors import DomainError, InputError
+from .errors import CheckFailure, DomainError, InputError
 from .fields import Field
 from .linalg import (LinMap, Subspace, compose_all, kron, quotient_by,
                      unflatten)
 from .records import Record
-
-
-class CheckFailure(Record):
-    _fields = ("law", "at")
-
-    def __repr__(self):
-        return f"{self.law} fails at basis index {self.at}"
 
 
 class CheckReport(Record):
@@ -49,8 +42,8 @@ class CheckReport(Record):
 
 
 def law(failures, name, lhs: LinMap, rhs: LinMap):
-    """Compare two maps; on mismatch append one failure with the unflattened
-    index of the first differing column."""
+    """The one comparison of two maps in a check: on mismatch append
+    CheckFailure(name, domain index of the first differing column)."""
     diff = lhs.first_difference(rhs)
     if diff is not None:
         failures.append(CheckFailure(name, unflatten(lhs.domain, diff[0])))
@@ -153,29 +146,25 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
     """Quotient C/I by a coideal, with the projection C -> C/I.
 
     A coideal satisfies eps(I) = 0 and Delta(I) <= I (x) C + C (x) I; both
-    conditions are checked on I's inclusion, and the first basis vector of I
-    that violates one is reported on failure.
+    conditions are checked on I's inclusion, so a failure's basis index
+    names the first vector of I's echelon basis that violates it.
     """
     if prod(i.ambient) != c.dim:
         raise InputError("subspace does not live in the coalgebra")
     incl = i.inclusion
     counit_on_i = c.counit_map().compose(incl)
-    diff = counit_on_i.first_difference(
+    failures = []
+    law(failures, "counit vanishing", counit_on_i,
         LinMap.zero(c.field, counit_on_i.domain, counit_on_i.codomain))
-    if diff is not None:
-        raise DomainError("counit does not vanish on the subspace",
-                          witness=i.basis[diff[0]])
     # Delta(I) lies in I (x) C + C (x) I: its inclusion fixes Delta . incl
     idc = c.identity()
     left, right = kron(incl, idc), kron(idc, incl)
     mixed = Subspace.span(c.field, left.codomain, [*left.transpose().nonzeros,
                                                    *right.transpose().nonzeros])
     comult_on_i = c.comult.compose(incl)
-    diff = compose_all(mixed.inclusion, mixed.retraction,
-                       comult_on_i).first_difference(comult_on_i)
-    if diff is not None:
-        raise DomainError("comultiplication leaves the coideal",
-                          witness=i.basis[diff[0]])
+    law(failures, "comultiplication closure",
+        compose_all(mixed.inclusion, mixed.retraction, comult_on_i), comult_on_i)
+    CheckReport("coideal", tuple(failures)).require()
     quot = quotient_by(i)
     pi = quot.projection
     sigma = quot.section
@@ -183,11 +172,10 @@ def quotient_coalgebra(c: Coalgebra, i: Subspace):
     counit_q = compose_all(c.counit_map(), sigma)
     result = Coalgebra(quot.dim, comult_q, counit_q.flat())
     # the projection must be a coalgebra map on the nose
-    lhs = kron(pi, pi).compose(c.comult)
-    rhs = comult_q.compose(pi)
-    if not lhs.equals(rhs):
-        raise DomainError("projection fails to intertwine comultiplications")
-    if not counit_q.compose(pi).equals(c.counit_map()):
-        raise DomainError("projection fails to intertwine counits")
+    failures = []
+    law(failures, "comultiplication", kron(pi, pi).compose(c.comult),
+        comult_q.compose(pi))
+    law(failures, "counit", counit_q.compose(pi), c.counit_map())
+    CheckReport("quotient projection", tuple(failures)).require()
     verify_coalgebra(result).require()
     return result, pi

@@ -11,10 +11,13 @@ of the induction/coinduction adjunction, frakz cosplits its counit.
 Each defining identity is assembled once, by `*_system`, into a
 LinearConstraints block; the solvers call .solve() on it and the checkers
 call .violations() on the same object, so there is a single source of truth
-per diagram.  Of the four kinds, only the integral side is written out: a
-cointegral (map) of (A, C, psi) is the transpose of an integral (map) of the
-dual entwining (C^*, A^*, psi^T), so its system is that integral system
-stated on the transposed unknown (Brzezinski-Hajac 1999).
+per diagram; .violations() lists one CheckFailure(label, (output index,
+input index)) per failed block, every other identity is a `law`, and
+`CheckReport.require` raises a failure (InconsistencyError when the library
+derived the map).  Of the four kinds, only the integral side is written
+out: a cointegral (map) of (A, C, psi) is the transpose of an integral
+(map) of the dual entwining (C^*, A^*, psi^T), so its system is that
+integral system stated on the transposed unknown (Brzezinski-Hajac 1999).
 
 Four builders read a witness off structure and re-verify it instead:
 `integral_from_invariant`, `cointegral_from_casimir`,
@@ -29,7 +32,7 @@ from .errors import DomainError, InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism, dual_entwining
 from .entmod import (EntwinedModule, RightComodule, RightModule,
                      _coinduced_carrier, _induced_carrier, _induced_coaction,
-                     adjunction_unit, coinduce, hom_AC, induce,
+                     adjunction_unit, coinduce, hom_AC_system, induce,
                      standard_module, regular_module)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
@@ -37,6 +40,7 @@ from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
                      SCALAR, compose_all, corestrict, descend, kron,
                      kron_all, right_inverse)
 from .records import Record
+from .structures import CheckReport, law
 
 
 class WitnessKind(str, Enum):
@@ -123,9 +127,8 @@ def checked_solve(sys: LinearConstraints) -> AffineSolutionSet:
     exactly on the system that was solved."""
     sol = sys.solve()
     if sol.feasible:
-        bad = sys.violations(sol.particular)
-        if bad:
-            raise InconsistencyError(f"particular solution fails its own system: {bad}")
+        CheckReport("particular solution", tuple(
+            sys.violations(sol.particular))).require(InconsistencyError)
     return sol
 
 
@@ -141,16 +144,15 @@ def particular_witness(kind: WitnessKind, e: Entwining, normalized: bool = True)
 
 def check_witness(kind: WitnessKind, e: Entwining, value,
                   normalized: bool = True):
-    """Violated identities of a candidate witness: (law, out index, in index)."""
+    """Failed identities of a candidate witness, one CheckFailure(law,
+    (output index, input index)) per failed block; empty when it holds."""
     return witness_system(kind, e, normalized).violations(tuple(value))
 
 
 def as_witness(kind: WitnessKind, e: Entwining, value,
                normalized: bool = True) -> Witness:
-    bad = check_witness(kind, e, value, normalized)
-    if bad:
-        raise DomainError(f"candidate fails witness identities: {bad}",
-                          witness=bad[0])
+    CheckReport(f"{kind.value} witness identities", tuple(
+        check_witness(kind, e, value, normalized))).require()
     return Witness(kind, e, tuple(value), normalized)
 
 
@@ -352,10 +354,8 @@ def _morphism_witness(side: str, build, mor: EntwiningMorphism,
     """The candidate, once every identity of its side's system holds on it."""
     sys, ctx = build(mor)
     value = tuple(value)
-    bad = sys.violations(value)
-    if bad:
-        raise DomainError(f"candidate fails the {side} identities: {bad}",
-                          witness=bad[0])
+    CheckReport(f"candidate for the {side} identities",
+                tuple(sys.violations(value))).require()
     matrix = LinMap.from_flat(mor.src.field, sys.x_dom, sys.x_cod, value)
     return MorphismWitness(side, mor, matrix, ctx)
 
@@ -407,14 +407,13 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     nu = raw.compose(section)
     # section . cover is a projection with kernel ker(cover), so raw kills
     # ker(cover) exactly when it factors as nu . cover
-    if not raw.equals(nu.compose(cover)):
-        raise InconsistencyError("splitting does not descend to the quotient")
-    # nu splits the adjunction unit
-    if not nu.compose(adjunction_unit(mor, m, quot, sub)).equals(idm):
-        raise InconsistencyError("splitting does not invert the adjunction unit")
+    failures = []
+    law(failures, "descent", raw, nu.compose(cover))
+    law(failures, "unit splitting",
+        nu.compose(adjunction_unit(mor, m, quot, sub)), idm)
     # nu is a morphism of entwined modules
-    if not hom_AC(gfm, m).contains(nu.flat()):
-        raise InconsistencyError("splitting is not a module/comodule map")
+    failures += hom_AC_system(gfm, m).violations(nu.flat())
+    CheckReport("splitting nu", tuple(failures)).require(InconsistencyError)
     return nu
 
 
@@ -434,10 +433,11 @@ def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
     gfm, sub = coinduce(mor, fm)
     if nu_on_ac.cols != gfm.dim or nu_on_ac.rows != ac.dim:
         raise InputError("splitting has the wrong shape for A (x) C")
-    if not nu_on_ac.compose(adjunction_unit(mor, ac, quot, sub)).equals(ac.identity()):
-        raise DomainError("candidate does not split the adjunction unit")
-    if not hom_AC(gfm, ac).contains(nu_on_ac.flat()):
-        raise DomainError("candidate is not a module/comodule map")
+    failures = []
+    law(failures, "unit splitting",
+        nu_on_ac.compose(adjunction_unit(mor, ac, quot, sub)), ac.identity())
+    failures += hom_AC_system(gfm, ac).violations(nu_on_ac.flat())
+    CheckReport("candidate splitting", tuple(failures)).require()
     ctx = lambda_context(mor)
     idc = src.coalg.identity()
     # S -> GF(A (x) C): front 1_A, then the balanced projection, inside the cotensor
@@ -492,15 +492,13 @@ def integral_from_invariant(ent: Entwining, action_c: LinMap, eps_a,
     if len(eps_a) != da:
         raise InputError("character length does not match the algebra")
     lam = LinMap.element(f, (ent.coalg.dim,), tuple(invariant))   # k -> C
+    failures = []
     # L . a = eps_a(a) L, as maps A -> C
-    acted = action_c.compose(kron(lam, ent.alg.identity()))
-    diff = acted.first_difference(lam.compose(LinMap.functional(f, (da,), eps_a)))
-    if diff is not None:
-        raise DomainError("element is not invariant under the action",
-                          witness=("invariance", diff[0]))
-    if ent.coalg.counit_map().apply(lam.flat())[0] != f.one:
-        raise DomainError("invariant element is not counit-normalised",
-                          witness=("normalisation",))
+    law(failures, "invariance", action_c.compose(kron(lam, ent.alg.identity())),
+        lam.compose(LinMap.functional(f, (da,), eps_a)))
+    law(failures, "normalisation", ent.coalg.counit_map().compose(lam),
+        LinMap.identity(f, SCALAR))
+    CheckReport("invariant element", tuple(failures)).require()
     value = kron(ent.alg.unit_map(), lam).flat()
     return as_witness(WitnessKind.INTEGRAL, ent, value, normalized=True)
 

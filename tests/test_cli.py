@@ -753,13 +753,20 @@ def test_each_command_runs_each_law_once(tmp_path, law_calls, capsys):
     bim = _bimodule_file(tmp_path, {"dim": 3, "left": mult, "right": mult})
     # a build: 3 algebra + 3 coalgebra + 2 (co)action + 3 for the fixed
     # subalgebra (quotient coalgebra) + 4 entwining + 1 entwined
-    # compatibility; hochschild: 3 algebra + 3 coalgebra + 2 coaction + 3
-    # fixed subalgebra, and 5 for a bimodule file; a lambda or frakz solve:
-    # 3 algebra + 3 coalgebra + 4 entwining on the document's entwining,
-    # and none on the flip target (or source) of the counit (or unit)
-    # morphism.  No law restated by another runs a second time.
-    for argv, laws in ((["extension", "report", ext3], 16),
-                       (["coextension", "report", coext3], 16),
+    # compatibility; then the certificates of a report: for an extension,
+    # 2 separability idempotent (centrality, unit image) + 3 conditional
+    # expectation (unitality, image, bimodule) + 2 strong pair
+    # (expectation-first, expectation-second), the strong pair reusing the
+    # split certificate when its phi is the split phi; for a coextension,
+    # 2 for the dual's separability idempotent + 3 cotranslation map
+    # (action law, contraction law, normalisation).  hochschild: 3 algebra
+    # + 3 coalgebra + 2 coaction + 3 fixed subalgebra, and 5 for a
+    # bimodule file; a lambda or frakz solve: 3 algebra + 3 coalgebra + 4
+    # entwining on the document's entwining, and none on the flip target
+    # (or source) of the counit (or unit) morphism.  No law restated by
+    # another runs a second time.
+    for argv, laws in ((["extension", "report", ext3], 23),
+                       (["coextension", "report", coext3], 21),
                        (["solve", "--kind", "lambda", ext3], 10),
                        (["solve", "--kind", "frakz", ext3], 10),
                        (["hochschild", "--n", "1", ext3], 11),

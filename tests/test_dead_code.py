@@ -15,9 +15,14 @@ Five checks:
 - no module in src/entwine or tests imports a name it never uses; the
   package's `__init__.py` is exempt, since its imports are the public
   re-exports;
-- outside structures.py, no `if` whose test reads `.ok` or a `failures`
-  list has a `raise` in its body: `CheckReport.require` is the one place
-  a failed report becomes an exception;
+- no `if` with a `raise` in its body compares maps or reads a check
+  itself: its test may not read `.ok` or a `failures` list, call
+  `.equals(`, `.first_difference(`, `.violations(` or a `verify_*` or
+  `*_violations` checker, or read a name its function bound from such a
+  call.  A failed identity is a `law` or a violation, and
+  `CheckReport.require` is the one place a failed report becomes an
+  exception.  linalg.py, below that layer, keeps its own assertions, and
+  the bodies of `law` and `CheckReport.require` are exempt;
 - no class in src/entwine defines an `__init__` whose body only calls
   `_set(self, "name", name)` on its own parameters: the `Record` base
   constructor stores the values of `_fields`, so a record declares its
@@ -171,21 +176,51 @@ def unused_imports():
     return found
 
 
+COMPARISONS = {"equals", "first_difference", "violations"}
+REPORT_GATES = {("structures.py", "law"), ("structures.py", "require")}
+
+
+def _calls_a_check(node):
+    """Whether an expression calls a comparison of maps or a checker."""
+    for call in ast.walk(node):
+        if not isinstance(call, ast.Call):
+            continue
+        fn = call.func
+        if isinstance(fn, ast.Attribute) and fn.attr in COMPARISONS:
+            return True
+        name = fn.attr if isinstance(fn, ast.Attribute) else \
+            fn.id if isinstance(fn, ast.Name) else ""
+        if name.startswith("verify_") or name.endswith("_violations"):
+            return True
+    return False
+
+
 def raising_report_checks():
     found = []
     for path in _python_files(PACKAGE):
-        if os.path.basename(path) == "structures.py":
+        module = os.path.basename(path)
+        if module == "linalg.py":
             continue
-        for node in ast.walk(_parse(path)):
-            if not isinstance(node, ast.If):
+        for fn in ast.walk(_parse(path)):
+            if not isinstance(fn, FUNCTIONS) or (module, fn.name) in REPORT_GATES:
                 continue
-            reads = {n.attr if isinstance(n, ast.Attribute) else n.id
-                     for n in ast.walk(node.test)
-                     if isinstance(n, (ast.Attribute, ast.Name))}
-            raises = any(isinstance(n, ast.Raise)
-                         for stmt in node.body for n in ast.walk(stmt))
-            if raises and reads & {"ok", "failures"}:
-                found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+            nodes = list(_own_scope(fn))
+            checked = {"failures"} | {
+                t.id for node in nodes
+                if isinstance(node, ast.Assign) and _calls_a_check(node.value)
+                for target in node.targets for t in ast.walk(target)
+                if isinstance(t, ast.Name)}
+            for node in nodes:
+                if not isinstance(node, ast.If):
+                    continue
+                reads = {n.attr if isinstance(n, ast.Attribute) else n.id
+                         for n in ast.walk(node.test)
+                         if isinstance(n, (ast.Attribute, ast.Name))}
+                raises = any(isinstance(n, ast.Raise)
+                             for stmt in node.body for n in ast.walk(stmt))
+                if raises and (reads & (checked | {"ok"})
+                               or _calls_a_check(node.test)):
+                    found.append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
     return found
 
 

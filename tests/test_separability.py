@@ -13,9 +13,13 @@ from entwine import (Algebra, Coalgebra, GF, LinMap, QQ, Subspace, WitnessKind,
 from entwine.separability import (STRATEGIES, expectation_violations,
                                   phi_from_expectation, right_free_basis,
                                   verify_strong, verify_idempotent)
-from entwine.errors import DomainError, InputError
+from entwine import separability
+from entwine.entwining import counit_morphism
+from entwine.errors import (CheckFailure, DomainError, InconsistencyError,
+                            InputError)
 from entwine.linalg import compose_all, invert
-from entwine.witness import Witness, as_witness, check_witness
+from entwine.witness import (Witness, as_witness, check_witness,
+                             integrability_system, lambda_witness)
 
 import oracle
 
@@ -49,6 +53,70 @@ def test_failed_witnesses_are_domain_errors(c2_q):
     gamma = Witness(WitnessKind.INTEGRAL_MAP, c2_q.ent, ones * 2, True)
     with pytest.raises(DomainError, match="witness identities"):
         split_from_integral_map(c2_q, gamma)
+
+
+def _plus_one(f, vec):
+    """vec with one added to its first entry."""
+    return (f.add(vec[0], f.one),) + tuple(vec[1:])
+
+
+def _perturbed_idempotent(g, monkeypatch):
+    z = _plus_one(g.field, check_separable(g).source_integral.value)
+    return (verify_idempotent(g, g.can_inv.apply(z)),
+            lambda: separability._separability_certificate(
+                g, Witness(WitnessKind.INTEGRAL, g.ent, z, True)))
+
+
+def _perturbed_expectation(g, monkeypatch):
+    phi = check_split(g)[0].phi
+    phi = LinMap.from_flat(g.field, phi.domain, phi.codomain,
+                           _plus_one(g.field, phi.flat()))
+    expectation = compose_all(g.alg.mult, kron(g.alg.identity(), phi), g.rho_a)
+    return (expectation_violations(g, expectation),
+            lambda: separability.expectation_from_phi(g, phi))
+
+
+def _perturbed_strong_pair(g, monkeypatch):
+    cert = check_strongly_separable(g).certificate
+    u = _plus_one(g.field, cert.separability.u)
+    found = separability.check_separable
+    monkeypatch.setattr(separability, "check_separable",
+                        lambda ext: found(ext).replace(u=u))
+    return (verify_strong(g, u, cert.split.expectation, cert.tau),
+            lambda: check_strongly_separable(g))
+
+
+def _perturbed_lambda(g, monkeypatch):
+    mor = counit_morphism(g.ent)
+    system, _ = integrability_system(mor)
+    x = _plus_one(g.field, system.solve().particular)
+    return system.violations(x), lambda: lambda_witness(mor, x)
+
+
+@pytest.mark.parametrize("perturb, error, subject, law", [
+    (_perturbed_idempotent, InconsistencyError, "separability idempotent",
+     "centrality"),
+    (_perturbed_expectation, InconsistencyError, "conditional expectation",
+     "unitality"),
+    (_perturbed_strong_pair, InconsistencyError, "strong pair",
+     "expectation-first"),
+    (_perturbed_lambda, DomainError, "candidate for the lambda identities",
+     "module map"),
+], ids=["idempotent", "expectation", "strong pair", "lambda candidate"])
+def test_a_perturbed_certificate_fails_a_named_law(c2_q, monkeypatch, perturb,
+                                                   error, subject, law):
+    """The checker lists CheckFailure records, the first naming the law, and
+    the error raised through CheckReport.require prints all of them."""
+    failures, build = perturb(c2_q, monkeypatch)
+    assert all(isinstance(x, CheckFailure) for x in failures)
+    assert failures[0].law == law
+    with pytest.raises(error) as err:
+        build()
+    message = f"{subject}: FAIL " + "; ".join(map(repr, failures))
+    assert str(err.value) == message
+    assert message.startswith(f"{subject}: FAIL {law} fails at basis index (")
+    if error is DomainError:
+        assert err.value.witness == failures[0]
 
 
 def test_trivial_extension_separable():
@@ -381,14 +449,14 @@ def test_expectation_image_witness_is_the_first_column_outside_b(name,
     r = next(r for r in range(n) if not g.fixed.contains(units[r]))
 
     def image_violations(e):
-        return [v for v in expectation_violations(g, e) if v[0] == "image"]
+        return [v for v in expectation_violations(g, e) if v.law == "image"]
     assert image_violations(expectation) == []
     for j in range(n):
         # column j moved out of B by e_r; the columns before it stay in B
         rows = [list(row) for row in expectation.entries]
         rows[r][j] = f.add(rows[r][j], f.one)
         moved = LinMap.from_rows(f, (n,), (n,), rows)
-        assert image_violations(moved) == [("image", j)]
+        assert image_violations(moved) == [CheckFailure("image", (j,))]
 
 
 def test_free_basis_heuristic(c2_q, c2_f2):

@@ -12,6 +12,7 @@ from entwine import (DomainError, GF, InputError, LinMap, QQ, WitnessKind,
                      make_example, nu_from_lambda, solve_witness)
 from entwine.entmod import hom_AC, regular_module, standard_module
 from entwine.entwining import counit_morphism, unit_morphism
+from entwine.errors import CheckFailure
 from entwine.witness import (as_witness, cointegrability_system,
                              frakz_witness, gamma_from_lambda,
                              integrability_system, lambda_from_gamma,
@@ -303,17 +304,17 @@ def test_invariant_element_failure_names_the_first_failing_basis_element():
     with pytest.raises(DomainError) as err:
         integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
                                 eps_a=(q(1),) * 4, invariant=(q(1), q(0)))
-    assert err.value.witness == ("invariance", 1)
+    assert err.value.witness == CheckFailure("invariance", (1,))
     # the true invariant, against a character that is wrong only on s^3
     with pytest.raises(DomainError) as err:
         integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
                                 eps_a=(q(1), q(1), q(1), q(2)),
                                 invariant=entry.extras["invariant"])
-    assert err.value.witness == ("invariance", 3)
+    assert err.value.witness == CheckFailure("invariance", (3,))
     with pytest.raises(DomainError) as err:
         integral_from_invariant(ent=ext.ent, action_c=entry.extras["action"],
                                 eps_a=(q(1),) * 4, invariant=(q(1), q(1)))
-    assert err.value.witness == ("normalisation",)
+    assert err.value.witness == CheckFailure("normalisation", ())
 
 
 def test_structural_witnesses_reject_a_character_of_the_wrong_length():
