@@ -279,12 +279,13 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
     verify_action(h.alg, rho_c).require()
     rho_a = kron(h.alg.identity(), proj).compose(h.coalg.comult)
     ext = build_galois(h.alg, quot_coalg, rho_a)
-    # the fixed subalgebra must be exactly the subgroup algebra
+    # the fixed subalgebra must be exactly the subgroup algebra: both are
+    # canonical records, and a mismatch is a failure of this construction
     expected = Subspace.from_vectors(f, (n,), [
         tuple(one if t == (j * d) % n else zero for t in range(n))
         for j in range(n // d)])
-    if ext.fixed.basis != expected.basis:
-        raise InputError("fixed subalgebra is not the subgroup algebra")
+    if ext.fixed != expected:
+        raise InconsistencyError("fixed subalgebra is not the subgroup algebra")
     # the entwining must agree with s (x) a -> a1 (x) s.a2
     expected_psi = compose_all(kron(h.alg.identity(), rho_c),
                                kron(LinMap.twist(f, (quot_coalg.dim,), (n,)),

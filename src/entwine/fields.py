@@ -3,7 +3,10 @@
 Scalars are plain Python values: `fractions.Fraction` over Q, `int` in
 [0, p) over F_p.  Every value is kept in canonical form (Fraction reduces
 itself with a positive denominator; mod-p ints are always reduced), so
-equality of scalars is plain `==` and comparisons are bit-exact.
+equality of scalars is plain `==` and comparisons are bit-exact.  These are
+the values of vectors, witnesses and documents; `linalg` stores a matrix
+as integer numerators over one denominator instead, and converts to and
+from these values only at its boundary.
 """
 
 from __future__ import annotations

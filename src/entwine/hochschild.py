@@ -194,13 +194,17 @@ def cohomology_dim(complex_: RelativeComplex, n: int):
     into = complex_.boundaries[n - 1] if n else \
         LinMap.zero(cycles.field, (0,), cycles.ambient)
     k = into.cols
-    _, pivots = rref(cycles.field, [
+    # each row joins two maps' numerators, which scales whole column
+    # blocks and so leaves the pivot columns as they are
+    _, _, pivots = rref(cycles.field, [
         b + tuple((k + j, x) for j, x in z)
         for b, z in zip(into.nonzeros, cycles.inclusion.nonzeros)])
     if len(pivots) != cycles.dim:
         raise InconsistencyError("coboundaries leave the cycles")  # unreachable
     picked = [c - k for c in pivots if c >= k]
     # rows of a reduced echelon basis are a reduced echelon basis themselves
-    return len(picked), Subspace(cycles.field, cycles.ambient,
-                                 tuple(cycles.reduced[i] for i in picked),
-                                 tuple(cycles.pivots[i] for i in picked))
+    echelon = cycles.echelon
+    return len(picked), Subspace(
+        LinMap(cycles.field, cycles.ambient, (len(picked),),
+               tuple(echelon.nonzeros[i] for i in picked), echelon.den),
+        tuple(cycles.pivots[i] for i in picked))

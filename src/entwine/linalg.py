@@ -7,47 +7,42 @@ math.prod of it, and maps carry the shapes of their domain and codomain.
 Index flattening is row-major throughout (leftmost factor most
 significant).  There is no floating point anywhere; no tolerances, ever.
 
-Matrices are stored once, as sparse rows: for each codomain row, the
-(column, value) pairs of its nonzero entries in increasing column order,
-every value a canonical nonzero scalar.  Products, sums, elimination and
-the solvers read those rows directly and choose their scalar arithmetic
-once per call; dense rows are built only on request (`LinMap.entries`,
-`flat`, `Subspace.basis`) for printing, JSON and callers that index
-vectors.  `LinMap.compose` is the one product of maps that multiplies
-scalars: `apply` composes with the vector as a one-column map, and a
-tensor product of two factors that both hold values is (f (x) 1) . (1 (x)
-g), two moves and one composition.  Over Q compose runs in integers on a
-common denominator: each factor's nonzeros are rewritten as integer
-numerators over one denominator (`_integral`), sums of products are plain
-int arithmetic, and one canonical Fraction is built per nonzero output
-entry.  A product with an identity or unit-selection factor (every row
-empty or a single 1, `_unit_selection`; on the right of a composite, no
-two rows picking one column) only re-indexes rows and reuses their values,
-with no arithmetic; its result is the same canonical rows, so outputs are
-byte-identical.  `compose_all` multiplies the adjacent pair with the
-fewest multiply-adds first.  Every elimination goes through one
-Gauss-Jordan routine on sparse rows, `rref`, whose result is the unique
-reduced row echelon form, so every subspace, kernel, image and solution
-set is canonical however it was computed.  Over Q it eliminates on
-primitive integer rows and builds one Fraction per output entry, and a
-column index clears each new pivot only from the rows that hold it;
-neither changes a result, since the reduced row echelon form does not
-depend on how the rows were scaled or cleared.
+Every matrix has one stored form over every field: for each codomain row,
+the (column, n) pairs of its nonzero entries in increasing column order,
+each n an int, over one positive denominator den per map, so the entry is
+n / den.  Over F_p, n lies in [1, p) and den is 1; over Q, den and the
+numerators share no factor, so equal maps have equal records.  Products,
+sums, elimination and the solvers run on those ints alone, and values
+(Fractions over Q) appear only in two boundary helpers: `_stored` reads
+dense values (`from_rows`, `from_flat`, `element`, `functional`,
+`Subspace.from_vectors`, a right-hand side) and `_values` writes them
+(`entries`, `flat`, `column`, `apply`, `Subspace.basis`, a particular
+solution) for printing, JSON and callers that index vectors.
+
+`LinMap.compose` is the one product of maps that multiplies: it
+multiplies numerators and divides one gcd into the product's den.  `apply`
+composes with the vector as a one-column map, and a tensor product of two
+factors that both hold values is (f (x) 1) . (1 (x) g).  A product with an
+identity or unit-selection factor (every row empty or a single 1,
+`_unit_selection`; on the right, no two rows picking one column) only moves
+numerators, and its result is the same canonical record.  `compose_all`
+multiplies the adjacent pair with the fewest multiply-adds first.  Every
+elimination goes through one Gauss-Jordan routine, `rref`, on rows of
+numerators, since a row space does not depend on how its rows are scaled;
+its result is the unique reduced row echelon form, so every subspace,
+kernel, image and solution set is canonical however it was computed.
 
 A linear condition on an unknown matrix X says that signed sums of
 composites post . (1_L (x) X (x) 1_R) . pre agree.  Each composite is
 written as the tuple (pre, L, R, post), and `op_in_unknown` assembles a
-condition's list of (+1 or -1, composite) in one pass: their products are
-summed into only the output rows some term reaches, with one common
-denominator per row over Q, and one canonical sparse row is built per
-reached row; no operator is built for one side alone.  The Hochschild
-coboundaries of `hochschild` are assembled by the same call, on the
-unknown cochain, with their alternating signs.
+condition's list of (+1 or -1, composite) in one pass, on one common
+denominator; no operator is built for one side alone.  The Hochschild
+coboundaries of `hochschild` are assembled by the same call.
 
-A subspace is one `rref` of all its generators, sums included.  A vector
-or a map lies in it exactly when incl . retr fixes it, incl and retr its
-inclusion and pivot-coordinate retraction, each built once; membership is
-tested by that identity and nothing else.
+A subspace is the map whose rows are its reduced echelon basis, one `rref`
+of all its generators, sums included.  A vector or a map lies in it
+exactly when incl . retr fixes it, incl and retr its inclusion and
+pivot-coordinate retraction, each built once.
 """
 
 from __future__ import annotations
@@ -79,71 +74,59 @@ def unflatten(shape, flat: int) -> tuple:
     return tuple(reversed(out))
 
 
-def _sparse_row(row):
-    """The (column, value) pairs of the nonzero entries of a dense row."""
-    return tuple((j, x) for j, x in enumerate(row) if x)
+# ---------------------------------------------------------------------------
+# the boundary between values and the stored form
 
 
-def _dense_rows(rows, width, zero):
-    """Dense tuples from sparse rows, with the field's shared zero."""
-    out = []
-    for nz in rows:
-        row = [zero] * width
-        for j, x in nz:
-            row[j] = x
-        out.append(tuple(row))
+def _stored(field, rows):
+    """(nonzeros, den), the stored form of dense rows of values: each row's
+    (column, numerator) pairs over den, the least common denominator of
+    every value (1 over F_p, where the values are the numerators)."""
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
+    if field.p is not None:
+        return tuple(map(tuple, sparse)), 1
+    den = lcm(*{x.denominator for nz in sparse for _, x in nz})
+    return tuple(tuple([(j, x.numerator * (den // x.denominator))
+                        for j, x in nz]) for nz in sparse), den
+
+
+def _values(field, nz, den, width):
+    """The dense vector of length width holding n / den at each (j, n) in
+    nz, and the field's shared zero elsewhere."""
+    out = [field.zero] * width
+    rational = field.p is None
+    for j, n in nz:
+        out[j] = Fraction(n, den) if rational else n
     return tuple(out)
 
 
-def _integral(nz, p, d=None):
-    """(d, [(column, n)]) with value = n / d for each (column, value) in nz.
-
-    Over Q, d is the least common denominator of the values (or the given
-    multiple of it) and every n an int, so products and sums of them are
-    plain integer arithmetic; over F_p the values are already ints and d
-    is 1."""
-    if p is not None:
-        return 1, nz
-    if d is None:
-        d = lcm(*{x.denominator for _, x in nz})
-    if d == 1:
-        return 1, [(j, x.numerator) for j, x in nz]
-    return d, [(j, x.numerator * (d // x.denominator)) for j, x in nz]
+# ---------------------------------------------------------------------------
+# integer rows
 
 
-def _denominator(rows, p):
-    """The least common denominator of every value in sparse rows (1 over
-    F_p)."""
-    if p is not None:
-        return 1
-    return lcm(*{x.denominator for nz in rows for _, x in nz})
-
-
-def _unit_selection(rows, one):
-    """The column each row selects (None for an empty row) when every row
-    is empty or a single entry equal to 1, as in identities, twists,
-    sections and retractions; None otherwise, found at the first row that
-    is neither.  one is the field's shared 1, which most such rows hold."""
+def _unit_selection(m):
+    """The column each row of m selects (None for an empty row) when every
+    row is empty or a single 1, as in identities, twists, sections and
+    retractions; None otherwise, found at the first row that is neither."""
+    if m.den != 1:
+        return None
     picked = []
-    for nz in rows:
+    for nz in m.nonzeros:
         if not nz:
             picked.append(None)
-        elif len(nz) == 1 and (nz[0][1] is one or nz[0][1] == 1):
+        elif len(nz) == 1 and nz[0][1] == 1:
             picked.append(nz[0][0])
         else:
             return None
     return picked
 
 
-def _sparse_sums(sums, d, p):
-    """A sparse row from {column: integer numerator over d}: one canonical
-    Fraction per nonzero sum over Q, the sums reduced mod p over F_p; sums
-    that cancel are dropped."""
-    if p is not None:
-        return tuple((j, x) for j in sorted(sums) if (x := sums[j] % p))
-    if d == 1:
-        return tuple((j, Fraction(n)) for j in sorted(sums) if (n := sums[j]))
-    return tuple((j, Fraction(n, d)) for j in sorted(sums) if (n := sums[j]))
+def _sparse_sums(sums, p):
+    """A sparse row from {column: integer}, each sum reduced mod p over
+    F_p; sums that are 0 are dropped."""
+    if p is None:
+        return tuple((j, x) for j in sorted(sums) if (x := sums[j]))
+    return tuple((j, x) for j in sorted(sums) if (x := sums[j] % p))
 
 
 # ---------------------------------------------------------------------------
@@ -153,23 +136,30 @@ def _sparse_sums(sums, d, p):
 class LinMap(Record):
     """An exact matrix with tensor-shaped domain and codomain.
 
-    nonzeros[r] holds the nonzero entries of codomain row r as (column,
-    value) pairs in increasing column order; the value at (r, c) is the
-    coefficient of codomain basis vector r in the image of domain basis
-    vector c.  Every scalar is canonical, so equal maps have equal rows.
-    """
+    nonzeros[r] holds the nonzero entries of codomain row r as (column, n)
+    pairs in increasing column order, n an int; the value at (r, c) is n /
+    den, the coefficient of codomain basis vector r in the image of domain
+    basis vector c.  The constructor divides out any factor den shares
+    with every numerator, so equal maps have equal records."""
 
-    _fields = ("field", "domain", "codomain", "nonzeros")
+    _fields = ("field", "domain", "codomain", "nonzeros", "den")
 
     def __init__(self, field: Field, domain: tuple, codomain: tuple,
-                 nonzeros: tuple):
+                 nonzeros: tuple, den: int = 1):
         if len(nonzeros) != prod(codomain):
             raise InputError(
                 f"{len(nonzeros)} rows for codomain of total {prod(codomain)}")
+        if den != 1:
+            g = gcd(den, *[n for nz in nonzeros for _, n in nz])
+            if g != 1:
+                den //= g
+                nonzeros = tuple([tuple([(j, n // g) for j, n in nz])
+                                  for nz in nonzeros])
         _set(self, "field", field)
         _set(self, "domain", domain)
         _set(self, "codomain", codomain)
         _set(self, "nonzeros", nonzeros)
+        _set(self, "den", den)
 
     # -- constructors -------------------------------------------------------
 
@@ -184,12 +174,11 @@ class LinMap(Record):
         for length in set(map(len, rows)):
             if length != n:
                 raise InputError(f"row of length {length} for domain of total {n}")
-        return LinMap(field, domain, codomain, tuple(map(_sparse_row, rows)))
+        return LinMap(field, domain, codomain, *_stored(field, rows))
 
     @staticmethod
     def identity(field, shp) -> "LinMap":
-        one = field.one
-        return LinMap(field, shp, shp, tuple(((i, one),) for i in range(prod(shp))))
+        return LinMap(field, shp, shp, tuple(((i, 1),) for i in range(prod(shp))))
 
     @staticmethod
     def zero(field, domain, codomain) -> "LinMap":
@@ -200,7 +189,7 @@ class LinMap(Record):
         """A vector as a map from the ground field, k -> V."""
         if len(vec) != prod(shp):
             raise InputError("element length does not match shape")
-        return LinMap(field, SCALAR, shp, tuple(((0, v),) if v else () for v in vec))
+        return LinMap(field, SCALAR, shp, *_stored(field, [(v,) for v in vec]))
 
     @staticmethod
     def from_flat(field, domain, codomain, vec) -> "LinMap":
@@ -208,22 +197,21 @@ class LinMap(Record):
         w, h = prod(domain), prod(codomain)
         if len(vec) != w * h:
             raise InputError("vector length does not match the map shape")
-        return LinMap(field, domain, codomain,
-                      tuple(_sparse_row(vec[r * w:(r + 1) * w]) for r in range(h)))
+        return LinMap(field, domain, codomain, *_stored(
+            field, [vec[r * w:(r + 1) * w] for r in range(h)]))
 
     @staticmethod
     def functional(field, shp, covec) -> "LinMap":
         """A covector as a map to the ground field, V -> k."""
         if len(covec) != prod(shp):
             raise InputError("functional length does not match shape")
-        return LinMap(field, shp, SCALAR, (_sparse_row(covec),))
+        return LinMap(field, shp, SCALAR, *_stored(field, [covec]))
 
     @staticmethod
     def twist(field, left, right) -> "LinMap":
         """The flip V (x) W -> W (x) V on basis vectors."""
         nl, nr = prod(left), prod(right)
-        one = field.one
-        rows = tuple(((i * nr + j, one),) for j in range(nr) for i in range(nl))
+        rows = tuple(((i * nr + j, 1),) for j in range(nr) for i in range(nl))
         return LinMap(field, left + right, right + left, rows)
 
     # -- basics --------------------------------------------------------------
@@ -240,7 +228,8 @@ class LinMap(Record):
     def entries(self) -> tuple:
         """Dense rows, built on each read: entries[r][c] is the coefficient
         of codomain basis vector r in the image of domain basis vector c."""
-        return _dense_rows(self.nonzeros, self.cols, self.field.zero)
+        f, den, w = self.field, self.den, self.cols
+        return tuple(_values(f, nz, den, w) for nz in self.nonzeros)
 
     def reshaped(self, domain=None, codomain=None) -> "LinMap":
         """Reinterpret the tensor factorization without touching entries."""
@@ -248,7 +237,7 @@ class LinMap(Record):
         codomain = self.codomain if codomain is None else codomain
         if prod(domain) != self.cols or prod(codomain) != self.rows:
             raise InputError("reshape must preserve total dimensions")
-        return LinMap(self.field, domain, codomain, self.nonzeros)
+        return LinMap(self.field, domain, codomain, self.nonzeros, self.den)
 
     def apply(self, vec):
         """The image of vec: `compose`, the one product that multiplies,
@@ -256,18 +245,22 @@ class LinMap(Record):
         column read off the rows."""
         if len(vec) != self.cols:
             raise InputError(f"vector of length {len(vec)} for domain {self.cols}")
-        image = self.compose(LinMap.element(self.field, self.domain, vec))
-        zero = self.field.zero
-        return tuple(nz[0][1] if nz else zero for nz in image.nonzeros)
+        return self.compose(LinMap.element(self.field, self.domain, vec)).column(0)
+
+    def _flat_nonzeros(self) -> list:
+        """The (row-major position, numerator) pairs of the nonzeros."""
+        w = self.cols
+        return [(r * w + j, n) for r, nz in enumerate(self.nonzeros) for j, n in nz]
 
     def flat(self) -> tuple:
         """Row-major vectorization of the matrix; inverse of from_flat."""
-        return tuple(itertools.chain.from_iterable(
-            _dense_rows(self.nonzeros, self.cols, self.field.zero)))
+        return _values(self.field, self._flat_nonzeros(), self.den,
+                       self.rows * self.cols)
 
     def column(self, c: int):
-        zero = self.field.zero
-        return tuple(next((x for j, x in nz if j == c), zero) for nz in self.nonzeros)
+        return _values(self.field, [(r, n) for r, nz in enumerate(self.nonzeros)
+                                    for j, n in nz if j == c],
+                       self.den, self.rows)
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other (matrix product self . other)."""
@@ -277,12 +270,12 @@ class LinMap(Record):
             raise InputError(
                 f"composition shape mismatch: {self.domain} vs {other.codomain}")
         f = self.field
-        picked = _unit_selection(self.nonzeros, f.one)
+        picked = _unit_selection(self)
         if picked is not None:
             # each row of self picks one row of other, or none
             rows = [() if k is None else other.nonzeros[k] for k in picked]
-            return LinMap(f, other.domain, self.codomain, tuple(rows))
-        picked = _unit_selection(other.nonzeros, f.one)
+            return LinMap(f, other.domain, self.codomain, tuple(rows), other.den)
+        picked = _unit_selection(other)
         if picked is not None:
             hit = [j for j in picked if j is not None]
             if len(set(hit)) == len(hit):
@@ -291,40 +284,37 @@ class LinMap(Record):
                 rows = [tuple(sorted([(picked[k], a) for k, a in nz
                                       if picked[k] is not None]))
                         for nz in self.nonzeros]
-                return LinMap(f, other.domain, self.codomain, tuple(rows))
+                return LinMap(f, other.domain, self.codomain, tuple(rows),
+                              self.den)
         p = f.p
         other_nz = other.nonzeros
-        d_other = _denominator(other_nz, p)
-        if p is None:
-            other_nz = [_integral(nz, p, d_other)[1] for nz in other_nz]
         out = []
         for nz in self.nonzeros:
             if not nz:
                 out.append(())
                 continue
-            d, row_nz = _integral(nz, p)
             acc = {}
-            for k, a in row_nz:
+            for k, a in nz:
                 for j, b in other_nz[k]:
                     x = acc.get(j)
                     acc[j] = a * b if x is None else x + a * b
-            out.append(_sparse_sums(acc, d * d_other, p))
-        return LinMap(f, other.domain, self.codomain, tuple(out))
+            out.append(_sparse_sums(acc, p))
+        return LinMap(f, other.domain, self.codomain, tuple(out),
+                      self.den * other.den)
 
     def sub(self, other: "LinMap") -> "LinMap":
-        """self - other, row by row."""
+        """self - other, row by row, on the least common denominator."""
         self._require_parallel(other)
         p = self.field.p
+        den = lcm(self.den, other.den)
+        s1, s2 = den // self.den, den // other.den
         rows = []
         for r1, r2 in zip(self.nonzeros, other.nonzeros):
-            if r2:
-                acc = dict(r1)
-                for j, b in r2:
-                    x = acc.get(j, 0) - b
-                    acc[j] = x if p is None else x % p
-                r1 = tuple((j, x) for j, x in sorted(acc.items()) if x)
-            rows.append(r1)
-        return LinMap(self.field, self.domain, self.codomain, tuple(rows))
+            acc = {j: x * s1 for j, x in r1}
+            for j, b in r2:
+                acc[j] = acc.get(j, 0) - b * s2
+            rows.append(_sparse_sums(acc, p))
+        return LinMap(self.field, self.domain, self.codomain, tuple(rows), den)
 
     def transpose(self) -> "LinMap":
         cols = [[] for _ in range(self.cols)]
@@ -332,7 +322,7 @@ class LinMap(Record):
             for j, x in nz:
                 cols[j].append((i, x))
         return LinMap(self.field, self.codomain, self.domain,
-                      tuple(map(tuple, cols)))
+                      tuple(map(tuple, cols)), self.den)
 
     def _require_parallel(self, other):
         if self.field != other.field:
@@ -343,7 +333,7 @@ class LinMap(Record):
     def equals(self, other: "LinMap") -> bool:
         """Entrywise equality; factorizations may differ but totals must agree."""
         self._require_parallel(other)
-        return self.nonzeros == other.nonzeros
+        return self.den == other.den and self.nonzeros == other.nonzeros
 
     def is_zero_map(self) -> bool:
         return not any(self.nonzeros)
@@ -351,16 +341,16 @@ class LinMap(Record):
     def first_difference(self, other: "LinMap"):
         """First (column, row) where the matrices differ, scanning columns
         lexicographically; None if equal."""
-        self._require_parallel(other)
-        if self.nonzeros == other.nonzeros:
+        if self.equals(other):
             return None
+        sa, sb = other.den, self.den      # a / sb = b / sa iff a sa = b sb
         diffs = []
         for r, (a, b) in enumerate(zip(self.nonzeros, other.nonzeros)):
-            if a != b:
-                da, db = dict(a), dict(b)
-                diffs.append((min(j for j in da.keys() | db.keys()
-                                  if da.get(j) != db.get(j)), r))
-        return min(diffs, default=None)
+            da, db = {j: x * sa for j, x in a}, {j: x * sb for j, x in b}
+            bad = [j for j in da.keys() | db.keys() if da.get(j) != db.get(j)]
+            if bad:
+                diffs.append((min(bad), r))
+        return min(diffs)
 
     def __repr__(self):
         return f"LinMap({self.field}, {self.domain}->{self.codomain})"
@@ -376,12 +366,11 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
         raise InputError("field mismatch in tensor product")
     domain, codomain = f.domain + g.domain, f.codomain + g.codomain
     gc = g.cols
-    one = f.field.one
-    f_picked = _unit_selection(f.nonzeros, one)
-    g_picked = _unit_selection(g.nonzeros, one)
+    f_picked = _unit_selection(f)
+    g_picked = _unit_selection(g)
     if f_picked is not None and g_picked is not None:
         # a unit selection again: row (i1, i2) picks column (j1, j2)
-        rows = [() if j1 is None or j2 is None else ((j1 * gc + j2, one),)
+        rows = [() if j1 is None or j2 is None else ((j1 * gc + j2, 1),)
                 for j1 in f_picked for j2 in g_picked]
         return LinMap(f.field, domain, codomain, tuple(rows))
     if f_picked is not None:
@@ -396,7 +385,7 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
                 base = j1 * gc
                 rows.extend([tuple([(base + j2, b) for j2, b in grow])
                              for grow in g.nonzeros])
-        return LinMap(f.field, domain, codomain, tuple(rows))
+        return LinMap(f.field, domain, codomain, tuple(rows), g.den)
     if g_picked is not None:
         # row (i1, i2) is row i1 of f spread to columns (j1, j2)
         rows = []
@@ -404,12 +393,10 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
             rows.extend([() if j2 is None
                          else tuple([(j1 * gc + j2, a) for j1, a in fnz])
                          for j2 in g_picked])
-        return LinMap(f.field, domain, codomain, tuple(rows))
+        return LinMap(f.field, domain, codomain, tuple(rows), f.den)
     # each factor of (f (x) 1) . (1 (x) g) is a move above
     return kron(f, LinMap.identity(f.field, g.codomain)).compose(
         kron(LinMap.identity(f.field, f.domain), g))
-
-
 def kron_all(*maps) -> LinMap:
     out = maps[0]
     for m in maps[1:]:
@@ -445,33 +432,29 @@ def compose_all(*maps) -> LinMap:
     return maps[0] if len(maps) == 1 else maps[0].compose(maps[1])
 
 
+
 # ---------------------------------------------------------------------------
 # row reduction
 
 
 def _row_ops(field):
-    """(load, eliminate, pivot, finish) on sparse rows {column: nonzero
-    value}, with the field's arithmetic chosen once.
+    """(eliminate, pivot, finish) on sparse rows {column: nonzero int},
+    with the field's arithmetic chosen once.
 
-    load(sparse) is the row rref stores for an input row; eliminate(row, c,
-    piv) is row with its column c cleared by the pivot row piv of pivot
-    column c; pivot(row) is the stored form of a new pivot row; finish(row,
-    c) is the reduced row of the pivot row of column c, as (column, value)
-    pairs with the pivot value 1.
+    eliminate(row, c, piv) is row with its column c cleared by the pivot
+    row piv of pivot column c; pivot(row) is the stored form of a new pivot
+    row; finish(reduced, pivots) is (rows, den), the pivot rows in order
+    in the stored form, every pivot entry equal to den.
 
     Over Q every stored row is the primitive integer multiple of its
     reduced row (integer entries with gcd 1, the pivot left unscaled), in
-    the manner of fraction-free elimination (Bareiss 1968): load clears the
-    input row of denominators (`_integral`), eliminate replaces row by
-    (piv[c] row - row[c] piv) / g in plain ints, g the gcd of the result,
-    and finish builds one canonical Fraction per entry, value / pivot.
-    Over F_p a stored row is its reduced row itself, pivot 1, updated with
-    modular row operations."""
+    the manner of fraction-free elimination (Bareiss 1968): eliminate
+    replaces row by (piv[c] row - row[c] piv) / g, g the gcd of the
+    result, and finish puts every row over the lcm of the pivots.  Over F_p
+    a stored row is its reduced row itself, pivot 1, updated with modular
+    row operations."""
     p = field.p
     if p is None:
-        def load(sparse):
-            return dict(_integral(sparse, None)[1])
-
         def eliminate(row, c, piv):
             a, b = piv[c], row[c]
             g = gcd(a, b)
@@ -502,13 +485,17 @@ def _row_ops(field):
                 return row
             return {j: x // g for j, x in row.items()}
 
-        def finish(row, c):
-            d = row[c]
-            return tuple((j, Fraction(row[j], d)) for j in sorted(row))
+        def finish(reduced, pivots):
+            # a primitive row's reduced entries have the least common
+            # denominator |pivot|, so den is canonical
+            den = lcm(*[reduced[c][c] for c in pivots])
+            out = []
+            for c in pivots:
+                row = reduced[c]
+                s = den // row[c]
+                out.append(tuple([(j, row[j] * s) for j in sorted(row)]))
+            return out, den
     else:
-        def load(sparse):
-            return dict(sparse)
-
         def eliminate(row, c, piv):
             a = p - row[c]
             for j, v in piv.items():
@@ -530,19 +517,20 @@ def _row_ops(field):
             a = field.inv(row[c])
             return {j: a * x % p for j, x in row.items()}
 
-        def finish(row, c):
-            return tuple(sorted(row.items()))
-    return load, eliminate, pivot, finish
+        def finish(reduced, pivots):
+            return [tuple(sorted(reduced[c].items())) for c in pivots], 1
+    return eliminate, pivot, finish
 
 
 def rref(field, rows):
     """Reduced row echelon form over an exact field.
 
-    rows is a list of sparse rows, each a sequence of (column, nonzero
-    value) pairs.  Returns (rows, pivot_columns) with the reduced rows as
-    tuples of (column, value) pairs in increasing column order; zero rows
-    are dropped and every pivot is normalized to 1 with zeros above and
-    below.
+    rows is a list of sparse rows of numerators, each a sequence of
+    (column, nonzero int) pairs, in [1, p) over F_p; each row may carry
+    any nonzero scale of its own.  Returns (rows, den, pivot_columns): the
+    reduced rows in the stored form, tuples of (column, numerator) pairs
+    over den in increasing column order; zero rows are dropped and every
+    pivot is normalized to 1 (numerator den) with zeros above and below.
 
     Gauss-Jordan: each input row is reduced by the pivot rows found so far;
     its leftmost remaining entry becomes a new pivot, and that column is
@@ -560,11 +548,11 @@ def rref(field, rows):
     does not depend on the order of the input rows, on how they were
     scaled, or on which rows were cleared in which order.
     """
-    load, eliminate, pivot, finish = _row_ops(field)
+    eliminate, pivot, finish = _row_ops(field)
     reduced = {}                     # pivot column -> stored pivot row
     holders = defaultdict(set)       # column -> pivot columns that may hold it
     for sparse in rows:
-        row = load(sparse)
+        row = dict(sparse)
         for c in row.keys() & reduced.keys():
             row = eliminate(row, c, reduced[c])
         if not row:
@@ -586,14 +574,16 @@ def rref(field, rows):
         del holders[c]
         reduced[c] = row
     pivots = sorted(reduced)
-    return [finish(reduced[c], c) for c in pivots], pivots
+    out, den = finish(reduced, pivots)
+    return out, den, pivots
 
 
-def _kernel_from_rref(field, reduced, pivots, ncols):
-    """Kernel basis of a reduced matrix, as sparse rows: one vector per free
-    column, set to 1 there; columns from ncols on are ignored."""
+def _kernel_from_rref(field, reduced, den, pivots, ncols):
+    """Kernel basis of a reduced matrix over den, as sparse rows of
+    numerators: one vector per free column, set to 1 there (numerator den);
+    columns from ncols on are ignored."""
     pivot_set = set(pivots)
-    basis = {c: [(c, field.one)] for c in range(ncols) if c not in pivot_set}
+    basis = {c: [(c, den)] for c in range(ncols) if c not in pivot_set}
     for row, pc in zip(reduced, pivots):
         for j, x in row:
             if pc < j < ncols:
@@ -606,11 +596,12 @@ def _kernel_from_rref(field, reduced, pivots, ncols):
 
 
 class Subspace(Record):
-    """A subspace given by its reduced row echelon basis, held as sparse
-    rows; the canonical form makes equality of subspaces plain equality of
-    bases.  Each span is one `rref`; incl and retr are built once."""
+    """A subspace given by its reduced row echelon basis, held as the map
+    echelon: ambient -> k^dim whose rows are the basis vectors; the
+    canonical form makes equality of subspaces plain equality of records.
+    Each span is one `rref`; incl and retr are built once."""
 
-    _fields = ("field", "ambient", "reduced", "pivots")
+    _fields = ("echelon", "pivots")
 
     @staticmethod
     def from_vectors(field, ambient, vectors) -> "Subspace":
@@ -619,33 +610,43 @@ class Subspace(Record):
         for v in vecs:
             if len(v) != n:
                 raise InputError("spanning vector does not match ambient shape")
-        return Subspace.span(field, ambient, [_sparse_row(v) for v in vecs])
+        return Subspace.span(field, ambient, _stored(field, vecs)[0])
 
     @staticmethod
     def span(field, ambient, rows) -> "Subspace":
-        """The span of a list of sparse rows, by one elimination."""
-        reduced, pivots = rref(field, rows)
-        return Subspace(field, ambient, tuple(reduced), tuple(pivots))
+        """The span of a list of sparse rows of numerators, by one
+        elimination."""
+        reduced, den, pivots = rref(field, rows)
+        return Subspace(LinMap(field, ambient, (len(pivots),), tuple(reduced),
+                               den), tuple(pivots))
 
     @staticmethod
     def zero(field, ambient) -> "Subspace":
-        return Subspace(field, ambient, (), ())
+        return Subspace(LinMap.zero(field, ambient, (0,)), ())
 
     @staticmethod
     def full(field, ambient) -> "Subspace":
         n = prod(ambient)
-        one = field.one
-        return Subspace(field, ambient, tuple(((i, one),) for i in range(n)),
+        return Subspace(LinMap.identity(field, ambient).reshaped(codomain=(n,)),
                         tuple(range(n)))
 
     @property
+    def field(self) -> Field:
+        return self.echelon.field
+
+    @property
+    def ambient(self) -> tuple:
+        return self.echelon.domain
+
+    @property
     def dim(self) -> int:
-        return len(self.reduced)
+        return len(self.pivots)
 
     @property
     def basis(self) -> tuple:
         """The echelon basis as dense vectors, built on each read."""
-        return _dense_rows(self.reduced, prod(self.ambient), self.field.zero)
+        m = self.echelon
+        return tuple(_values(m.field, nz, m.den, m.cols) for nz in m.nonzeros)
 
     def contains(self, vec) -> bool:
         """Whether vec lies in S: incl . retr fixes it (`coords`)."""
@@ -658,12 +659,6 @@ class Subspace(Record):
         return coords if self.inclusion.apply(coords) == tuple(vec) else None
 
     @cached_property
-    def echelon(self) -> LinMap:
-        """ambient -> k^dim, the echelon basis vectors as rows; the
-        transpose of inclusion."""
-        return LinMap(self.field, self.ambient, (self.dim,), self.reduced)
-
-    @cached_property
     def inclusion(self) -> LinMap:
         """S -> ambient, basis vectors as columns."""
         return self.echelon.transpose()
@@ -671,9 +666,8 @@ class Subspace(Record):
     @cached_property
     def retraction(self) -> LinMap:
         """ambient -> S, pivot-coordinate extraction; a left inverse of inclusion."""
-        one = self.field.one
         return LinMap(self.field, self.ambient, (self.dim,),
-                      tuple(((pc, one),) for pc in self.pivots))
+                      tuple(((pc, 1),) for pc in self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {prod(self.ambient)})"
@@ -704,6 +698,7 @@ class QuotientModule(Record):
 def quotient_by(relations: Subspace) -> QuotientModule:
     f = relations.field
     ambient = relations.ambient
+    echelon = relations.echelon
     n = prod(ambient)
     pivot_set = set(relations.pivots)
     complement = [c for c in range(n) if c not in pivot_set]
@@ -711,19 +706,19 @@ def quotient_by(relations: Subspace) -> QuotientModule:
     qshape = (q,)
     # projection: reduce modulo the relations, then read the complement
     # coords; a complement basis vector reduces to itself, and the pivot-p
-    # vector of the echelon basis b reduces to e_p - b
+    # vector of the echelon basis b reduces to e_p - b (all over den)
     position = {c: t for t, c in enumerate(complement)}
-    proj_rows = [[(c, f.one)] for c in complement]
-    for b, pc in zip(relations.reduced, relations.pivots):
+    proj_rows = [[(c, echelon.den)] for c in complement]
+    for b, pc in zip(echelon.nonzeros, relations.pivots):
         for c, x in b:
             t = position.get(c)
             if t is not None:
                 proj_rows[t].append((pc, f.neg(x)))
     projection = LinMap(f, ambient, qshape,
-                        tuple(tuple(sorted(r)) for r in proj_rows))
+                        tuple(tuple(sorted(r)) for r in proj_rows), echelon.den)
     sec_rows = [()] * n
     for t, c in enumerate(complement):
-        sec_rows[c] = ((t, f.one),)
+        sec_rows[c] = ((t, 1),)
     section = LinMap(f, qshape, ambient, tuple(sec_rows))
     return QuotientModule(ambient, relations, projection, section)
 
@@ -791,8 +786,9 @@ class AffineSolutionSet(Record):
         if not self.feasible:
             raise InputError("an infeasible solution set has no equations")
         h = self.homogeneous
-        rows = _kernel_from_rref(h.field, h.reduced, h.pivots, prod(h.ambient))
-        m = LinMap(h.field, h.ambient, (len(rows),), tuple(rows))
+        e = h.echelon
+        rows = _kernel_from_rref(h.field, e.nonzeros, e.den, h.pivots, e.cols)
+        m = LinMap(h.field, h.ambient, (len(rows),), tuple(rows), e.den)
         return m, m.apply(self.particular)
 
     def members(self, coefficient_grids):
@@ -801,16 +797,12 @@ class AffineSolutionSet(Record):
         if not self.feasible:
             return
         f = self.homogeneous.field
-        basis = self.homogeneous.reduced
-        if not basis:
-            yield self.particular
-            return
-        grids = list(coefficient_grids)
-        for combo in itertools.product(*grids):
+        basis = self.homogeneous.basis
+        for combo in itertools.product(*coefficient_grids):
             v = list(self.particular)
             for c, b in zip(combo, basis):
                 if c != 0:
-                    for i, x in b:
+                    for i, x in enumerate(b):
                         v[i] = f.add(v[i], f.mul(c, x))
             yield tuple(v)
 
@@ -822,30 +814,36 @@ def solve_affine(m: LinMap, b) -> AffineSolutionSet:
         raise InputError(f"rhs length {len(b)} does not match {m.rows} rows")
     f = m.field
     ncols = m.cols
-    aug = [row + ((ncols, bi),) if bi else row for row, bi in zip(m.nonzeros, b)]
-    reduced, pivots = rref(f, aug)
+    # [m | b] scaled by both denominators, row i of m's numerators times
+    # b's den and b_i's numerator times m's
+    (rhs,), b_den = _stored(f, [b])
+    rhs = dict(rhs)
+    aug = []
+    for i, row in enumerate(m.nonzeros):
+        if b_den != 1:
+            row = tuple([(j, x * b_den) for j, x in row])
+        t = rhs.get(i)
+        aug.append(row + ((ncols, t * m.den),) if t else row)
+    reduced, den, pivots = rref(f, aug)
     if pivots and pivots[-1] == ncols:
         # the last pivot sits in the rhs column: 0 = 1 is implied
         particular = None
         reduced, pivots = reduced[:-1], pivots[:-1]
     else:
-        part = [f.zero] * ncols
-        for row, p in zip(reduced, pivots):
-            j, x = row[-1]
-            if j == ncols:
-                part[p] = x
-        particular = tuple(part)
+        particular = _values(f, [(pc, row[-1][1])
+                                 for row, pc in zip(reduced, pivots)
+                                 if row[-1][0] == ncols], den, ncols)
     # the remaining rows' coefficient blocks are the reduced form of m
-    basis = _kernel_from_rref(f, reduced, pivots, ncols)
+    basis = _kernel_from_rref(f, reduced, den, pivots, ncols)
     return AffineSolutionSet(particular, Subspace.span(f, m.domain, basis))
 
 
 def kernel(m: LinMap) -> Subspace:
     """The kernel of a map, as a canonical subspace of its domain."""
     f = m.field
-    reduced, pivots = rref(f, list(m.nonzeros))
+    reduced, den, pivots = rref(f, list(m.nonzeros))
     return Subspace.span(f, m.domain,
-                          _kernel_from_rref(f, reduced, pivots, m.cols))
+                          _kernel_from_rref(f, reduced, den, pivots, m.cols))
 
 
 def image(m: LinMap) -> Subspace:
@@ -863,20 +861,20 @@ def kernel_image(m: LinMap):
 
 
 def right_inverse(m: LinMap) -> LinMap:
-    """A right inverse of a surjective map, from one reduction of [m | I]:
-    column t is the solution of m x = e_t that solve_affine returns (zero in
-    every free column).  Raises InputError when m is not onto."""
+    """A right inverse of a surjective map, from one reduction of [m | I]
+    (its numerators and den I): column t is the solution of m x = e_t that
+    solve_affine returns (zero in every free column).  Raises InputError
+    when m is not onto."""
     f = m.field
     n, w = m.rows, m.cols
-    one = f.one
-    aug = [row + ((w + i, one),) for i, row in enumerate(m.nonzeros)]
-    reduced, pivots = rref(f, aug)
+    aug = [row + ((w + i, m.den),) for i, row in enumerate(m.nonzeros)]
+    reduced, den, pivots = rref(f, aug)
     if len(pivots) != n or (pivots and pivots[-1] >= w):
         raise InputError("map is not onto")
     rows = [()] * w
     for row, pc in zip(reduced, pivots):
         rows[pc] = tuple((j - w, x) for j, x in row if j >= w)
-    return LinMap(f, m.codomain, m.domain, tuple(rows))
+    return LinMap(f, m.codomain, m.domain, tuple(rows), den)
 
 
 def invert(m: LinMap) -> LinMap:
@@ -901,14 +899,12 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
     row-major vectorization of X (shape (Xcod, Xdom)) to that of the
     composite (shape (E, D)).
 
-    All terms are assembled in one pass: for each row e of E, every term's
-    products pre[(l,s,rho)][d] * post[e][(l,r,rho)] are summed, with their
-    signs, into the (e, d) cells they reach, and one canonical sparse row
-    is built per reached cell.  Over Q the sums are integers on one common
-    denominator per e (the lcm of each term's post-row and pre
-    denominators), with one Fraction per surviving entry; over F_p each
-    entry is reduced mod p once.  Rows no term reaches stay empty, and
-    entries that cancel are dropped.
+    All terms are assembled in one pass, on one common denominator, the
+    lcm of each term's pre and post denominators' product: for each row e
+    of E, every term's numerator products pre[(l,s,rho)][d] *
+    post[e][(l,r,rho)] are summed, with their signs and scales, into the
+    (e, d) cells they reach, reduced mod p once over F_p.  Rows no term
+    reaches stay empty, and entries that cancel are dropped.
     """
     if not terms:
         raise InputError("a linear condition needs at least one term")
@@ -918,7 +914,7 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
     nx = xc * xd
     dd, ee = pre.cols, post.rows
     p = f.p
-    parts = []                      # (sign, d_pre, by_lr, rt, post rows)
+    parts = []                      # (sign, den, by_lr, rt, post rows)
     for sign, (t_pre, t_left, t_right, t_post) in terms:
         if t_pre.field != f or t_post.field != f:
             raise InputError("field mismatch in a linear condition")
@@ -930,8 +926,7 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
         if t_pre.cols != dd or t_post.rows != ee:
             raise InputError("the terms of a linear condition differ in "
                              "domain or codomain")
-        d_pre = _denominator(t_pre.nonzeros, p)
-        # pre's nonzeros over d_pre, grouped by the surrounding factors:
+        # pre's numerators grouped by the surrounding factors:
         # by_lr[l * rt + rho] = [(d * nx + s, numerator of pre[(l,s,rho)][d])]
         by_lr = {}
         for i, nz in enumerate(t_pre.nonzeros):
@@ -939,23 +934,17 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
                 ls, rho = divmod(i, rt)
                 l, s = divmod(ls, xd)
                 by_lr.setdefault(l * rt + rho, []).extend(
-                    (d * nx + s, w) for d, w in _integral(nz, p, d_pre)[1])
-        parts.append((sign, d_pre, by_lr, rt, t_post.nonzeros))
+                    (d * nx + s, w) for d, w in nz)
+        parts.append((sign, t_pre.den * t_post.den, by_lr, rt, t_post.nonzeros))
+    den = lcm(*[d for _, d, _, _, _ in parts])
+    parts = [(sign * (den // d), by_lr, rt, post_nz)
+             for sign, d, by_lr, rt, post_nz in parts]
     big = [()] * (ee * dd)
     for e in range(ee):
-        reached = []
-        for sign, d_pre, by_lr, rt, post_nz in parts:
-            if post_nz[e]:
-                d_post, nz = _integral(post_nz[e], p)
-                reached.append((sign, d_post * d_pre, nz, by_lr, rt))
-        if not reached:
-            continue
-        den = lcm(*[dp for _, dp, _, _, _ in reached])
         # acc[d * nx + r * xd + s] = numerator over den of cell (e, d) at (r, s)
         acc = {}
-        for sign, dp, nz, by_lr, rt in reached:
-            scale = sign * (den // dp)
-            for col, v in nz:
+        for scale, by_lr, rt, post_nz in parts:
+            for col, v in post_nz[e]:
                 lr, rho = divmod(col, rt)
                 l, r = divmod(lr, xc)
                 found = by_lr.get(l * rt + rho)
@@ -966,18 +955,18 @@ def op_in_unknown(x_dom, x_cod, terms) -> LinMap:
                         key += base
                         x = acc.get(key)
                         acc[key] = v * w if x is None else x + v * w
-        for d, cell in itertools.groupby(_sparse_sums(acc, den, p),
+        for d, cell in itertools.groupby(_sparse_sums(acc, p),
                                          lambda kx: kx[0] // nx):
             off = d * nx
             big[e * dd + d] = tuple([(k - off, x) for k, x in cell])
-    return LinMap(f, (xc, xd), (ee, dd), tuple(big))
+    return LinMap(f, (xc, xd), (ee, dd), tuple(big), den)
 
 
 class _Block(Record):
     """One labelled condition of a `LinearConstraints` system."""
 
     _fields = ("label", "matrix",  # operator on vec(X), rows indexed by (e, d)
-               "rhs")              # target vector of length matrix.rows
+               "rhs")              # (e, d) -> k: the target as one row
 
 
 class LinearConstraints:
@@ -1004,30 +993,37 @@ class LinearConstraints:
         terms = [(1, lhs)] if rhs is None else [(1, lhs), (-1, rhs)]
         op = op_in_unknown(self.x_dom, self.x_cod, terms)
         if target is None:
-            tvec = (self.field.zero,) * op.rows
-        else:
-            tvec = target.flat()
-            if len(tvec) != op.rows:
-                raise InputError("target does not match the constraint block")
-        self.blocks.append(_Block(label, op, tvec))
+            target = LinMap.zero(self.field, op.codomain, SCALAR)
+        elif target.rows * target.cols != op.rows:
+            raise InputError("target does not match the constraint block")
+        row = (tuple(target._flat_nonzeros()),)
+        self.blocks.append(_Block(label, op, LinMap(
+            self.field, op.codomain, SCALAR, row, target.den)))
 
     def assembled(self):
         """The deduplicated system on vec(X); its domain is x_cod (x) x_dom,
-        so solution vectors carry the shape of X itself."""
+        so solution vectors carry the shape of X itself.  Rows are compared
+        as integers over the blocks' common denominator."""
+        den = lcm(*[m.den for blk in self.blocks for m in (blk.matrix, blk.rhs)])
         rows, rhs = [], []
         seen = set()
         for blk in self.blocks:
-            for r, t in zip(blk.matrix.nonzeros, blk.rhs):
-                key = (r, t)
+            s, st = den // blk.matrix.den, den // blk.rhs.den
+            target = dict(blk.rhs.nonzeros[0])
+            for i, r in enumerate(blk.matrix.nonzeros):
+                if s != 1:
+                    r = tuple([(j, x * s) for j, x in r])
+                key = (r, target.get(i, 0) * st)
                 if key in seen:
                     continue
                 seen.add(key)
-                if not r and not t:
-                    continue
-                rows.append(r)
-                rhs.append(t)
-        return (LinMap(self.field, self.x_cod + self.x_dom, (len(rows),), tuple(rows)),
-                tuple(rhs))
+                if r or key[1]:
+                    rows.append(r)
+                    rhs.append(key[1])
+        m = LinMap(self.field, self.x_cod + self.x_dom, (len(rows),), tuple(rows),
+                   den)
+        return m, _values(self.field, [(i, t) for i, t in enumerate(rhs) if t],
+                          den, len(rhs))
 
     def transposed(self) -> "LinearConstraints":
         """The same conditions stated on the transposed unknown X^T: each
@@ -1040,18 +1036,18 @@ class LinearConstraints:
         return out
 
     def solve(self) -> AffineSolutionSet:
-        m, b = self.assembled()
-        return solve_affine(m, b)
+        return solve_affine(*self.assembled())
 
     def violations(self, xvec) -> list:
         """Per-block first violation, CheckFailure(label, (output index,
-        input index)); empty when xvec satisfies every condition."""
+        input index)); empty when xvec satisfies every condition.  Each
+        block's image of xvec is compared with its target in the stored
+        form."""
+        x = LinMap.element(self.field, self.x_cod + self.x_dom, xvec)
         out = []
         for blk in self.blocks:
-            got = blk.matrix.apply(xvec)
-            for i, (g, t) in enumerate(zip(got, blk.rhs)):
-                if g != t:
-                    out.append(CheckFailure(blk.label,
-                                            unflatten(blk.matrix.codomain, i)))
-                    break
+            diff = blk.rhs.first_difference(blk.matrix.compose(x).transpose())
+            if diff is not None:
+                out.append(CheckFailure(blk.label,
+                                        unflatten(blk.matrix.codomain, diff[0])))
         return out

@@ -22,6 +22,8 @@ the split certificate when its phi is the split one.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InconsistencyError, InputError
 from .galois import Coextension, GaloisExtension
 from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
@@ -246,7 +248,7 @@ def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstrain
     one = LinMap.identity(f, SCALAR)
 
     def on_phi(m):
-        return one, SCALAR, SCALAR, LinMap(f, (n,), (m.rows,), m.nonzeros)
+        return one, SCALAR, SCALAR, LinMap(f, (n,), (m.rows,), m.nonzeros, m.den)
     m, rhs = split_equations
     sys.require("split conditions", on_phi(m),
                 target=LinMap.element(f, (m.rows,), rhs))
@@ -260,10 +262,11 @@ def coupled_system(g: GaloisExtension, zvec, split_equations) -> LinearConstrain
 
 STRATEGIES = ("fixed_integral", "search")
 
-# Over GF(p), "search" tries all p^k normalised integrals (k the family's
-# nullity) when p^k is at most this: D_m by K = {1, s} over GF(7) needs 7,
-# 49 and 343 for m = 4, 5, 8, and D_8's 343 coupled solves take 4.1 s of
-# CPU in basis seed 0 (12 ms each; Python 3.11, 2-core x86-64 host).
+# "search" makes at most this many coupled solves, in every field; over
+# GF(p) it tries all p^k normalised integrals (k the family's nullity) when
+# p^k is at most this: D_m by K = {1, s} over GF(7) needs 7, 49 and 343 for
+# m = 4, 5, 8, and D_8's 343 coupled solves take 4.1 s of CPU in basis
+# seed 0 (12 ms each; Python 3.11, 2-core x86-64 host).
 SEARCH_ENUMERATION_CAP = 343
 
 
@@ -273,13 +276,13 @@ def check_strongly_separable(g: GaloisExtension,
     (phi, tau) per tried normalised integral; the first with tau != 0 gives
     the certificate.  "fixed_integral" tries the particular integral;
     "search" tries family members in `AffineSolutionSet.members` order,
-    particular first: every coefficient of GF(p) when p^k is at most
-    `SEARCH_ENUMERATION_CAP` (k the family's nullity), else the grid
-    (0, 1, -1), all of GF(2) and GF(3) again whatever k.  Either strategy
-    tries a unique integral (k = 0) alone.  A "no" is exact only when the
-    tried integrals are the whole family (k = 0, or the grid is all of
-    GF(p)), otherwise inconclusive.  "not separable" and "not split" are
-    exact.
+    particular first, at most `SEARCH_ENUMERATION_CAP` of them: every
+    coefficient of GF(p) when p^k is at most the cap (k the family's
+    nullity), else the grid (0, 1, -1).  Either strategy tries a unique
+    integral (k = 0) alone.  A "no" is exact only when the tried integrals
+    are the whole family (k = 0, or all p^k members of a family over
+    GF(p)), otherwise inconclusive, with a note that names how many were
+    tried.  "not separable" and "not split" are exact.
 
     Whatever the strategy, check_separable(g) and check_split(g) run once
     and the outcome carries both (.separability, .split).
@@ -303,12 +306,13 @@ def check_strongly_separable(g: GaloisExtension,
     if strategy == "fixed_integral" or not nullity:
         tried, whole = (particular,), not nullity
     else:
-        if f.kind == "Fp" and f.p ** nullity <= SEARCH_ENUMERATION_CAP:
+        whole = f.kind == "Fp" and f.p ** nullity <= SEARCH_ENUMERATION_CAP
+        if whole:
             grid = tuple(f.of_int(i) for i in range(f.p))
         else:
             grid = tuple(dict.fromkeys((f.zero, f.one, f.neg(f.one))))
-        tried = sep.family.members([grid] * nullity)
-        whole = len(grid) == f.p
+        tried = itertools.islice(sep.family.members([grid] * nullity),
+                                 SEARCH_ENUMERATION_CAP)
     equations = phi_family.equations()
     count = 0
     for zvec in tried:
@@ -360,7 +364,7 @@ def right_free_basis(g: GaloisExtension):
     for cand in [tuple(a.unit), *map(a.identity().column, range(a.dim))]:
         block = a.mult.compose(kron(LinMap.element(f, (a.dim,), cand), incl))
         trial = Subspace.span(f, (a.dim,),
-                              [*span.reduced, *block.transpose().nonzeros])
+                              [*span.echelon.nonzeros, *block.transpose().nonzeros])
         if trial.dim == span.dim + bdim:
             chosen.append(cand)
             span = trial

@@ -518,7 +518,7 @@ def integral_map_from_cotranslation(coext: Coextension) -> Witness:
     """The cotranslation map of a pointed coextension of the ground field
     is a normalised integral map."""
     if pointed_kappa(coext) is None:
-        raise DomainError("coextension is not pointed", witness=("pointed",))
+        raise DomainError("coextension is not pointed")
     return as_witness(WitnessKind.INTEGRAL_MAP, coext.ent,
                       cotranslation_map(coext).flat(), normalized=True)
 
@@ -527,9 +527,8 @@ def cointegral_map_from_can_inv(ext: GaloisExtension) -> Witness:
     """The inverse canonical map against 1 (x) C of a copointed extension
     of the ground field is a normalised cointegral map."""
     if ext.fixed.dim != 1:
-        raise DomainError("extension is not over the ground field",
-                          witness=("base",))
+        raise DomainError("extension is not over the ground field")
     if copointed_grouplike(ext) is None:
-        raise DomainError("extension is not copointed", witness=("copointed",))
+        raise DomainError("extension is not copointed")
     return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent,
                       ext.translation_map().flat(), normalized=True)

@@ -233,6 +233,25 @@ def test_catalog_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+def test_catalog_fixed_subalgebra_mismatch_is_a_failure(capsys, monkeypatch):
+    # a fixed subalgebra other than the subgroup algebra is a failed
+    # identity of the catalog's own construction (exit 1), never an input
+    # error (exit 2)
+    from entwine import Subspace, catalog
+    build = catalog.build_galois
+
+    def wrong_fixed(*args):
+        ext = build(*args)
+        return ext.replace(fixed=Subspace.full(ext.field, ext.fixed.ambient))
+    monkeypatch.setattr(catalog, "build_galois", wrong_fixed)
+    assert main(["catalog", "--name", "hopf_quotient_galois", "--n", "4",
+                 "--d", "2", "--field", "Q"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: fixed subalgebra is not the subgroup algebra"]
+
+
 def test_catalog_unknown_name():
     assert main(["catalog", "--name", "nope", "--field", "Q"]) == 2
 

@@ -1,6 +1,6 @@
 """Dead-code scan of the package with the stdlib `ast` module.
 
-Five checks:
+Six checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
@@ -26,7 +26,11 @@ Five checks:
 - no class in src/entwine defines an `__init__` whose body only calls
   `_set(self, "name", name)` on its own parameters: the `Record` base
   constructor stores the values of `_fields`, so a record declares its
-  fields once.
+  fields once;
+- linalg.py names `Fraction`, `.numerator` and `.denominator` only inside
+  its two boundary helpers, `_stored` (values to integer numerators over
+  one denominator) and `_values` (back), and defines no other converter
+  between the two forms (`_integral`, `_denominator`).
 """
 
 import ast
@@ -253,6 +257,34 @@ def store_only_constructors():
     return found
 
 
+BOUNDARY = {"_stored", "_values"}
+FRACTION_NAMES = {"Fraction", "numerator", "denominator"}
+
+
+def fractions_outside_the_boundary():
+    """linalg.py lines that read a Fraction or its parts outside the two
+    boundary helpers, and its definitions of the old converters."""
+    path = os.path.join(PACKAGE, "linalg.py")
+    tree = _parse(path)
+    inside = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, FUNCTIONS) and node.name in BOUNDARY:
+            inside.update(range(node.lineno, node.end_lineno + 1))
+        if isinstance(node, FUNCTIONS) and node.name in {"_integral",
+                                                          "_denominator"}:
+            found.append(f"linalg.py:{node.lineno} defines {node.name}")
+    for node in ast.walk(tree):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else None
+        if name in FRACTION_NAMES and node.lineno not in inside:
+            found.append(f"linalg.py:{node.lineno} {name}")
+    if not BOUNDARY <= {node.name for node in ast.walk(tree)
+                        if isinstance(node, FUNCTIONS)}:
+        found.append("linalg.py lacks a boundary helper")
+    return found
+
+
 def test_every_definition_is_referenced():
     assert dead_definitions() == []
 
@@ -273,7 +305,12 @@ def test_no_constructor_only_stores_its_arguments():
     assert store_only_constructors() == []
 
 
+def test_fractions_only_at_the_linalg_boundary():
+    assert fractions_outside_the_boundary() == []
+
+
 if __name__ == "__main__":
     for line in (dead_definitions() + unused_locals() + unused_imports()
-                 + raising_report_checks() + store_only_constructors()):
+                 + raising_report_checks() + store_only_constructors()
+                 + fractions_outside_the_boundary()):
         print(line)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entwine import GF, QQ, LinMap, Subspace, kernel_image, kron, \
     solve_affine
-from entwine.linalg import invert, quotient_by, rref
+from entwine.linalg import _stored, _values, invert, quotient_by, rref
 from entwine.errors import InputError
 from entwine.linalg import (LinearConstraints, SCALAR, compose_all,
                             corestrict, op_in_unknown, right_inverse,
@@ -320,11 +321,10 @@ def test_elimination_matches_oracle(system, rnd):
     p, rows, rhs = system
     field = FIELDS[p]
     n_cols = len(rows[0])
-    # rref works on sparse rows: (column, value) pairs of the nonzeros
-    reduced, pivots = rref(field, [tuple((j, x) for j, x in enumerate(r) if x)
-                                   for r in rows])
-    reduced = [tuple(dict(r).get(j, field.zero) for j in range(n_cols))
-               for r in reduced]
+    # rref works on sparse rows of numerators, and its reduced rows are
+    # numerators over one denominator, read as values through _values
+    reduced, den, pivots = rref(field, _stored(field, rows)[0])
+    reduced = [_values(field, r, den, n_cols) for r in reduced]
     _, oracle_pivots = oracle.echelon(rows, p)
     assert list(pivots) == oracle_pivots
     assert len(reduced) == oracle.rank(rows, p)
@@ -364,10 +364,9 @@ def _oracle_rref(rows, p=None):
 def _dense_rref(field, rows):
     """rref of dense rows, its reduced rows made dense again."""
     n_cols = len(rows[0])
-    sparse = [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
-    reduced, pivots = rref(field, sparse)
-    return ([[dict(row).get(j, field.zero) for j in range(n_cols)]
-             for row in reduced], list(pivots))
+    reduced, den, pivots = rref(field, _stored(field, rows)[0])
+    return ([list(_values(field, row, den, n_cols)) for row in reduced],
+            list(pivots))
 
 
 @st.composite
@@ -399,10 +398,12 @@ def hard_rational_rows(draw):
 @given(hard_rational_rows(), st.randoms(use_true_random=False))
 def test_rational_elimination_matches_the_oracle_entry_by_entry(rows, rnd):
     n_cols = len(rows[0])
-    sparse = [tuple((j, x) for j, x in enumerate(r) if x) for r in rows]
-    reduced, pivots = rref(QQ, sparse)
-    assert all(type(x) is Fraction for row in reduced for _, x in row)
-    dense = [[dict(row).get(j, 0) for j in range(n_cols)] for row in reduced]
+    sparse = _stored(QQ, rows)[0]
+    reduced, den, pivots = rref(QQ, sparse)
+    assert all(type(x) is int for row in reduced for _, x in row)
+    # one positive denominator with no factor common to every numerator
+    assert den > 0 and gcd(den, *[x for row in reduced for _, x in row]) == 1
+    dense = [list(_values(QQ, row, den, n_cols)) for row in reduced]
     expected, expected_pivots = _oracle_rref(rows)
     assert list(pivots) == expected_pivots
     assert dense == expected
@@ -410,13 +411,12 @@ def test_rational_elimination_matches_the_oracle_entry_by_entry(rows, rnd):
     rescaled = [tuple((j, x * (k + 1)) for j, x in row)
                 for k, row in enumerate(sparse)]
     rnd.shuffle(rescaled)
-    assert rref(QQ, rescaled) == (reduced, pivots)
+    assert rref(QQ, rescaled) == (reduced, den, pivots)
 
 
-def test_rational_elimination_builds_one_fraction_per_output_entry(
-        monkeypatch):
-    """Over Q the row operations run on ints: the only Fractions rref
-    builds are its output entries."""
+def test_rref_compose_and_assembly_over_q_build_no_fraction(monkeypatch):
+    """Over Q the stored form is integer numerators over one denominator:
+    rref, compose and op_in_unknown run on ints and build no Fraction."""
     # 20 rational combinations of 5 rows of width 12: rank 5, so the
     # reduced rows carry entries beyond their pivots
     base = [[Fraction((3 * k + 5 * j) % 11 - 5, 1 + (k * j) % 7)
@@ -424,8 +424,11 @@ def test_rational_elimination_builds_one_fraction_per_output_entry(
     rows = []
     for i in range(20):
         coeffs = [Fraction((i * k) % 5 - 2, 1 + (i + k) % 3) for k in range(5)]
-        row = [sum(c * b[j] for c, b in zip(coeffs, base)) for j in range(12)]
-        rows.append(tuple((j, x) for j, x in enumerate(row) if x))
+        rows.append([sum(c * b[j] for c, b in zip(coeffs, base))
+                     for j in range(12)])
+    m = LinMap.from_rows(QQ, (12,), (20,), rows)
+    square = LinMap.from_rows(QQ, (12,), (12,), base + base[:4] + base[:3])
+    assert m.den > 1 and square.den > 1
     built = []
     new = Fraction.__new__
 
@@ -433,10 +436,16 @@ def test_rational_elimination_builds_one_fraction_per_output_entry(
         built.append(args)
         return new(cls, *args, **kwargs)
     monkeypatch.setattr(Fraction, "__new__", counting)
-    reduced, pivots = rref(QQ, rows)
+    reduced, den, pivots = rref(QQ, list(m.nonzeros))
+    product = m.compose(square)
+    block = op_in_unknown((12,), (12,), [(1, (square, SCALAR, SCALAR, m)),
+                                         (-1, (square, SCALAR, SCALAR, m))])
     monkeypatch.undo()
-    assert len(pivots) == 5
-    assert len(built) == sum(map(len, reduced))
+    assert built == []
+    assert len(pivots) == 5 and den > 1
+    assert all(type(x) is int for row in reduced for _, x in row)
+    assert product.entries == _naive_product(QQ, rows, square.entries)
+    assert block.is_zero_map()
 
 
 # -- the column index: clearing a new pivot fills in earlier rows -------------
@@ -713,11 +722,13 @@ def other_factors(draw, field, n_rows, n_cols):
 def _assert_product(field, got, expected):
     """got holds exactly the expected dense rows, in canonical sparse form."""
     assert got.entries == tuple(map(tuple, expected))
-    assert got.nonzeros == LinMap.from_rows(field, got.domain, got.codomain,
-                                            expected).nonzeros
+    # the whole record, den included, and so its hash
+    want = LinMap.from_rows(field, got.domain, got.codomain, expected)
+    assert got == want and hash(got) == hash(want)
     if field.p is None:
         _assert_canonical(got.entries)
     else:
+        assert got.den == 1
         assert all(type(x) is int and 0 < x < field.p
                    for nz in got.nonzeros for _, x in nz)
 
@@ -851,11 +862,12 @@ def test_signed_assembly_over_q_with_different_denominators():
     rhs = (LinMap.identity(QQ, (2,)), SCALAR, SCALAR, quarter)
     block = _assembled_block(QQ, (2,), (2,), lhs, rhs)
     expected = _one_term(lhs, (2,), (2,)).sub(_one_term(rhs, (2,), (2,)))
-    assert block.nonzeros == expected.nonzeros
+    assert block == expected
     # vec(X) entry (r, s) -> output (r, s) with (1/3) c_s - 1/4, c = (1, 1/2)
     diagonal = {r * 2 + s: Fraction(1, 3) * (1, Fraction(1, 2))[s] - Fraction(1, 4)
                 for r in range(2) for s in range(2)}
-    assert block.nonzeros == tuple(((k, x),) for k, x in sorted(diagonal.items()))
+    assert block == LinMap.from_rows(QQ, (2, 2), (2, 2), [
+        [diagonal[k] if j == k else q(0) for j in range(4)] for k in range(4)])
     _assert_canonical(block.entries)
 
 

@@ -390,6 +390,34 @@ def test_search_tries_a_unique_integral_alone(monkeypatch):
     assert tried == [out.separability.source_integral.value]
 
 
+@pytest.mark.parametrize("field, m, seed, cap, note", [
+    (GF(2), 3, 1, 1, "only it was tried"),
+    (GF(7), 4, 0, 2, "any of the 2 normalised integrals tried"),
+    (QQ, 3, 0, 2, "any of the 2 normalised integrals tried")],
+    ids=["F2-D3", "F7-D4", "Q-D3"])
+def test_search_makes_at_most_the_capped_number_of_solves(monkeypatch, field,
+                                                          m, seed, cap, note):
+    # the whole family over GF(2) and GF(7) couples only at its last member
+    # (2 and 7 solves uncapped), and over Q the grid (0, 1, -1) couples at
+    # none; with the cap below the family's size, search stops at the cap
+    # and leaves the answer undecided, in every field
+    from entwine import separability
+    ext = build_galois(*in_random_bases(
+        field, *dihedral_homogeneous_space(field, m), random.Random(seed)))
+    tried = []
+    coupled = separability.coupled_system
+
+    def counted(g, zvec, equations):
+        tried.append(zvec)
+        return coupled(g, zvec, equations)
+    monkeypatch.setattr(separability, "coupled_system", counted)
+    monkeypatch.setattr(separability, "SEARCH_ENUMERATION_CAP", cap)
+    out = check_strongly_separable(ext, "search")
+    assert len(tried) == cap
+    assert out.inconclusive and not out.found
+    assert note in out.note
+
+
 def test_report_names_the_integral_search_coupled_on():
     # D3 over GF(5), basis seed 1: search couples on an integral other than
     # the particular one, and the report's (strong_integral, strong_phi, tau)

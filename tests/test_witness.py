@@ -354,6 +354,25 @@ def test_casimir_functional_failure():
                                 kappa=(q(1), q(1)))
 
 
+def test_precondition_errors_carry_no_witness(c2_q, coext_q, monkeypatch):
+    # a failed precondition of a structural builder is not a failed law, so
+    # its DomainError carries no witness; a witness is always a CheckFailure
+    from entwine import witness
+    quotient = make_example("hopf_quotient_galois",
+                            {"field": QQ, "n": 4, "d": 2}).payload
+    with pytest.raises(DomainError, match="ground field") as err:
+        cointegral_map_from_can_inv(quotient)
+    assert err.value.witness is None
+    monkeypatch.setattr(witness, "copointed_grouplike", lambda ext: None)
+    with pytest.raises(DomainError, match="not copointed") as err:
+        cointegral_map_from_can_inv(c2_q)
+    assert err.value.witness is None
+    monkeypatch.setattr(witness, "pointed_kappa", lambda coext: None)
+    with pytest.raises(DomainError, match="not pointed") as err:
+        integral_map_from_cotranslation(coext_q)
+    assert err.value.witness is None
+
+
 def test_cotranslation_witness(coext_q):
     w = integral_map_from_cotranslation(coext_q)
     assert w.kind == WitnessKind.INTEGRAL_MAP
@@ -549,8 +568,8 @@ def canonical_families():
                 particular = None if sol.particular is None else \
                     [str(x) for x in sol.particular]
                 out.append([str(field), n, kind, particular,
-                            [[[j, str(x)] for j, x in row]
-                             for row in h.reduced], list(h.pivots)])
+                            [[[j, str(x)] for j, x in enumerate(row) if x]
+                             for row in h.basis], list(h.pivots)])
     return out
 
 
