@@ -397,6 +397,8 @@ def kron(f: LinMap, g: LinMap) -> LinMap:
     # each factor of (f (x) 1) . (1 (x) g) is a move above
     return kron(f, LinMap.identity(f.field, g.codomain)).compose(
         kron(LinMap.identity(f.field, f.domain), g))
+
+
 def kron_all(*maps) -> LinMap:
     out = maps[0]
     for m in maps[1:]:
@@ -430,7 +432,6 @@ def compose_all(*maps) -> LinMap:
         i = costs.index(min(costs))
         maps[i:i + 2] = [maps[i].compose(maps[i + 1])]
     return maps[0] if len(maps) == 1 else maps[0].compose(maps[1])
-
 
 
 # ---------------------------------------------------------------------------
