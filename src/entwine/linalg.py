@@ -20,7 +20,14 @@ dense values (`from_rows`, `from_flat`, `element`, `functional`,
 solution) for printing, JSON and callers that index vectors.
 
 `LinMap.compose` is the one product of maps that multiplies: it
-multiplies numerators and divides one gcd into the product's den.  `apply`
+multiplies numerators and divides one gcd into the product's den.  It sums
+each output row in one of two accumulators, chosen once per product.  When
+the expected multiply-adds, nnz(self) nnz(other) / rows(other), reach the
+product's cells, rows(self) cols(other), the product is expected to fill
+its rows: each row is summed in a list of ints as wide as the row and read
+off in column order (Gustavson's dense accumulator), a scan no longer than
+the multiply-adds.  Otherwise it is summed in a dict by column and sorted,
+so a wide sparse product never allocates a row of its width.  `apply`
 composes with the vector as a one-column map, and a tensor product of two
 factors that both hold values is (f (x) 1) . (1 (x) g).  A product with an
 identity or unit-selection factor (every row empty or a single 1,
@@ -127,6 +134,14 @@ def _sparse_sums(sums, p):
     if p is None:
         return tuple((j, x) for j in sorted(sums) if (x := sums[j]))
     return tuple((j, x) for j in sorted(sums) if (x := sums[j] % p))
+
+
+def _dense_sums(sums, p):
+    """A sparse row from a list of integers indexed by column, each sum
+    reduced mod p over F_p; sums that are 0 are dropped."""
+    if p is None:
+        return tuple([(j, x) for j, x in enumerate(sums) if x])
+    return tuple([(j, x) for j, s in enumerate(sums) if (x := s % p)])
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +278,12 @@ class LinMap(Record):
                        self.den, self.rows)
 
     def compose(self, other: "LinMap") -> "LinMap":
-        """self after other (matrix product self . other)."""
+        """self after other (matrix product self . other).
+
+        A unit-selection factor only moves numerators.  Otherwise each
+        output row is summed in a dense list of other.cols ints when the
+        product is expected to fill its rows, and in a dict by column when
+        it is not (see the module docstring)."""
         if self.field != other.field:
             raise InputError("field mismatch in composition")
         if self.cols != other.rows:
@@ -287,18 +307,29 @@ class LinMap(Record):
                 return LinMap(f, other.domain, self.codomain, tuple(rows),
                               self.den)
         p = f.p
-        other_nz = other.nonzeros
+        self_nz, other_nz = self.nonzeros, other.nonzeros
+        width = other.cols
+        # the product fills its rows when the expected multiply-adds,
+        # nnz(self) nnz(other) / rows(other), reach its cells
+        dense = (sum(map(len, self_nz)) * sum(map(len, other_nz))
+                 >= self.rows * width * other.rows)
         out = []
-        for nz in self.nonzeros:
+        for nz in self_nz:
             if not nz:
                 out.append(())
-                continue
-            acc = {}
-            for k, a in nz:
-                for j, b in other_nz[k]:
-                    x = acc.get(j)
-                    acc[j] = a * b if x is None else x + a * b
-            out.append(_sparse_sums(acc, p))
+            elif dense:
+                acc = [0] * width
+                for k, a in nz:
+                    for j, b in other_nz[k]:
+                        acc[j] += a * b
+                out.append(_dense_sums(acc, p))
+            else:
+                acc = {}
+                for k, a in nz:
+                    for j, b in other_nz[k]:
+                        x = acc.get(j)
+                        acc[j] = a * b if x is None else x + a * b
+                out.append(_sparse_sums(acc, p))
         return LinMap(f, other.domain, self.codomain, tuple(out),
                       self.den * other.den)
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 from unittest import mock
@@ -750,6 +751,100 @@ def test_products_with_unit_selections_match_naive_loops(p, m, n, data):
     fc = LinMap.from_rows(field, (m,), (n,), c)
     _assert_product(field, kron(s, fc), _naive_kron(field, sel, c))
     _assert_product(field, kron(fc, s), _naive_kron(field, c, sel))
+
+
+# -- the two accumulators of compose ------------------------------------------
+
+def _fills(fa, fb):
+    """Whether fa . fb is expected to fill its rows, so that compose sums
+    each row in a dense list: nnz(fa) nnz(fb) / rows(fb) >= its cells."""
+    nnz = sum(map(len, fa.nonzeros)) * sum(map(len, fb.nonzeros))
+    return nnz >= fa.rows * fb.cols * fb.rows
+
+
+def _spread(field, n_cols, entries):
+    """A dense row of n_cols values, entries[j] at column j."""
+    return [entries.get(j, field.zero) for j in range(n_cols)]
+
+
+def _q_rows(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def _dense_operands():
+    """Products with every operand entry nonzero, by field."""
+    f = Fraction
+    # a[0] = (b[0] + b[1] - 2 b[2]) / 2 cancels to 0; dens 2.3.5.7 and 3.4
+    q_cancel = (_q_rows([[f(1, 2), f(1, 2), -1], [f(-3, 5), f(1, 7), 2],
+                         [f(1, 6), -5, 3]]),
+                _q_rows([[f(1, 3), -2, f(5, 4)], [f(5, 3), 4, f(-1, 4)],
+                         [1, 1, f(1, 2)]]))
+    # (1/2)(1/3) + (1/2)(1/3) = 2/6: the constructor reduces den 6 to 3
+    q_gcd = (_q_rows([[f(1, 2), f(1, 2)]]),
+             _q_rows([[f(1, 3), f(1, 3)], [f(1, 3), f(-1, 3)]]))
+    # 3 + 4 = 7 and 1 + 6 = 7 vanish mod 7
+    f7 = ([[3, 4], [1, 6], [2, 5]], [[1, 2, 3], [1, 5, 6]])
+    return [(QQ, *q_cancel), (QQ, *q_gcd), (GF(7), *f7)]
+
+
+def _wide_sparse_operands():
+    """Products of a few nonzeros into 40 columns, by field."""
+    f = Fraction
+    # row 0 at column 39 sums (-1/2) 4 + (2/3) 3 = 0 over Q, 3 + 4 = 7 over
+    # GF(7); over Q the product's den 30 reduces to 10
+    q = (QQ, [{3: f(-1, 2), 17: f(2, 3)}, {29: f(5, 6)}, {}],
+         {3: {0: f(1, 5), 39: 4}, 17: {39: 3}, 29: {7: f(-3, 5)}})
+    f7 = (GF(7), [{3: 3, 17: 4}, {29: 5}, {}],
+          {3: {0: 2, 39: 1}, 17: {39: 1}, 29: {7: 6}})
+    return [(field, [_spread(field, 30, r) for r in a],
+             [_spread(field, 40, b.get(k, {})) for k in range(30)])
+            for field, a, b in (q, f7)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_a_product_that_fills_its_rows_matches_naive_loops(case):
+    field, a, b = _dense_operands()[case]
+    fa = LinMap.from_rows(field, (len(b),), (len(a),), a)
+    fb = LinMap.from_rows(field, (len(b[0]),), (len(b),), b)
+    assert _fills(fa, fb)
+    got = fa.compose(fb)
+    _assert_product(field, got, _naive_product(field, a, b))
+    if case == 0:
+        assert not got.nonzeros[0]
+    elif case == 1:
+        assert (fa.den * fb.den, got.den) == (6, 3)
+    else:
+        assert len(got.nonzeros[0]) < len(b[0])
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_a_wide_sparse_product_matches_naive_loops(case):
+    field, a, b = _wide_sparse_operands()[case]
+    fa = LinMap.from_rows(field, (30,), (3,), a)
+    fb = LinMap.from_rows(field, (40,), (30,), b)
+    assert not _fills(fa, fb)
+    got = fa.compose(fb)
+    _assert_product(field, got, _naive_product(field, a, b))
+    assert [j for j, _ in got.nonzeros[0]] == [0]
+    if field.p is None:
+        assert got.den == 10 < fa.den * fb.den
+
+
+@pytest.mark.parametrize("field", [GF(7), QQ], ids=["F7", "Q"])
+def test_a_wide_sparse_product_holds_no_row_of_its_width(field):
+    # two rows, one nonzero each, after a diagonal of 2s (not a selection):
+    # a dense accumulator would hold n ints per row
+    n = 200_000
+    fa = LinMap(field, (n,), (2,), (((5, 3),), ((n - 1, 3),)))
+    diagonal = LinMap(field, (n,), (n,), tuple([((i, 2),) for i in range(n)]))
+    tracemalloc.start()
+    try:
+        got = fa.compose(diagonal)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.nonzeros == (((5, 6),), ((n - 1, 6),))
+    assert peak < n * 8
 
 
 def test_compose_is_the_one_product_that_multiplies():
