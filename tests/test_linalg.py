@@ -801,7 +801,7 @@ def _wide_sparse_operands():
             for field, a, b in (q, f7)]
 
 
-@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("case", range(3), ids=["Q-cancel", "Q-gcd", "F7"])
 def test_a_product_that_fills_its_rows_matches_naive_loops(case):
     field, a, b = _dense_operands()[case]
     fa = LinMap.from_rows(field, (len(b),), (len(a),), a)
@@ -817,7 +817,7 @@ def test_a_product_that_fills_its_rows_matches_naive_loops(case):
         assert len(got.nonzeros[0]) < len(b[0])
 
 
-@pytest.mark.parametrize("case", range(2))
+@pytest.mark.parametrize("case", range(2), ids=["Q", "F7"])
 def test_a_wide_sparse_product_matches_naive_loops(case):
     field, a, b = _wide_sparse_operands()[case]
     fa = LinMap.from_rows(field, (30,), (3,), a)
