@@ -15,8 +15,7 @@ from .entwining import (Entwining, EntwiningMorphism, counit_morphism,
                         dual_entwining, identity_morphism, make_entwining,
                         tensor_entwining, twist_entwining, unit_morphism,
                         verify_entwining, verify_morphism)
-from .entmod import (EntwinedModule, LeftComodule, LeftModule, RightComodule,
-                     RightModule, adjunction_maps, cotensor, fixed_part,
+from .entmod import (EntwinedModule, adjunction_maps, cotensor, fixed_part,
                      hom_AC, standard_module, tensor_over_A,
                      verify_entwined_module)
 from .galois import (Coextension, GaloisExtension, build_coextension,

@@ -13,7 +13,7 @@ import os
 import sys
 
 from .errors import DomainError, EntwineError, GaloisError, InputError
-from .fields import GF, QQ, FieldError
+from .fields import GF, QQ
 from .linalg import LinMap, Subspace
 from .structures import verify_algebra, verify_coalgebra
 from .entwining import (counit_morphism, unit_morphism, Entwining,
@@ -498,7 +498,7 @@ def _run(argv) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FieldError) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return MALFORMED
     except EntwineError as exc:

@@ -1,11 +1,15 @@
 """Entwined modules and the functors between their categories.
 
 A module here is simultaneously a right module and a right comodule whose
-action and coaction commute through psi.  The two functors induced by a
-morphism of entwinings (tensoring up along the algebra map, cotensoring
-down along the coalgebra map) are realised with explicit quotient and
-subspace plumbing, so that every derived structure map is an honest matrix
-and not a coset description.
+action and coaction commute through psi.  A one-sided (co)module is passed
+as its structure map: a right action is a map V (x) A -> V, a left action
+A (x) V -> V, a right coaction V -> V (x) C and a left coaction
+V -> C (x) V, and its dimension is read off the map's shape.
+
+The two functors induced by a morphism of entwinings (tensoring up along
+the algebra map, cotensoring down along the coalgebra map) are realised
+with explicit quotient and subspace plumbing, so that every derived
+structure map is an honest matrix and not a coset description.
 
 Over a field the preservation hypotheses needed for these constructions
 (cotensoring preserves the relevant cokernels, tensoring the relevant
@@ -15,29 +19,13 @@ landing and descent assertions on each individual map still run.
 
 from __future__ import annotations
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .entwining import Entwining, EntwiningMorphism
 from .linalg import (LinMap, LinearConstraints, QuotientModule, Subspace,
                      SCALAR, compose_all, corestrict, descend, image, kernel,
                      kron, kron_all, quotient_by)
 from .records import Record
 from .structures import Algebra, CheckReport, Coalgebra, law
-
-
-class RightModule(Record):
-    _fields = ("dim", "action")  # action: (dim, dimA) -> (dim)
-
-
-class LeftModule(Record):
-    _fields = ("dim", "action")  # action: (dimA, dim) -> (dim)
-
-
-class RightComodule(Record):
-    _fields = ("dim", "coaction")  # coaction: (dim) -> (dim, dimC)
-
-
-class LeftComodule(Record):
-    _fields = ("dim", "coaction")  # coaction: (dim) -> (dimC, dim)
 
 
 class EntwinedModule(Record):
@@ -57,47 +45,39 @@ class EntwinedModule(Record):
     def field(self):
         return self.ent.field
 
-    def as_module(self) -> RightModule:
-        return RightModule(self.dim, self.action)
-
-    def as_comodule(self) -> RightComodule:
-        return RightComodule(self.dim, self.coaction)
-
     def identity(self) -> LinMap:
         return LinMap.identity(self.field, (self.dim,))
 
 
-def check_right_module(alg: Algebra, m: RightModule, failures):
-    idm = LinMap.identity(alg.field, (m.dim,))
+def check_right_module(alg: Algebra, action: LinMap, failures):
+    idm = LinMap.identity(alg.field, action.codomain)
     law(failures, "action associativity",
-        m.action.compose(kron(m.action, alg.identity())),
-        m.action.compose(kron(idm, alg.mult)))
+        action.compose(kron(action, alg.identity())),
+        action.compose(kron(idm, alg.mult)))
     law(failures, "action unitality",
-        m.action.compose(kron(idm, alg.unit_map())), idm)
+        action.compose(kron(idm, alg.unit_map())), idm)
 
 
-def check_right_comodule(coalg, m: RightComodule, failures):
-    idm = LinMap.identity(coalg.field, (m.dim,))
+def check_right_comodule(coalg: Coalgebra, coaction: LinMap, failures):
+    idm = LinMap.identity(coalg.field, coaction.domain)
     law(failures, "coaction coassociativity",
-        kron(m.coaction, coalg.identity()).compose(m.coaction),
-        kron(idm, coalg.comult).compose(m.coaction))
+        kron(coaction, coalg.identity()).compose(coaction),
+        kron(idm, coalg.comult).compose(coaction))
     law(failures, "coaction counitality",
-        kron(idm, coalg.counit_map()).compose(m.coaction), idm)
+        kron(idm, coalg.counit_map()).compose(coaction), idm)
 
 
 def verify_coaction(coalg: Coalgebra, coaction: LinMap) -> CheckReport:
     """Right coaction axioms for a map V -> V (x) C."""
     failures = []
-    check_right_comodule(coalg, RightComodule(coaction.domain[0], coaction),
-                         failures)
+    check_right_comodule(coalg, coaction, failures)
     return CheckReport("coaction", tuple(failures))
 
 
 def verify_action(alg: Algebra, action: LinMap) -> CheckReport:
     """Right action axioms for a map V (x) A -> V."""
     failures = []
-    check_right_module(alg, RightModule(action.codomain[0], action),
-                       failures)
+    check_right_module(alg, action, failures)
     return CheckReport("action", tuple(failures))
 
 
@@ -114,54 +94,57 @@ def check_entwined_compatibility(m: EntwinedModule, failures):
 def verify_entwined_module(m: EntwinedModule) -> CheckReport:
     e = m.ent
     failures = []
-    check_right_module(e.alg, m.as_module(), failures)
-    check_right_comodule(e.coalg, m.as_comodule(), failures)
+    check_right_module(e.alg, m.action, failures)
+    check_right_comodule(e.coalg, m.coaction, failures)
     check_entwined_compatibility(m, failures)
     return CheckReport("entwined module", tuple(failures))
 
 
-def regular_module(alg: Algebra) -> RightModule:
-    return RightModule(alg.dim, alg.mult)
+def regular_module(alg: Algebra) -> LinMap:
+    """A as a right module over itself: its action is the product."""
+    return alg.mult
 
 
-def regular_comodule(coalg) -> RightComodule:
-    return RightComodule(coalg.dim, coalg.comult)
+def regular_comodule(coalg: Coalgebra) -> LinMap:
+    """C as a right comodule over itself: its coaction is the coproduct."""
+    return coalg.comult
 
 
-def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
+def standard_module(kind: str, base: LinMap, ent: Entwining) -> EntwinedModule:
     """The two canonical entwined modules over any entwining.
 
-    "mod_tensor_c": from a right module M, the space M (x) C with coaction
-    M (x) comult and action through psi.  "comod_tensor_a": from a right
-    comodule V, the space V (x) A with action V (x) mult and coaction
-    through psi.
+    "mod_tensor_c": from a right action M (x) A -> M, the space M (x) C
+    with coaction M (x) comult and action through psi.  "comod_tensor_a":
+    from a right coaction V -> V (x) C, the space V (x) A with action
+    V (x) mult and coaction through psi.
     """
     f = ent.field
     a, c = ent.alg, ent.coalg
     if kind == "mod_tensor_c":
-        if not isinstance(base, RightModule):
-            raise DomainError("mod_tensor_c needs a right module base")
-        verify_action(a, base.action).require()
-        idm = LinMap.identity(f, (base.dim,))
-        action = compose_all(kron(base.action, c.identity()), kron(idm, ent.psi))
+        d = base.rows
+        if base.domain != (d, a.dim) or base.codomain != (d,):
+            raise InputError("mod_tensor_c needs a right action M (x) A -> M")
+        verify_action(a, base).require()
+        idm = LinMap.identity(f, (d,))
+        action = compose_all(kron(base, c.identity()), kron(idm, ent.psi))
         coaction = kron(idm, c.comult)
-        out = EntwinedModule(ent, base.dim * c.dim,
-                             action.reshaped((base.dim * c.dim, a.dim),
-                                             (base.dim * c.dim,)),
-                             coaction.reshaped((base.dim * c.dim,),
-                                               (base.dim * c.dim, c.dim)))
+        out = EntwinedModule(ent, d * c.dim,
+                             action.reshaped((d * c.dim, a.dim), (d * c.dim,)),
+                             coaction.reshaped((d * c.dim,),
+                                               (d * c.dim, c.dim)))
     elif kind == "comod_tensor_a":
-        if not isinstance(base, RightComodule):
-            raise DomainError("comod_tensor_a needs a right comodule base")
-        verify_coaction(c, base.coaction).require()
-        idv = LinMap.identity(f, (base.dim,))
+        d = base.cols
+        if base.domain != (d,) or base.codomain != (d, c.dim):
+            raise InputError(
+                "comod_tensor_a needs a right coaction V -> V (x) C")
+        verify_coaction(c, base).require()
+        idv = LinMap.identity(f, (d,))
         action = kron(idv, a.mult)
-        coaction = compose_all(kron(idv, ent.psi), kron(base.coaction, a.identity()))
-        out = EntwinedModule(ent, base.dim * a.dim,
-                             action.reshaped((base.dim * a.dim, a.dim),
-                                             (base.dim * a.dim,)),
-                             coaction.reshaped((base.dim * a.dim,),
-                                               (base.dim * a.dim, c.dim)))
+        coaction = compose_all(kron(idv, ent.psi), kron(base, a.identity()))
+        out = EntwinedModule(ent, d * a.dim,
+                             action.reshaped((d * a.dim, a.dim), (d * a.dim,)),
+                             coaction.reshaped((d * a.dim,),
+                                               (d * a.dim, c.dim)))
     else:
         raise InputError(f"unknown standard module kind {kind!r}")
     verify_entwined_module(out).require()
@@ -172,29 +155,25 @@ def standard_module(kind: str, base, ent: Entwining) -> EntwinedModule:
 # cotensor products and tensor products over A
 
 
-def cotensor(x: RightComodule, y: LeftComodule) -> Subspace:
-    """V [] W inside V (x) W: the kernel of the coaction equalising map."""
-    f = x.coaction.field
-    xc = x.coaction.codomain[1]
-    yc = y.coaction.codomain[0]
-    if xc != yc:
+def cotensor(right: LinMap, left: LinMap) -> Subspace:
+    """V [] W inside V (x) W, for a right coaction V -> V (x) C and a left
+    coaction W -> C (x) W: the kernel of the coaction equalising map."""
+    if right.codomain[1] != left.codomain[0]:
         raise InputError("cotensor factors do not share a coalgebra")
-    idx = LinMap.identity(f, (x.dim,))
-    idy = LinMap.identity(f, (y.dim,))
-    eq = kron(x.coaction, idy).sub(kron(idx, y.coaction))
+    f = right.field
+    eq = kron(right, LinMap.identity(f, left.domain)).sub(
+        kron(LinMap.identity(f, right.domain), left))
     return kernel(eq)
 
 
-def tensor_over_A(m: RightModule, n: LeftModule) -> QuotientModule:
-    """M (x)_A N as an explicit quotient with projection and section."""
-    f = m.action.field
-    ma = m.action.domain[1]
-    na = n.action.domain[0]
-    if ma != na:
+def tensor_over_A(right: LinMap, left: LinMap) -> QuotientModule:
+    """M (x)_A N as an explicit quotient with projection and section, for a
+    right action M (x) A -> M and a left action A (x) N -> N."""
+    if right.domain[1] != left.domain[0]:
         raise InputError("tensor factors do not share an algebra")
-    idm = LinMap.identity(f, (m.dim,))
-    idn = LinMap.identity(f, (n.dim,))
-    eq = kron(m.action, idn).sub(kron(idm, n.action))
+    f = right.field
+    eq = kron(right, LinMap.identity(f, left.codomain)).sub(
+        kron(LinMap.identity(f, right.codomain), left))
     return quotient_by(image(eq))
 
 
@@ -222,25 +201,25 @@ def balanced_power(alg: Algebra, b: Subspace, n: int) -> QuotientModule:
 
 
 def _induced_carrier(mor: EntwiningMorphism,
-                     m: RightModule) -> QuotientModule:
+                     action: LinMap) -> QuotientModule:
     """The quotient M (x)_A A~ that carries the induced module, for a right
-    source-module M, with the target algebra a left module over the source
-    through f."""
+    source-action on M, with the target algebra a left module over the
+    source through f."""
     dst_a = mor.dst.alg
-    action = dst_a.mult.compose(kron(mor.f, dst_a.identity()))
-    return tensor_over_A(m, LeftModule(dst_a.dim, action))
+    return tensor_over_A(action,
+                         dst_a.mult.compose(kron(mor.f, dst_a.identity())))
 
 
-def _induced_coaction(mor: EntwiningMorphism, v: RightComodule) -> LinMap:
+def _induced_coaction(mor: EntwiningMorphism, coaction: LinMap) -> LinMap:
     """x (x) a~ -> x0 (x) psi~(g(x1) (x) a~) on V (x) A~ for a right
-    source-comodule V, shaped as a coaction on the flattened space."""
+    source-coaction on V, shaped as a coaction on the flattened space."""
     dst = mor.dst
-    idv = LinMap.identity(dst.field, (v.dim,))
+    idv = LinMap.identity(dst.field, coaction.domain)
     ida2 = dst.alg.identity()
-    dim = v.dim * dst.alg.dim
+    dim = coaction.cols * dst.alg.dim
     return compose_all(kron(idv, dst.psi), kron_all(idv, mor.g, ida2),
-                       kron(v.coaction, ida2)).reshaped((dim,),
-                                                        (dim, dst.coalg.dim))
+                       kron(coaction, ida2)).reshaped((dim,),
+                                                      (dim, dst.coalg.dim))
 
 
 def induce(mor: EntwiningMorphism, m: EntwinedModule):
@@ -252,11 +231,11 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
         raise InputError("module does not live over the source entwining")
     dst = mor.dst
     da2, dc2 = dst.alg.dim, dst.coalg.dim
-    quot = _induced_carrier(mor, m.as_module())
+    quot = _induced_carrier(mor, m.action)
     # action (x (x)_A a~) . a~' = x (x)_A (a~ a~')
     act_raw = kron(m.identity(), dst.alg.mult)
     action = descend(quot.projection.compose(act_raw), quot, right=da2)
-    coact_raw = _induced_coaction(mor, m.as_comodule())
+    coact_raw = _induced_coaction(mor, m.coaction)
     coaction = descend(kron(quot.projection, dst.coalg.identity()).compose(coact_raw),
                        quot)
     qd = quot.dim
@@ -267,13 +246,13 @@ def induce(mor: EntwiningMorphism, m: EntwinedModule):
     return out, quot
 
 
-def _coinduced_carrier(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
+def _coinduced_carrier(mor: EntwiningMorphism, coaction: LinMap) -> Subspace:
     """The subspace V [] C that carries the coinduced module, for a right
-    target-comodule V, with the source coalgebra a left comodule over the
-    target through g."""
+    target-coaction on V, with the source coalgebra a left comodule over
+    the target through g."""
     src_c = mor.src.coalg
-    coaction = kron(mor.g, src_c.identity()).compose(src_c.comult)
-    return cotensor(v, LeftComodule(src_c.dim, coaction))
+    return cotensor(coaction,
+                    kron(mor.g, src_c.identity()).compose(src_c.comult))
 
 
 def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
@@ -285,7 +264,7 @@ def coinduce(mor: EntwiningMorphism, mt: EntwinedModule):
         raise InputError("module does not live over the target entwining")
     src = mor.src
     da, dc = src.alg.dim, src.coalg.dim
-    sub = _coinduced_carrier(mor, mt.as_comodule())
+    sub = _coinduced_carrier(mor, mt.coaction)
     idmt = mt.identity()
     idc = src.coalg.identity()
     # coaction Sum m~ (x) c -> Sum m~ (x) c1 (x) c2
@@ -359,13 +338,13 @@ def adjunction_maps(mor: EntwiningMorphism, m: EntwinedModule,
     fgmt, q_fgmt = induce(mor, gmt)
     psi = adjunction_counit(mor, mt, s_gmt, q_fgmt)
     # counit(F m) . F(unit_m) = id on F m
-    q_fgfm = _induced_carrier(mor, gfm.as_module())
+    q_fgfm = _induced_carrier(mor, gfm.action)
     f_phi = induce_morphism(mor, phi, q_fm, q_fgfm)
     failures = []
     law(failures, "counit . F unit",
         adjunction_counit(mor, fm, s_gfm, q_fgfm).compose(f_phi), fm.identity())
     # G(counit_m~) . unit(G m~) = id on G m~
-    s_gfgmt = _coinduced_carrier(mor, fgmt.as_comodule())
+    s_gfgmt = _coinduced_carrier(mor, fgmt.coaction)
     g_psi = coinduce_morphism(mor, psi, s_gfgmt, s_gmt)
     law(failures, "G counit . unit",
         g_psi.compose(adjunction_unit(mor, gmt, q_fgmt, s_gfgmt)), gmt.identity())

@@ -14,11 +14,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from .errors import InputError
 from .records import Record
 
 
-class FieldError(ValueError):
-    pass
+class FieldError(InputError):
+    """A malformed field or scalar: malformed input like any other."""
 
 
 # shared rational constants: Fractions are immutable, so the dense rows and

@@ -87,12 +87,6 @@ class GaloisExtension(Record):
         """The multiplication A (x)_B A -> A induced on the quotient."""
         return descend(self.alg.mult, self.square)
 
-    def ac_right_action(self) -> LinMap:
-        """The action (A (x) C) (x) A -> A (x) C through psi."""
-        ida = self.alg.identity()
-        idc = self.coalg.identity()
-        return compose_all(kron(self.alg.mult, idc), kron(ida, self.ent.psi))
-
 
 def _require_entwined(m: EntwinedModule):
     """A entwined over its own extension.  Only "entwined compatibility"

@@ -41,6 +41,14 @@ def _need_int(obj, key, where):
     return value
 
 
+def _need_dim(obj, where):
+    """The required positive integer "dim" of a section."""
+    dim = _need_int(obj, "dim", where)
+    if dim < 1:
+        raise SchemaError(f"{where} dimension must be positive")
+    return dim
+
+
 def _unique_keys(pairs):
     """The object of json.loads's key-value pairs; json.loads alone would
     keep the last value of a repeated key."""
@@ -189,9 +197,7 @@ def parse_bimodule(text, alg: Algebra) -> Bimodule:
         raise SchemaError("bimodule field does not match the algebra")
     sect = _need(obj, "bimodule", "bimodule document")
     _strict(sect, {"dim", "left", "right"}, "bimodule")
-    dim = _need_int(sect, "dim", "bimodule")
-    if dim < 1:
-        raise SchemaError("bimodule dimension must be positive")
+    dim = _need_dim(sect, "bimodule")
     left = parse_matrix(f, _need(sect, "left", "bimodule"), (alg.dim, dim),
                         (dim,), "left")
     right = parse_matrix(f, _need(sect, "right", "bimodule"), (dim, alg.dim),
@@ -201,9 +207,7 @@ def parse_bimodule(text, alg: Algebra) -> Bimodule:
 
 def _parse_algebra(f, obj) -> Algebra:
     _strict(obj, {"dim", "mult", "unit"}, "algebra")
-    dim = _need_int(obj, "dim", "algebra")
-    if dim < 1:
-        raise SchemaError("algebra dimension must be positive")
+    dim = _need_dim(obj, "algebra")
     mult = parse_matrix(f, _need(obj, "mult", "algebra"), (dim, dim), (dim,),
                         "mult")
     unit = parse_vector(f, _need(obj, "unit", "algebra"), dim, "unit")
@@ -212,9 +216,7 @@ def _parse_algebra(f, obj) -> Algebra:
 
 def _parse_coalgebra(f, obj) -> Coalgebra:
     _strict(obj, {"dim", "comult", "counit"}, "coalgebra")
-    dim = _need_int(obj, "dim", "coalgebra")
-    if dim < 1:
-        raise SchemaError("coalgebra dimension must be positive")
+    dim = _need_dim(obj, "coalgebra")
     comult = parse_matrix(f, _need(obj, "comult", "coalgebra"), (dim,),
                           (dim, dim), "comult")
     counit = parse_vector(f, _need(obj, "counit", "coalgebra"), dim, "counit")
@@ -225,9 +227,7 @@ def _parse_module(f, obj, doc: InputDocument):
     _strict(obj, {"dim", "action", "coaction"}, "module")
     if doc.algebra is None or doc.coalgebra is None:
         raise SchemaError("module needs both an algebra and a coalgebra")
-    dim = _need_int(obj, "dim", "module")
-    if dim < 1:
-        raise SchemaError("module dimension must be positive")
+    dim = _need_dim(obj, "module")
     da, dc = doc.algebra.dim, doc.coalgebra.dim
     action = parse_matrix(f, _need(obj, "action", "module"), (dim, da), (dim,),
                           "module action")

@@ -30,15 +30,14 @@ from enum import Enum
 
 from .errors import DomainError, InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism, dual_entwining
-from .entmod import (EntwinedModule, RightComodule, RightModule,
-                     _coinduced_carrier, _induced_carrier, _induced_coaction,
-                     adjunction_unit, coinduce, hom_AC_system, induce,
-                     standard_module, regular_module)
+from .entmod import (EntwinedModule, _coinduced_carrier, _induced_carrier,
+                     _induced_coaction, adjunction_unit, coinduce,
+                     hom_AC_system, induce, standard_module, regular_module)
 from .galois import Coextension, GaloisExtension, copointed_grouplike, \
     cotranslation_map, pointed_kappa
-from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, Subspace,
-                     SCALAR, compose_all, corestrict, descend, kron,
-                     kron_all, right_inverse)
+from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, SCALAR,
+                     compose_all, corestrict, descend, kron, kron_all,
+                     right_inverse)
 from .records import Record
 from .structures import CheckReport, law
 
@@ -171,21 +170,15 @@ class LambdaContext(Record):
                "unit_insert")     # C -> S, c -> c1 (x) 1 (x) c2
 
 
-def _cotensor_with_c(mor: EntwiningMorphism, v: RightComodule) -> Subspace:
-    """(V (x) A~) [] C for a right source-comodule V: the coinduced carrier
-    on V (x) A~ with its induced coaction."""
-    dim = v.dim * mor.dst.alg.dim
-    return _coinduced_carrier(mor,
-                              RightComodule(dim, _induced_coaction(mor, v)))
-
-
 def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
     src, dst = mor.src, mor.dst
     da, dc = src.alg.dim, src.coalg.dim
     idc = src.coalg.identity()
     ida = src.alg.identity()
     ida2 = dst.alg.identity()
-    carrier = _cotensor_with_c(mor, RightComodule(dc, src.coalg.comult))
+    # the cotensor (C (x) A~) [] C, C (x) A~ with its induced coaction
+    carrier = _coinduced_carrier(mor,
+                                 _induced_coaction(mor, src.coalg.comult))
     # right A-action: c' (x) a~ (x) c . a = c' (x) a~ f(a_alpha) (x) c^alpha
     mult_f = dst.alg.mult.compose(kron(ida2, mor.f))
     act_raw = compose_all(kron_all(idc, mult_f, idc),
@@ -193,8 +186,9 @@ def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
                           kron(carrier.inclusion, ida))
     action = corestrict(act_raw, carrier)
     # auxiliary cotensor on (C (x) A) (x) A~, C (x) A entwined over the source
-    aux = _cotensor_with_c(mor, RightComodule(dc * da, compose_all(
-        kron(idc, src.psi), kron(src.coalg.comult, ida))))
+    coact_ca = compose_all(kron(idc, src.psi), kron(src.coalg.comult, ida))
+    aux = _coinduced_carrier(mor, _induced_coaction(
+        mor, coact_ca.reshaped((dc * da,), (dc * da, dc))))
     # c -> c1 (x) 1_A~ (x) c2 lands in the carrier
     ins_raw = compose_all(kron_all(idc, dst.alg.unit_map(), idc), src.coalg.comult)
     unit_insert = corestrict(ins_raw, carrier)
@@ -271,19 +265,18 @@ def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
 
     # action on A~ (x) C: (a~ (x) c) . a = a~ f(a_alpha) (x) c^alpha
     act_ac = compose_all(kron(mult_f, idc), kron(ida2, src.psi))
-    q = _induced_carrier(mor, RightModule(da2 * dc, act_ac.reshaped(
-        (da2 * dc, da), (da2 * dc,))))
+    q = _induced_carrier(mor, act_ac.reshaped((da2 * dc, da), (da2 * dc,)))
     # action on A~ (x) C~ (x) C entwines through psi then psi~ after f
     act_a2c = compose_all(kron_all(dst.alg.mult, idc2, idc),
                           kron_all(ida2, dst.psi, idc),
                           kron_all(ida2, idc2, kron(mor.f, idc).compose(src.psi)))
-    q3 = _induced_carrier(mor, RightModule(da2 * dc2 * dc, act_a2c.reshaped(
-        (da2 * dc2 * dc, da), (da2 * dc2 * dc,))))
+    q3 = _induced_carrier(mor, act_a2c.reshaped((da2 * dc2 * dc, da),
+                                                (da2 * dc2 * dc,)))
 
     # right C~-coaction on Q, induced from A~ (x) C with its coaction on C:
     # a~ (x) c (x) a~' -> a~ (x) c1 (x) a~'_alpha (x) g(c2)^alpha
-    coact_raw = _induced_coaction(mor, RightComodule(
-        da2 * dc, kron(ida2, src.coalg.comult)))
+    coact_raw = _induced_coaction(mor, kron(ida2, src.coalg.comult).reshaped(
+        (da2 * dc,), (da2 * dc, dc)))
     coaction = descend(kron(q.projection, idc2).compose(coact_raw), q)
 
     # spread: Q -> Q3 via a~ (x) c (x) a~' -> a~ (x) g(c1) (x) c2 (x) a~'
@@ -392,7 +385,7 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     idc = mor.src.coalg.identity()
     ida2 = mor.dst.alg.identity()
     # the cotensor on representatives, before dividing by the balancing relations
-    upstairs = _cotensor_with_c(mor, m.as_comodule())
+    upstairs = _coinduced_carrier(mor, _induced_coaction(mor, m.coaction))
     into_carrier = corestrict(
         kron_all(m.coaction, ida2, idc).compose(upstairs.inclusion),
         ctx.carrier, left=m.dim)

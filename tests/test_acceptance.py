@@ -291,7 +291,9 @@ def test_criterion_7_internal_consistency(c2_q, c2_f2, coext_q):
         assert ext.can_inv.compose(left_ac.reshaped((2, 2, 2), (2, 2))) \
             .equals(ext.square_left_mult().compose(
                 kron(a.identity(), ext.can_inv)))
-        assert ext.can_inv.compose(ext.ac_right_action()) \
+        ac_right = standard_module("mod_tensor_c", regular_module(a),
+                                   ext.ent).action
+        assert ext.can_inv.compose(ac_right) \
             .equals(ext.square_right_mult().compose(
                 kron(ext.can_inv, a.identity())))
     # emitted certificates re-verify after a JSON round trip

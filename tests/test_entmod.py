@@ -5,8 +5,7 @@ import pytest
 from entwine import (GF, LinMap, QQ, cotensor, default_catalog, entwining_of,
                      fixed_part, hom_AC, standard_module, tensor_over_A,
                      verify_entwined_module)
-from entwine.entmod import (EntwinedModule, LeftComodule, LeftModule,
-                            RightModule, adjunction_maps, coinduce, induce,
+from entwine.entmod import (EntwinedModule, adjunction_maps, coinduce, induce,
                             regular_comodule, regular_module)
 from entwine.entwining import (counit_morphism, ground_entwining,
                                identity_morphism, unit_morphism)
@@ -46,7 +45,7 @@ def test_standard_module_over_trivial_algebra():
     h = cyclic_group_hopf(2, QQ)
     from entwine.entwining import twist_entwining, ground_algebra
     ent = twist_entwining(ground_algebra(QQ), h.coalg)
-    base = RightModule(1, LinMap.from_rows(QQ, (1, 1), (1,), [[q(1)]]))
+    base = LinMap.from_rows(QQ, (1, 1), (1,), [[q(1)]])
     m = standard_module("mod_tensor_c", base, ent)
     assert m.dim == h.coalg.dim
     assert m.coaction.equals(h.coalg.comult)
@@ -55,10 +54,28 @@ def test_standard_module_over_trivial_algebra():
 def test_cotensor_with_regular_comodule(c2_q):
     e = c2_q.ent
     ac = standard_module("mod_tensor_c", regular_module(e.alg), e)
-    sub = cotensor(ac.as_comodule(), LeftComodule(2, e.coalg.comult))
+    sub = cotensor(ac.coaction, e.coalg.comult)
     assert sub.dim == 4
-    sub2 = cotensor(regular_comodule(e.coalg), LeftComodule(2, e.coalg.comult))
+    sub2 = cotensor(regular_comodule(e.coalg), e.coalg.comult)
     assert sub2.dim == 2
+
+
+def test_standard_module_rejects_a_base_of_the_wrong_shape(c2_q):
+    e = c2_q.ent
+    # a coaction where an action belongs, and the other way round
+    for kind, base in (("mod_tensor_c", e.coalg.comult),
+                       ("comod_tensor_a", e.alg.mult),
+                       ("mod_tensor_c", LinMap.identity(QQ, (2,))),
+                       ("comod_tensor_a", LinMap.identity(QQ, (2,)))):
+        with pytest.raises(InputError, match=f"^{kind} needs a right"):
+            standard_module(kind, base, e)
+
+
+def test_cotensor_factors_must_share_a_coalgebra(c2_q):
+    # V -> V (x) C with dim C = 2 against W -> C' (x) W with dim C' = 1
+    left = LinMap.identity(QQ, (2,)).reshaped((2,), (1, 2))
+    with pytest.raises(InputError, match="do not share a coalgebra"):
+        cotensor(c2_q.coalg.comult, left)
 
 
 def test_cotensor_dimension_matches_oracle(c2_q):
@@ -87,15 +104,22 @@ def test_cotensor_dimension_matches_oracle(c2_q):
 
 def test_tensor_over_A_unit_law(c2_q):
     a = c2_q.alg
-    quot = tensor_over_A(regular_module(a), LeftModule(2, a.mult))
+    quot = tensor_over_A(regular_module(a), a.mult)
     assert quot.dim == 2
+
+
+def test_tensor_factors_must_share_an_algebra(c2_q):
+    # M (x) A -> M with dim A = 2 against A' (x) N -> N with dim A' = 1
+    left = LinMap.identity(QQ, (2,)).reshaped((1, 2), (2,))
+    with pytest.raises(InputError, match="do not share an algebra"):
+        tensor_over_A(c2_q.alg.mult, left)
 
 
 def test_tensor_over_ground_subalgebra(c2_q):
     a = c2_q.alg
     incl = c2_q.fixed.inclusion
-    right = RightModule(2, a.mult.compose(kron(a.identity(), incl)))
-    left = LeftModule(2, a.mult.compose(kron(incl, a.identity())))
+    right = a.mult.compose(kron(a.identity(), incl))
+    left = a.mult.compose(kron(incl, a.identity()))
     assert tensor_over_A(right, left).dim == 4
 
 
@@ -211,8 +235,7 @@ def test_fixed_part_trivial_entwining():
     # satisfied by everything, so the fixed part is the whole module
     ent = ground_entwining(QQ)
     m = standard_module("mod_tensor_c",
-                        RightModule(1, LinMap.from_rows(QQ, (1, 1), (1,),
-                                                        [[q(1)]])), ent)
+                        LinMap.from_rows(QQ, (1, 1), (1,), [[q(1)]]), ent)
     rho = LinMap.from_rows(QQ, (1,), (1, 1), [[q(1)]])
     assert fixed_part(m.action, m.coaction, rho).dim == m.dim
 
@@ -225,8 +248,7 @@ def test_fixed_part_with_grouplike_coaction():
     h = cyclic_group_hopf(2, QQ)
     ent = twist_entwining(ground_algebra(QQ), h.coalg)
     m = standard_module("mod_tensor_c",
-                        RightModule(1, LinMap.from_rows(QQ, (1, 1), (1,),
-                                                        [[q(1)]])), ent)
+                        LinMap.from_rows(QQ, (1, 1), (1,), [[q(1)]]), ent)
     rho = LinMap.from_rows(QQ, (1,), (1, 2), [[q(1)], [q(0)]])
     fp = fixed_part(m.action, m.coaction, rho)
     assert fp.dim == 1
@@ -285,7 +307,7 @@ def test_cotensor_unit_iso_explicit(c2_q):
     # cotensor, and V (x) eps back
     e = c2_q.ent
     v = standard_module("mod_tensor_c", regular_module(e.alg), e)
-    sub = cotensor(v.as_comodule(), LeftComodule(2, e.coalg.comult))
+    sub = cotensor(v.coaction, e.coalg.comult)
     fwd = sub.retraction.compose(v.coaction)
     idv = LinMap.identity(QQ, (v.dim,))
     back = kron(idv, e.coalg.counit_map()).compose(sub.inclusion)
@@ -297,10 +319,10 @@ def test_tensor_unit_iso_explicit(c2_q):
     # M (x)_A A = M through m -> class(m (x) 1) and the action back
     a = c2_q.alg
     m = regular_module(a)
-    quot = tensor_over_A(m, LeftModule(2, a.mult))
+    quot = tensor_over_A(m, a.mult)
     fwd = quot.projection.compose(kron(LinMap.identity(QQ, (2,)),
                                        a.unit_map()))
-    back = m.action.compose(quot.section)
+    back = m.compose(quot.section)
     assert back.compose(fwd).equals(LinMap.identity(QQ, (2,)))
     assert fwd.compose(back).equals(LinMap.identity(QQ, (quot.dim,)))
 

@@ -3,7 +3,8 @@ import time
 import pytest
 
 from entwine import GF
-from entwine.fields import FieldError, _is_prime
+from entwine.errors import InputError
+from entwine.fields import Field, FieldError, _is_prime
 
 
 def _trial_division(n):
@@ -38,3 +39,11 @@ def test_non_integer_modulus_is_rejected():
     for p in (7.0, True, None, "7"):
         with pytest.raises(FieldError):
             GF(p)
+
+
+def test_a_field_error_is_an_input_error():
+    # a bad field from any library call is malformed input, not a bug
+    with pytest.raises(InputError, match="modulus must be prime"):
+        GF(4)
+    with pytest.raises(InputError, match="modulus must be an integer"):
+        Field("Fp", True)

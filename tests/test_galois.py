@@ -6,6 +6,7 @@ from entwine import (GaloisError, LinMap, QQ, build_coextension,
                      build_galois, copointed_grouplike, cotranslation_map,
                      dual_swap, fixed_subalgebra, make_example, pointed_kappa,
                      verify_entwining)
+from entwine.entmod import regular_module, standard_module
 from entwine.galois import verify_action, verify_coaction
 from entwine.entwining import ground_algebra
 from entwine.catalog import cyclic_group_hopf, function_group_hopf
@@ -133,7 +134,8 @@ def test_copointed_reads_e_off_the_first_nonzero_unit_coordinate(c2_q):
 def test_can_inv_bimodule_property(c2_q):
     # can_inv intertwines left multiplication and the entwined right action
     a = c2_q.alg
-    ac_right = c2_q.ac_right_action()
+    ac_right = standard_module("mod_tensor_c", regular_module(a),
+                               c2_q.ent).action
     sq_right = c2_q.square_right_mult()
     sq_left = c2_q.square_left_mult()
     ida = a.identity()

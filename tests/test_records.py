@@ -14,16 +14,16 @@ import pytest
 import entwine
 from entwine import GF, QQ, make_example
 from entwine.catalog import CatalogEntry, cyclic_group_hopf
-from entwine.entmod import (LeftComodule, LeftModule, RightComodule,
-                            RightModule)
 from entwine.entwining import counit_morphism
 from entwine.errors import InputError
 from entwine.fields import FieldError
 from entwine.hochschild import regular_bimodule, relative_complex
-from entwine.linalg import LinMap, LinearConstraints, SCALAR
+from entwine.linalg import (AffineSolutionSet, LinMap, LinearConstraints,
+                            SCALAR)
 from entwine.records import Record
-from entwine.separability import (check_coseparable, check_separable,
-                                  check_split, check_strongly_separable)
+from entwine.separability import (SplitCertificate, check_coseparable,
+                                  check_separable, check_split,
+                                  check_strongly_separable)
 from entwine.structures import Algebra, verify_algebra
 from entwine.witness import (WitnessKind, frakz_context, integrability_system,
                              lambda_context, lambda_witness,
@@ -60,7 +60,6 @@ def samples():
     cons = LinearConstraints(QQ, SCALAR, (2,))
     cons.require("x", (LinMap.identity(QQ, SCALAR), SCALAR, SCALAR,
                        ext.alg.identity()))
-    mult = ext.alg.mult
     out = [
         ext, coext, mor, lam, lam.context, witness, family, strong,
         strong.certificate, check_separable(ext), check_split(ext)[0],
@@ -69,8 +68,6 @@ def samples():
         ext.alg, ext.coalg, ext.ent, ext.rho_a, ext.fixed, ext.square,
         ext.field, cyclic_group_hopf(2, QQ), regular_bimodule(ext.alg),
         relative_complex(ext.alg, ext.fixed, regular_bimodule(ext.alg)),
-        RightModule(2, mult), LeftModule(2, mult),
-        RightComodule(2, ext.rho_a), LeftComodule(2, ext.rho_a),
         make_example("group_algebra", {"field": QQ, "n": 2}),
         cons.blocks[0],
     ]
@@ -79,7 +76,7 @@ def samples():
 
 def test_every_record_class_has_a_sample(samples):
     assert set(samples) == _record_classes()
-    assert len(samples) == 32
+    assert len(samples) == 28
 
 
 def test_equal_fields_give_equal_records_and_hashes(samples):
@@ -109,7 +106,8 @@ def test_unhashable_records():
 def test_a_changed_field_or_another_class_is_unequal(c2_q):
     ext = c2_q
     assert ext.replace(rho_a=LinMap.zero(QQ, (2,), (2, 2))) != ext
-    assert RightModule(2, ext.alg.mult) != LeftModule(2, ext.alg.mult)
+    assert AffineSolutionSet(ext.alg.mult, ext.fixed) \
+        != SplitCertificate(ext.alg.mult, ext.fixed)
     assert ext.alg != (ext.alg.dim, ext.alg.mult, ext.alg.unit)
 
 
@@ -150,13 +148,14 @@ def test_own_constructors_take_the_fields_in_order():
 
 
 def test_the_base_constructor_takes_one_value_per_field():
-    assert RightModule(1, "m").action == "m"
-    with pytest.raises(TypeError, match="RightModule takes 2 values, got 1"):
-        RightModule(1)
+    assert AffineSolutionSet(1, "m").homogeneous == "m"
+    with pytest.raises(TypeError,
+                       match="AffineSolutionSet takes 2 values, got 1"):
+        AffineSolutionSet(1)
     with pytest.raises(TypeError, match="got 3"):
-        RightModule(1, "m", None)
+        AffineSolutionSet(1, "m", None)
     with pytest.raises(TypeError, match="no field 'nope'"):
-        RightModule(1, "m").replace(nope=1)
+        AffineSolutionSet(1, "m").replace(nope=1)
 
 
 def test_fields_compare_by_value():
@@ -172,7 +171,8 @@ def test_default_repr_keeps_the_field_format():
         "CatalogEntry(name='a', params={}, payload=None, extras={})"
     first, second = CatalogEntry("a", {}, None), CatalogEntry("a", {}, None)
     assert first.extras is not second.extras
-    assert repr(RightModule(1, "m")) == "RightModule(dim=1, action='m')"
+    assert repr(AffineSolutionSet(1, "m")) == \
+        "AffineSolutionSet(particular=1, homogeneous='m')"
     # records with their own repr keep it
     assert repr(GF(7)) == "F7"
 

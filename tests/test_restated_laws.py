@@ -18,8 +18,7 @@ import random
 import pytest
 
 from entwine import GF, QQ, default_catalog
-from entwine.entmod import (RightComodule, RightModule,
-                            balanced_power as _balanced_power,
+from entwine.entmod import (balanced_power as _balanced_power,
                             check_right_comodule, check_right_module)
 from entwine.entwining import Entwining, verify_entwining
 from entwine.galois import GaloisExtension, verify_action, verify_coaction
@@ -66,8 +65,7 @@ def test_module_laws_of_the_product_restate_the_algebra_laws(law_calls, seed):
     alg = Algebra(d, _random_map(rng, (d, d), (d,)), _random_vector(rng, d))
     _assert_restated(
         law_calls,
-        lambda failures: check_right_module(alg, RightModule(d, alg.mult),
-                                            failures),
+        lambda failures: check_right_module(alg, alg.mult, failures),
         lambda failures: failures.extend(verify_algebra(alg).failures))
 
 
@@ -80,8 +78,7 @@ def test_comodule_laws_of_the_coproduct_restate_the_coalgebra_laws(law_calls,
                       _random_vector(rng, d))
     _assert_restated(
         law_calls,
-        lambda failures: check_right_comodule(
-            coalg, RightComodule(d, coalg.comult), failures),
+        lambda failures: check_right_comodule(coalg, coalg.comult, failures),
         lambda failures: failures.extend(verify_coalgebra(coalg).failures))
 
 
@@ -97,14 +94,12 @@ def test_module_and_comodule_laws_of_the_data_restate_their_checks(law_calls,
     rho = _random_map(rng, (d,), (d, e))
     _assert_restated(
         law_calls,
-        lambda failures: check_right_comodule(coalg, RightComodule(d, rho),
-                                              failures),
+        lambda failures: check_right_comodule(coalg, rho, failures),
         lambda failures: failures.extend(verify_coaction(coalg, rho).failures))
     act = _random_map(rng, (d, e), (d,))
     _assert_restated(
         law_calls,
-        lambda failures: check_right_module(alg, RightModule(d, act),
-                                            failures),
+        lambda failures: check_right_module(alg, act, failures),
         lambda failures: failures.extend(verify_action(alg, act).failures))
 
 
