@@ -17,9 +17,8 @@ from .linalg import (LinMap, LinearConstraints, Subspace, SCALAR, compose_all,
 from .records import Record
 from .structures import (Algebra, CheckReport, Coalgebra, dual_swap, law,
                          quotient_coalgebra, verify_algebra, verify_coalgebra)
-from .entwining import Entwining, entwine_verified, ground_coalgebra
-from .galois import (Coextension, GaloisExtension, build_coextension,
-                     build_galois, verify_action)
+from .entwining import entwine_verified, ground_coalgebra, twist_entwining
+from .galois import build_coextension, build_galois, verify_action
 
 
 class HopfData(Record):
@@ -222,7 +221,7 @@ def make_example(name: str, params: dict) -> CatalogEntry:
         ext = build_galois(h.alg, h.coalg,
                            h.coalg.comult.reshaped((h.alg.dim,),
                                                    (h.alg.dim, h.coalg.dim)))
-        return CatalogEntry(name, params, ext, {"hopf": h})
+        return CatalogEntry(name, params, ext)
 
     if name == "hopf_quotient_galois":
         return _hopf_quotient_galois(params, field)
@@ -237,22 +236,20 @@ def make_example(name: str, params: dict) -> CatalogEntry:
         coext = build_coextension(h.coalg, h.alg,
                                   h.alg.mult.reshaped((h.coalg.dim, h.alg.dim),
                                                       (h.coalg.dim,)))
-        return CatalogEntry(name, params, coext, {"hopf": h})
+        return CatalogEntry(name, params, coext)
 
     if name == "trivial_entwining":
         n = _order(params, "n", 2)
         h = cyclic_group_hopf(n, field)
-        ent = entwine_verified(h.alg, ground_coalgebra(field),
-                               LinMap.twist(field, (1,), (n,)))
-        return CatalogEntry(name, params, ent)
+        return CatalogEntry(name, params,
+                            twist_entwining(h.alg, ground_coalgebra(field)))
 
     # flip_entwining, the last name in FAMILY_KEYS
     na = _order(params, "na", 2)
     nc = _order(params, "nc", 2)
     ha = cyclic_group_hopf(na, field)
     hc = cyclic_group_hopf(nc, field)
-    ent = entwine_verified(ha.alg, hc.coalg, LinMap.twist(field, (nc,), (na,)))
-    return CatalogEntry(name, params, ent)
+    return CatalogEntry(name, params, twist_entwining(ha.alg, hc.coalg))
 
 
 def _hopf_quotient_galois(params, field) -> CatalogEntry:
@@ -307,7 +304,7 @@ def _hopf_quotient_galois(params, field) -> CatalogEntry:
                  quot_coalg.counit_map()),
                 target=LinMap.identity(f, SCALAR))
     sol = sys.solve()
-    extras = {"hopf": h, "projection": proj, "action": rho_c,
+    extras = {"action": rho_c,
               "invariant": sol.particular if sol.feasible else None,
               "warnings": [] if sol.feasible else
               ["no normalised invariant element in this characteristic"]}
@@ -326,34 +323,7 @@ def _comodule_algebra_entwining(params, field) -> CatalogEntry:
     psi = psi.reshaped((n, n), (n, n))
     ent = entwine_verified(h.alg, h.coalg, psi)
     kappa = tuple(f.one if i == 0 else f.zero for i in range(n))
-    extras = {"hopf": h, "coactionA": coaction, "kappa": kappa,
+    extras = {"coactionA": coaction, "kappa": kappa,
               "c_unit": tuple(h.alg.unit)}
     return CatalogEntry("comodule_algebra_entwining", params, ent, extras)
 
-
-def default_catalog(field: Field) -> list:
-    """The small battery every property test sweeps."""
-    entries = [
-        make_example("trivial_entwining", {"field": field, "n": 2}),
-        make_example("flip_entwining", {"field": field, "na": 2, "nc": 2}),
-        make_example("flip_entwining", {"field": field, "na": 2, "nc": 3}),
-        make_example("hopf_self_galois", {"field": field, "n": 2}),
-        make_example("hopf_self_galois", {"field": field, "n": 3}),
-        make_example("self_coextension", {"field": field, "n": 2}),
-        make_example("comodule_algebra_entwining", {"field": field, "n": 3}),
-    ]
-    entries.append(make_example("hopf_quotient_galois",
-                                {"field": field, "n": 4, "d": 2}))
-    entries.append(make_example("self_coextension",
-                                {"field": field, "n": 2, "dual": True}))
-    return entries
-
-
-def entwining_of(entry: CatalogEntry) -> Entwining:
-    """The entwining structure carried by any catalog payload."""
-    p = entry.payload
-    if isinstance(p, Entwining):
-        return p
-    if isinstance(p, (GaloisExtension, Coextension)):
-        return p.ent
-    raise InputError(f"catalog entry {entry.name!r} carries no entwining")

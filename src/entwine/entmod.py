@@ -158,8 +158,10 @@ def standard_module(kind: str, base: LinMap, ent: Entwining) -> EntwinedModule:
 def cotensor(right: LinMap, left: LinMap) -> Subspace:
     """V [] W inside V (x) W, for a right coaction V -> V (x) C and a left
     coaction W -> C (x) W: the kernel of the coaction equalising map."""
-    if right.codomain[1] != left.codomain[0]:
-        raise InputError("cotensor factors do not share a coalgebra")
+    if (right.codomain[:-1] != right.domain or left.codomain[1:] != left.domain
+            or right.codomain[-1:] != left.codomain[:1]):
+        raise InputError("cotensor factors do not share a coalgebra: "
+                         "need V -> V (x) C and W -> C (x) W")
     f = right.field
     eq = kron(right, LinMap.identity(f, left.domain)).sub(
         kron(LinMap.identity(f, right.domain), left))
@@ -169,8 +171,10 @@ def cotensor(right: LinMap, left: LinMap) -> Subspace:
 def tensor_over_A(right: LinMap, left: LinMap) -> QuotientModule:
     """M (x)_A N as an explicit quotient with projection and section, for a
     right action M (x) A -> M and a left action A (x) N -> N."""
-    if right.domain[1] != left.domain[0]:
-        raise InputError("tensor factors do not share an algebra")
+    if (right.domain[:-1] != right.codomain or left.domain[1:] != left.codomain
+            or right.domain[-1:] != left.domain[:1]):
+        raise InputError("tensor factors do not share an algebra: "
+                         "need M (x) A -> M and A (x) N -> N")
     f = right.field
     eq = kron(right, LinMap.identity(f, left.codomain)).sub(
         kron(LinMap.identity(f, right.codomain), left))
@@ -390,8 +394,3 @@ def hom_AC_system(m: EntwinedModule, n: EntwinedModule) -> LinearConstraints:
     sys.require("C-colinearity", col_lhs, col_rhs)
     return sys
 
-
-def hom_AC(m: EntwinedModule, n: EntwinedModule) -> Subspace:
-    """All maps commuting with both the actions and the coactions, as a
-    subspace of the full matrix space with ambient (dim N, dim M)."""
-    return hom_AC_system(m, n).solve().homogeneous

@@ -1,4 +1,4 @@
-"""Entwining structures (A, C, psi), their morphisms and tensor products.
+"""Entwining structures (A, C, psi) and their morphisms.
 
 psi: C (x) A -> A (x) C must satisfy four identities: it intertwines the
 multiplication and the unit of A, and the comultiplication and the counit
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import InputError
 from .fields import Field
-from .linalg import LinMap, compose_all, kron, kron_all
+from .linalg import LinMap, compose_all, kron
 from .records import Record
 from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
                          verify_algebra, verify_coalgebra)
@@ -110,18 +110,10 @@ def ground_coalgebra(field: Field) -> Coalgebra:
 
 
 def twist_entwining(alg: Algebra, coalg: Coalgebra) -> Entwining:
-    """psi = flip; satisfies all four identities for any algebra/coalgebra."""
+    """psi = flip, entwining an algebra and a coalgebra that are already
+    verified; the flip satisfies all four identities for any pair."""
     psi = LinMap.twist(alg.field, (coalg.dim,), (alg.dim,))
-    return make_entwining(alg, coalg, psi)
-
-
-def ground_entwining(field: Field) -> Entwining:
-    """The unit object: the ground field entwined with itself by the flip."""
-    return twist_entwining(ground_algebra(field), ground_coalgebra(field))
-
-
-def identity_morphism(e: Entwining) -> EntwiningMorphism:
-    return EntwiningMorphism(e, e, e.alg.identity(), e.coalg.identity())
+    return entwine_verified(alg, coalg, psi)
 
 
 def counit_morphism(e: Entwining) -> EntwiningMorphism:
@@ -140,50 +132,3 @@ def unit_morphism(e: Entwining) -> EntwiningMorphism:
     f = e.alg.unit_map().reshaped(domain=(1,))
     return EntwiningMorphism(src, e, f, e.coalg.identity())
 
-
-def tensor_algebra(a: Algebra, b: Algebra) -> Algebra:
-    """A (x) B with componentwise multiplication."""
-    f = a.field
-    ida, idb = a.identity(), b.identity()
-    tw = LinMap.twist(f, (b.dim,), (a.dim,))
-    mult = compose_all(kron(a.mult, b.mult), kron_all(ida, tw, idb))
-    unit = tuple(f.mul(x, y) for x in a.unit for y in b.unit)
-    out = Algebra(a.dim * b.dim,
-                  mult.reshaped((a.dim * b.dim, a.dim * b.dim), (a.dim * b.dim,)),
-                  unit)
-    return out
-
-
-def tensor_coalgebra(c: Coalgebra, d: Coalgebra) -> Coalgebra:
-    f = c.field
-    idc, idd = c.identity(), d.identity()
-    tw = LinMap.twist(f, (c.dim,), (d.dim,))
-    comult = compose_all(kron_all(idc, tw, idd), kron(c.comult, d.comult))
-    counit = tuple(f.mul(x, y) for x in c.counit for y in d.counit)
-    return Coalgebra(c.dim * d.dim,
-                     comult.reshaped((c.dim * d.dim,),
-                                     (c.dim * d.dim, c.dim * d.dim)),
-                     counit)
-
-
-def tensor_entwining(e1: Entwining, e2: Entwining) -> Entwining:
-    """Tensor product of entwining structures.
-
-    The combined psi routes the two coalgebra factors past the two algebra
-    factors with a flip on each side; the ground entwining is a unit for
-    this product.
-    """
-    if e1.field != e2.field:
-        raise InputError("field mismatch in tensor product of entwinings")
-    f = e1.field
-    da, dc = e1.alg.dim, e1.coalg.dim
-    db, dd = e2.alg.dim, e2.coalg.dim
-    alg = tensor_algebra(e1.alg, e2.alg)
-    coalg = tensor_coalgebra(e1.coalg, e2.coalg)
-    pre = kron_all(e1.coalg.identity(), LinMap.twist(f, (dd,), (da,)),
-                     e2.alg.identity())
-    mid = kron(e1.psi, e2.psi)
-    post = kron_all(e1.alg.identity(), LinMap.twist(f, (dc,), (db,)),
-                      e2.coalg.identity())
-    psi = compose_all(post, mid, pre).reshaped((dc * dd, da * db), (da * db, dc * dd))
-    return make_entwining(alg, coalg, psi)

@@ -37,6 +37,8 @@ from .structures import (Algebra, Coalgebra, CheckReport, dual_swap, law,
 def fixed_subalgebra(alg: Algebra, rho_a: LinMap):
     """The subalgebra of elements over which the coaction is left-linear,
     together with its induced algebra structure."""
+    if rho_a.domain != (alg.dim,) or rho_a.codomain[:-1] != rho_a.domain:
+        raise InputError("fixed subalgebra needs a coaction A -> A (x) C")
     space = fixed_part(alg.mult, rho_a, rho_a)
     if not space.contains(alg.unit):
         raise InconsistencyError("fixed subspace misses the unit")
@@ -189,11 +191,6 @@ class Coextension(Record):
     @property
     def field(self):
         return self.coalg.field
-
-    def module_C(self) -> EntwinedModule:
-        """C itself, entwined by the action and its comultiplication."""
-        return EntwinedModule(self.ent, self.coalg.dim, self.rho_c,
-                              self.coalg.comult)
 
 
 def build_coextension(coalg: Coalgebra, alg: Algebra, rho_c: LinMap) -> Coextension:

@@ -656,12 +656,6 @@ class Subspace(Record):
     def zero(field, ambient) -> "Subspace":
         return Subspace(LinMap.zero(field, ambient, (0,)), ())
 
-    @staticmethod
-    def full(field, ambient) -> "Subspace":
-        n = prod(ambient)
-        return Subspace(LinMap.identity(field, ambient).reshaped(codomain=(n,)),
-                        tuple(range(n)))
-
     @property
     def field(self) -> Field:
         return self.echelon.field

@@ -166,14 +166,6 @@ def expectation_from_phi(g: GaloisExtension, phi: LinMap) -> LinMap:
     return expectation
 
 
-def phi_from_expectation(g: GaloisExtension, expectation: LinMap) -> LinMap:
-    """phi(c) = (A (x)_B E)(can_inv(1 (x) c)), on section representatives."""
-    a, c = g.alg, g.coalg
-    to_square = g.can_inv.compose(kron(a.unit_map(), c.identity()))
-    return compose_all(a.mult, kron(a.identity(), expectation),
-                       g.square.section, to_square)
-
-
 def check_split(g: GaloisExtension):
     """The certificate and the full solution family for phi, or None."""
     sys = split_system(g)
@@ -187,24 +179,6 @@ def check_split(g: GaloisExtension):
 
 def _phi_as_map(g: GaloisExtension, vec) -> LinMap:
     return LinMap.from_flat(g.field, (g.coalg.dim,), (g.alg.dim,), vec)
-
-
-def split_from_integral_map(g: GaloisExtension, gamma: Witness) -> SplitCertificate:
-    """phi(c) = sum_i (a^i)_alpha gamma(c^alpha (x) c_i) for rho(1) = sum a^i (x) c_i."""
-    if gamma.kind != WitnessKind.INTEGRAL_MAP or not gamma.normalized:
-        raise InputError("expected a normalised integral map")
-    as_witness(WitnessKind.INTEGRAL_MAP, g.ent, gamma.value)  # DomainError if it fails
-    f = g.field
-    a, c = g.alg, g.coalg
-    da, dc = a.dim, c.dim
-    rho_one = g.rho_a.apply(a.unit)
-    gmap = gamma.as_map()
-    phi = compose_all(a.mult, kron(a.identity(), gmap),
-                      kron(g.ent.psi, c.identity()),
-                      kron(c.identity(), LinMap.element(f, (da, dc), rho_one)))
-    CheckReport("split map from the integral map", tuple(
-        split_system(g).violations(phi.flat()))).require(InconsistencyError)
-    return SplitCertificate(phi, expectation_from_phi(g, phi))
 
 
 # ---------------------------------------------------------------------------

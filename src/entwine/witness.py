@@ -18,23 +18,17 @@ derived the map).  Of the four kinds, only the integral side is written
 out: a cointegral (map) of (A, C, psi) is the transpose of an integral
 (map) of the dual entwining (C^*, A^*, psi^T), so its system is that
 integral system stated on the transposed unknown (Brzezinski-Hajac 1999).
-
-Four builders read a witness off structure and re-verify it instead:
-`integral_from_invariant`, `cointegral_from_casimir`,
-`integral_map_from_cotranslation` and `cointegral_map_from_can_inv`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from .errors import DomainError, InconsistencyError, InputError
+from .errors import InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism, dual_entwining
 from .entmod import (EntwinedModule, _coinduced_carrier, _induced_carrier,
                      _induced_coaction, adjunction_unit, coinduce,
-                     hom_AC_system, induce, standard_module, regular_module)
-from .galois import Coextension, GaloisExtension, copointed_grouplike, \
-    cotranslation_map, pointed_kappa
+                     hom_AC_system, induce)
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, SCALAR,
                      compose_all, corestrict, descend, kron, kron_all,
                      right_inverse)
@@ -52,10 +46,6 @@ class WitnessKind(str, Enum):
 class Witness(Record):
     _fields = ("kind", "ent", "value",  # row-major vectorization of the witness
                "normalized")
-
-    def as_map(self) -> LinMap:
-        dom, cod = witness_shapes(self.kind, self.ent)
-        return LinMap.from_flat(self.ent.field, dom, cod, self.value)
 
 
 def witness_shapes(kind: WitnessKind, e: Entwining):
@@ -357,10 +347,6 @@ def lambda_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
     return _morphism_witness("lambda", integrability_system, mor, value)
 
 
-def frakz_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
-    return _morphism_witness("frakz", cointegrability_system, mor, value)
-
-
 # ---------------------------------------------------------------------------
 # the constructions of the main separability theorem
 
@@ -408,120 +394,3 @@ def nu_from_lambda(lam: MorphismWitness, m: EntwinedModule) -> LinMap:
     failures += hom_AC_system(gfm, m).violations(nu.flat())
     CheckReport("splitting nu", tuple(failures)).require(InconsistencyError)
     return nu
-
-
-def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
-    """Extract the lambda witness from a splitting at the module A (x) C.
-
-    The candidate must split the adjunction unit and be a morphism of
-    entwined modules; all lambda identities are then re-verified on the
-    extracted matrix, so an inconsistent candidate cannot slip through.
-    """
-    src = mor.src
-    f = src.field
-    da, dc = src.alg.dim, src.coalg.dim
-    da2 = mor.dst.alg.dim
-    ac = standard_module("mod_tensor_c", regular_module(src.alg), src)
-    fm, quot = induce(mor, ac)
-    gfm, sub = coinduce(mor, fm)
-    if nu_on_ac.cols != gfm.dim or nu_on_ac.rows != ac.dim:
-        raise InputError("splitting has the wrong shape for A (x) C")
-    failures = []
-    law(failures, "unit splitting",
-        nu_on_ac.compose(adjunction_unit(mor, ac, quot, sub)), ac.identity())
-    failures += hom_AC_system(gfm, ac).violations(nu_on_ac.flat())
-    CheckReport("candidate splitting", tuple(failures)).require()
-    ctx = lambda_context(mor)
-    idc = src.coalg.identity()
-    # S -> GF(A (x) C): front 1_A, then the balanced projection, inside the cotensor
-    front = kron(LinMap.element(f, (da,), src.alg.unit),
-                 LinMap.identity(f, (dc, da2, dc)))
-    lift = corestrict(
-        compose_all(kron(quot.projection, idc), front, ctx.carrier.inclusion),
-        sub)
-    lam = compose_all(kron(LinMap.identity(f, (da,)), src.coalg.counit_map()),
-                      nu_on_ac.reshaped(codomain=(da, dc)), lift)
-    return lambda_witness(mor, lam.flat())
-
-
-def gamma_from_lambda(lam: MorphismWitness) -> LinMap:
-    """For the counit morphism, restrict lambda along c (x) c' -> c (x) 1 (x) c'."""
-    mor = lam.mor
-    if mor.dst.coalg.dim != 1:
-        raise InputError("gamma extraction is for the counit morphism")
-    ctx: LambdaContext = lam.context
-    src = mor.src
-    da, dc = src.alg.dim, src.coalg.dim
-    ins = corestrict(kron_all(src.coalg.identity(), mor.dst.alg.unit_map(),
-                              src.coalg.identity()),
-                     ctx.carrier)
-    return lam.matrix.compose(ins).reshaped((dc, dc), (da,))
-
-
-def lambda_from_gamma(gamma: LinMap, mor: EntwiningMorphism) -> MorphismWitness:
-    """lambda(c (x) a (x) c') = a_alpha gamma(c^alpha (x) c') for the counit
-    morphism, whose carrier is all of C (x) A (x) C."""
-    if mor.dst.coalg.dim != 1:
-        raise InputError("lambda reconstruction is for the counit morphism")
-    src = mor.src
-    ctx = lambda_context(mor)
-    raw = compose_all(src.alg.mult, kron(src.alg.identity(), gamma),
-                      kron(src.psi, src.coalg.identity()))
-    lam = raw.compose(ctx.carrier.inclusion)
-    return lambda_witness(mor, lam.flat())
-
-
-# ---------------------------------------------------------------------------
-# witnesses read off from structure
-
-
-def integral_from_invariant(ent: Entwining, action_c: LinMap, eps_a,
-                            invariant) -> Witness:
-    """An invariant L of the coalgebra under a right action (L . a =
-    eps_a(a) L, with eps(L) = 1) gives the normalised integral 1 (x) L."""
-    f = ent.field
-    da = ent.alg.dim
-    eps_a = tuple(eps_a)
-    if len(eps_a) != da:
-        raise InputError("character length does not match the algebra")
-    lam = LinMap.element(f, (ent.coalg.dim,), tuple(invariant))   # k -> C
-    failures = []
-    # L . a = eps_a(a) L, as maps A -> C
-    law(failures, "invariance", action_c.compose(kron(lam, ent.alg.identity())),
-        lam.compose(LinMap.functional(f, (da,), eps_a)))
-    law(failures, "normalisation", ent.coalg.counit_map().compose(lam),
-        LinMap.identity(f, SCALAR))
-    CheckReport("invariant element", tuple(failures)).require()
-    value = kron(ent.alg.unit_map(), lam).flat()
-    return as_witness(WitnessKind.INTEGRAL, ent, value, normalized=True)
-
-
-def cointegral_from_casimir(ent: Entwining, coaction_a: LinMap, one_c,
-                            kappa) -> Witness:
-    """A functional kappa with the coaction-invariance property gives the
-    normalised cointegral eps (x) kappa: kappa is invariant under the
-    transposed coaction, a right action of C^* on A^*, so 1 (x) kappa is an
-    integral of the dual entwining, read here as a functional."""
-    dual = integral_from_invariant(dual_entwining(ent), coaction_a.transpose(),
-                                   one_c, kappa)
-    return Witness(WitnessKind.COINTEGRAL, ent, dual.value, True)
-
-
-def integral_map_from_cotranslation(coext: Coextension) -> Witness:
-    """The cotranslation map of a pointed coextension of the ground field
-    is a normalised integral map."""
-    if pointed_kappa(coext) is None:
-        raise DomainError("coextension is not pointed")
-    return as_witness(WitnessKind.INTEGRAL_MAP, coext.ent,
-                      cotranslation_map(coext).flat(), normalized=True)
-
-
-def cointegral_map_from_can_inv(ext: GaloisExtension) -> Witness:
-    """The inverse canonical map against 1 (x) C of a copointed extension
-    of the ground field is a normalised cointegral map."""
-    if ext.fixed.dim != 1:
-        raise DomainError("extension is not over the ground field")
-    if copointed_grouplike(ext) is None:
-        raise DomainError("extension is not copointed")
-    return as_witness(WitnessKind.COINTEGRAL_MAP, ext.ent,
-                      ext.translation_map().flat(), normalized=True)

@@ -1,11 +1,13 @@
 import pytest
 
-from entwine import (GF, QQ, default_catalog, entwining_of, make_example,
-                     verify_algebra, verify_coalgebra, verify_entwining)
+from entwine import (GF, QQ, make_example, verify_algebra, verify_coalgebra,
+                     verify_entwining)
 from entwine.catalog import HopfData, sweedler_hopf
 from entwine.errors import InputError
 from entwine import schema
 from entwine.galois import Coextension, GaloisExtension
+
+from constructions import default_catalog, entwining_of
 
 
 def test_every_payload_is_verifier_clean():

@@ -237,12 +237,13 @@ def test_catalog_fixed_subalgebra_mismatch_is_a_failure(capsys, monkeypatch):
     # a fixed subalgebra other than the subgroup algebra is a failed
     # identity of the catalog's own construction (exit 1), never an input
     # error (exit 2)
-    from entwine import Subspace, catalog
+    from entwine import catalog
+    from constructions import full_subspace
     build = catalog.build_galois
 
     def wrong_fixed(*args):
         ext = build(*args)
-        return ext.replace(fixed=Subspace.full(ext.field, ext.fixed.ambient))
+        return ext.replace(fixed=full_subspace(ext.field, ext.fixed.ambient))
     monkeypatch.setattr(catalog, "build_galois", wrong_fixed)
     assert main(["catalog", "--name", "hopf_quotient_galois", "--n", "4",
                  "--d", "2", "--field", "Q"]) == 1

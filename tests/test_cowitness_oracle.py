@@ -13,9 +13,9 @@ import functools
 
 import pytest
 
-from entwine import (GF, QQ, WitnessKind, default_catalog, entwining_of,
-                     solve_witness)
+from entwine import GF, QQ, WitnessKind, solve_witness
 
+from constructions import default_catalog, entwining_of
 import oracle
 
 FIELDS = {"Q": QQ, "GF2": GF(2), "GF3": GF(3), "GF5": GF(5), "GF7": GF(7)}

@@ -1,6 +1,6 @@
 """Dead-code scan of the package with the stdlib `ast` module.
 
-Six checks:
+Seven checks:
 
 - every function and class defined in src/entwine is referenced somewhere
   in src, tests or perfbench outside its own definition: as a name, an
@@ -10,6 +10,11 @@ Six checks:
   a method counts as referenced only through an attribute or a string;
   docstrings do not count, and dunder methods are exempt because Python
   calls them itself;
+- the same scan, run over the library and perfbench only, finds every
+  definition referenced: the package is what the command line and the
+  benchmark reach, and a construction only the tests call lives in
+  tests/constructions.py.  The package's `__init__.py` is left out, since
+  a re-export reaches nothing;
 - no function in src/entwine or tests assigns a local variable that it
   never reads; `_` is the conventional throwaway and is exempt;
 - no module in src/entwine or tests imports a name it never uses; the
@@ -99,12 +104,13 @@ def _definitions():
                 yield path, node.name, first, node.end_lineno, id(node) in methods
 
 
-def dead_definitions():
+def _unreferenced(paths):
+    """Definitions of src/entwine that no file in paths references outside
+    the definition itself."""
     uses = {}
-    for top in SCANNED:
-        for path in _python_files(top):
-            for name, line, is_attribute in _references(_parse(path)):
-                uses.setdefault(name, []).append((path, line, is_attribute))
+    for path in paths:
+        for name, line, is_attribute in _references(_parse(path)):
+            uses.setdefault(name, []).append((path, line, is_attribute))
     dead = []
     for path, name, first, last, is_method in _definitions():
         if name.startswith("__") and name.endswith("__"):
@@ -117,6 +123,17 @@ def dead_definitions():
         if not outside:
             dead.append(f"{os.path.relpath(path, ROOT)}:{first} {name}")
     return dead
+
+
+def dead_definitions():
+    return _unreferenced(path for top in SCANNED for path in _python_files(top))
+
+
+def reached_only_from_tests():
+    library = [path for path in _python_files(os.path.join(ROOT, "src"))
+               if os.path.basename(path) != "__init__.py"]
+    return [f"{line} (reached only from tests)" for line in _unreferenced(
+        library + list(_python_files(os.path.join(ROOT, "perfbench"))))]
 
 
 def _own_scope(fn):
@@ -289,6 +306,10 @@ def test_every_definition_is_referenced():
     assert dead_definitions() == []
 
 
+def test_library_reaches_every_definition():
+    assert reached_only_from_tests() == []
+
+
 def test_no_unused_locals():
     assert unused_locals() == []
 
@@ -310,7 +331,8 @@ def test_fractions_only_at_the_linalg_boundary():
 
 
 if __name__ == "__main__":
-    for line in (dead_definitions() + unused_locals() + unused_imports()
+    for line in (dead_definitions() + reached_only_from_tests()
+                 + unused_locals() + unused_imports()
                  + raising_report_checks() + store_only_constructors()
                  + fractions_outside_the_boundary()):
         print(line)

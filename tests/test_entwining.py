@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from entwine import (GF, LinMap, QQ, default_catalog, entwining_of,
-                     make_example, tensor_entwining, twist_entwining,
-                     verify_entwining, verify_morphism)
-from entwine.entwining import (Entwining, counit_morphism, ground_entwining,
-                               identity_morphism, unit_morphism)
-from entwine.errors import DomainError, InputError
+from entwine import (GF, LinMap, QQ, twist_entwining, verify_entwining,
+                     verify_morphism)
+from entwine.entwining import Entwining, counit_morphism, unit_morphism
+from entwine.errors import DomainError
+
+from constructions import default_catalog, entwining_of, identity_morphism
 
 
 def q(x):
@@ -78,33 +78,6 @@ def test_counit_and_unit_morphisms_pass_everywhere():
             assert verify_morphism(unit_morphism(ent)).ok
 
 
-def test_tensor_with_ground_is_identity(c2_q):
-    e = c2_q.ent
-    t = tensor_entwining(e, ground_entwining(QQ))
-    assert t.psi.entries == e.psi.entries
-    t2 = tensor_entwining(ground_entwining(QQ), e)
-    assert t2.psi.entries == e.psi.entries
-
-
-def test_twist_tensor_twist_is_twist():
-    h2 = make_example("group_algebra", {"field": QQ, "n": 2}).payload
-    tw = twist_entwining(h2.alg, h2.coalg)
-    t = tensor_entwining(tw, tw)
-    expected = twist_entwining(t.alg, t.coalg)
-    assert t.psi.equals(expected.psi)
-
-
-def test_tensor_closure(c2_q):
-    t = tensor_entwining(c2_q.ent, c2_q.ent)
-    assert verify_entwining(t).ok
-    assert t.alg.dim == 4 and t.coalg.dim == 4
-
-
-def test_tensor_field_mismatch_rejected(c2_q, c2_f2):
-    with pytest.raises(InputError):
-        tensor_entwining(c2_q.ent, c2_f2.ent)
-
-
 def test_entwining_unit_counit_invariants():
     # for every accepted entwining: psi(c (x) 1) = 1 (x) c and
     # (A (x) eps) psi = eps (x) A hold on the nose
@@ -117,11 +90,3 @@ def test_entwining_unit_counit_invariants():
         lhs2 = kron(e.alg.identity(), e.coalg.counit_map()).compose(e.psi)
         rhs2 = kron(e.coalg.counit_map(), e.alg.identity())
         assert lhs2.equals(rhs2)
-
-
-def test_tensor_of_mixed_canonical_entwinings():
-    e2 = make_example("hopf_self_galois", {"field": QQ, "n": 2}).payload.ent
-    e3 = make_example("hopf_self_galois", {"field": QQ, "n": 3}).payload.ent
-    t = tensor_entwining(e2, e3)
-    assert t.alg.dim == 6 and t.coalg.dim == 6
-    assert verify_entwining(t).ok

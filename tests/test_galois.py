@@ -45,6 +45,13 @@ def test_fixed_subalgebra_ground_case():
     assert space.dim == 1
 
 
+def test_fixed_subalgebra_needs_a_coaction_shape(hopf_c2_q):
+    # the product A (x) A -> A where a coaction A -> A (x) C belongs
+    a = hopf_c2_q.alg
+    with pytest.raises(InputError, match="needs a coaction"):
+        fixed_subalgebra(a, a.mult)
+
+
 def test_build_galois_c2(c2_q):
     assert c2_q.can.rows == 4 and c2_q.can.cols == 4
     assert c2_q.fixed.dim == 1

@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from entwine import GF, QQ, default_catalog
+from entwine import GF, QQ
 from entwine.entmod import (balanced_power as _balanced_power,
                             check_right_comodule, check_right_module)
 from entwine.entwining import Entwining, verify_entwining
@@ -26,6 +26,8 @@ from entwine.hochschild import regular_bimodule, verify_bimodule
 from entwine.linalg import LinMap
 from entwine.structures import (Algebra, Coalgebra, verify_algebra,
                                 verify_coalgebra)
+
+from constructions import default_catalog
 
 F7 = GF(7)
 

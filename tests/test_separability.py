@@ -8,11 +8,10 @@ from entwine import (Algebra, Coalgebra, GF, LinMap, QQ, Subspace, WitnessKind,
                      build_galois, check_coseparable,
                      check_separable, check_split, check_strongly_separable,
                      kron, make_example, quotient_coalgebra,
-                     separability_from_integral,
-                     split_from_integral_map, solve_witness)
+                     separability_from_integral, solve_witness)
 from entwine.separability import (STRATEGIES, expectation_violations,
-                                  phi_from_expectation, right_free_basis,
-                                  verify_strong, verify_idempotent)
+                                  right_free_basis, verify_strong,
+                                  verify_idempotent)
 from entwine import separability
 from entwine.entwining import counit_morphism
 from entwine.errors import (CheckFailure, DomainError, InconsistencyError,
@@ -21,6 +20,7 @@ from entwine.linalg import compose_all, invert
 from entwine.witness import (Witness, as_witness, check_witness,
                              integrability_system, lambda_witness)
 
+from constructions import phi_from_expectation, split_from_integral_map
 import oracle
 
 

@@ -8,6 +8,8 @@ from entwine import (Algebra, Coalgebra, DomainError, LinMap, QQ, Subspace,
 from entwine.catalog import cyclic_group_hopf, function_group_hopf
 from entwine.errors import InconsistencyError
 
+from constructions import full_subspace
+
 
 def q(x):
     return Fraction(x)
@@ -108,7 +110,7 @@ def test_quotient_by_augmentation_coideal(hopf_c2_q):
 def test_quotient_by_everything_rejected(hopf_c2_q):
     c = hopf_c2_q.coalg
     with pytest.raises(DomainError):
-        quotient_coalgebra(c, Subspace.full(QQ, (2,)))
+        quotient_coalgebra(c, full_subspace(QQ, (2,)))
 
 
 def test_non_coideal_rejected_with_witness():

@@ -6,17 +6,19 @@ from math import prod
 import pytest
 
 from entwine import (DomainError, GF, InputError, LinMap, QQ, WitnessKind,
-                     check_witness, cointegral_from_casimir,
-                     cointegral_map_from_can_inv, integral_from_invariant,
-                     integral_map_from_cotranslation, lambda_from_nu,
-                     make_example, nu_from_lambda, solve_witness)
-from entwine.entmod import hom_AC, regular_module, standard_module
+                     check_witness, cotranslation_map, make_example,
+                     nu_from_lambda, solve_witness)
+from entwine.entmod import hom_AC_system, regular_module, standard_module
 from entwine.entwining import counit_morphism, unit_morphism
 from entwine.errors import CheckFailure
 from entwine.witness import (as_witness, cointegrability_system,
-                             frakz_witness, gamma_from_lambda,
-                             integrability_system, lambda_from_gamma,
-                             lambda_witness, witness_shapes)
+                             integrability_system, lambda_witness,
+                             witness_shapes)
+from constructions import (cointegral_from_casimir, default_catalog,
+                           entwining_of, frakz_witness, gamma_from_lambda,
+                           ground_entwining, identity_morphism,
+                           integral_from_invariant, lambda_from_gamma,
+                           lambda_from_nu, witness_map)
 import oracle
 
 
@@ -173,8 +175,8 @@ def test_gamma_lambda_bijection(c2_q):
     gvec = tuple(x for row in gam.entries for x in row)
     assert gam_sol.contains(gvec)
     # and back: reconstruct lambda from the particular integral map
-    gmap = as_witness(WitnessKind.INTEGRAL_MAP, c2_q.ent, gam_sol.particular,
-                      True).as_map()
+    gmap = witness_map(as_witness(WitnessKind.INTEGRAL_MAP, c2_q.ent,
+                                  gam_sol.particular, True))
     lam2 = lambda_from_gamma(gmap, mor)
     assert lam_sol.contains(lam2.value)
     # round trip on the nose
@@ -232,7 +234,7 @@ def test_nu_naturality(c2_q):
     fn, qn = induce(mor, n)
     _, sm = coinduce(mor, fm)
     _, sn = coinduce(mor, fn)
-    homs = hom_AC(m, n)
+    homs = hom_AC_system(m, n).solve().homogeneous
     for vec in homs.basis:
         phi = LinMap.from_flat(QQ, (m.dim,), (n.dim,), vec)
         fphi = induce_morphism(mor, phi, qm, qn)
@@ -354,36 +356,16 @@ def test_casimir_functional_failure():
                                 kappa=(q(1), q(1)))
 
 
-def test_precondition_errors_carry_no_witness(c2_q, coext_q, monkeypatch):
-    # a failed precondition of a structural builder is not a failed law, so
-    # its DomainError carries no witness; a witness is always a CheckFailure
-    from entwine import witness
-    quotient = make_example("hopf_quotient_galois",
-                            {"field": QQ, "n": 4, "d": 2}).payload
-    with pytest.raises(DomainError, match="ground field") as err:
-        cointegral_map_from_can_inv(quotient)
-    assert err.value.witness is None
-    monkeypatch.setattr(witness, "copointed_grouplike", lambda ext: None)
-    with pytest.raises(DomainError, match="not copointed") as err:
-        cointegral_map_from_can_inv(c2_q)
-    assert err.value.witness is None
-    monkeypatch.setattr(witness, "pointed_kappa", lambda coext: None)
-    with pytest.raises(DomainError, match="not pointed") as err:
-        integral_map_from_cotranslation(coext_q)
-    assert err.value.witness is None
-
-
 def test_cotranslation_witness(coext_q):
-    w = integral_map_from_cotranslation(coext_q)
-    assert w.kind == WitnessKind.INTEGRAL_MAP
-    assert not check_witness(WitnessKind.INTEGRAL_MAP, coext_q.ent, w.value,
-                             True)
+    gamma = cotranslation_map(coext_q)
+    assert not check_witness(WitnessKind.INTEGRAL_MAP, coext_q.ent,
+                             gamma.flat(), True)
 
 
 def test_can_inv_unit_witness(c2_q):
-    w = cointegral_map_from_can_inv(c2_q)
-    assert w.kind == WitnessKind.COINTEGRAL_MAP
-    zeta = w.as_map()
+    zeta = c2_q.translation_map()
+    assert not check_witness(WitnessKind.COINTEGRAL_MAP, c2_q.ent,
+                             zeta.flat(), True)
     # zeta(s^j) = s^{-j} (x) s^j
     for j in range(2):
         col = zeta.column(j)
@@ -423,7 +405,6 @@ def test_frakz_counit_carrier_is_ac(c2_q):
 def test_family_closure_across_catalog():
     # substituting the particular plus each homogeneous basis vector passes
     # the identity checker for every witness kind and catalog entwining
-    from entwine import default_catalog, entwining_of
     for field in (QQ, GF(2)):
         for entry in default_catalog(field):
             e = entwining_of(entry)
@@ -440,7 +421,6 @@ def test_family_closure_across_catalog():
 
 def test_identity_morphism_on_ground_entwining():
     # both functor-level systems are trivially feasible on the unit object
-    from entwine.entwining import ground_entwining, identity_morphism
     mor = identity_morphism(ground_entwining(QQ))
     assert integrability_system(mor)[0].solve().feasible
     assert cointegrability_system(mor)[0].solve().feasible
@@ -448,7 +428,6 @@ def test_identity_morphism_on_ground_entwining():
 
 def test_identity_morphism_on_c2(c2_q):
     # the identity functor is separable, so both witnesses exist
-    from entwine.entwining import identity_morphism
     mor = identity_morphism(c2_q.ent)
     assert integrability_system(mor)[0].solve().feasible
     assert cointegrability_system(mor)[0].solve().feasible
