@@ -15,9 +15,21 @@ Over a field the preservation hypotheses needed for these constructions
 (cotensoring preserves the relevant cokernels, tensoring the relevant
 kernels) hold automatically, so no runtime check is made for them; the
 landing and descent assertions on each individual map still run.
+
+The two carriers, `cotensor` and `tensor_over_A`, are memoised: each is a
+pure function of its two structure maps, and a LinMap record hashes and
+compares by value (field, shapes, numerators and den), so two separately
+parsed copies of one document share an entry and any other field, basis or
+factorisation misses.  The results (Subspace, QuotientModule) are immutable
+records.  The memo holds at most `MEMO_SIZE` entries, least recently used
+out first.  Nothing that checks or answers is memoised: `induce`,
+`coinduce` and `adjunction_maps` build their modules and re-verify them
+on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .errors import InputError
 from .entwining import Entwining, EntwiningMorphism
@@ -154,7 +166,14 @@ def standard_module(kind: str, base: LinMap, ent: Entwining) -> EntwinedModule:
 # ---------------------------------------------------------------------------
 # cotensor products and tensor products over A
 
+# Entries per memoised construction (these two and witness.lambda_context,
+# witness.frakz_context).  A cycle of the perfbench functor_systems mix
+# needs 23 cotensor keys, 27 tensor_over_A keys and 10 per context; 64
+# holds each with room to spare and bounds the memory the memo keeps.
+MEMO_SIZE = 64
 
+
+@lru_cache(maxsize=MEMO_SIZE)
 def cotensor(right: LinMap, left: LinMap) -> Subspace:
     """V [] W inside V (x) W, for a right coaction V -> V (x) C and a left
     coaction W -> C (x) W: the kernel of the coaction equalising map."""
@@ -168,6 +187,7 @@ def cotensor(right: LinMap, left: LinMap) -> Subspace:
     return kernel(eq)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def tensor_over_A(right: LinMap, left: LinMap) -> QuotientModule:
     """M (x)_A N as an explicit quotient with projection and section, for a
     right action M (x) A -> M and a left action A (x) N -> N."""

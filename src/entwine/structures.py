@@ -53,12 +53,12 @@ class Algebra(Record):
     _fields = ("dim", "mult",  # (dim, dim) -> (dim)
                "unit")         # vector of length dim
 
-    def __init__(self, dim: int, mult: LinMap, unit: tuple):
+    def __init__(self, dim: int, mult: LinMap, unit):
         if mult.domain != (dim, dim) or mult.codomain != (dim,):
             raise InputError("multiplication map does not match the dimension")
         if len(unit) != dim:
             raise InputError("unit vector does not match the dimension")
-        super().__init__(dim, mult, unit)
+        super().__init__(dim, mult, tuple(unit))
 
     @property
     def field(self) -> Field:
@@ -76,12 +76,12 @@ class Coalgebra(Record):
     _fields = ("dim", "comult",  # (dim) -> (dim, dim)
                "counit")         # covector of length dim
 
-    def __init__(self, dim: int, comult: LinMap, counit: tuple):
+    def __init__(self, dim: int, comult: LinMap, counit):
         if comult.domain != (dim,) or comult.codomain != (dim, dim):
             raise InputError("comultiplication map does not match the dimension")
         if len(counit) != dim:
             raise InputError("counit covector does not match the dimension")
-        super().__init__(dim, comult, counit)
+        super().__init__(dim, comult, tuple(counit))
 
     @property
     def field(self) -> Field:

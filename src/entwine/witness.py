@@ -18,17 +18,25 @@ derived the map).  Of the four kinds, only the integral side is written
 out: a cointegral (map) of (A, C, psi) is the transpose of an integral
 (map) of the dual entwining (C^*, A^*, psi^T), so its system is that
 integral system stated on the transposed unknown (Brzezinski-Hajac 1999).
+
+The carrier data of the two morphism-level systems, `lambda_context` and
+`frakz_context`, are memoised like the cotensors and balanced tensors they
+are built from (see `entmod`): keyed on the morphism record by value, at
+most `entmod.MEMO_SIZE` entries each, with immutable results.  The systems,
+their solutions and every check are not: each question assembles, solves
+and re-verifies its own system.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import lru_cache
 
 from .errors import InconsistencyError, InputError
 from .entwining import Entwining, EntwiningMorphism, dual_entwining
-from .entmod import (EntwinedModule, _coinduced_carrier, _induced_carrier,
-                     _induced_coaction, adjunction_unit, coinduce,
-                     hom_AC_system, induce)
+from .entmod import (MEMO_SIZE, EntwinedModule, _coinduced_carrier,
+                     _induced_carrier, _induced_coaction, adjunction_unit,
+                     coinduce, hom_AC_system, induce)
 from .linalg import (AffineSolutionSet, LinMap, LinearConstraints, SCALAR,
                      compose_all, corestrict, descend, kron, kron_all,
                      right_inverse)
@@ -160,6 +168,7 @@ class LambdaContext(Record):
                "unit_insert")     # C -> S, c -> c1 (x) 1 (x) c2
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def lambda_context(mor: EntwiningMorphism) -> LambdaContext:
     src, dst = mor.src, mor.dst
     da, dc = src.alg.dim, src.coalg.dim
@@ -245,6 +254,7 @@ class FrakzContext(Record):
                "counit_collapse")  # Q -> A~
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def frakz_context(mor: EntwiningMorphism) -> FrakzContext:
     src, dst = mor.src, mor.dst
     da, dc = src.alg.dim, src.coalg.dim
@@ -332,19 +342,14 @@ class MorphismWitness(Record):
         return self.matrix.flat()
 
 
-def _morphism_witness(side: str, build, mor: EntwiningMorphism,
-                      value) -> MorphismWitness:
-    """The candidate, once every identity of its side's system holds on it."""
-    sys, ctx = build(mor)
+def lambda_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
+    """The candidate lambda, once every identity of its system holds on it."""
+    sys, ctx = integrability_system(mor)
     value = tuple(value)
-    CheckReport(f"candidate for the {side} identities",
+    CheckReport("candidate for the lambda identities",
                 tuple(sys.violations(value))).require()
     matrix = LinMap.from_flat(mor.src.field, sys.x_dom, sys.x_cod, value)
-    return MorphismWitness(side, mor, matrix, ctx)
-
-
-def lambda_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
-    return _morphism_witness("lambda", integrability_system, mor, value)
+    return MorphismWitness("lambda", mor, matrix, ctx)
 
 
 # ---------------------------------------------------------------------------

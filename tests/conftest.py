@@ -2,7 +2,19 @@ import sys
 
 import pytest
 
-from entwine import GF, QQ, make_example
+from entwine import GF, QQ, entmod, make_example, witness
+
+# the constructions the library memoises, each a functools.lru_cache
+MEMOISED = (entmod.cotensor, entmod.tensor_over_A, witness.lambda_context,
+            witness.frakz_context)
+
+
+@pytest.fixture(autouse=True)
+def empty_memos():
+    """Every test starts with empty memos, so a test that counts calls or
+    patches a construction sees the same calls whatever ran before it."""
+    for memo in MEMOISED:
+        memo.cache_clear()
 
 
 @pytest.fixture(scope="session")

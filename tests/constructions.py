@@ -24,9 +24,8 @@ from entwine.separability import (SplitCertificate, expectation_from_phi,
                                   split_system)
 from entwine.structures import CheckReport, law
 from entwine.witness import (LambdaContext, MorphismWitness, Witness,
-                             WitnessKind, _morphism_witness, as_witness,
-                             cointegrability_system, lambda_context,
-                             lambda_witness, witness_shapes)
+                             WitnessKind, as_witness, cointegrability_system,
+                             lambda_context, lambda_witness, witness_shapes)
 
 
 # -- entwinings and subspaces -------------------------------------------------
@@ -76,7 +75,13 @@ def entwining_of(entry) -> Entwining:
 # -- morphism-level witnesses -------------------------------------------------
 
 def frakz_witness(mor: EntwiningMorphism, value) -> MorphismWitness:
-    return _morphism_witness("frakz", cointegrability_system, mor, value)
+    """The candidate frakz, once every identity of its system holds on it."""
+    sys, ctx = cointegrability_system(mor)
+    value = tuple(value)
+    CheckReport("candidate for the frakz identities",
+                tuple(sys.violations(value))).require()
+    matrix = LinMap.from_flat(mor.src.field, sys.x_dom, sys.x_cod, value)
+    return MorphismWitness("frakz", mor, matrix, ctx)
 
 
 def lambda_from_nu(nu_on_ac: LinMap, mor: EntwiningMorphism) -> MorphismWitness:

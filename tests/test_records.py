@@ -14,7 +14,7 @@ import pytest
 import entwine
 from entwine import GF, QQ, make_example
 from entwine.catalog import CatalogEntry, cyclic_group_hopf
-from entwine.entwining import counit_morphism
+from entwine.entwining import Entwining, counit_morphism
 from entwine.errors import InputError
 from entwine.fields import FieldError
 from entwine.hochschild import regular_bimodule, relative_complex
@@ -24,7 +24,7 @@ from entwine.records import Record
 from entwine.separability import (SplitCertificate, check_coseparable,
                                   check_separable, check_split,
                                   check_strongly_separable)
-from entwine.structures import Algebra, verify_algebra
+from entwine.structures import Algebra, Coalgebra, verify_algebra
 from entwine.witness import (WitnessKind, frakz_context, integrability_system,
                              lambda_context, lambda_witness,
                              particular_witness)
@@ -101,6 +101,18 @@ def test_unhashable_records():
     with pytest.raises(AttributeError):
         block.label = "two"
     assert block.label == "one"
+
+
+def test_list_unit_and_counit_are_stored_as_tuples(c2_q):
+    alg, coalg = c2_q.alg, c2_q.coalg
+    listed = Algebra(alg.dim, alg.mult, list(alg.unit))
+    colisted = Coalgebra(coalg.dim, coalg.comult, list(coalg.counit))
+    assert listed == alg and hash(listed) == hash(alg)
+    assert colisted == coalg and hash(colisted) == hash(coalg)
+    assert type(listed.unit) is tuple and type(colisted.counit) is tuple
+    # a record built from lists is a memo key like any other
+    mor = counit_morphism(Entwining(listed, colisted, c2_q.ent.psi))
+    assert lambda_context(mor) is lambda_context(counit_morphism(c2_q.ent))
 
 
 def test_a_changed_field_or_another_class_is_unequal(c2_q):
